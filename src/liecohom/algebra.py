@@ -26,6 +26,7 @@ from .linalg import (
     kernel_basis,
     rank,
     span_basis,
+    unit_vector,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -220,18 +221,8 @@ class LieAlgebra:
 
     def ad(self, x: Sequence) -> RationalMatrix:
         """Matrix of ad(x): columns are [x, e_j] in basis coordinates."""
-        cols = [self.bracket(x, _unit(self.dim, j)) for j in range(self.dim)]
+        cols = [self.bracket(x, unit_vector(self.dim, j)) for j in range(self.dim)]
         return RationalMatrix.from_columns([list(c) for c in cols])
-
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        """C_ij^k with 1-based indices."""
-        return self.bracket_basis(i, j)[k - 1]
-
-
-def _unit(n: int, j: int) -> Vector:
-    v = [Fraction(0)] * n
-    v[j] = Fraction(1)
-    return tuple(v)
 
 
 def _jacobi_report(dim: int, table: Mapping[tuple[int, int], Vector]) -> ValidationReport:
@@ -284,7 +275,7 @@ def closed_one_forms(g: LieAlgebra) -> Subspace:
     """
     der = derived_subalgebra(g)
     if der.dim == 0:
-        return Subspace.span(g.dim, [_unit(g.dim, j) for j in range(g.dim)])
+        return Subspace.span(g.dim, [unit_vector(g.dim, j) for j in range(g.dim)])
     m = RationalMatrix.from_rows([list(b) for b in der.basis])
     return Subspace.span(g.dim, [list(v) for v in kernel_basis(m)])
 
@@ -303,7 +294,7 @@ def classify(g: LieAlgebra) -> AlgebraClass:
     """
     if not g.brackets:
         return AlgebraClass.ABELIAN
-    full = Subspace.span(g.dim, [_unit(g.dim, j) for j in range(g.dim)])
+    full = Subspace.span(g.dim, [unit_vector(g.dim, j) for j in range(g.dim)])
 
     term = derived_subalgebra(g)
     while True:
@@ -325,13 +316,9 @@ def classify(g: LieAlgebra) -> AlgebraClass:
     return AlgebraClass.NON_SOLVABLE
 
 
-def is_solvable(g: LieAlgebra) -> bool:
-    return classify(g) is not AlgebraClass.NON_SOLVABLE
-
-
 def is_unimodular(g: LieAlgebra) -> bool:
     """True when trace(ad e_i) = 0 for every basis vector."""
-    return all(g.ad(_unit(g.dim, j)).trace() == 0 for j in range(g.dim))
+    return all(g.ad(unit_vector(g.dim, j)).trace() == 0 for j in range(g.dim))
 
 
 def change_basis(g: LieAlgebra, m: RationalMatrix) -> LieAlgebra:

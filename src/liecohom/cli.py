@@ -250,9 +250,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value may be negative. argparse takes "-1,0,0" after a space
+# for an unknown option and exits with 2, the computation-domain code, so such
+# a value is attached as "--omega=-1,0,0" before parsing.
+_SIGNED_OPTIONS = ("--omega", "--direction", "--lambda")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(
+        sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (StructureError, JacobiError) as exc:

@@ -32,22 +32,16 @@ class CohomologyResult:
     representatives: tuple[tuple[ExteriorForm, ...], ...]
 
 
-def _ranks(mats: DifferentialMatrices) -> list[int]:
+def _betti(mats: DifferentialMatrices) -> list[int]:
+    """b^p = dim ker d_w^p - dim im d_w^(p-1) = C(n, p) - rank_p - rank_(p-1)."""
     n = mats.algebra.dim
-    return [rank(mats.matrix(p)) for p in range(n)] + [0]
+    ranks = [0] + [rank(mats.matrix(p)) for p in range(n)] + [0]
+    return [comb(n, p) - ranks[p + 1] - ranks[p] for p in range(n + 1)]
 
 
 def betti_numbers(g: LieAlgebra, omega: OneForm) -> list[int]:
     """Exact dimensions of the twisted cohomology in degrees 0..n."""
-    mats = differential_matrices(g, omega)
-    ranks = _ranks(mats)
-    n = g.dim
-    betti = []
-    for p in range(n + 1):
-        ker_dim = comb(n, p) - ranks[p]
-        img_dim = ranks[p - 1] if p > 0 else 0
-        betti.append(ker_dim - img_dim)
-    return betti
+    return _betti(differential_matrices(g, omega))
 
 
 def _representatives_from(mats: DifferentialMatrices, p: int) -> list[ExteriorForm]:
@@ -80,11 +74,8 @@ def representatives(g: LieAlgebra, omega: OneForm, p: int) -> list[ExteriorForm]
 def cohomology(g: LieAlgebra, omega: OneForm) -> CohomologyResult:
     """Betti numbers plus representatives for every degree in one pass."""
     mats = differential_matrices(g, omega)
-    ranks = _ranks(mats)
-    n = g.dim
-    betti = tuple(comb(n, p) - ranks[p] - (ranks[p - 1] if p > 0 else 0)
-                  for p in range(n + 1))
-    reps = tuple(tuple(_representatives_from(mats, p)) for p in range(n + 1))
+    betti = tuple(_betti(mats))
+    reps = tuple(tuple(_representatives_from(mats, p)) for p in range(g.dim + 1))
     return CohomologyResult(omega=omega, betti=betti, representatives=reps)
 
 

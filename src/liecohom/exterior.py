@@ -16,6 +16,7 @@ d_w fails to square to zero otherwise.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -239,18 +240,51 @@ class DifferentialMatrices:
         return self.matrices[p]
 
 
+def _monomial_image(idx: tuple[int, ...], gens, wedge_terms) -> dict[tuple[int, ...], Fraction]:
+    """d_w e^idx by index arithmetic, as {target index tuple: coefficient}.
+
+    Replacing e^k at position t by the 2-form e^i ^ e^j and sorting gives the
+    sign (-1)^(t + a + b), where a and b count the remaining indices below i
+    and below j; w_m e^m ^ e^idx gets (-1)^a for the a indices below m.
+    """
+    out: dict[tuple[int, ...], Fraction] = {}
+    for t, k in enumerate(idx):
+        rest = idx[:t] + idx[t + 1:]
+        for (i, j), c in gens[k - 1]:
+            if i in rest or j in rest:
+                continue
+            a, b = bisect_left(rest, i), bisect_left(rest, j)
+            new = rest[:a] + (i,) + rest[a:b] + (j,) + rest[b:]
+            out[new] = out.get(new, 0) + (-c if (t + a + b) % 2 else c)
+    for m, c in wedge_terms:
+        if m in idx:
+            continue
+        a = bisect_left(idx, m)
+        new = idx[:a] + (m,) + idx[a:]
+        out[new] = out.get(new, 0) + (-c if a % 2 else c)
+    return out
+
+
 def differential_matrices(g: LieAlgebra, omega: OneForm) -> DifferentialMatrices:
-    """Materialize d_w on every degree; requires d omega = 0."""
+    """Materialize d_w on every degree; requires d omega = 0.
+
+    Closedness is checked and the table of d e^k built once; each basis
+    monomial's image is then written straight into its column.
+    """
     _require_closed(g, omega)
     n = g.dim
+    gens = [sorted(d.items()) for d in _generator_differentials(n, g.brackets)]
+    wedge_terms = [(m + 1, c) for m, c in enumerate(omega.coeffs) if c]
+    zero = Fraction(0)
     mats = []
+    source = form_basis(n, 0)
     for p in range(n):
-        source = form_basis(n, p)
-        target_index = {idx: r for r, idx in enumerate(form_basis(n, p + 1))}
-        rows = [[Fraction(0)] * len(source) for _ in target_index]
+        target = form_basis(n, p + 1)
+        row_of = {idx: r for r, idx in enumerate(target)}
+        rows = [[zero] * len(source) for _ in target]
         for col, idx in enumerate(source):
-            image = deformed_differential(g, omega, ExteriorForm.basis(n, idx))
-            for t_idx, c in image.terms.items():
-                rows[target_index[t_idx]][col] = c
-        mats.append(RationalMatrix(len(target_index), len(source), rows))
+            for t_idx, c in _monomial_image(idx, gens, wedge_terms).items():
+                rows[row_of[t_idx]][col] = c
+        mats.append(RationalMatrix._wrap(len(target), len(source), rows))
+        source = target
     return DifferentialMatrices(g, omega, tuple(mats))

@@ -1,22 +1,29 @@
 """Exact linear algebra over the rationals.
 
 Everything here works with ``fractions.Fraction`` entries and never rounds.
-Rank, kernels and linear solves go through fraction-free (Bareiss-style)
-elimination on denominator-cleared integer rows, which keeps intermediate
-entries at determinant size instead of letting numerators explode.
+Rank, kernels, linear solves, inverses and canonical span bases all go
+through one fraction-free elimination on sparse integer rows: each row is a
+``{column: int}`` map with its denominators cleared, a row with no entry in
+the pivot column is left untouched, and every updated row is divided by its
+content. Each row then stays the primitive multiple of the row Bareiss
+elimination would hold, so intermediate entries are bounded by minors of
+the input instead of letting numerators explode.
 
-All pivot choices are "first nonzero in column order", so every function is
-deterministic: the same matrix always yields the same kernel basis and the
-same preimage, bit for bit.
+Pivot columns are taken in ascending order and are always the greedy
+independent column set, so every function is deterministic: the same matrix
+always yields the same kernel basis and the same preimage, bit for bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def vector(values: Iterable) -> Vector:
@@ -25,15 +32,18 @@ def vector(values: Iterable) -> Vector:
 
 
 def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
+    return (_ZERO,) * n
+
+
+def unit_vector(n: int, j: int) -> Vector:
+    """The j-th standard basis vector of Q^n, 0-based."""
+    v = [_ZERO] * n
+    v[j] = _ONE
+    return tuple(v)
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vec_scale(c, v: Vector) -> Vector:
@@ -72,6 +82,13 @@ class RationalMatrix:
             self._rows = data
 
     @classmethod
+    def _wrap(cls, rows: int, cols: int, data: list[list[Fraction]]) -> "RationalMatrix":
+        """Adopt Fraction rows built by the package; no shape check or coercion."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._rows = rows, cols, data
+        return m
+
+    @classmethod
     def from_rows(cls, entries: Sequence[Sequence]) -> "RationalMatrix":
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
@@ -82,14 +99,11 @@ class RationalMatrix:
         cols = len(columns)
         rows = len(columns[0]) if cols else 0
         data = [[Fraction(columns[j][i]) for j in range(cols)] for i in range(rows)]
-        return cls(rows, cols, data)
+        return cls._wrap(rows, cols, data)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m._rows[i][i] = Fraction(1)
-        return m
+        return cls._wrap(n, n, [list(unit_vector(n, i)) for i in range(n)])
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
@@ -105,9 +119,9 @@ class RationalMatrix:
         return [list(r) for r in self._rows]
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(self.cols, self.rows,
-                              [[self._rows[i][j] for i in range(self.rows)]
-                               for j in range(self.cols)])
+        return RationalMatrix._wrap(self.cols, self.rows,
+                                    [[self._rows[i][j] for i in range(self.rows)]
+                                     for j in range(self.cols)])
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix-vector product."""
@@ -136,14 +150,14 @@ class RationalMatrix:
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return RationalMatrix(self.rows, self.cols,
-                              [[a + b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self._rows, other._rows)])
+        return RationalMatrix._wrap(self.rows, self.cols,
+                                    [[a + b for a, b in zip(r1, r2)]
+                                     for r1, r2 in zip(self._rows, other._rows)])
 
     def scale(self, c) -> "RationalMatrix":
         c = Fraction(c)
-        return RationalMatrix(self.rows, self.cols,
-                              [[c * a for a in r] for r in self._rows])
+        return RationalMatrix._wrap(self.rows, self.cols,
+                                    [[c * a for a in r] for r in self._rows])
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -162,86 +176,112 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-def _cleared_rows(M: RationalMatrix, rhs: Sequence | None = None) -> list[list[int]]:
-    """Integer rows obtained by clearing each row's denominators.
+def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[dict[int, int]]:
+    """Nonzero rows as sparse integer rows, each row's denominators cleared.
 
     Row scaling by a positive integer changes neither rank nor solution sets,
-    so elimination on the cleared rows answers questions about ``M`` (and the
-    augmented system when ``rhs`` is appended).
+    so elimination on these rows answers questions about the rational rows.
+    Zero rows are dropped.
     """
     out = []
-    for i in range(M.rows):
-        row = list(M._rows[i])
-        if rhs is not None:
-            row.append(Fraction(rhs[i]))
-        mult = lcm(*(q.denominator for q in row)) if row else 1
-        out.append([int(q * mult) for q in row])
+    for r in rows:
+        row = {j: q for j, q in enumerate(r) if q}
+        if row:
+            mult = lcm(*(q.denominator for q in row.values()))
+            out.append({j: q.numerator * (mult // q.denominator) for j, q in row.items()})
     return out
 
 
-def _bareiss_echelon(rows: list[list[int]], width: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination in place.
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[int, int]:
+    """Primitive multiple of ``p * row - row[c] * pivot_row`` with p = pivot_row[c].
 
-    Returns the echelon rows and the list of pivot column indices (ascending).
-    Every interior division is exact; a remainder would mean the Bareiss
-    minor identity was violated, so it is asserted.
+    The result has no entry in column ``c``; it is divided by its content, which
+    keeps it the primitive multiple of the corresponding Bareiss row.
     """
-    m = len(rows)
+    p, f = pivot_row[c], row[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    out = {j: a * v for j, v in row.items()}
+    for j, v in pivot_row.items():
+        x = out.get(j, 0) - b * v
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    content = gcd(*out.values()) if out else 1
+    if content > 1:
+        out = {j: v // content for j, v in out.items()}
+    return out
+
+
+def _echelon(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], list[int]]:
+    """Fraction-free forward elimination over sparse integer rows.
+
+    Rows are grouped by leading column and the columns are visited in
+    ascending order, so the pivot columns are the greedy independent column
+    set. In each group the shortest row (first on ties) becomes the pivot row
+    and the others are reduced against it; rows leading further right are not
+    touched. Returns the pivot rows and their pivot columns, ascending.
+    """
+    groups: dict[int, list[dict[int, int]]] = {}
+    for r in rows:
+        groups.setdefault(min(r), []).append(r)
+    echelon: list[dict[int, int]] = []
     pivots: list[int] = []
-    piv_r = 0
-    prev = 1
-    for c in range(width):
-        pivot_row = None
-        for i in range(piv_r, m):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    # a reduced row only leads further right, so one left-to-right sweep suffices
+    for c in range(max((max(r) for r in rows), default=-1) + 1):
+        group = groups.pop(c, None)
+        if group is None:
             continue
-        if pivot_row != piv_r:
-            rows[piv_r], rows[pivot_row] = rows[pivot_row], rows[piv_r]
-        p = rows[piv_r][c]
-        for i in range(piv_r + 1, m):
-            f = rows[i][c]
-            ri, rp = rows[i], rows[piv_r]
-            for j in range(c, width):
-                num = p * ri[j] - f * rp[j]
-                q, rem = divmod(num, prev)
-                assert rem == 0, "non-exact division in fraction-free elimination"
-                ri[j] = q
-        prev = p
+        pivot_row = min(group, key=len)
+        for r in group:
+            if r is not pivot_row:
+                r = _eliminate(r, pivot_row, c)
+                if r:
+                    groups.setdefault(min(r), []).append(r)
+        echelon.append(pivot_row)
         pivots.append(c)
-        piv_r += 1
-    return rows, pivots
+    return echelon, pivots
+
+
+def _reduce(echelon: list[dict[int, int]], pivots: list[int]) -> None:
+    """Clear every pivot column above its pivot, in place.
+
+    Afterwards row i has entries only in its pivot column and in non-pivot
+    columns: it is the i-th row of the reduced echelon form times an integer.
+    """
+    for k in range(len(pivots) - 1, 0, -1):
+        c, pivot_row = pivots[k], echelon[k]
+        for i in range(k):
+            if c in echelon[i]:
+                echelon[i] = _eliminate(echelon[i], pivot_row, c)
 
 
 def rank(M: RationalMatrix) -> int:
     """Rank over the rationals via fraction-free elimination."""
-    _, pivots = _bareiss_echelon(_cleared_rows(M), M.cols)
-    return len(pivots)
+    return len(_echelon(_integer_rows(M._rows))[1])
 
 
 def kernel_basis(M: RationalMatrix) -> list[Vector]:
     """Deterministic basis of the right null space.
 
     One basis vector per free column, in ascending column order; the free
-    coordinate is set to 1 and pivot coordinates are back-substituted, so
-    ``M @ v == 0`` holds exactly for every returned ``v``.
+    coordinate is set to 1, the other free coordinates to 0, and the pivot
+    coordinates are read off the reduced echelon form, so ``M @ v == 0``
+    holds exactly for every returned ``v``.
     """
-    ech, pivots = _bareiss_echelon(_cleared_rows(M), M.cols)
+    echelon, pivots = _echelon(_integer_rows(M._rows))
+    _reduce(echelon, pivots)
     pivot_set = set(pivots)
-    basis = []
-    for free in range(M.cols):
-        if free in pivot_set:
-            continue
-        x = [Fraction(0)] * M.cols
-        x[free] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            s = sum((ech[r][j] * x[j] for j in range(c + 1, M.cols)), Fraction(0))
-            x[c] = -s / ech[r][c]
-        basis.append(tuple(x))
-    return basis
+    basis = {f: [_ZERO] * M.cols for f in range(M.cols) if f not in pivot_set}
+    for f, v in basis.items():
+        v[f] = _ONE
+    for row, c in zip(echelon, pivots):
+        d = row[c]
+        for j, x in row.items():
+            if j != c:
+                basis[j][c] = Fraction(-x, d)
+    return [tuple(v) for v in basis.values()]
 
 
 def in_image(M: RationalMatrix, target: Sequence) -> Vector | None:
@@ -252,14 +292,14 @@ def in_image(M: RationalMatrix, target: Sequence) -> Vector | None:
     """
     if len(target) != M.rows:
         raise ValueError("target length does not match row count")
-    ech, pivots = _bareiss_echelon(_cleared_rows(M, target), M.cols + 1)
-    if any(c == M.cols for c in pivots):
+    augmented = [r + [Fraction(t)] for r, t in zip(M._rows, target)]
+    echelon, pivots = _echelon(_integer_rows(augmented))
+    if pivots and pivots[-1] == M.cols:
         return None
-    x = [Fraction(0)] * M.cols
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        s = sum((ech[r][j] * x[j] for j in range(c + 1, M.cols)), Fraction(0))
-        x[c] = (ech[r][M.cols] - s) / ech[r][c]
+    _reduce(echelon, pivots)
+    x = [_ZERO] * M.cols
+    for row, c in zip(echelon, pivots):
+        x[c] = Fraction(row.get(M.cols, 0), row[c])
     return tuple(x)
 
 
@@ -268,28 +308,19 @@ def invert(M: RationalMatrix) -> RationalMatrix:
     if M.rows != M.cols:
         raise ValueError("only square matrices can be inverted")
     n = M.rows
-    a = M.to_rows()
-    b = RationalMatrix.identity(n).to_rows()
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise ValueError("singular matrix")
-        a[c], a[pivot_row] = a[pivot_row], a[c]
-        b[c], b[pivot_row] = b[pivot_row], b[c]
-        p = a[c][c]
-        a[c] = [x / p for x in a[c]]
-        b[c] = [x / p for x in b[c]]
-        for i in range(n):
-            if i == c or a[i][c] == 0:
-                continue
-            f = a[i][c]
-            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-            b[i] = [x - f * y for x, y in zip(b[i], b[c])]
-    return RationalMatrix(n, n, b)
+    augmented = [r + e for r, e in zip(M._rows, RationalMatrix.identity(n)._rows)]
+    echelon, pivots = _echelon(_integer_rows(augmented))
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    _reduce(echelon, pivots)
+    inverse = []
+    for row, c in zip(echelon, pivots):
+        out = [_ZERO] * n
+        for j, x in row.items():
+            if j >= n:
+                out[j - n] = Fraction(x, row[c])
+        inverse.append(out)
+    return RationalMatrix._wrap(n, n, inverse)
 
 
 def span_basis(vectors: Iterable[Sequence], ambient: int) -> list[Vector]:
@@ -298,30 +329,18 @@ def span_basis(vectors: Iterable[Sequence], ambient: int) -> list[Vector]:
     Canonical means two spanning sets of the same subspace produce the same
     output, which makes subspace equality a plain list comparison.
     """
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    for r in rows:
-        if len(r) != ambient:
-            raise ValueError("vector length does not match ambient dimension")
-    piv_r = 0
-    for c in range(ambient):
-        pivot_row = None
-        for i in range(piv_r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[piv_r], rows[pivot_row] = rows[pivot_row], rows[piv_r]
-        p = rows[piv_r][c]
-        rows[piv_r] = [x / p for x in rows[piv_r]]
-        for i in range(len(rows)):
-            if i == piv_r or rows[i][c] == 0:
-                continue
-            f = rows[i][c]
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[piv_r])]
-        piv_r += 1
-    return [tuple(r) for r in rows[:piv_r]]
-
+    rows = [vector(v) for v in vectors]
+    if any(len(r) != ambient for r in rows):
+        raise ValueError("vector length does not match ambient dimension")
+    echelon, pivots = _echelon(_integer_rows(rows))
+    _reduce(echelon, pivots)
+    basis = []
+    for row, c in zip(echelon, pivots):
+        out = [_ZERO] * ambient
+        for j, x in row.items():
+            out[j] = Fraction(x, row[c])
+        basis.append(tuple(out))
+    return basis
 
 def extend_independent(base: list[Vector], candidates: Iterable[Sequence], ambient: int,
                        limit: int | None = None) -> list[Vector]:

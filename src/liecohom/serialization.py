@@ -26,9 +26,14 @@ from .exterior import ExteriorForm
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON booleans are Python ints too and do not count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rational(text) -> Fraction:
     """Parse "p" or "p/q" exactly; anything else is a StructureError."""
-    if isinstance(text, int):
+    if _is_int(text):
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise StructureError(f"not a rational literal: {text!r}")
@@ -54,7 +59,7 @@ def algebra_from_dict(doc: Mapping, validate: bool = True) -> LieAlgebra:
     if "dim" not in doc:
         raise StructureError("algebra document is missing \"dim\"")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise StructureError(f"\"dim\" must be an integer >= 1, got {dim!r}")
     names = doc.get("basis")
     if names is not None:
@@ -72,7 +77,7 @@ def algebra_from_dict(doc: Mapping, validate: bool = True) -> LieAlgebra:
             raise StructureError(
                 "each bracket needs \"i\", \"j\" and \"coeffs\" fields")
         i, j = item["i"], item["j"]
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= dim):
+        if not (_is_int(i) and _is_int(j) and 1 <= i < j <= dim):
             raise StructureError(
                 f"bracket indices ({i!r},{j!r}) must satisfy 1 <= i < j <= {dim}")
         if (i, j) in brackets:

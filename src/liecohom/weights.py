@@ -45,6 +45,7 @@ from .linalg import (
     kernel_basis,
     rank,
     span_basis,
+    unit_vector,
 )
 
 
@@ -163,7 +164,7 @@ def _derived_chain_basis(g: LieAlgebra) -> list[Vector]:
     D_{i+1} and D_i satisfies [D_i, U] <= D_{i+1} <= U.
     """
     n = g.dim
-    series = [Subspace.span(n, [_unit(n, j) for j in range(n)])]
+    series = [Subspace.span(n, [unit_vector(n, j) for j in range(n)])]
     while True:
         current = series[-1]
         if current.dim == 0:
@@ -180,12 +181,6 @@ def _derived_chain_basis(g: LieAlgebra) -> list[Vector]:
                                    limit=shallower.dim - len(basis))
         basis = added + basis
     return basis
-
-
-def _unit(n: int, j: int) -> Vector:
-    v = [Fraction(0)] * n
-    v[j] = Fraction(1)
-    return tuple(v)
 
 
 def _solve_columns(columns: list[Vector], target: Vector) -> Vector:
@@ -235,7 +230,7 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
         quot = extend_independent(flag, [list(v) for v in der.basis], n)
         q_dim = len(quot)
         chain_actions = [_quotient_action(g, b, quot, flag) for b in chain]
-        space = [_unit(q_dim, j) for j in range(q_dim)]
+        space = [unit_vector(q_dim, j) for j in range(q_dim)]
         for action in reversed(chain_actions):
             restricted = _restrict(action, space)
             roots = _rational_roots(_char_poly(restricted))
@@ -256,7 +251,7 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
         vq = space[0]
         eigenvalues = []
         for i in range(n):
-            image = _quotient_action(g, _unit(n, i), quot, flag).apply(vq)
+            image = _quotient_action(g, unit_vector(n, i), quot, flag).apply(vq)
             pivot = next(j for j, c in enumerate(vq) if c != 0)
             lam = image[pivot] / vq[pivot]
             if any(image[j] != lam * vq[j] for j in range(q_dim)):
@@ -267,7 +262,7 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
                           for i in range(n)))
 
     complement = extend_independent([list(v) for v in der.basis],
-                                    [_unit(n, j) for j in range(n)], n, limit=k)
+                                    [unit_vector(n, j) for j in range(n)], n, limit=k)
     columns = complement + list(reversed(flag))
     change = RationalMatrix.from_columns([list(c) for c in columns])
     assert rank(change) == n

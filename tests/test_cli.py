@@ -201,3 +201,52 @@ def test_novikov_rejects_fractional_morse_counts(sol3_file, capsys):
 
 def test_missing_file_exits_3(capsys):
     assert main(["validate", "/nonexistent/algebra.json"]) == 3
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": True},
+    {"dim": 2, "brackets": [{"i": True, "j": 2, "coeffs": {"2": "1"}}]},
+    {"dim": 2, "brackets": [{"i": 1, "j": True, "coeffs": {"2": "1"}}]},
+    {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": True}}]},
+    {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": False}}]},
+])
+def test_json_booleans_are_rejected_with_exit_1(tmp_path, capsys, doc):
+    with pytest.raises(StructureError):
+        parse_algebra(json.dumps(doc))
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert "error" in capsys.readouterr().err
+
+
+def test_json_integer_coefficients_still_parse():
+    doc = {"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": 3}}]}
+    assert parse_algebra(json.dumps(doc)).bracket_basis(1, 2) == (0, 3)
+
+
+@pytest.mark.parametrize("command", [
+    ["cohomology", "{file}", "--omega", "-1,0,0", "--reps", "--json"],
+    ["scan", "{file}", "--direction", "-1,0,0", "--json"],
+    ["novikov", "{file}", "--omega", "-1,0,0", "--lambda", "-2",
+     "--morse", "0,0,0,0", "--json"],
+])
+def test_negative_values_after_a_space(sol3_file, capsys, command):
+    spaced = [sol3_file if a == "{file}" else a for a in command]
+    assert main(spaced) == 0
+    out_spaced = capsys.readouterr().out
+    joined = []
+    for a in spaced:
+        if joined and joined[-1] in ("--omega", "--direction", "--lambda"):
+            joined[-1] = f"{joined[-1]}={a}"
+        else:
+            joined.append(a)
+    assert main(joined) == 0
+    assert capsys.readouterr().out == out_spaced
+    assert json.loads(out_spaced)
+
+
+def test_negative_omega_on_the_command_line(sol3_file, capsys):
+    assert main(["cohomology", sol3_file, "--omega", "-1,0,0"]) == 0
+    out = capsys.readouterr().out
+    assert "omega = (-1,0,0)" in out
+    assert "betti = [0, 1, 1, 0]" in out

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecohom import (
     ExteriorForm,
@@ -10,12 +12,15 @@ from liecohom import (
     NonClosedFormError,
     OneForm,
     ce_differential,
+    change_basis,
+    closed_one_forms,
     deformed_differential,
     differential_matrices,
     is_closed,
     load_example,
     wedge,
 )
+from liecohom.algebra import random_invertible
 from liecohom.exterior import coords_to_form, form_basis, form_to_coords, sort_sign
 
 from conftest import one_form
@@ -244,3 +249,47 @@ def test_preimage_of_heisenberg_two_form(heisenberg3):
     m = differential_matrices(heisenberg3, OneForm.zero(3)).matrix(1)
     # d e3 = -e1^e2, so -e1^e2 pulls back to e3
     assert in_image(m, (-1, 0, 0)) == (0, 0, 1)
+
+
+# --- direct assembly against the per-form differential ---
+
+
+def _diag(n):
+    # [e1, ej] = (j - 1) ej: solvable, not unimodular, closed forms only along e^1
+    return LieAlgebra.from_brackets(n, {
+        (1, j): tuple(Fraction(j - 1) if m == j - 1 else 0 for m in range(n))
+        for j in range(2, n + 1)})
+
+
+def _heisenberg5():
+    return LieAlgebra.from_brackets(5, {(1, 2): (0, 0, 0, 0, 1), (3, 4): (0, 0, 0, 0, 1)})
+
+
+ALGEBRAS = {
+    "abelian4": lambda: load_example("abelian", n=4).algebra,
+    "heisenberg3": lambda: load_example("heisenberg3").algebra,
+    "sol3": lambda: load_example("sol3", k=Fraction(-3, 2)).algebra,
+    "euclid3": lambda: load_example("euclid3").algebra,
+    "diag5": lambda: _diag(5),
+    "heisenberg5": _heisenberg5,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(ALGEBRAS)), st.booleans(), st.integers(0, 2**32 - 1))
+def test_assembled_columns_match_deformed_differential(name, rebased, seed):
+    rng = random.Random(seed)
+    g = ALGEBRAS[name]()
+    if rebased:
+        g = change_basis(g, random_invertible(g.dim, rng))
+    terms = [(rng.randint(-3, 3), b) for b in closed_one_forms(g).basis]
+    omega = OneForm([sum((c * b[i] for c, b in terms), Fraction(0)) for i in range(g.dim)])
+    mats = differential_matrices(g, omega)
+    n = g.dim
+    for p in range(n):
+        m = mats.matrix(p)
+        for col, idx in enumerate(form_basis(n, p)):
+            image = deformed_differential(g, omega, ExteriorForm.basis(n, idx))
+            assert m.column(col) == form_to_coords(image)
+        if p + 1 < n:
+            assert (mats.matrix(p + 1) @ m).is_zero()

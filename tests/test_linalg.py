@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecohom.linalg import (
     RationalMatrix,
@@ -146,3 +148,110 @@ def test_matmul_and_shapes():
     assert a @ b == RationalMatrix.from_rows([[2, 1], [4, 3]])
     with pytest.raises(ValueError):
         RationalMatrix(2, 3) @ RationalMatrix(2, 3)
+
+
+# --- the sparse elimination kernel against plain Fraction elimination ---
+
+
+def naive_rref(rows, width):
+    """Reduced row echelon form over Fraction, pivots as the leftmost columns."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def naive_kernel(m):
+    """One vector per free column: free coordinate 1, pivots from the RREF."""
+    rref, pivots = naive_rref(m.to_rows(), m.cols)
+    basis = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * m.cols
+        x[f] = Fraction(1)
+        for row, c in zip(rref, pivots):
+            x[c] = -row[f]
+        basis.append(tuple(x))
+    return basis
+
+
+def naive_preimage(m, target):
+    """Minimal pivot solution of m x = target, or None."""
+    rref, pivots = naive_rref([r + [Fraction(t)] for r, t in zip(m.to_rows(), target)],
+                              m.cols + 1)
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for row, c in zip(rref, pivots):
+        x[c] = row[m.cols]
+    return tuple(x)
+
+
+ENTRIES = {
+    "sparse": st.sampled_from([0] * 8 + [1, -1, 2, -3]),
+    "dense": st.integers(-5, 5).filter(bool),
+    "huge": st.integers(-10**6, 10**6),
+    "rational": st.fractions(min_value=-40, max_value=40, max_denominator=97),
+}
+
+
+@st.composite
+def matrices(draw, max_side=7):
+    kind = draw(st.sampled_from(sorted(ENTRIES) + ["low_rank"]))
+    rows = draw(st.integers(0, max_side))
+    cols = draw(st.integers(0, max_side))
+    if kind == "low_rank":
+        # a product through a narrow middle dimension: rank-deficient, dense
+        inner = draw(st.integers(0, 3))
+        cell = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+        a = RationalMatrix(rows, inner, draw(st.lists(
+            st.lists(cell, min_size=inner, max_size=inner), min_size=rows, max_size=rows)))
+        b = RationalMatrix(inner, cols, draw(st.lists(
+            st.lists(cell, min_size=cols, max_size=cols), min_size=inner, max_size=inner)))
+        return a @ b
+    return RationalMatrix(rows, cols, draw(st.lists(
+        st.lists(ENTRIES[kind], min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rank_and_kernel_match_the_fraction_oracle(m):
+    assert rank(m) == naive_rank(m)
+    assert kernel_basis(m) == naive_kernel(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_in_image_matches_the_fraction_oracle(m, data):
+    cell = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=30)
+    u = data.draw(st.lists(cell, min_size=m.cols, max_size=m.cols))
+    inside = m.apply(u)
+    assert in_image(m, inside) == naive_preimage(m, inside)
+    assert m.apply(in_image(m, inside)) == inside
+    anywhere = data.draw(st.lists(cell, min_size=m.rows, max_size=m.rows))
+    assert in_image(m, anywhere) == naive_preimage(m, anywhere)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_span_basis_and_inverse_match_the_fraction_oracle(m):
+    rref, _ = naive_rref(m.to_rows(), m.cols)
+    assert span_basis(m.to_rows(), m.cols) == [tuple(r) for r in rref]
+    if m.rows == m.cols:
+        if rank(m) < m.rows:
+            with pytest.raises(ValueError):
+                invert(m)
+        else:
+            assert invert(m) @ m == RationalMatrix.identity(m.rows)
