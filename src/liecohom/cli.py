@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands: validate, cohomology, weights, omega-set, scan, novikov,
-example. Exit codes: 0 success, 1 validation or parse failure, 2
-computation-domain failure (non-closed form, not solvable, not rationally
-triangularizable), 3 I/O failure. All output is deterministic; --json
-output is byte-stable across runs on the same input.
+example. Exit codes: 0 success, 1 validation or parse failure (a usage
+error included), 2 computation-domain failure (non-closed form, not
+solvable, not rationally triangularizable), 3 I/O failure. All output is
+deterministic; --json output is byte-stable across runs on the same input.
 """
 
 from __future__ import annotations
@@ -194,8 +194,16 @@ def _cmd_example(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with 1, the parse-failure code, instead of 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liecohom",
         description="Exact cohomology of Lie algebras twisted by a closed one-form",
     )
@@ -251,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Options whose value may be negative. argparse takes "-1,0,0" after a space
-# for an unknown option and exits with 2, the computation-domain code, so such
-# a value is attached as "--omega=-1,0,0" before parsing.
+# for an unknown option and rejects the command line, so such a value is
+# attached as "--omega=-1,0,0" before parsing.
 _SIGNED_OPTIONS = ("--omega", "--direction", "--lambda")
 
 

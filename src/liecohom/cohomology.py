@@ -2,8 +2,9 @@
 
 Degree p cohomology is ker(d_w at p) modulo im(d_w at p-1); its dimension
 comes from two exact ranks. Representatives are picked deterministically:
-walk the kernel basis in order and keep each vector that enlarges the span
-of [image columns | kept so far], so reruns and platforms agree exactly.
+the kernel basis vectors that enlarge the span of [image columns | kept so
+far], in order. One elimination of [image columns | kernel basis] picks
+them all, so reruns and platforms agree exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .exterior import (
     differential_matrices,
     form_to_coords,
 )
-from .linalg import RationalMatrix, kernel_basis, in_image, rank
+from .linalg import extend_independent, in_image, kernel_basis, rank
 
 
 @dataclass(frozen=True)
@@ -46,21 +47,11 @@ def betti_numbers(g: LieAlgebra, omega: OneForm) -> list[int]:
 
 def _representatives_from(mats: DifferentialMatrices, p: int) -> list[ExteriorForm]:
     n = mats.algebra.dim
-    kernel = kernel_basis(mats.matrix(p))
     image_cols = []
     if p > 0:
         below = mats.matrix(p - 1)
-        image_cols = [list(below.column(j)) for j in range(below.cols)]
-    picked: list = []
-    stacked = list(image_cols)
-    current = rank(RationalMatrix.from_columns(stacked)) if stacked else 0
-    for v in kernel:
-        trial = stacked + [list(v)]
-        r = rank(RationalMatrix.from_columns(trial))
-        if r > current:
-            picked.append(v)
-            stacked = trial
-            current = r
+        image_cols = [below.column(j) for j in range(below.cols)]
+    picked = extend_independent(image_cols, kernel_basis(mats.matrix(p)), comb(n, p))
     return [coords_to_form(n, p, v) for v in picked]
 
 

@@ -1,17 +1,18 @@
 """Exact linear algebra over the rationals.
 
 Everything here works with ``fractions.Fraction`` entries and never rounds.
-Rank, kernels, linear solves, inverses and canonical span bases all go
-through one fraction-free elimination on sparse integer rows: each row is a
-``{column: int}`` map with its denominators cleared, a row with no entry in
-the pivot column is left untouched, and every updated row is divided by its
-content. Each row then stays the primitive multiple of the row Bareiss
-elimination would hold, so intermediate entries are bounded by minors of
-the input instead of letting numerators explode.
+Rank, kernels, linear solves, inverses, canonical span bases and greedy span
+extension all go through one fraction-free elimination on sparse integer
+rows: each row is a ``{column: int}`` map with its denominators cleared, a
+row with no entry in the pivot column is left untouched, and every updated
+row is divided by its content. Each row then stays the primitive multiple of
+the row Bareiss elimination would hold, so intermediate entries are bounded
+by minors of the input instead of letting numerators explode.
 
 Pivot columns are taken in ascending order and are always the greedy
 independent column set, so every function is deterministic: the same matrix
-always yields the same kernel basis and the same preimage, bit for bit.
+always yields the same kernel basis, the same preimage and the same span
+extension, bit for bit.
 """
 
 from __future__ import annotations
@@ -342,23 +343,20 @@ def span_basis(vectors: Iterable[Sequence], ambient: int) -> list[Vector]:
         basis.append(tuple(out))
     return basis
 
-def extend_independent(base: list[Vector], candidates: Iterable[Sequence], ambient: int,
-                       limit: int | None = None) -> list[Vector]:
-    """Candidates that enlarge the span of ``base``, scanned in order.
 
-    Stops after ``limit`` additions when given. The returned vectors are the
-    candidates themselves (not canonicalized), in scan order.
+def extend_independent(base: Sequence[Sequence], candidates: Iterable[Sequence],
+                       ambient: int) -> list[Vector]:
+    """Candidates that enlarge the span of ``base`` and of those picked before.
+
+    One elimination picks them all: with the vectors as the columns of
+    ``[base | candidates]``, the pivot columns are the greedy independent
+    column set, so the pivots past ``base`` are exactly the candidates a
+    sequential scan would keep. The returned vectors are the candidates
+    themselves (not canonicalized), in scan order.
     """
-    picked: list[Vector] = []
-    current = rank(RationalMatrix.from_rows([list(v) for v in base])) if base else 0
-    stack = [list(v) for v in base]
-    for cand in candidates:
-        if limit is not None and len(picked) >= limit:
-            break
-        trial = stack + [[Fraction(x) for x in cand]]
-        r = rank(RationalMatrix(len(trial), ambient, trial))
-        if r > current:
-            picked.append(tuple(Fraction(x) for x in cand))
-            stack = trial
-            current = r
-    return picked
+    cands = [vector(v) for v in candidates]
+    columns = [vector(v) for v in base] + cands
+    if any(len(v) != ambient for v in columns):
+        raise ValueError("vector length does not match ambient dimension")
+    _, pivots = _echelon(_integer_rows(zip(*columns)))
+    return [cands[c - len(base)] for c in pivots if c >= len(base)]

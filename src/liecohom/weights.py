@@ -175,11 +175,11 @@ def _derived_chain_basis(g: LieAlgebra) -> list[Vector]:
             break
         series.append(nxt)
     basis: list[Vector] = []
-    # deepest term first; new vectors are appended in front
-    for deeper, shallower in zip(reversed(series), reversed(series[:-1])):
-        added = extend_independent(basis, [list(v) for v in shallower.basis], n,
-                                   limit=shallower.dim - len(basis))
-        basis = added + basis
+    # deepest term first; new vectors are prepended. The series of a solvable
+    # algebra ends at 0 and basis spans each deeper term, so the extension
+    # picks exactly dim(shallower) - dim(deeper) vectors.
+    for shallower in reversed(series[:-1]):
+        basis = extend_independent(basis, shallower.basis, n) + basis
     return basis
 
 
@@ -227,7 +227,7 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
     adjoint_funcs: list[Vector] = []
 
     while len(flag) < der.dim:
-        quot = extend_independent(flag, [list(v) for v in der.basis], n)
+        quot = extend_independent(flag, der.basis, n)
         q_dim = len(quot)
         chain_actions = [_quotient_action(g, b, quot, flag) for b in chain]
         space = [unit_vector(q_dim, j) for j in range(q_dim)]
@@ -261,8 +261,7 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
         flag.append(tuple(sum((vq[c] * quot[c][i] for c in range(q_dim)), Fraction(0))
                           for i in range(n)))
 
-    complement = extend_independent([list(v) for v in der.basis],
-                                    [unit_vector(n, j) for j in range(n)], n, limit=k)
+    complement = extend_independent(der.basis, [unit_vector(n, j) for j in range(n)], n)
     columns = complement + list(reversed(flag))
     change = RationalMatrix.from_columns([list(c) for c in columns])
     assert rank(change) == n

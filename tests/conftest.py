@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from liecohom import LieAlgebra, OneForm, load_example
+from liecohom.linalg import RationalMatrix, rank
 
 
 @pytest.fixture
@@ -57,3 +58,28 @@ def closed_grid(g, lo=-2, hi=2):
         if is_closed(g, omega):
             forms.append(omega)
     return forms
+
+
+def diag(n):
+    # [e1, ej] = (j - 1) ej: solvable, not unimodular, closed forms only along e^1
+    return LieAlgebra.from_brackets(n, {
+        (1, j): tuple(Fraction(j - 1) if m == j - 1 else 0 for m in range(n))
+        for j in range(2, n + 1)})
+
+
+def heisenberg5():
+    return LieAlgebra.from_brackets(5, {(1, 2): (0, 0, 0, 0, 1), (3, 4): (0, 0, 0, 0, 1)})
+
+
+def sequential_extend(base, candidates, ambient):
+    """Reference for extend_independent: re-rank the stack once per candidate."""
+    stack = [list(v) for v in base]
+    current = rank(RationalMatrix(len(stack), ambient, stack))
+    picked = []
+    for cand in candidates:
+        trial = stack + [list(cand)]
+        r = rank(RationalMatrix(len(trial), ambient, trial))
+        if r > current:
+            picked.append(tuple(Fraction(x) for x in cand))
+            stack, current = trial, r
+    return picked

@@ -250,3 +250,23 @@ def test_negative_omega_on_the_command_line(sol3_file, capsys):
     out = capsys.readouterr().out
     assert "omega = (-1,0,0)" in out
     assert "betti = [0, 1, 1, 0]" in out
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["cohomology", "{file}"], 1),
+    (["cohomology", "{file}", "--omega", "1,0,0", "--bogus"], 1),
+    (["frobnicate", "{file}"], 1),
+    ([], 1),
+    (["--help"], 0),
+    (["cohomology", "--help"], 0),
+    (["--version"], 0),
+])
+def test_usage_errors_exit_1_and_help_exits_0(sol3_file, capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main([sol3_file if a == "{file}" else a for a in argv])
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    if code:
+        assert "usage: liecohom" in captured.err and "error:" in captured.err
+    else:
+        assert captured.out

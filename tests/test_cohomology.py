@@ -22,9 +22,9 @@ from liecohom import (
 )
 from liecohom.algebra import random_invertible
 from liecohom.exterior import form_basis, form_to_coords
-from liecohom.linalg import RationalMatrix, rank
+from liecohom.linalg import RationalMatrix, kernel_basis, rank, unit_vector
 
-from conftest import closed_grid, one_form
+from conftest import closed_grid, diag, heisenberg5, one_form, sequential_extend
 
 
 def e(dim, *indices):
@@ -91,18 +91,36 @@ def test_representatives_heisenberg_degree_two(heisenberg3):
 
 
 def test_representatives_are_cocycles_not_coboundaries(heisenberg3, sol3, euclid3):
-    for g, omega in [
+    cases = [
         (heisenberg3, OneForm.zero(3)),
         (sol3, one_form(1, 0, 0)),
         (sol3, one_form(-1, 0, 0)),
         (euclid3, OneForm.zero(3)),
-    ]:
+    ]
+    # a random change of basis makes the kernels dense
+    rng = random.Random(79)
+    for g, omegas in [(heisenberg5(), [OneForm.zero(5)]),
+                      (diag(5), [one_form(c, 0, 0, 0, 0) for c in (0, 1, 3, 6)])]:
+        m = random_invertible(g.dim, rng)
+        cases += [(change_basis(g, m), pullback_one_form(w, m)) for w in omegas]
+    for g, omega in cases:
         result = cohomology(g, omega)
+        mats = differential_matrices(g, omega)
         for p, reps in enumerate(result.representatives):
             assert len(reps) == result.betti[p]
             for r in reps:
                 assert is_cocycle(g, omega, r)
                 assert is_coboundary(g, omega, r) is None
+            image = []
+            if p > 0:
+                below = mats.matrix(p - 1)
+                image = [below.column(j) for j in range(below.cols)]
+            coords = [form_to_coords(r) for r in reps]
+            # independent modulo the image, and the greedy choice over the kernel basis
+            assert (rank(RationalMatrix.from_columns(image + coords))
+                    == rank(RationalMatrix.from_columns(image)) + len(reps))
+            assert coords == sequential_extend(
+                image, kernel_basis(mats.matrix(p)), comb(g.dim, p))
 
 
 def test_representatives_deterministic(sol3):
@@ -179,9 +197,22 @@ def test_betti_invariant_under_basis_change(heisenberg3, sol3, euclid3, abelian2
                     == betti_numbers(g, omega)
 
 
-def test_poincare_duality_on_unimodular_entries(heisenberg3, sol3, euclid3, abelian2):
-    for g in (heisenberg3, sol3, euclid3, abelian2):
-        for omega in closed_grid(g):
+def trace_form(g):
+    """theta(x) = tr ad x; zero exactly on unimodular algebras."""
+    return OneForm([g.ad(unit_vector(g.dim, j)).trace() for j in range(g.dim)])
+
+
+def test_poincare_duality_on_unimodular_entries(heisenberg3, sol3, euclid3, abelian2, affine2):
+    """Twisted duality b^p_w = b^(n-p)_(theta - w); theta = 0 when unimodular."""
+    cases = [(g, closed_grid(g)) for g in (heisenberg3, sol3, euclid3, abelian2)]
+    rng = random.Random(83)
+    for g in (affine2, diag(3), diag(4)):
+        m = random_invertible(g.dim, rng)
+        omegas = closed_grid(g)
+        cases += [(g, omegas), (change_basis(g, m), [pullback_one_form(w, m) for w in omegas])]
+    for g, omegas in cases:
+        theta = trace_form(g)
+        for omega in omegas:
             left = betti_numbers(g, omega)
-            right = betti_numbers(g, -omega)
+            right = betti_numbers(g, theta - omega)
             assert left == right[::-1]

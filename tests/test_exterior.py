@@ -23,7 +23,7 @@ from liecohom import (
 from liecohom.algebra import random_invertible
 from liecohom.exterior import coords_to_form, form_basis, form_to_coords, sort_sign
 
-from conftest import one_form
+from conftest import diag, heisenberg5, one_form
 
 
 def e(dim, *indices):
@@ -254,24 +254,13 @@ def test_preimage_of_heisenberg_two_form(heisenberg3):
 # --- direct assembly against the per-form differential ---
 
 
-def _diag(n):
-    # [e1, ej] = (j - 1) ej: solvable, not unimodular, closed forms only along e^1
-    return LieAlgebra.from_brackets(n, {
-        (1, j): tuple(Fraction(j - 1) if m == j - 1 else 0 for m in range(n))
-        for j in range(2, n + 1)})
-
-
-def _heisenberg5():
-    return LieAlgebra.from_brackets(5, {(1, 2): (0, 0, 0, 0, 1), (3, 4): (0, 0, 0, 0, 1)})
-
-
 ALGEBRAS = {
     "abelian4": lambda: load_example("abelian", n=4).algebra,
     "heisenberg3": lambda: load_example("heisenberg3").algebra,
     "sol3": lambda: load_example("sol3", k=Fraction(-3, 2)).algebra,
     "euclid3": lambda: load_example("euclid3").algebra,
-    "diag5": lambda: _diag(5),
-    "heisenberg5": _heisenberg5,
+    "diag5": lambda: diag(5),
+    "heisenberg5": heisenberg5,
 }
 
 

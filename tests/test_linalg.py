@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 
 from liecohom.linalg import (
     RationalMatrix,
+    extend_independent,
     in_image,
     invert,
     kernel_basis,
     rank,
     span_basis,
+    vec_add,
+    zero_vector,
 )
+
+from conftest import sequential_extend
 
 
 def naive_rank(m: RationalMatrix) -> int:
@@ -255,3 +260,19 @@ def test_span_basis_and_inverse_match_the_fraction_oracle(m):
                 invert(m)
         else:
             assert invert(m) @ m == RationalMatrix.identity(m.rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_extend_independent_matches_the_sequential_rank_loop(m, data):
+    columns = [m.column(j) for j in range(m.cols)]
+    split = data.draw(st.integers(0, len(columns)))
+    base, cands = columns[:split], columns[split:]
+    # a zero vector and a vector dependent on the rest of base
+    for extra in data.draw(st.lists(st.sampled_from(["zero", "sum"]), max_size=2)):
+        v = zero_vector(m.rows) if extra == "zero" or not base else vec_add(base[0], base[-1])
+        base.insert(data.draw(st.integers(0, len(base))), v)
+    picked = extend_independent(base, cands, m.rows)
+    assert picked == sequential_extend(base, cands, m.rows)
+    assert len(picked) == (naive_rank(RationalMatrix.from_columns(base + cands))
+                           - naive_rank(RationalMatrix.from_columns(base)))
