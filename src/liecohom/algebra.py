@@ -130,7 +130,7 @@ def _normalize_brackets(dim: int, brackets: Mapping) -> dict[tuple[int, int], Ve
     Raises StructureError for anything malformed; this is deliberately
     separate from the Jacobi check so callers can tell the two apart.
     """
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise StructureError(f"dimension must be an integer >= 1, got {dim!r}")
     table: dict[tuple[int, int], Vector] = {}
     for key, coeffs in brackets.items():
@@ -285,6 +285,19 @@ def _bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     return Subspace.span(g.dim, [list(v) for v in vecs])
 
 
+def derived_series(g: LieAlgebra) -> list[Subspace]:
+    """g, [g, g], [[g, g], [g, g]], ... up to the first term that does not shrink.
+
+    The last term is 0 exactly when g is solvable.
+    """
+    series = [Subspace.span(g.dim, [unit_vector(g.dim, j) for j in range(g.dim)])]
+    term = derived_subalgebra(g)
+    while term.dim < series[-1].dim:
+        series.append(term)
+        term = _bracket_span(g, term, term)
+    return series
+
+
 def classify(g: LieAlgebra) -> AlgebraClass:
     """Most specific of abelian / nilpotent / solvable / non_solvable.
 
@@ -304,14 +317,7 @@ def classify(g: LieAlgebra) -> AlgebraClass:
         term = nxt
     if term.dim == 0:
         return AlgebraClass.NILPOTENT
-
-    term = derived_subalgebra(g)
-    while True:
-        nxt = _bracket_span(g, term, term)
-        if nxt.dim == term.dim:
-            break
-        term = nxt
-    if term.dim == 0:
+    if derived_series(g)[-1].dim == 0:
         return AlgebraClass.SOLVABLE
     return AlgebraClass.NON_SOLVABLE
 

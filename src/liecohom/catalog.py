@@ -39,14 +39,17 @@ class CatalogEntry:
 
 
 def _as_fraction(name: str, value) -> Fraction:
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise StructureError(f"parameter {name} must be rational, got {value!r}") from None
+    # a float is already rounded and a bool is not a number: neither is taken
+    if not isinstance(value, (bool, float)):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise StructureError(f"parameter {name} must be rational, got {value!r}")
 
 
 def _abelian(n: int) -> CatalogEntry:
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise StructureError("abelian requires an integer parameter n >= 1")
     g = LieAlgebra.from_brackets(n, {})
     expected = ((OneForm.zero(n), tuple(comb(n, p) for p in range(n + 1))),)

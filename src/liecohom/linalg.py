@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Everything here works with ``fractions.Fraction`` entries and never rounds.
-Rank, kernels, linear solves, inverses, canonical span bases and greedy span
-extension all go through one fraction-free elimination on sparse integer
-rows: each row is a ``{column: int}`` map with its denominators cleared, a
-row with no entry in the pivot column is left untouched, and every updated
-row is divided by its content. Each row then stays the primitive multiple of
-the row Bareiss elimination would hold, so intermediate entries are bounded
-by minors of the input instead of letting numerators explode.
+Rank, kernels, linear solves against many right-hand sides at once (a single
+preimage and an inverse are such solves), canonical span bases and greedy
+span extension all go through one fraction-free elimination on sparse
+integer rows: each row is a ``{column: int}`` map with its denominators
+cleared, a row with no entry in the pivot column is left untouched, and
+every updated row is divided by its content. Each row then stays the
+primitive multiple of the row Bareiss elimination would hold, so
+intermediate entries are bounded by minors of the input instead of letting
+numerators explode.
 
 Pivot columns are taken in ascending order and are always the greedy
 independent column set, so every function is deterministic: the same matrix
@@ -285,43 +287,50 @@ def kernel_basis(M: RationalMatrix) -> list[Vector]:
     return [tuple(v) for v in basis.values()]
 
 
-def in_image(M: RationalMatrix, target: Sequence) -> Vector | None:
-    """A preimage ``u`` with ``M u == target``, or None when none exists.
+def solve(M: RationalMatrix, targets: Sequence[Sequence]) -> list[Vector] | None:
+    """Preimages ``u`` with ``M u == t`` for every target ``t``, or None when
+    some target lies outside the image.
 
-    The solution is the minimal pivot one: free variables are pinned to zero,
-    which makes the choice deterministic.
+    One elimination of ``[M | targets]`` answers them all. The pivot columns
+    of ``M`` come first and are its greedy independent column set, so some
+    target column is a pivot exactly when some target leaves the image.
+    Otherwise the reduced echelon form holds each target's coordinates on
+    the pivot columns of ``M``, the same ones a solve against that target
+    alone reads off. Each solution is the minimal pivot one: free variables
+    are pinned to zero, which makes the choice deterministic.
     """
-    if len(target) != M.rows:
+    targets = [vector(t) for t in targets]
+    if any(len(t) != M.rows for t in targets):
         raise ValueError("target length does not match row count")
-    augmented = [r + [Fraction(t)] for r, t in zip(M._rows, target)]
+    if not targets:
+        return []
+    augmented = [r + list(t) for r, t in zip(M._rows, zip(*targets))]
     echelon, pivots = _echelon(_integer_rows(augmented))
-    if pivots and pivots[-1] == M.cols:
+    if pivots and pivots[-1] >= M.cols:
         return None
     _reduce(echelon, pivots)
-    x = [_ZERO] * M.cols
+    solutions = [[_ZERO] * M.cols for _ in targets]
     for row, c in zip(echelon, pivots):
-        x[c] = Fraction(row.get(M.cols, 0), row[c])
-    return tuple(x)
+        for j, x in row.items():
+            if j >= M.cols:
+                solutions[j - M.cols][c] = Fraction(x, row[c])
+    return [tuple(u) for u in solutions]
+
+
+def in_image(M: RationalMatrix, target: Sequence) -> Vector | None:
+    """The minimal pivot preimage of one target (see ``solve``), or None."""
+    solutions = solve(M, [target])
+    return None if solutions is None else solutions[0]
 
 
 def invert(M: RationalMatrix) -> RationalMatrix:
     """Inverse of a square matrix; raises ValueError if singular."""
     if M.rows != M.cols:
         raise ValueError("only square matrices can be inverted")
-    n = M.rows
-    augmented = [r + e for r, e in zip(M._rows, RationalMatrix.identity(n)._rows)]
-    echelon, pivots = _echelon(_integer_rows(augmented))
-    if pivots != list(range(n)):
+    columns = solve(M, [unit_vector(M.rows, j) for j in range(M.rows)])
+    if columns is None:
         raise ValueError("singular matrix")
-    _reduce(echelon, pivots)
-    inverse = []
-    for row, c in zip(echelon, pivots):
-        out = [_ZERO] * n
-        for j, x in row.items():
-            if j >= n:
-                out[j - n] = Fraction(x, row[c])
-        inverse.append(out)
-    return RationalMatrix._wrap(n, n, inverse)
+    return RationalMatrix.from_columns(columns)
 
 
 def span_basis(vectors: Iterable[Sequence], ambient: int) -> list[Vector]:

@@ -28,25 +28,22 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
-from .algebra import (
-    AlgebraClass,
-    LieAlgebra,
-    OneForm,
-    Subspace,
-    classify,
-    derived_subalgebra,
-)
+from .algebra import LieAlgebra, OneForm, Subspace, derived_series
 from .errors import NonClosedFormError, NotSolvableError, NotTriangularizableError
 from .linalg import (
     RationalMatrix,
     Vector,
     extend_independent,
-    in_image,
     kernel_basis,
     rank,
+    solve,
     span_basis,
     unit_vector,
 )
+
+# unused here, kept importable because perfbench/tracer.py wraps these names
+from .algebra import classify, derived_subalgebra  # noqa: F401
+from .linalg import in_image  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -156,24 +153,14 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
-def _derived_chain_basis(g: LieAlgebra) -> list[Vector]:
+def _derived_chain_basis(series: list[Subspace]) -> list[Vector]:
     """Basis b_1..b_n such that every suffix span is an ideal of the previous.
 
     Built by completing upwards through the derived series: the suffixes
     interpolate consecutive derived terms, and any subspace squeezed between
     D_{i+1} and D_i satisfies [D_i, U] <= D_{i+1} <= U.
     """
-    n = g.dim
-    series = [Subspace.span(n, [unit_vector(n, j) for j in range(n)])]
-    while True:
-        current = series[-1]
-        if current.dim == 0:
-            break
-        nxt = Subspace.span(
-            n, [g.bracket(x, y) for x in current.basis for y in current.basis])
-        if nxt.dim == current.dim:
-            break
-        series.append(nxt)
+    n = series[0].ambient_dim
     basis: list[Vector] = []
     # deepest term first; new vectors are prepended. The series of a solvable
     # algebra ends at 0 and basis spans each deeper term, so the extension
@@ -183,29 +170,12 @@ def _derived_chain_basis(g: LieAlgebra) -> list[Vector]:
     return basis
 
 
-def _solve_columns(columns: list[Vector], target: Vector) -> Vector:
-    m = RationalMatrix.from_columns([list(c) for c in columns])
-    sol = in_image(m, target)
-    if sol is None:
+def _coordinates(columns: list[Vector], targets: list[Vector]) -> list[Vector]:
+    """Coordinates of every target on the independent ``columns``."""
+    coords = solve(RationalMatrix.from_columns(columns), targets)
+    if coords is None:
         raise AssertionError("vector unexpectedly outside an invariant subspace")
-    return sol
-
-
-def _quotient_action(g: LieAlgebra, x: Vector, quot: list[Vector],
-                     flag: list[Vector]) -> RationalMatrix:
-    """Matrix of ad(x) on span(quot) modulo span(flag), in quot coordinates."""
-    columns = quot + flag
-    cols_out = []
-    for q in quot:
-        coords = _solve_columns(columns, g.bracket(x, q))
-        cols_out.append(coords[:len(quot)])
-    return RationalMatrix.from_columns([list(c) for c in cols_out])
-
-
-def _restrict(a: RationalMatrix, sub: list[Vector]) -> RationalMatrix:
-    """Matrix of ``a`` on span(sub) in sub coordinates; sub must be invariant."""
-    cols = [_solve_columns(sub, a.apply(s)) for s in sub]
-    return RationalMatrix.from_columns([list(c) for c in cols])
+    return coords
 
 
 def adapted_basis(g: LieAlgebra) -> WeightData:
@@ -217,22 +187,32 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
     eigenvalue first, first independent generator first), so the output is
     deterministic.
     """
-    if classify(g) is AlgebraClass.NON_SOLVABLE:
+    series = derived_series(g)
+    if series[-1].dim != 0:
         raise NotSolvableError("adapted basis requires a solvable Lie algebra")
     n = g.dim
-    der = derived_subalgebra(g)
+    der = series[1]
     k = n - der.dim
-    chain = _derived_chain_basis(g)
+    chain = _derived_chain_basis(series)
     flag: list[Vector] = []
     adjoint_funcs: list[Vector] = []
 
     while len(flag) < der.dim:
+        # quot + flag is a basis of [g, g], so coordinates on it are unique and
+        # the first q_dim of them are coordinates in the quotient by the flag
         quot = extend_independent(flag, der.basis, n)
         q_dim = len(quot)
-        chain_actions = [_quotient_action(g, b, quot, flag) for b in chain]
+        columns = quot + flag
+        chain_coords = _coordinates(columns, [g.bracket(b, q) for b in chain for q in quot])
+        chain_actions = [
+            RationalMatrix.from_columns([c[:q_dim] for c in chain_coords[i:i + q_dim]])
+            for i in range(0, len(chain_coords), q_dim)
+        ]
         space = [unit_vector(q_dim, j) for j in range(q_dim)]
         for action in reversed(chain_actions):
-            restricted = _restrict(action, space)
+            # matrix of the action on the invariant span(space), in its coordinates
+            restricted = RationalMatrix.from_columns(
+                _coordinates(space, [action.apply(s) for s in space]))
             roots = _rational_roots(_char_poly(restricted))
             if not roots:
                 raise NotTriangularizableError(
@@ -249,30 +229,33 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
             ]
             space = span_basis(lifted, q_dim)
         vq = space[0]
+        v = tuple(sum((vq[c] * quot[c][i] for c in range(q_dim)), Fraction(0))
+                  for i in range(n))
+        pivot = next(j for j, c in enumerate(vq) if c != 0)
         eigenvalues = []
-        for i in range(n):
-            image = _quotient_action(g, unit_vector(n, i), quot, flag).apply(vq)
-            pivot = next(j for j, c in enumerate(vq) if c != 0)
+        # [e_i, v] modulo the flag, in quot coordinates, is ad(e_i) applied to vq
+        for image in _coordinates(columns, [g.bracket(unit_vector(n, i), v)
+                                            for i in range(n)]):
             lam = image[pivot] / vq[pivot]
             if any(image[j] != lam * vq[j] for j in range(q_dim)):
                 raise AssertionError("flag vector is not a joint eigenvector")
             eigenvalues.append(lam)
         adjoint_funcs.append(tuple(eigenvalues))
-        flag.append(tuple(sum((vq[c] * quot[c][i] for c in range(q_dim)), Fraction(0))
-                          for i in range(n)))
+        flag.append(v)
 
     complement = extend_independent(der.basis, [unit_vector(n, j) for j in range(n)], n)
     columns = complement + list(reversed(flag))
     change = RationalMatrix.from_columns([list(c) for c in columns])
-    assert rank(change) == n
+    if rank(change) != n:
+        raise AssertionError("adapted basis vectors are not independent")
     # dual-basis orientation: weights are the negatives of the adjoint
     # eigenvalue functionals
     weights = [OneForm.zero(n)] * k + [
         OneForm(tuple(-c for c in func)) for func in reversed(adjoint_funcs)
     ]
     for w in weights:
-        assert all(w.evaluate(v) == 0 for v in der.basis), \
-            "weights must vanish on the derived subalgebra"
+        if any(w.evaluate(v) != 0 for v in der.basis):
+            raise AssertionError("weights must vanish on the derived subalgebra")
     return WeightData(adapted_change=change, weights=tuple(weights), k=k)
 
 
@@ -282,14 +265,10 @@ def omega_set(data: WeightData) -> OmegaSet:
     The zero form belongs to the set whenever some weight is zero, which for
     a solvable algebra is always the case (the closed block is nonempty).
     """
-    n = data.dim
-    sums = set()
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            total = OneForm.zero(n)
-            for i in subset:
-                total = total + data.weights[i]
-            sums.add(total)
+    sums: set[OneForm] = set()
+    # after j weights, sums holds the nonempty subset sums of the first j
+    for w in data.weights:
+        sums |= {s + w for s in sums} | {w}
     return OmegaSet(frozenset(sums))
 
 

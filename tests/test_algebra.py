@@ -17,10 +17,10 @@ from liecohom import (
     pullback_one_form,
     validate_lie_algebra,
 )
-from liecohom.algebra import Subspace, random_invertible
+from liecohom.algebra import Subspace, derived_series, random_invertible
 from liecohom.linalg import RationalMatrix
 
-from conftest import one_form
+from conftest import diag, heisenberg5, one_form
 
 
 # {[e1,e2]=e1, [e1,e3]=e3, [e2,e3]=0}: the cyclic sum over (1,2,3) is
@@ -62,6 +62,7 @@ def test_construction_raises_on_jacobi_failure():
     (2, {(2, 1): (0, 1)}),            # indices not increasing
     (2, {(1, 3): (0, 1)}),            # index out of range
     (2, {(1, 2): ("x", 0)}),          # non-rational coefficient
+    (True, {}),                       # a bool is not a dimension
 ])
 def test_malformed_tables_are_structural_errors(dim, brackets):
     with pytest.raises(StructureError):
@@ -104,6 +105,17 @@ def test_classify(heisenberg3, sol3, euclid3, abelian2, sl2):
     assert classify(euclid3) is AlgebraClass.SOLVABLE
     assert classify(abelian2) is AlgebraClass.ABELIAN
     assert classify(sl2) is AlgebraClass.NON_SOLVABLE
+
+
+def test_derived_series_ends_at_zero_exactly_when_solvable(
+        heisenberg3, sol3, euclid3, abelian2, sl2, affine2):
+    rng = random.Random(19)
+    for g in (heisenberg3, sol3, euclid3, abelian2, sl2, affine2, diag(5), heisenberg5()):
+        for h in (g, change_basis(g, random_invertible(g.dim, rng))):
+            series = derived_series(h)
+            assert series[0].dim == h.dim
+            assert all(a.dim > b.dim for a, b in zip(series, series[1:]))
+            assert (series[-1].dim == 0) == (classify(h) is not AlgebraClass.NON_SOLVABLE)
 
 
 def test_classification_is_basis_invariant(heisenberg3, sol3, sl2):

@@ -85,6 +85,18 @@ def test_invalid_parameters():
         load_example("heisenberg3", k=1)
 
 
+def test_floats_and_bools_are_not_coerced():
+    for bad in (0.1, 2.0, True, False):
+        with pytest.raises(StructureError):
+            load_example("sol3", k=bad)
+    for bad in (True, False, 2.0):
+        with pytest.raises(StructureError):
+            load_example("abelian", n=bad)
+    # strings stay exact, as the command line passes them
+    assert load_example("sol3", k="0.1").parameters["k"] == Fraction(1, 10)
+    assert load_example("abelian", n="3").algebra.dim == 3
+
+
 def test_entries_export_to_wire_format_and_back():
     for name, params in [("abelian", {"n": 3}), ("heisenberg3", {}),
                          ("sol3", {"k": Fraction(2, 3)}), ("euclid3", {})]:

@@ -12,6 +12,7 @@ from liecohom.linalg import (
     invert,
     kernel_basis,
     rank,
+    solve,
     span_basis,
     vec_add,
     zero_vector,
@@ -247,6 +248,16 @@ def test_in_image_matches_the_fraction_oracle(m, data):
     assert m.apply(in_image(m, inside)) == inside
     anywhere = data.draw(st.lists(cell, min_size=m.rows, max_size=m.rows))
     assert in_image(m, anywhere) == naive_preimage(m, anywhere)
+    # several right-hand sides in one solve: each answer is the lone one,
+    # and one target outside the image makes the whole solve None
+    targets = [m.apply(data.draw(st.lists(cell, min_size=m.cols, max_size=m.cols)))
+               for _ in range(data.draw(st.integers(0, 4)))]
+    targets.insert(data.draw(st.integers(0, len(targets))), inside)
+    assert solve(m, targets) == [naive_preimage(m, t) for t in targets]
+    targets.insert(data.draw(st.integers(0, len(targets))), anywhere)
+    expected = [naive_preimage(m, t) for t in targets]
+    assert solve(m, targets) == (None if None in expected else expected)
+    assert solve(m, []) == []
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -28,7 +29,7 @@ from liecohom.algebra import random_invertible
 from liecohom.linalg import rank
 from liecohom.weights import WeightData, _char_poly, _rational_roots
 
-from conftest import closed_grid, one_form
+from conftest import closed_grid, diag, heisenberg5, one_form
 
 
 def coeff_sets(forms):
@@ -124,6 +125,8 @@ def test_adapted_basis_triangularity(heisenberg3, sol3, affine2):
     cases = [heisenberg3, sol3, affine2]
     cases += [change_basis(sol3, random_invertible(3, rng)) for _ in range(5)]
     cases += [change_basis(heisenberg3, random_invertible(3, rng)) for _ in range(5)]
+    # several flag steps, quotients of dimension > 2, chains longer than 4
+    cases += [change_basis(h, random_invertible(5, rng)) for h in (diag(5), heisenberg5())]
     for g in cases:
         data = adapted_basis(g)
         adapted = change_basis(g, data.adapted_change)
@@ -281,3 +284,17 @@ def test_triangularity_in_four_dimensions():
                 diff = ce_differential(adapted, ExteriorForm.basis(4, (i,)))
                 residual = diff - _wedge_one(alpha, 4, i)
                 assert all(max(idx) <= i - 1 for idx in residual.terms)
+
+
+def test_omega_set_matches_subset_enumeration(sol3):
+    rng = random.Random(107)
+    for g in (jordan4(), borel4(), diag(6), change_basis(sol3, random_invertible(3, rng))):
+        data = adapted_basis(g)
+        brute = set()
+        for size in range(1, data.dim + 1):
+            for subset in combinations(data.weights, size):
+                total = OneForm.zero(data.dim)
+                for w in subset:
+                    total = total + w
+                brute.add(total)
+        assert omega_set(data).elements == brute
