@@ -208,16 +208,19 @@ class LieAlgebra:
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         """[x, y] for coordinate vectors, by bilinearity."""
         x, y = vector(x), vector(y)
-        out = zero_vector(self.dim)
-        for i in range(self.dim):
-            if x[i] == 0:
+        if len(x) != self.dim or len(y) != self.dim:
+            raise StructureError(f"bracket needs two vectors of length {self.dim}")
+        out = list(zero_vector(self.dim))
+        for (i, j), v in self.brackets:
+            xi, xj = x[i - 1], x[j - 1]
+            if not (xi or xj):
                 continue
-            for j in range(self.dim):
-                c = x[i] * y[j]
-                if c == 0 or i == j:
-                    continue
-                out = vec_add(out, vec_scale(c, self.bracket_basis(i + 1, j + 1)))
-        return out
+            c = xi * y[j - 1] - xj * y[i - 1]
+            if c:
+                for m, a in enumerate(v):
+                    if a:
+                        out[m] += c * a
+        return tuple(out)
 
     def ad(self, x: Sequence) -> RationalMatrix:
         """Matrix of ad(x): columns are [x, e_j] in basis coordinates."""

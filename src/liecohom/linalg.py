@@ -31,7 +31,7 @@ _ONE = Fraction(1)
 
 def vector(values: Iterable) -> Vector:
     """Coerce an iterable of rationals (ints, strings, Fractions) to a Vector."""
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def zero_vector(n: int) -> Vector:

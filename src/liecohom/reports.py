@@ -109,8 +109,16 @@ class NovikovReport:
 def novikov_report(g: LieAlgebra, omega: OneForm, lam,
                    morse_counts) -> NovikovReport:
     """Compare Morse counts against the Betti numbers of lambda * omega."""
+    # a float is already rounded and a bool is not a number: neither is taken
+    if isinstance(lam, (bool, float)):
+        raise StructureError(f"multiplier must be rational, got {lam!r}")
     lam = Fraction(lam)
-    counts = tuple(int(m) for m in morse_counts)
+    checked = []
+    for m in morse_counts:
+        if isinstance(m, (bool, float)) or Fraction(m).denominator != 1:
+            raise StructureError(f"Morse counts must be integers, got {m!r}")
+        checked.append(int(m))
+    counts = tuple(checked)
     if len(counts) != g.dim + 1:
         raise StructureError(
             f"need {g.dim + 1} Morse counts (degrees 0..{g.dim}), got {len(counts)}")

@@ -6,7 +6,12 @@ rationals: it repeatedly finds a common eigenvector of the whole algebra
 acting on the current quotient of [g, g], records the eigenvalue functional,
 and quotients it away. Soundness of each step rests on the classical
 invariance lemma for weight spaces of ideals, so the generators are consumed
-along a chain of subalgebras refined from the derived series.
+along a chain of subalgebras refined from the derived series. The part of
+the chain inside [g, g] acts nilpotently (Lie's theorem), so its common
+eigenspace is one joint kernel; only the k generators of a complement need
+eigenvalues. Those are the rational roots of characteristic polynomials,
+isolated exactly with Sturm sequences at a cost polynomial in the bit size
+of the coefficients.
 
 The recorded weight alpha_i is the coefficient form of the dual relation
 
@@ -103,24 +108,91 @@ def _char_poly(a: RationalMatrix) -> list[Fraction]:
     return coeffs
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _remainder(a: list[int], b: list[int]) -> list[int]:
+    """Primitive positive multiple of the remainder of ``a`` by ``b``.
+
+    Integer pseudo-division on coefficient lists written leading term first:
+    every step scales the running remainder by |lc(b)| > 0, so the result
+    has the signs of the true remainder and no fraction appears.
+    """
+    lead, sign = abs(b[0]), (1 if b[0] > 0 else -1)
+    r = list(a)
+    while len(r) >= len(b):
+        q = sign * r[0]
+        r = [lead * x - q * y for x, y in zip(r, b + [0] * (len(r) - len(b)))]
+        while r and r[0] == 0:
+            r.pop(0)
+    content = gcd(*r) if r else 1
+    return [x // content for x in r]
+
+
+def _sturm(p: list[int]) -> list[list[int]]:
+    """Sturm sequence p, p', -rem(p, p'), ... down to gcd(p, p')."""
+    m = len(p) - 1
+    seq = [p, [(m - i) * c for i, c in enumerate(p[:-1])]]
+    while len(seq[-1]) > 1:
+        r = _remainder(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-x for x in r])
+    return seq
+
+
+def _evaluate(p: list[int], x: int) -> int:
+    v = 0
+    for c in p:
+        v = v * x + c
+    return v
+
+
+def _variations(seq: list[list[int]], x: int) -> int:
+    """Sign changes along the sequence evaluated at x, zeros skipped."""
+    signs = [v > 0 for v in (_evaluate(p, x) for p in seq) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _integer_roots(g: list[int]) -> list[int]:
+    """Integer roots of a monic integer polynomial, leading coefficient first.
+
+    The square-free part h = g / gcd(g, g') has the same roots, all simple,
+    so V(a) - V(b) over its Sturm sequence counts its real roots in (a, b].
+    Integer bisection inside the Cauchy bound 1 + max |h_i| shrinks every
+    interval that holds a root to (y - 1, y], and then y is tested exactly.
+    """
+    d = _sturm(g)[-1]
+    content = gcd(*d) if d[0] > 0 else -gcd(*d)
+    d = [x // content for x in d]
+    # the primitive gcd divides the monic g, so it is monic and g / d is exact
+    h, r = [], list(g)
+    while len(r) >= len(d):
+        h.append(r[0])
+        r = [x - r[0] * y for x, y in zip(r[1:], d[1:] + [0] * (len(r) - len(d)))]
+    seq = _sturm(h)
+    bound = 1 + max(abs(c) for c in h[1:])
+    roots = []
+    todo = [(-bound, _variations(seq, -bound), bound, _variations(seq, bound))]
+    while todo:
+        lo, v_lo, hi, v_hi = todo.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if _evaluate(h, hi) == 0:
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = _variations(seq, mid)
+        todo += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+    return roots
 
 
 def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """Distinct rational roots, ascending, via the rational root theorem.
+    """Distinct rational roots, ascending, at a cost polynomial in the bit size.
 
-    The polynomial is cleared to a primitive integer polynomial first; zero
-    roots are stripped off before enumerating p/q candidates.
+    The polynomial is cleared to a primitive integer polynomial f and its
+    zero roots are stripped off. With a the leading coefficient of f and m
+    its degree, g(y) = a^(m-1) f(y/a) is monic over the integers, so the
+    rational roots of f are y/a for the integer roots y of g, which Sturm
+    isolation finds without enumerating divisors.
     """
     mult = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * mult) for c in coeffs]
@@ -130,26 +202,17 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
         raise ValueError("zero polynomial has every rational as a root")
     roots = set()
     low = 0
-    while low < len(ints) and ints[low] == 0:
+    while ints[low] == 0:
         low += 1
     if low > 0:
         roots.add(Fraction(0))
         ints = ints[low:]
     if len(ints) > 1:
-        content = 0
-        for c in ints:
-            content = gcd(content, c)
+        content = gcd(*ints)
         ints = [c // content for c in ints]
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if cand in roots:
-                        continue
-                    acc = Fraction(0)
-                    for c in reversed(ints):
-                        acc = acc * cand + c
-                    if acc == 0:
-                        roots.add(cand)
+        m, a = len(ints) - 1, ints[-1]
+        g = [1] + [ints[i] * a ** (m - 1 - i) for i in range(m - 1, -1, -1)]
+        roots.update(Fraction(y, a) for y in _integer_roots(g))
     return sorted(roots)
 
 
@@ -208,8 +271,13 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
             RationalMatrix.from_columns([c[:q_dim] for c in chain_coords[i:i + q_dim]])
             for i in range(0, len(chain_coords), q_dim)
         ]
-        space = [unit_vector(q_dim, j) for j in range(q_dim)]
-        for action in reversed(chain_actions):
+        # chain[k:] spans [g, g], which acts nilpotently on a solvable algebra
+        # (Lie's theorem). Each of its actions has the single eigenvalue 0, so
+        # walking them in turn intersects their kernels: one kernel of all
+        # their matrices stacked by rows is the same canonical space.
+        derived = [r for action in chain_actions[k:] for r in action.to_rows()]
+        space = span_basis(kernel_basis(RationalMatrix.from_rows(derived)), q_dim)
+        for action in reversed(chain_actions[:k]):
             # matrix of the action on the invariant span(space), in its coordinates
             restricted = RationalMatrix.from_columns(
                 _coordinates(space, [action.apply(s) for s in space]))

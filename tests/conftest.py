@@ -83,3 +83,48 @@ def sequential_extend(base, candidates, ambient):
             picked.append(tuple(Fraction(x) for x in cand))
             stack, current = trial, r
     return picked
+
+
+def divisor_rational_roots(coeffs):
+    """Reference for _rational_roots: try every p/q the rational root theorem
+    allows (p divides the constant term, q the leading one).
+
+    Trial division takes time proportional to the square root of the
+    coefficients, so this only serves small test polynomials.
+    """
+    from math import gcd, lcm
+
+    def divisors(n):
+        n = abs(n)
+        small, large = [], []
+        d = 1
+        while d * d <= n:
+            if n % d == 0:
+                small.append(d)
+                if d != n // d:
+                    large.append(n // d)
+            d += 1
+        return small + large[::-1]
+
+    mult = lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(Fraction(c) * mult) for c in coeffs]
+    while ints and ints[-1] == 0:
+        ints.pop()
+    roots = set()
+    low = 0
+    while ints[low] == 0:
+        low += 1
+    if low > 0:
+        roots.add(Fraction(0))
+        ints = ints[low:]
+    content = gcd(*ints)
+    ints = [c // content for c in ints]
+    for p in divisors(ints[0]):
+        for q in divisors(ints[-1]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                acc = Fraction(0)
+                for c in reversed(ints):
+                    acc = acc * cand + c
+                if acc == 0:
+                    roots.add(cand)
+    return sorted(roots)

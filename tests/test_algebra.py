@@ -172,6 +172,22 @@ def test_bracket_antisymmetry_and_linearity(sol3):
     xy = sol3.bracket(x, y)
     yx = sol3.bracket(y, x)
     assert xy == tuple(-c for c in yx)
+    # bilinear expansion over every ordered pair of basis vectors
+    rng = random.Random(37)
+    for g in (sol3, diag(5), heisenberg5()):
+        for _ in range(5):
+            x, y = ([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(g.dim)]
+                    for _ in range(2))
+            expected = [Fraction(0)] * g.dim
+            for i in range(g.dim):
+                for j in range(g.dim):
+                    for m, c in enumerate(g.bracket_basis(i + 1, j + 1)):
+                        expected[m] += x[i] * y[j] * c
+            assert g.bracket(x, y) == tuple(expected)
+    with pytest.raises(StructureError):
+        sol3.bracket((1, 0), (0, 1, 0))
+    with pytest.raises(StructureError):
+        sol3.bracket((1, 0, 0), (0, 1, 0, 0))
 
 
 def test_pullback_pairs_with_new_basis(sol3):

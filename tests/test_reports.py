@@ -120,3 +120,13 @@ def test_novikov_input_validation(sol3):
         novikov_report(sol3, one_form(1, 0, 0), 1, [0, -1, 0, 0])
     with pytest.raises(NonClosedFormError):
         novikov_report(sol3, one_form(0, 1, 0), 1, [0, 0, 0, 0])
+    # floats are already rounded and bools are not numbers: no silent coercion
+    for lam, counts in ((0.1, [1, 1, 0, 2]), (True, [0, 0, 0, 0]), (1.0, [0, 0, 0, 0]),
+                        (1, [1.9, True, 0, 2.5]), (1, [0, True, 0, 0]),
+                        (1, [0, 2.0, 0, 0]), (1, [0, Fraction(1, 2), 0, 0]),
+                        (1, [0, "3/2", 0, 0])):
+        with pytest.raises(StructureError):
+            novikov_report(sol3, one_form(1, 0, 0), lam, counts)
+    # exact rationals and integral counts stay accepted
+    report = novikov_report(sol3, one_form(1, 0, 0), Fraction(3, 2), [0, Fraction(2), "1", 0])
+    assert report.lam == Fraction(3, 2) and report.morse_counts == (0, 2, 1, 0)

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liecohom import (
     ExteriorForm,
@@ -25,11 +27,11 @@ from liecohom import (
     vanishing_predicate,
     weight_sum_check,
 )
-from liecohom.algebra import random_invertible
+from liecohom.algebra import derived_series, random_invertible
 from liecohom.linalg import rank
 from liecohom.weights import WeightData, _char_poly, _rational_roots
 
-from conftest import closed_grid, diag, heisenberg5, one_form
+from conftest import closed_grid, diag, divisor_rational_roots, heisenberg5, one_form
 
 
 def coeff_sets(forms):
@@ -57,6 +59,57 @@ def test_char_poly_and_rational_roots():
     assert _rational_roots([Fraction(-2), Fraction(0), Fraction(1)]) == []
 
 
+def _times(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+# factors as coefficient lists c_0, c_1, ...: q x - p, x itself, x^2 + c,
+# x^2 - p for a prime p, and x^2 - r^2, which splits
+_factor = st.one_of(
+    st.tuples(st.integers(-8, 8), st.integers(1, 4)).map(
+        lambda pq: [Fraction(-pq[0]), Fraction(pq[1])]),
+    st.just([Fraction(0), Fraction(1)]),
+    st.integers(1, 12).map(lambda c: [Fraction(c), Fraction(0), Fraction(1)]),
+    st.sampled_from([2, 3, 5, 7]).map(lambda p: [Fraction(-p), Fraction(0), Fraction(1)]),
+    st.integers(1, 6).map(lambda r: [Fraction(-r * r), Fraction(0), Fraction(1)]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_factor, st.integers(1, 2)), min_size=1, max_size=3),
+       st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
+# -3 (3x + 4)(x - 4)(x^2 + 8): its Sturm sequence has negative leading
+# coefficients, which the pseudo-remainders must not flip
+@example([([Fraction(4), Fraction(3)], 1), ([Fraction(-4), Fraction(1)], 1),
+          ([Fraction(8), Fraction(0), Fraction(1)], 1)], Fraction(-3))
+def test_rational_roots_match_the_divisor_oracle(factors, lead):
+    poly = [lead]
+    for factor, multiplicity in factors:
+        for _ in range(multiplicity):
+            poly = _times(poly, factor)
+    assert _rational_roots(poly) == divisor_rational_roots(poly)
+
+
+def test_derived_algebra_acts_nilpotently(heisenberg3, sol3, euclid3, abelian2, affine2):
+    """Lie's theorem, which lets adapted_basis take one joint kernel for
+    [g, g]: on a solvable algebra every element of [g, g] acts nilpotently."""
+    rng = random.Random(109)
+    for base in (heisenberg3, sol3, euclid3, abelian2, affine2, diag(5), heisenberg5()):
+        for g in (base, change_basis(base, random_invertible(base.dim, rng))):
+            series = derived_series(g)
+            assert series[-1].is_zero()
+            for b in series[1].basis:
+                ad = g.ad(b)
+                power = ad
+                for _ in range(g.dim - 1):
+                    power = power @ ad
+                assert power.is_zero(), (g, b)
+
+
 def test_sol3_weights(sol3):
     data = adapted_basis(sol3)
     assert data.k == 1
@@ -66,9 +119,10 @@ def test_sol3_weights(sol3):
 
 
 def test_sol3_weights_scale_with_parameter():
-    k = Fraction(-3)
-    data = adapted_basis(load_example("sol3", k=k).algebra)
-    assert coeff_sets(data.weights) == {(0, 0, 0), (k, 0, 0), (-k, 0, 0)}
+    # a divisor search over the constant term k^2 would never finish at 10^12 + 39
+    for k in (Fraction(-3), Fraction(10**12 + 39)):
+        data = adapted_basis(load_example("sol3", k=k).algebra)
+        assert coeff_sets(data.weights) == {(0, 0, 0), (k, 0, 0), (-k, 0, 0)}
 
 
 def test_heisenberg_weights_all_trivial(heisenberg3):
