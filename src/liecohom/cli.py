@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from .algebra import LieAlgebra, classify, is_unimodular
 from .catalog import CATALOG_NAMES, load_example
-from .cohomology import cohomology
+from .cohomology import betti_numbers, cohomology
 from .errors import ComputationDomainError, JacobiError, StructureError
 from .reports import novikov_report, scan_line
 from .serialization import (
@@ -50,27 +50,31 @@ def _cmd_validate(args) -> int:
 def _cmd_cohomology(args) -> int:
     g = _load_algebra(args.file)
     omega = parse_one_form(args.omega, g.dim)
-    result = cohomology(g, omega)
+    # representatives cost far more than Betti numbers; build them only on request
+    if args.reps:
+        result = cohomology(g, omega)
+        betti, reps = result.betti, result.representatives
+    else:
+        betti, reps = betti_numbers(g, omega), ()
     if args.json:
         doc = {
             "omega": one_form_to_list(omega),
-            "betti": list(result.betti),
+            "betti": list(betti),
         }
         if args.reps:
             doc["representatives"] = [
                 [form_to_terms(r) for r in degree_reps]
-                for degree_reps in result.representatives
+                for degree_reps in reps
             ]
         _emit_json(doc)
     else:
         print(f"omega = ({args.omega})")
-        print("betti = [" + ", ".join(str(b) for b in result.betti) + "]")
-        if args.reps:
-            for p, degree_reps in enumerate(result.representatives):
-                if not degree_reps:
-                    continue
-                rendered = ", ".join(format_form(r) for r in degree_reps)
-                print(f"H^{p} representatives: {rendered}")
+        print("betti = [" + ", ".join(str(b) for b in betti) + "]")
+        for p, degree_reps in enumerate(reps):
+            if not degree_reps:
+                continue
+            rendered = ", ".join(format_form(r) for r in degree_reps)
+            print(f"H^{p} representatives: {rendered}")
     return 0
 
 

@@ -3,8 +3,9 @@
 Degree p cohomology is ker(d_w at p) modulo im(d_w at p-1); its dimension
 comes from two exact ranks. Representatives are picked deterministically:
 the kernel basis vectors that enlarge the span of [image columns | kept so
-far], in order. One elimination of [image columns | kernel basis] picks
-them all, so reruns and platforms agree exactly.
+far], in order. One elimination of the sparse rows of [d_w at p-1 | kernel
+basis] picks them all, so reruns and platforms agree exactly, and each
+representative is built from its nonzero coordinates alone.
 """
 
 from __future__ import annotations
@@ -19,9 +20,13 @@ from .exterior import (
     coords_to_form,
     deformed_differential,
     differential_matrices,
+    form_basis,
     form_to_coords,
 )
-from .linalg import extend_independent, in_image, kernel_basis, rank
+from .linalg import RationalMatrix, in_image, kernel_modulo_image, rank
+
+# unused here, kept importable because perfbench/tracer.py wraps this name
+from .linalg import kernel_basis  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -47,12 +52,11 @@ def betti_numbers(g: LieAlgebra, omega: OneForm) -> list[int]:
 
 def _representatives_from(mats: DifferentialMatrices, p: int) -> list[ExteriorForm]:
     n = mats.algebra.dim
-    image_cols = []
-    if p > 0:
-        below = mats.matrix(p - 1)
-        image_cols = [below.column(j) for j in range(below.cols)]
-    picked = extend_independent(image_cols, kernel_basis(mats.matrix(p)), comb(n, p))
-    return [coords_to_form(n, p, v) for v in picked]
+    # nothing maps into degree 0: its image is the one-row, no-column matrix
+    below = mats.matrix(p - 1) if p > 0 else RationalMatrix(1, 0)
+    basis = form_basis(n, p)
+    return [ExteriorForm(n, p, {basis[i]: x for i, x in sorted(v.items())})
+            for v in kernel_modulo_image(mats.matrix(p), below)]
 
 
 def representatives(g: LieAlgebra, omega: OneForm, p: int) -> list[ExteriorForm]:

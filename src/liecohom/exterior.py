@@ -245,46 +245,55 @@ def _monomial_image(idx: tuple[int, ...], gens, wedge_terms) -> dict[tuple[int, 
 
     Replacing e^k at position t by the 2-form e^i ^ e^j and sorting gives the
     sign (-1)^(t + a + b), where a and b count the remaining indices below i
-    and below j; w_m e^m ^ e^idx gets (-1)^a for the a indices below m.
+    and below j; w_m e^m ^ e^idx gets (-1)^a for the a indices below m. Both
+    tables carry each coefficient next to its negative, and a target's first
+    contribution is stored as it is. Contributions may cancel to zero.
     """
     out: dict[tuple[int, ...], Fraction] = {}
     for t, k in enumerate(idx):
         rest = idx[:t] + idx[t + 1:]
-        for (i, j), c in gens[k - 1]:
+        for i, j, c, neg in gens[k - 1]:
             if i in rest or j in rest:
                 continue
             a, b = bisect_left(rest, i), bisect_left(rest, j)
             new = rest[:a] + (i,) + rest[a:b] + (j,) + rest[b:]
-            out[new] = out.get(new, 0) + (-c if (t + a + b) % 2 else c)
-    for m, c in wedge_terms:
+            term = neg if (t + a + b) % 2 else c
+            old = out.get(new)
+            out[new] = term if old is None else old + term
+    for m, c, neg in wedge_terms:
         if m in idx:
             continue
         a = bisect_left(idx, m)
         new = idx[:a] + (m,) + idx[a:]
-        out[new] = out.get(new, 0) + (-c if a % 2 else c)
+        term = neg if a % 2 else c
+        old = out.get(new)
+        out[new] = term if old is None else old + term
     return out
 
 
 def differential_matrices(g: LieAlgebra, omega: OneForm) -> DifferentialMatrices:
     """Materialize d_w on every degree; requires d omega = 0.
 
-    Closedness is checked and the table of d e^k built once; each basis
-    monomial's image is then written straight into its column.
+    Closedness is checked and the table of d e^k built once. Each basis
+    monomial's image is then appended, as one column, straight into the
+    sparse rows of its matrix; entries that cancel to zero are dropped, so
+    no matrix stores a zero and no dense grid is ever built.
     """
     _require_closed(g, omega)
     n = g.dim
-    gens = [sorted(d.items()) for d in _generator_differentials(n, g.brackets)]
-    wedge_terms = [(m + 1, c) for m, c in enumerate(omega.coeffs) if c]
-    zero = Fraction(0)
+    gens = [[(i, j, c, -c) for (i, j), c in sorted(d.items())]
+            for d in _generator_differentials(n, g.brackets)]
+    wedge_terms = [(m + 1, c, -c) for m, c in enumerate(omega.coeffs) if c]
     mats = []
     source = form_basis(n, 0)
     for p in range(n):
         target = form_basis(n, p + 1)
         row_of = {idx: r for r, idx in enumerate(target)}
-        rows = [[zero] * len(source) for _ in target]
+        rows: list[dict[int, Fraction]] = [{} for _ in target]
         for col, idx in enumerate(source):
             for t_idx, c in _monomial_image(idx, gens, wedge_terms).items():
-                rows[row_of[t_idx]][col] = c
-        mats.append(RationalMatrix._wrap(len(target), len(source), rows))
+                if c:
+                    rows[row_of[t_idx]][col] = c
+        mats.append(RationalMatrix._adopt(len(target), len(source), rows))
         source = target
     return DifferentialMatrices(g, omega, tuple(mats))

@@ -1,13 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Everything here works with ``fractions.Fraction`` entries and never rounds.
-Rank, kernels, linear solves against many right-hand sides at once (a single
-preimage and an inverse are such solves), canonical span bases and greedy
-span extension all go through one fraction-free elimination on sparse
-integer rows: each row is a ``{column: int}`` map with its denominators
-cleared, a row with no entry in the pivot column is left untouched, and
-every updated row is divided by its content. Each row then stays the
-primitive multiple of the row Bareiss elimination would hold, so
+Everything here works with ``fractions.Fraction`` entries and never rounds;
+a float or a bool is refused rather than converted. ``RationalMatrix``
+stores sparse rows, one ``{column: Fraction}`` map of the nonzero entries
+per row, and the elimination reads those rows directly, so the cost of a
+matrix follows its nonzeros rather than its shape.
+
+Rank, kernels, linear solves against many right-hand sides at once (a
+single preimage and an inverse are such solves), canonical span bases and
+greedy span extension all go through one fraction-free elimination on
+sparse integer rows: each row is a ``{column: int}`` map with its
+denominators cleared, a row with no entry in the pivot column is left
+untouched, and every updated row is divided by its content. Each row then
+stays the primitive multiple of the row Bareiss elimination would hold, so
 intermediate entries are bounded by minors of the input instead of letting
 numerators explode.
 
@@ -23,15 +28,29 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from .errors import StructureError
+
 Vector = tuple[Fraction, ...]
+SparseRow = dict[int, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _exact(x) -> Fraction:
+    """A value that is not yet a Fraction, as one.
+
+    A float is already rounded and a bool is not a number, so neither is
+    taken; ints, strings and other exact rationals are.
+    """
+    if isinstance(x, (bool, float)):
+        raise StructureError(f"expected an exact rational, got {x!r}")
+    return Fraction(x)
+
+
 def vector(values: Iterable) -> Vector:
     """Coerce an iterable of rationals (ints, strings, Fractions) to a Vector."""
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    return tuple(v if type(v) is Fraction else _exact(v) for v in values)
 
 
 def zero_vector(n: int) -> Vector:
@@ -50,7 +69,7 @@ def vec_add(u: Vector, v: Vector) -> Vector:
 
 
 def vec_scale(c, v: Vector) -> Vector:
-    c = Fraction(c)
+    c = c if type(c) is Fraction else _exact(c)
     return tuple(c * a for a in v)
 
 
@@ -58,9 +77,26 @@ def vec_is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
-class RationalMatrix:
-    """Dense matrix of exact rationals, row-major.
+def _nonzeros(v: Vector) -> SparseRow:
+    """The nonzero entries of a vector, by position."""
+    return {j: x for j, x in enumerate(v) if x}
 
+
+def _dense(entries: SparseRow, n: int) -> Vector:
+    """The length-n vector with the given nonzero entries."""
+    out = [_ZERO] * n
+    for j, x in entries.items():
+        out[j] = x
+    return tuple(out)
+
+
+class RationalMatrix:
+    """Matrix of exact rationals stored as sparse rows.
+
+    Row i is a ``{column: Fraction}`` map of its nonzero entries. A zero is
+    never stored, so two matrices are equal exactly when their shapes and
+    row maps are, and every operation costs in proportion to the nonzeros.
+    ``row``, ``column``, ``to_rows`` and indexing are dense views.
     Instances are treated as immutable; all operations return new matrices.
     """
 
@@ -69,24 +105,23 @@ class RationalMatrix:
     def __init__(self, rows: int, cols: int, entries: Sequence[Sequence] | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        self.rows = rows
-        self.cols = cols
         if entries is None:
-            self._rows = [[Fraction(0)] * cols for _ in range(rows)]
+            data = [{} for _ in range(rows)]
         else:
             if len(entries) != rows:
                 raise ValueError(f"expected {rows} rows, got {len(entries)}")
             data = []
             for r in entries:
-                r = [Fraction(x) for x in r]
+                r = vector(r)
                 if len(r) != cols:
                     raise ValueError(f"expected {cols} columns, got {len(r)}")
-                data.append(r)
-            self._rows = data
+                data.append(_nonzeros(r))
+        self.rows, self.cols, self._rows = rows, cols, data
 
     @classmethod
-    def _wrap(cls, rows: int, cols: int, data: list[list[Fraction]]) -> "RationalMatrix":
-        """Adopt Fraction rows built by the package; no shape check or coercion."""
+    def _adopt(cls, rows: int, cols: int, data: list[SparseRow]) -> "RationalMatrix":
+        """Adopt sparse rows the package built: Fraction values, no zero
+        stored, every key below ``cols``. Nothing is checked or copied."""
         m = cls.__new__(cls)
         m.rows, m.cols, m._rows = rows, cols, data
         return m
@@ -101,74 +136,88 @@ class RationalMatrix:
     def from_columns(cls, columns: Sequence[Sequence]) -> "RationalMatrix":
         cols = len(columns)
         rows = len(columns[0]) if cols else 0
-        data = [[Fraction(columns[j][i]) for j in range(cols)] for i in range(rows)]
-        return cls._wrap(rows, cols, data)
+        data: list[SparseRow] = [{} for _ in range(rows)]
+        for j, c in enumerate(columns):
+            c = vector(c)
+            if len(c) != rows:
+                raise ValueError(f"expected columns of length {rows}, got {len(c)}")
+            for i, x in enumerate(c):
+                if x:
+                    data[i][j] = x
+        return cls._adopt(rows, cols, data)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls._wrap(n, n, [list(unit_vector(n, i)) for i in range(n)])
+        return cls._adopt(n, n, [{i: _ONE} for i in range(n)])
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self._rows[i][j]
+        # indexing a range checks bounds and resolves negative indices
+        return self._rows[i].get(range(self.cols)[j], _ZERO)
 
     def row(self, i: int) -> Vector:
-        return tuple(self._rows[i])
+        return _dense(self._rows[i], self.cols)
 
     def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self._rows)
+        j = range(self.cols)[j]
+        return tuple(r.get(j, _ZERO) for r in self._rows)
 
     def to_rows(self) -> list[list[Fraction]]:
-        return [list(r) for r in self._rows]
+        return [list(_dense(r, self.cols)) for r in self._rows]
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix._wrap(self.cols, self.rows,
-                                    [[self._rows[i][j] for i in range(self.rows)]
-                                     for j in range(self.cols)])
+        data: list[SparseRow] = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._rows):
+            for j, x in r.items():
+                data[j][i] = x
+        return RationalMatrix._adopt(self.cols, self.rows, data)
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        v = [Fraction(x) for x in v]
-        return tuple(sum((r[j] * v[j] for j in range(self.cols)), Fraction(0))
-                     for r in self._rows)
+        v = vector(v)
+        return tuple(sum((x * v[j] for j, x in r.items()), _ZERO) for r in self._rows)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        out = RationalMatrix(self.rows, other.cols)
-        for i in range(self.rows):
-            ri = self._rows[i]
-            oi = out._rows[i]
-            for k in range(self.cols):
-                a = ri[k]
-                if a == 0:
-                    continue
-                rk = other._rows[k]
-                for j in range(other.cols):
-                    oi[j] += a * rk[j]
-        return out
+        data = []
+        for r in self._rows:
+            acc: SparseRow = {}
+            for k, a in r.items():
+                for j, b in other._rows[k].items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            data.append({j: x for j, x in acc.items() if x})
+        return RationalMatrix._adopt(self.rows, other.cols, data)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return RationalMatrix._wrap(self.rows, self.cols,
-                                    [[a + b for a, b in zip(r1, r2)]
-                                     for r1, r2 in zip(self._rows, other._rows)])
+        data = []
+        for r1, r2 in zip(self._rows, other._rows):
+            row = dict(r1)
+            for j, x in r2.items():
+                s = row.pop(j, _ZERO) + x
+                if s:
+                    row[j] = s
+            data.append(row)
+        return RationalMatrix._adopt(self.rows, self.cols, data)
 
     def scale(self, c) -> "RationalMatrix":
-        c = Fraction(c)
-        return RationalMatrix._wrap(self.rows, self.cols,
-                                    [[c * a for a in r] for r in self._rows])
+        c = c if type(c) is Fraction else _exact(c)
+        if not c:
+            return RationalMatrix(self.rows, self.cols)
+        return RationalMatrix._adopt(self.rows, self.cols,
+                                     [{j: c * x for j, x in r.items()} for r in self._rows])
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        return sum((self._rows[i][i] for i in range(self.rows)), Fraction(0))
+        return sum((r.get(i, _ZERO) for i, r in enumerate(self._rows)), _ZERO)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self._rows for a in r)
+        return not any(self._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -179,20 +228,28 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[dict[int, int]]:
-    """Nonzero rows as sparse integer rows, each row's denominators cleared.
+def _integer_rows(rows: Iterable[SparseRow]) -> list[dict[int, int]]:
+    """Nonempty sparse rows with each row's denominators cleared.
 
-    Row scaling by a positive integer changes neither rank nor solution sets,
-    so elimination on these rows answers questions about the rational rows.
-    Zero rows are dropped.
+    The rows must store no zero. Row scaling by a positive integer changes
+    neither rank nor solution sets, so elimination on these rows answers
+    questions about the rational rows. Empty rows are dropped.
     """
     out = []
-    for r in rows:
-        row = {j: q for j, q in enumerate(r) if q}
+    for row in rows:
         if row:
             mult = lcm(*(q.denominator for q in row.values()))
             out.append({j: q.numerator * (mult // q.denominator) for j, q in row.items()})
     return out
+
+
+def _augment(M: RationalMatrix, columns: Iterable[SparseRow]) -> list[SparseRow]:
+    """Sparse rows of ``[M | columns]``, each column a map over the rows of M."""
+    rows = [dict(r) for r in M._rows]
+    for k, v in enumerate(columns, start=M.cols):
+        for i, x in v.items():
+            rows[i][k] = x
+    return rows
 
 
 def _eliminate(row: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[int, int]:
@@ -265,6 +322,20 @@ def rank(M: RationalMatrix) -> int:
     return len(_echelon(_integer_rows(M._rows))[1])
 
 
+def _kernel(M: RationalMatrix) -> list[SparseRow]:
+    """The ``kernel_basis`` vectors as sparse ``{coordinate: value}`` maps."""
+    echelon, pivots = _echelon(_integer_rows(M._rows))
+    _reduce(echelon, pivots)
+    pivot_set = set(pivots)
+    basis = {f: {f: _ONE} for f in range(M.cols) if f not in pivot_set}
+    for row, c in zip(echelon, pivots):
+        d = row[c]
+        for j, x in row.items():
+            if j != c:
+                basis[j][c] = Fraction(-x, d)
+    return list(basis.values())
+
+
 def kernel_basis(M: RationalMatrix) -> list[Vector]:
     """Deterministic basis of the right null space.
 
@@ -273,18 +344,23 @@ def kernel_basis(M: RationalMatrix) -> list[Vector]:
     coordinates are read off the reduced echelon form, so ``M @ v == 0``
     holds exactly for every returned ``v``.
     """
-    echelon, pivots = _echelon(_integer_rows(M._rows))
-    _reduce(echelon, pivots)
-    pivot_set = set(pivots)
-    basis = {f: [_ZERO] * M.cols for f in range(M.cols) if f not in pivot_set}
-    for f, v in basis.items():
-        v[f] = _ONE
-    for row, c in zip(echelon, pivots):
-        d = row[c]
-        for j, x in row.items():
-            if j != c:
-                basis[j][c] = Fraction(-x, d)
-    return [tuple(v) for v in basis.values()]
+    return [_dense(v, M.cols) for v in _kernel(M)]
+
+
+def kernel_modulo_image(M: RationalMatrix, B: RationalMatrix) -> list[SparseRow]:
+    """The ``kernel_basis`` vectors of ``M`` that enlarge the span of the
+    columns of ``B`` and of the vectors picked before, as sparse maps.
+
+    When ``M @ B == 0`` they are a basis of ``ker M / im B``. They are the
+    vectors ``extend_independent(<columns of B>, kernel_basis(M), M.cols)``
+    picks, read off the pivot columns of one elimination of the sparse rows
+    of ``[B | kernel]``.
+    """
+    if B.rows != M.cols:
+        raise ValueError("image row count does not match the kernel's ambient dimension")
+    kernel = _kernel(M)
+    _, pivots = _echelon(_integer_rows(_augment(B, kernel)))
+    return [kernel[c - B.cols] for c in pivots if c >= B.cols]
 
 
 def solve(M: RationalMatrix, targets: Sequence[Sequence]) -> list[Vector] | None:
@@ -304,17 +380,16 @@ def solve(M: RationalMatrix, targets: Sequence[Sequence]) -> list[Vector] | None
         raise ValueError("target length does not match row count")
     if not targets:
         return []
-    augmented = [r + list(t) for r, t in zip(M._rows, zip(*targets))]
-    echelon, pivots = _echelon(_integer_rows(augmented))
+    echelon, pivots = _echelon(_integer_rows(_augment(M, map(_nonzeros, targets))))
     if pivots and pivots[-1] >= M.cols:
         return None
     _reduce(echelon, pivots)
-    solutions = [[_ZERO] * M.cols for _ in targets]
+    solutions: list[SparseRow] = [{} for _ in targets]
     for row, c in zip(echelon, pivots):
         for j, x in row.items():
             if j >= M.cols:
                 solutions[j - M.cols][c] = Fraction(x, row[c])
-    return [tuple(u) for u in solutions]
+    return [_dense(u, M.cols) for u in solutions]
 
 
 def in_image(M: RationalMatrix, target: Sequence) -> Vector | None:
@@ -342,15 +417,10 @@ def span_basis(vectors: Iterable[Sequence], ambient: int) -> list[Vector]:
     rows = [vector(v) for v in vectors]
     if any(len(r) != ambient for r in rows):
         raise ValueError("vector length does not match ambient dimension")
-    echelon, pivots = _echelon(_integer_rows(rows))
+    echelon, pivots = _echelon(_integer_rows(map(_nonzeros, rows)))
     _reduce(echelon, pivots)
-    basis = []
-    for row, c in zip(echelon, pivots):
-        out = [_ZERO] * ambient
-        for j, x in row.items():
-            out[j] = Fraction(x, row[c])
-        basis.append(tuple(out))
-    return basis
+    return [_dense({j: Fraction(x, row[c]) for j, x in row.items()}, ambient)
+            for row, c in zip(echelon, pivots)]
 
 
 def extend_independent(base: Sequence[Sequence], candidates: Iterable[Sequence],
@@ -367,5 +437,7 @@ def extend_independent(base: Sequence[Sequence], candidates: Iterable[Sequence],
     columns = [vector(v) for v in base] + cands
     if any(len(v) != ambient for v in columns):
         raise ValueError("vector length does not match ambient dimension")
-    _, pivots = _echelon(_integer_rows(zip(*columns)))
-    return [cands[c - len(base)] for c in pivots if c >= len(base)]
+    rows = _augment(RationalMatrix(ambient, 0), map(_nonzeros, columns))
+    _, pivots = _echelon(_integer_rows(rows))
+    shift = len(columns) - len(cands)
+    return [cands[c - shift] for c in pivots if c >= shift]

@@ -1,3 +1,4 @@
+import importlib
 import json
 from fractions import Fraction
 
@@ -115,6 +116,24 @@ def test_cohomology_command(sol3_file, capsys):
 
 def test_cohomology_non_closed_form_exits_2(heis_file, capsys):
     assert main(["cohomology", heis_file, "--omega", "0,0,1"]) == 2
+
+
+def test_cohomology_builds_representatives_only_with_reps(sol3_file, capsys, monkeypatch):
+    # the package exports a function named cohomology, so fetch the module itself
+    module = importlib.import_module("liecohom.cohomology")
+
+    def refuse(*args):
+        raise AssertionError("representatives built although --reps was not given")
+
+    monkeypatch.setattr(module, "_representatives_from", refuse)
+    assert main(["cohomology", sol3_file, "--omega", "1,0,0"]) == 0
+    assert capsys.readouterr().out == "omega = (1,0,0)\nbetti = [0, 1, 1, 0]\n"
+    assert main(["cohomology", sol3_file, "--omega", "1,0,0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"omega": ["1", "0", "0"],
+                                                   "betti": [0, 1, 1, 0]}
+    # the stub is live: --reps does reach it
+    with pytest.raises(AssertionError):
+        main(["cohomology", sol3_file, "--omega", "1,0,0", "--reps"])
 
 
 def test_weights_not_triangularizable_exits_2(euclid_file, capsys):

@@ -3,13 +3,17 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecohom import (
     ExteriorForm,
+    LieAlgebra,
     NonClosedFormError,
     OneForm,
     betti_numbers,
     change_basis,
+    closed_one_forms,
     cohomology,
     deformed_differential,
     differential_matrices,
@@ -216,3 +220,27 @@ def test_poincare_duality_on_unimodular_entries(heisenberg3, sol3, euclid3, abel
             left = betti_numbers(g, omega)
             right = betti_numbers(g, theta - omega)
             assert left == right[::-1]
+
+
+SOLVABLE = {
+    "abelian2": lambda: load_example("abelian", n=2).algebra,
+    "affine2": lambda: LieAlgebra.from_brackets(2, {(1, 2): (0, 1)}),
+    "heisenberg3": lambda: load_example("heisenberg3").algebra,
+    "sol3": lambda: load_example("sol3", k=1).algebra,
+    "euclid3": lambda: load_example("euclid3").algebra,
+    "diag5": lambda: diag(5),
+    "heisenberg5": heisenberg5,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(SOLVABLE)), st.integers(0, 2**32 - 1))
+def test_betti_numbers_are_basis_invariant(name, seed):
+    rng = random.Random(seed)
+    g = SOLVABLE[name]()
+    terms = [(rng.randint(-3, 3), b) for b in closed_one_forms(g).basis]
+    omega = OneForm([sum((c * b[i] for c, b in terms), Fraction(0)) for i in range(g.dim)])
+    m = random_invertible(g.dim, rng)
+    betti = betti_numbers(g, omega)
+    assert betti_numbers(change_basis(g, m), pullback_one_form(omega, m)) == betti
+    assert sum((-1) ** p * b for p, b in enumerate(betti)) == 0

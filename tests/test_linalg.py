@@ -287,3 +287,104 @@ def test_extend_independent_matches_the_sequential_rank_loop(m, data):
     assert picked == sequential_extend(base, cands, m.rows)
     assert len(picked) == (naive_rank(RationalMatrix.from_columns(base + cands))
                            - naive_rank(RationalMatrix.from_columns(base)))
+
+
+# --- the sparse matrix class against plain lists of lists ---
+
+
+def stores_no_zero(m: RationalMatrix) -> bool:
+    return all(x != 0 for r in m._rows for x in r.values())
+
+
+def grid(data, rows, cols, cell=ENTRIES["rational"]):
+    return data.draw(st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                              min_size=rows, max_size=rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), st.data())
+def test_sparse_matrix_matches_the_list_oracle(m, data):
+    a = m.to_rows()
+    assert stores_no_zero(m)
+    assert all(type(x) is Fraction for r in a for x in r)
+    assert RationalMatrix(m.rows, m.cols, a) == m
+    if m.rows:
+        assert RationalMatrix.from_rows(a) == m
+    if m.cols:
+        assert RationalMatrix.from_columns([[r[j] for r in a] for j in range(m.cols)]) == m
+    for i in range(m.rows):
+        assert m.row(i) == tuple(a[i])
+        for j in range(m.cols):
+            assert m[i, j] == a[i][j]
+    for j in range(m.cols):
+        assert m.column(j) == tuple(r[j] for r in a)
+    results = []
+
+    t = m.transpose()
+    assert (t.rows, t.cols) == (m.cols, m.rows)
+    assert t.to_rows() == [[a[i][j] for i in range(m.rows)] for j in range(m.cols)]
+    results.append(t)
+
+    v = data.draw(st.lists(ENTRIES["rational"], min_size=m.cols, max_size=m.cols))
+    assert m.apply(v) == tuple(sum((x * y for x, y in zip(r, v)), Fraction(0)) for r in a)
+
+    width = data.draw(st.integers(0, 4))
+    b = grid(data, m.cols, width, ENTRIES[data.draw(st.sampled_from(sorted(ENTRIES)))])
+    product = m @ RationalMatrix(m.cols, width, b)
+    assert (product.rows, product.cols) == (m.rows, width)
+    assert product.to_rows() == [
+        [sum((r[k] * b[k][j] for k in range(m.cols)), Fraction(0)) for j in range(width)]
+        for r in a]
+    results.append(product)
+
+    c = grid(data, m.rows, m.cols)
+    total = m + RationalMatrix(m.rows, m.cols, c)
+    assert total.to_rows() == [[x + y for x, y in zip(r, s)] for r, s in zip(a, c)]
+    results += [total, m + m.scale(-1)]
+    assert (m + m.scale(-1)).is_zero()
+
+    assert m.scale(0) == RationalMatrix(m.rows, m.cols)
+    k = data.draw(ENTRIES["rational"])
+    assert m.scale(k).to_rows() == [[k * x for x in r] for r in a]
+    results += [m.scale(0), m.scale(k)]
+
+    if m.rows == m.cols:
+        assert m.trace() == sum((a[i][i] for i in range(m.rows)), Fraction(0))
+    assert m.is_zero() == all(x == 0 for r in a for x in r)
+    assert (m == RationalMatrix(m.rows, m.cols)) == m.is_zero()
+    assert all(stores_no_zero(r) for r in results)
+
+
+def test_floats_and_bools_are_refused():
+    from liecohom import OneForm, StructureError
+    from liecohom.linalg import vector
+
+    for bad in (0.5, 1.0, True, False):
+        for make in (lambda: vector([1, bad]),
+                     lambda: OneForm([bad, 0, 0]),
+                     lambda: RationalMatrix.from_rows([[bad, 1]]),
+                     lambda: RationalMatrix.from_columns([[1], [bad]]),
+                     lambda: RationalMatrix.identity(2).apply([bad, 0]),
+                     lambda: RationalMatrix.identity(2).scale(bad)):
+            with pytest.raises(StructureError):
+                make()
+    assert vector(["1/2", -3, Fraction(2, 3)]) == (Fraction(1, 2), -3, Fraction(2, 3))
+    assert RationalMatrix.from_rows([["1/2", 0]]) == RationalMatrix(1, 2, [[Fraction(1, 2), 0]])
+
+
+def test_ragged_input_is_refused():
+    for ragged in ([[1], [2, 3]], [[1, 2], [3]]):
+        with pytest.raises(ValueError):
+            RationalMatrix.from_rows(ragged)
+        with pytest.raises(ValueError):
+            RationalMatrix.from_columns(ragged)
+
+
+def test_dense_views_check_column_bounds():
+    m = RationalMatrix.from_rows([[1, 2], [3, 0]])
+    assert (m[1, -1], m[-1, 0], m.column(-1)) == (0, 3, (2, 0))
+    for j in (2, -3):
+        with pytest.raises(IndexError):
+            m[0, j]
+        with pytest.raises(IndexError):
+            m.column(j)
