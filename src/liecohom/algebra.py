@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .errors import JacobiError, StructureError
@@ -57,7 +58,7 @@ class OneForm:
 
     def evaluate(self, v: Sequence) -> Fraction:
         """Pairing with a vector of the algebra."""
-        return sum((a * Fraction(b) for a, b in zip(self.coeffs, v, strict=True)),
+        return sum((a * b for a, b in zip(self.coeffs, vector(v), strict=True) if a),
                    Fraction(0))
 
     def __add__(self, other: "OneForm") -> "OneForm":
@@ -136,9 +137,10 @@ def _normalize_brackets(dim: int, brackets: Mapping) -> dict[tuple[int, int], Ve
     for key, coeffs in brackets.items():
         try:
             i, j = key
-            i, j = int(i), int(j)
         except (TypeError, ValueError):
             raise StructureError(f"bracket key {key!r} is not an index pair") from None
+        if type(i) is not int or type(j) is not int:
+            raise StructureError(f"bracket key {key!r} is not a pair of integers")
         if not (1 <= i < j <= dim):
             raise StructureError(
                 f"bracket indices ({i},{j}) must satisfy 1 <= i < j <= {dim}")
@@ -174,13 +176,12 @@ class LieAlgebra:
         self._table.update(dict(self.brackets))
 
     @classmethod
-    def from_brackets(cls, dim: int, brackets: Mapping, names: Sequence[str] | None = None,
-                      validate: bool = True) -> "LieAlgebra":
+    def from_brackets(cls, dim: int, brackets: Mapping,
+                      names: Sequence[str] | None = None) -> "LieAlgebra":
         """Build an algebra from a ``{(i, j): coeff vector}`` table.
 
-        ``validate=False`` skips the Jacobi check; it exists for diagnostic
-        work on deliberately broken tables (d squared is then nonzero) and
-        should not appear in normal code.
+        Raises StructureError for a malformed table and JacobiError, with
+        the full report, when the table fails the Jacobi identity.
         """
         table = _normalize_brackets(dim, brackets)
         if names is None:
@@ -189,11 +190,11 @@ class LieAlgebra:
             names = tuple(str(s) for s in names)
             if len(names) != dim:
                 raise StructureError(f"expected {dim} basis names, got {len(names)}")
-        if validate:
-            report = _jacobi_report(dim, table)
-            if not report.ok:
-                raise JacobiError(report)
-        return cls(dim, names, tuple(sorted(table.items())))
+        g = cls(dim, names, tuple(sorted(table.items())))
+        report = _jacobi_report(g)
+        if not report.ok:
+            raise JacobiError(report)
+        return g
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         """[e_i, e_j] for 1-based indices in any order."""
@@ -228,29 +229,16 @@ class LieAlgebra:
         return RationalMatrix.from_columns([list(c) for c in cols])
 
 
-def _jacobi_report(dim: int, table: Mapping[tuple[int, int], Vector]) -> ValidationReport:
-    def bb(i: int, j: int) -> Vector:
-        if i == j:
-            return zero_vector(dim)
-        if i < j:
-            return table.get((i, j), zero_vector(dim))
-        return vec_scale(-1, table.get((j, i), zero_vector(dim)))
-
-    def bv(x: Vector, j: int) -> Vector:
-        out = zero_vector(dim)
-        for m in range(dim):
-            if x[m] != 0:
-                out = vec_add(out, vec_scale(x[m], bb(m + 1, j)))
-        return out
+def _jacobi_report(g: LieAlgebra) -> ValidationReport:
+    """Every triple i < j < k whose cyclic sum [[e_i, e_j], e_k] + ... is nonzero."""
+    def nested(a: int, b: int, c: int) -> Vector:
+        return g.bracket(g.bracket_basis(a, b), unit_vector(g.dim, c - 1))
 
     defects = []
-    for i in range(1, dim + 1):
-        for j in range(i + 1, dim + 1):
-            for k in range(j + 1, dim + 1):
-                total = vec_add(vec_add(bv(bb(i, j), k), bv(bb(j, k), i)),
-                                bv(bb(k, i), j))
-                if not vec_is_zero(total):
-                    defects.append(JacobiDefect((i, j, k), total))
+    for i, j, k in combinations(range(1, g.dim + 1), 3):
+        total = vec_add(vec_add(nested(i, j, k), nested(j, k, i)), nested(k, i, j))
+        if not vec_is_zero(total):
+            defects.append(JacobiDefect((i, j, k), total))
     return ValidationReport(ok=not defects, defects=tuple(defects))
 
 
@@ -261,8 +249,11 @@ def validate_lie_algebra(dim: int, brackets: Mapping) -> ValidationReport:
     exhaustively in the returned report, one entry per bad triple, which is
     friendlier than fail-fast when authoring a new algebra.
     """
-    table = _normalize_brackets(dim, brackets)
-    return _jacobi_report(dim, table)
+    try:
+        LieAlgebra.from_brackets(dim, brackets)
+    except JacobiError as exc:
+        return exc.report
+    return ValidationReport(ok=True)
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
@@ -358,10 +349,10 @@ def pullback_one_form(omega: OneForm, m: RationalMatrix) -> OneForm:
     return OneForm(m.transpose().apply(omega.coeffs))
 
 
-def random_invertible(n: int, rng, lo: int = -3, hi: int = 3) -> RationalMatrix:
-    """Random invertible integer matrix; used by tests for basis changes."""
+def random_invertible(n: int, rng) -> RationalMatrix:
+    """Random invertible matrix with entries in -3..3; used by tests for basis changes."""
     while True:
-        m = RationalMatrix(n, n, [[rng.randint(lo, hi) for _ in range(n)]
+        m = RationalMatrix(n, n, [[rng.randint(-3, 3) for _ in range(n)]
                                   for _ in range(n)])
         if rank(m) == n:
             return m

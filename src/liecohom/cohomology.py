@@ -1,7 +1,8 @@
 """Cohomology of the twisted complex: Betti numbers and representatives.
 
 Degree p cohomology is ker(d_w at p) modulo im(d_w at p-1); its dimension
-comes from two exact ranks. Representatives are picked deterministically:
+comes from two exact ranks, or, where representatives are built anyway,
+from their count. Representatives are picked deterministically:
 the kernel basis vectors that enlarge the span of [image columns | kept so
 far], in order. One elimination of the sparse rows of [d_w at p-1 | kernel
 basis] picks them all, so reruns and platforms agree exactly, and each
@@ -69,9 +70,9 @@ def representatives(g: LieAlgebra, omega: OneForm, p: int) -> list[ExteriorForm]
 def cohomology(g: LieAlgebra, omega: OneForm) -> CohomologyResult:
     """Betti numbers plus representatives for every degree in one pass."""
     mats = differential_matrices(g, omega)
-    betti = tuple(_betti(mats))
     reps = tuple(tuple(_representatives_from(mats, p)) for p in range(g.dim + 1))
-    return CohomologyResult(omega=omega, betti=betti, representatives=reps)
+    # d_w squares to zero, so each degree's representatives are a basis of H^p
+    return CohomologyResult(omega=omega, betti=tuple(map(len, reps)), representatives=reps)
 
 
 def is_cocycle(g: LieAlgebra, omega: OneForm, xi: ExteriorForm) -> bool:

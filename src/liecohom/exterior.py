@@ -23,8 +23,8 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import LieAlgebra, OneForm
-from .errors import NonClosedFormError
-from .linalg import RationalMatrix, Vector
+from .errors import NonClosedFormError, StructureError
+from .linalg import RationalMatrix, Vector, _exact
 
 
 def sort_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
@@ -55,8 +55,10 @@ class ExteriorForm:
         self.degree = degree
         clean: dict[tuple[int, ...], Fraction] = {}
         for idx, c in (terms or {}).items():
-            idx = tuple(int(i) for i in idx)
-            c = Fraction(c)
+            if any(type(i) is not int for i in idx):
+                raise StructureError(f"index tuple {idx!r} must hold integers")
+            idx = tuple(idx)
+            c = c if type(c) is Fraction else _exact(c)
             if c == 0:
                 continue
             if len(idx) != degree:
@@ -74,7 +76,7 @@ class ExteriorForm:
 
     @classmethod
     def scalar(cls, dim: int, value) -> "ExteriorForm":
-        return cls(dim, 0, {(): Fraction(value)})
+        return cls(dim, 0, {(): value})
 
     @classmethod
     def basis(cls, dim: int, indices: Sequence[int]) -> "ExteriorForm":
@@ -107,7 +109,7 @@ class ExteriorForm:
         return self + (-other)
 
     def scale(self, c) -> "ExteriorForm":
-        c = Fraction(c)
+        c = c if type(c) is Fraction else _exact(c)
         return ExteriorForm(self.dim, self.degree,
                             {idx: c * v for idx, v in self.terms.items()})
 
@@ -215,7 +217,7 @@ def coords_to_form(n: int, p: int, coords: Sequence) -> ExteriorForm:
     basis = form_basis(n, p)
     if len(coords) != len(basis):
         raise ValueError("coordinate length does not match the graded dimension")
-    return ExteriorForm(n, p, {idx: Fraction(c) for idx, c in zip(basis, coords)})
+    return ExteriorForm(n, p, dict(zip(basis, coords)))
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def algebra_from_dict(doc: Mapping, validate: bool = True) -> LieAlgebra:
+def algebra_from_dict(doc: Mapping) -> LieAlgebra:
     if not isinstance(doc, Mapping):
         raise StructureError("algebra document must be a JSON object")
     if "dim" not in doc:
@@ -97,7 +97,7 @@ def algebra_from_dict(doc: Mapping, validate: bool = True) -> LieAlgebra:
                     f"bracket ({i},{j}) target index {k} out of range 1..{dim}")
             vec[k - 1] = parse_rational(value)
         brackets[(i, j)] = vec
-    return LieAlgebra.from_brackets(dim, brackets, names=names, validate=validate)
+    return LieAlgebra.from_brackets(dim, brackets, names=names)
 
 
 def algebra_to_dict(g: LieAlgebra) -> dict:

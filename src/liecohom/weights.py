@@ -5,13 +5,14 @@ brought to triangular form. This module constructs such a flag over the
 rationals: it repeatedly finds a common eigenvector of the whole algebra
 acting on the current quotient of [g, g], records the eigenvalue functional,
 and quotients it away. Soundness of each step rests on the classical
-invariance lemma for weight spaces of ideals, so the generators are consumed
-along a chain of subalgebras refined from the derived series. The part of
-the chain inside [g, g] acts nilpotently (Lie's theorem), so its common
-eigenspace is one joint kernel; only the k generators of a complement need
-eigenvalues. Those are the rational roots of characteristic polynomials,
-isolated exactly with Sturm sequences at a cost polynomial in the bit size
-of the coefficients.
+invariance lemma: a common eigenspace of an ideal is invariant under the
+whole algebra. Every subspace that contains [g, g] is an ideal, so the
+actions can be taken in any fixed order: first [g, g], which acts
+nilpotently (Lie's theorem) and so has one joint kernel as its common
+eigenspace, then the k vectors of a complement of [g, g], one at a time.
+Only those k need eigenvalues. They are the rational roots of
+characteristic polynomials, isolated exactly with Sturm sequences at a cost
+polynomial in the bit size of the coefficients.
 
 The recorded weight alpha_i is the coefficient form of the dual relation
 
@@ -33,7 +34,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
-from .algebra import LieAlgebra, OneForm, Subspace, derived_series
+from .algebra import LieAlgebra, OneForm, derived_series, pullback_one_form
 from .errors import NonClosedFormError, NotSolvableError, NotTriangularizableError
 from .linalg import (
     RationalMatrix,
@@ -216,23 +217,6 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
-def _derived_chain_basis(series: list[Subspace]) -> list[Vector]:
-    """Basis b_1..b_n such that every suffix span is an ideal of the previous.
-
-    Built by completing upwards through the derived series: the suffixes
-    interpolate consecutive derived terms, and any subspace squeezed between
-    D_{i+1} and D_i satisfies [D_i, U] <= D_{i+1} <= U.
-    """
-    n = series[0].ambient_dim
-    basis: list[Vector] = []
-    # deepest term first; new vectors are prepended. The series of a solvable
-    # algebra ends at 0 and basis spans each deeper term, so the extension
-    # picks exactly dim(shallower) - dim(deeper) vectors.
-    for shallower in reversed(series[:-1]):
-        basis = extend_independent(basis, shallower.basis, n) + basis
-    return basis
-
-
 def _coordinates(columns: list[Vector], targets: list[Vector]) -> list[Vector]:
     """Coordinates of every target on the independent ``columns``."""
     coords = solve(RationalMatrix.from_columns(columns), targets)
@@ -256,7 +240,8 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
     n = g.dim
     der = series[1]
     k = n - der.dim
-    chain = _derived_chain_basis(series)
+    complement = extend_independent(der.basis, [unit_vector(n, j) for j in range(n)], n)
+    acting = complement + list(der.basis)
     flag: list[Vector] = []
     adjoint_funcs: list[Vector] = []
 
@@ -266,18 +251,18 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
         quot = extend_independent(flag, der.basis, n)
         q_dim = len(quot)
         columns = quot + flag
-        chain_coords = _coordinates(columns, [g.bracket(b, q) for b in chain for q in quot])
-        chain_actions = [
-            RationalMatrix.from_columns([c[:q_dim] for c in chain_coords[i:i + q_dim]])
-            for i in range(0, len(chain_coords), q_dim)
+        coords = _coordinates(columns, [g.bracket(b, q) for b in acting for q in quot])
+        actions = [
+            RationalMatrix.from_columns([c[:q_dim] for c in coords[i:i + q_dim]])
+            for i in range(0, len(coords), q_dim)
         ]
-        # chain[k:] spans [g, g], which acts nilpotently on a solvable algebra
-        # (Lie's theorem). Each of its actions has the single eigenvalue 0, so
-        # walking them in turn intersects their kernels: one kernel of all
-        # their matrices stacked by rows is the same canonical space.
-        derived = [r for action in chain_actions[k:] for r in action.to_rows()]
+        # [g, g] acts nilpotently on a solvable algebra (Lie's theorem), so its
+        # common eigenspace is the joint kernel of the actions of der.basis.
+        # The action is linear in the acting element, so every basis of [g, g]
+        # stacks to the same row space and this canonical kernel.
+        derived = [r for action in actions[k:] for r in action.to_rows()]
         space = span_basis(kernel_basis(RationalMatrix.from_rows(derived)), q_dim)
-        for action in reversed(chain_actions[:k]):
+        for action in reversed(actions[:k]):
             # matrix of the action on the invariant span(space), in its coordinates
             restricted = RationalMatrix.from_columns(
                 _coordinates(space, [action.apply(s) for s in space]))
@@ -311,7 +296,6 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
         adjoint_funcs.append(tuple(eigenvalues))
         flag.append(v)
 
-    complement = extend_independent(der.basis, [unit_vector(n, j) for j in range(n)], n)
     columns = complement + list(reversed(flag))
     change = RationalMatrix.from_columns([list(c) for c in columns])
     if rank(change) != n:
@@ -340,15 +324,10 @@ def omega_set(data: WeightData) -> OmegaSet:
     return OmegaSet(frozenset(sums))
 
 
-def _adapted_coords(data: WeightData, omega: OneForm) -> Vector:
-    """Coefficients of a one-form in the adapted dual basis."""
-    return data.adapted_change.transpose().apply(omega.coeffs)
-
-
 def _require_closed_weightwise(data: WeightData, omega: OneForm) -> None:
     # positions k+1..n of the adapted basis span [g, g], so a closed form is
     # exactly one with no coefficients there
-    coords = _adapted_coords(data, omega)
+    coords = pullback_one_form(omega, data.adapted_change).coeffs
     if any(c != 0 for c in coords[data.k:]):
         raise NonClosedFormError("one-form is not closed (does not kill [g, g])")
 
@@ -381,7 +360,7 @@ def r0_spectrum(data: WeightData, omega: OneForm, p: int) -> list[Fraction]:
         total = omega
         for i in subset:
             total = total + data.weights[i]
-        coords = _adapted_coords(data, total)
+        coords = pullback_one_form(total, data.adapted_change).coeffs
         values.append(sum((c * c for c in coords), Fraction(0)))
     return sorted(values)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from liecohom import LieAlgebra, OneForm, load_example
-from liecohom.linalg import RationalMatrix, rank
+from liecohom.linalg import RationalMatrix, rank, vector
 
 
 @pytest.fixture
@@ -65,6 +65,13 @@ def diag(n):
     return LieAlgebra.from_brackets(n, {
         (1, j): tuple(Fraction(j - 1) if m == j - 1 else 0 for m in range(n))
         for j in range(2, n + 1)})
+
+
+def unchecked_algebra(dim, brackets):
+    """Algebra built by the dataclass constructor, which skips the Jacobi
+    check; only for tests that need a deliberately broken table."""
+    return LieAlgebra(dim, tuple(f"e{i}" for i in range(1, dim + 1)),
+                      tuple((key, vector(v)) for key, v in sorted(brackets.items())))
 
 
 def heisenberg5():

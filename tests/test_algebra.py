@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liecohom import (
     AlgebraClass,
@@ -49,6 +52,39 @@ def test_validate_reports_jacobi_defect_exhaustively():
     assert "(1, 2, 3)" in str(report)
 
 
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(1, 6))
+    entry = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)]),
+                     min_size=n, max_size=n)
+    return n, {(i, j): draw(entry) for i, j in combinations(range(1, n + 1), 2)
+               if draw(st.booleans())}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables())
+@example((3, BROKEN_TABLE))
+@example((3, {(1, 2): (0, 0, 1)}))
+def test_validate_matches_structure_constant_oracle(case):
+    n, table = case
+    # c[a][b][m] is the e_m coefficient of [e_a, e_b], 0-based
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), v in table.items():
+        for m, x in enumerate(v):
+            c[i - 1][j - 1][m], c[j - 1][i - 1][m] = Fraction(x), -Fraction(x)
+    expected = []
+    for i, j, k in combinations(range(n), 3):
+        cyclic = tuple(
+            sum(c[a][b][m] * c[m][d][out] for a, b, d in ((i, j, k), (j, k, i), (k, i, j))
+                for m in range(n))
+            for out in range(n))
+        if any(cyclic):
+            expected.append(((i + 1, j + 1, k + 1), cyclic))
+    report = validate_lie_algebra(n, table)
+    assert report.ok == (not expected)
+    assert [(d.triple, d.defect) for d in report.defects] == expected
+
+
 def test_construction_raises_on_jacobi_failure():
     with pytest.raises(JacobiError) as exc:
         LieAlgebra.from_brackets(3, BROKEN_TABLE)
@@ -63,6 +99,8 @@ def test_construction_raises_on_jacobi_failure():
     (2, {(1, 3): (0, 1)}),            # index out of range
     (2, {(1, 2): ("x", 0)}),          # non-rational coefficient
     (True, {}),                       # a bool is not a dimension
+    (2, {(1.9, 2): (0, 1)}),          # a float index is not cast to 1
+    (2, {(True, 2): (0, 1)}),         # nor is a bool
 ])
 def test_malformed_tables_are_structural_errors(dim, brackets):
     with pytest.raises(StructureError):

@@ -243,4 +243,5 @@ def test_betti_numbers_are_basis_invariant(name, seed):
     m = random_invertible(g.dim, rng)
     betti = betti_numbers(g, omega)
     assert betti_numbers(change_basis(g, m), pullback_one_form(omega, m)) == betti
+    assert cohomology(g, omega).betti == tuple(betti)
     assert sum((-1) ** p * b for p, b in enumerate(betti)) == 0

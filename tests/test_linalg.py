@@ -356,20 +356,29 @@ def test_sparse_matrix_matches_the_list_oracle(m, data):
 
 
 def test_floats_and_bools_are_refused():
-    from liecohom import OneForm, StructureError
+    from liecohom import ExteriorForm, OneForm, StructureError
+    from liecohom.exterior import coords_to_form
     from liecohom.linalg import vector
 
-    for bad in (0.5, 1.0, True, False):
+    for bad in (0.1, 0.5, 1.0, True, False):
         for make in (lambda: vector([1, bad]),
                      lambda: OneForm([bad, 0, 0]),
+                     lambda: OneForm([1, 0, 0]).evaluate([bad, 0, 0]),
                      lambda: RationalMatrix.from_rows([[bad, 1]]),
                      lambda: RationalMatrix.from_columns([[1], [bad]]),
                      lambda: RationalMatrix.identity(2).apply([bad, 0]),
-                     lambda: RationalMatrix.identity(2).scale(bad)):
+                     lambda: RationalMatrix.identity(2).scale(bad),
+                     lambda: ExteriorForm(3, 1, {(1,): bad}),
+                     lambda: ExteriorForm(3, 1, {(bad,): 1}),
+                     lambda: ExteriorForm.basis(3, (1,)).scale(bad),
+                     lambda: ExteriorForm.scalar(3, bad),
+                     lambda: coords_to_form(3, 1, [bad, 0, 0])):
             with pytest.raises(StructureError):
                 make()
     assert vector(["1/2", -3, Fraction(2, 3)]) == (Fraction(1, 2), -3, Fraction(2, 3))
     assert RationalMatrix.from_rows([["1/2", 0]]) == RationalMatrix(1, 2, [[Fraction(1, 2), 0]])
+    assert ExteriorForm(3, 1, {(1,): "1/10"}) == ExteriorForm(3, 1, {(1,): Fraction(1, 10)})
+    assert OneForm([1, 2, 0]).evaluate(["1/2", 1, 0]) == Fraction(5, 2)
 
 
 def test_ragged_input_is_refused():

@@ -352,3 +352,70 @@ def test_omega_set_matches_subset_enumeration(sol3):
                     total = total + w
                 brute.add(total)
         assert omega_set(data).elements == brute
+
+
+def upper_triangular(n):
+    """Upper-triangular n x n matrices; basis E_ab (a <= b), lexicographic."""
+    from liecohom import LieAlgebra
+
+    idx = [(a, b) for a in range(n) for b in range(a, n)]
+    brackets = {}
+    for s, t in combinations(range(len(idx)), 2):
+        (a, b), (c, d) = idx[s], idx[t]
+        v = [0] * len(idx)
+        if b == c:
+            v[idx.index((a, d))] += 1
+        if d == a:
+            v[idx.index((c, b))] -= 1
+        if any(v):
+            brackets[(s + 1, t + 1)] = v
+    return LieAlgebra.from_brackets(len(idx), brackets)
+
+
+# adapted_change rows, weights and k, byte for byte: the tie-breaks are fixed,
+# so the output is part of the contract. Each of the first four is taken
+# after change_basis by random_invertible(n, Random(seed)).
+GOLDEN_ADAPTED = [
+    (jordan4, 0, 1,
+     [[1, 1, 1, 1], [0, 0, 1, -4], [0, -1, -1, -1], [0, 0, 0, -15]],
+     [[0, 0, 0, 0], [-3, 0, -3, 0], [-3, 0, -3, 0], [6, 0, 6, 0]]),
+    (borel4, 1, 1,
+     [[1, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, "-1/2"], [0, "-1/3", "2/3", "7/6"]],
+     [[0, 0, 0, 0], [2, -1, -3, -3], [2, -1, -3, -3], [4, -2, -6, -6]]),
+    (lambda: diag(5), 2, 1,
+     [[1, 1, 1, 1, 1], [0, 0, "-1/3", "-5/12", "-17/10"], [0, 0, 0, "-1/4", "-4/5"],
+      [0, 0, 0, 0, "-11/10"], [0, 1, "2/3", "5/6", "6/5"]],
+     [[0, 0, 0, 0, 0], [-12, -12, 12, 12, 12], [-9, -9, 9, 9, 9], [-6, -6, 6, 6, 6],
+      [-3, -3, 3, 3, 3]]),
+    (heisenberg5, 3, 4,
+     [[1, 0, 0, 0, 1], [0, 1, 0, 0, "-1/14"], [0, 0, 1, 0, "-15/28"],
+      [0, 0, 0, 1, "-31/28"], [0, 0, 0, 0, "-11/28"]],
+     [[0] * 5] * 5),
+    (lambda: upper_triangular(3), None, 3,
+     [[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1],
+      [0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 1, 0, 0, 0]],
+     [[0] * 6, [0] * 6, [0] * 6, [-1, 0, 0, 1, 0, 0], [0, 0, 0, -1, 0, 1],
+      [-1, 0, 0, 0, 0, 1]]),
+]
+
+
+@pytest.mark.parametrize("make,seed,k,change,weights", GOLDEN_ADAPTED)
+def test_adapted_basis_is_pinned(make, seed, k, change, weights):
+    g = make()
+    if seed is not None:
+        g = change_basis(g, random_invertible(g.dim, random.Random(seed)))
+    data = adapted_basis(g)
+    assert data.k == k
+    assert data.adapted_change.to_rows() == [[Fraction(x) for x in r] for r in change]
+    assert [w.coeffs for w in data.weights] == [tuple(map(Fraction, w)) for w in weights]
+
+
+def test_adapted_basis_errors_are_pinned(euclid3, sl2):
+    with pytest.raises(NotTriangularizableError) as exc:
+        adapted_basis(euclid3)
+    assert str(exc.value) == (
+        "adjoint action has no rational eigenvalue on the current invariant "
+        "subspace; the algebra is not rationally triangularizable")
+    with pytest.raises(NotSolvableError) as exc:
+        adapted_basis(sl2)
+    assert str(exc.value) == "adapted basis requires a solvable Lie algebra"
