@@ -198,6 +198,8 @@ class LieAlgebra:
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         """[e_i, e_j] for 1-based indices in any order."""
+        if type(i) is not int or type(j) is not int:
+            raise StructureError(f"basis indices must be integers: ({i!r},{j!r})")
         if not (1 <= i <= self.dim and 1 <= j <= self.dim):
             raise StructureError(f"basis index out of range: ({i},{j})")
         if i == j:

@@ -10,9 +10,13 @@ whole algebra. Every subspace that contains [g, g] is an ideal, so the
 actions can be taken in any fixed order: first [g, g], which acts
 nilpotently (Lie's theorem) and so has one joint kernel as its common
 eigenspace, then the k vectors of a complement of [g, g], one at a time.
-Only those k need eigenvalues. They are the rational roots of
-characteristic polynomials, isolated exactly with Sturm sequences at a cost
-polynomial in the bit size of the coefficients.
+Only those k need eigenvalues. The adjoint action on [g, g] is tabulated
+once per call, and every flag step reads that table. An action on an
+invariant subspace of a quotient of [g, g] has a characteristic polynomial
+dividing the one on [g, g], so one characteristic polynomial per complement
+element on [g, g] holds every eigenvalue a step can meet. Its rational
+roots are isolated exactly with Sturm sequences, at a cost polynomial in
+the bit size of the coefficients.
 
 The recorded weight alpha_i is the coefficient form of the dual relation
 
@@ -40,6 +44,7 @@ from .linalg import (
     RationalMatrix,
     Vector,
     extend_independent,
+    invert,
     kernel_basis,
     rank,
     solve,
@@ -189,11 +194,11 @@ def _integer_roots(g: list[int]) -> list[int]:
 def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """Distinct rational roots, ascending, at a cost polynomial in the bit size.
 
-    The polynomial is cleared to a primitive integer polynomial f and its
-    zero roots are stripped off. With a the leading coefficient of f and m
-    its degree, g(y) = a^(m-1) f(y/a) is monic over the integers, so the
-    rational roots of f are y/a for the integer roots y of g, which Sturm
-    isolation finds without enumerating divisors.
+    The polynomial is cleared to a primitive integer polynomial f. With a the
+    leading coefficient of f and m its degree, g(y) = a^(m-1) f(y/a) is monic
+    over the integers, so the rational roots of f are y/a for the integer
+    roots y of g, which Sturm isolation finds without enumerating divisors.
+    A zero root of f stays a zero root of g.
     """
     mult = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * mult) for c in coeffs]
@@ -201,20 +206,13 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
         ints.pop()
     if not ints:
         raise ValueError("zero polynomial has every rational as a root")
-    roots = set()
-    low = 0
-    while ints[low] == 0:
-        low += 1
-    if low > 0:
-        roots.add(Fraction(0))
-        ints = ints[low:]
-    if len(ints) > 1:
-        content = gcd(*ints)
-        ints = [c // content for c in ints]
-        m, a = len(ints) - 1, ints[-1]
-        g = [1] + [ints[i] * a ** (m - 1 - i) for i in range(m - 1, -1, -1)]
-        roots.update(Fraction(y, a) for y in _integer_roots(g))
-    return sorted(roots)
+    if len(ints) == 1:
+        return []
+    content = gcd(*ints)
+    ints = [c // content for c in ints]
+    m, a = len(ints) - 1, ints[-1]
+    g = [1] + [ints[i] * a ** (m - 1 - i) for i in range(m - 1, -1, -1)]
+    return sorted(Fraction(y, a) for y in _integer_roots(g))
 
 
 def _coordinates(columns: list[Vector], targets: list[Vector]) -> list[Vector]:
@@ -239,19 +237,25 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
         raise NotSolvableError("adapted basis requires a solvable Lie algebra")
     n = g.dim
     der = series[1]
-    k = n - der.dim
+    d, k = der.dim, n - der.dim
     complement = extend_independent(der.basis, [unit_vector(n, j) for j in range(n)], n)
     acting = complement + list(der.basis)
+    # ad(x) on [g, g] in der.basis coordinates, for every acting x; the flag
+    # below lives in these coordinates and makes no bracket
+    table = _coordinates(der.basis, [g.bracket(x, b) for x in acting for b in der.basis])
+    ad = [RationalMatrix.from_columns(table[i * d:(i + 1) * d]) for i in range(n)]
+    # every rational eigenvalue a flag step can meet (see the module docstring)
+    candidates = [_rational_roots(_char_poly(a)) for a in ad[:k]]
+    units = [unit_vector(d, j) for j in range(d)]
     flag: list[Vector] = []
-    adjoint_funcs: list[Vector] = []
+    adjoint_funcs: list[list[Fraction]] = []
 
-    while len(flag) < der.dim:
-        # quot + flag is a basis of [g, g], so coordinates on it are unique and
+    while len(flag) < d:
+        # quot + flag is a basis of Q^d, so coordinates on it are unique and
         # the first q_dim of them are coordinates in the quotient by the flag
-        quot = extend_independent(flag, der.basis, n)
+        quot = extend_independent(flag, units, d)
         q_dim = len(quot)
-        columns = quot + flag
-        coords = _coordinates(columns, [g.bracket(b, q) for b in acting for q in quot])
+        coords = _coordinates(quot + flag, [a.apply(q) for a in ad for q in quot])
         actions = [
             RationalMatrix.from_columns([c[:q_dim] for c in coords[i:i + q_dim]])
             for i in range(0, len(coords), q_dim)
@@ -259,51 +263,41 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
         # [g, g] acts nilpotently on a solvable algebra (Lie's theorem), so its
         # common eigenspace is the joint kernel of the actions of der.basis.
         # The action is linear in the acting element, so every basis of [g, g]
-        # stacks to the same row space and this canonical kernel.
-        derived = [r for action in actions[k:] for r in action.to_rows()]
-        space = span_basis(kernel_basis(RationalMatrix.from_rows(derived)), q_dim)
-        for action in reversed(actions[:k]):
-            # matrix of the action on the invariant span(space), in its coordinates
-            restricted = RationalMatrix.from_columns(
-                _coordinates(space, [action.apply(s) for s in space]))
-            roots = _rational_roots(_char_poly(restricted))
-            if not roots:
+        # stacks to the same row space and this canonical kernel. Each joint
+        # eigenspace found is invariant under every action, so the smallest
+        # candidate that leaves a nonzero joint kernel is the smallest
+        # rational eigenvalue of the next action restricted to it.
+        stack = [r for action in actions[k:] for r in action.to_rows()]
+        lams = [Fraction(0)] * n
+        for i in reversed(range(k)):
+            for lam in candidates[i]:
+                shifted = (actions[i] + RationalMatrix.identity(q_dim).scale(-lam)).to_rows()
+                if kernel_basis(RationalMatrix.from_rows(stack + shifted)):
+                    stack += shifted
+                    lams[i] = lam
+                    break
+            else:
                 raise NotTriangularizableError(
                     "adjoint action has no rational eigenvalue on the current "
                     "invariant subspace; the algebra is not rationally "
                     "triangularizable")
-            lam = roots[0]
-            shifted = restricted + RationalMatrix.identity(len(space)).scale(-lam)
-            inner = kernel_basis(shifted)
-            lifted = [
-                tuple(sum((c * s[i] for c, s in zip(coords, space)), Fraction(0))
-                      for i in range(q_dim))
-                for coords in inner
-            ]
-            space = span_basis(lifted, q_dim)
-        vq = space[0]
-        v = tuple(sum((vq[c] * quot[c][i] for c in range(q_dim)), Fraction(0))
-                  for i in range(n))
-        pivot = next(j for j, c in enumerate(vq) if c != 0)
-        eigenvalues = []
-        # [e_i, v] modulo the flag, in quot coordinates, is ad(e_i) applied to vq
-        for image in _coordinates(columns, [g.bracket(unit_vector(n, i), v)
-                                            for i in range(n)]):
-            lam = image[pivot] / vq[pivot]
-            if any(image[j] != lam * vq[j] for j in range(q_dim)):
-                raise AssertionError("flag vector is not a joint eigenvector")
-            eigenvalues.append(lam)
-        adjoint_funcs.append(tuple(eigenvalues))
-        flag.append(v)
+        vq = span_basis(kernel_basis(RationalMatrix.from_rows(stack)), q_dim)[0]
+        if any(a.apply(vq) != tuple(lam * c for c in vq) for a, lam in zip(actions, lams)):
+            raise AssertionError("flag vector is not a joint eigenvector")
+        adjoint_funcs.append(lams)
+        flag.append(RationalMatrix.from_columns(quot).apply(vq))
 
-    columns = complement + list(reversed(flag))
+    to_original = RationalMatrix.from_columns(der.basis)
+    columns = complement + [to_original.apply(v) for v in reversed(flag)]
     change = RationalMatrix.from_columns([list(c) for c in columns])
     if rank(change) != n:
         raise AssertionError("adapted basis vectors are not independent")
     # dual-basis orientation: weights are the negatives of the adjoint
-    # eigenvalue functionals
+    # eigenvalue functionals, carried from the basis acting to the original one
+    to_acting = invert(RationalMatrix.from_columns(acting))
     weights = [OneForm.zero(n)] * k + [
-        OneForm(tuple(-c for c in func)) for func in reversed(adjoint_funcs)
+        pullback_one_form(OneForm([-c for c in func]), to_acting)
+        for func in reversed(adjoint_funcs)
     ]
     for w in weights:
         if any(w.evaluate(v) != 0 for v in der.basis):
@@ -355,13 +349,11 @@ def r0_spectrum(data: WeightData, omega: OneForm, p: int) -> list[Fraction]:
     if not 0 <= p <= n:
         raise ValueError(f"degree {p} out of range 0..{n}")
     _require_closed_weightwise(data, omega)
-    values = []
-    for subset in combinations(range(n), p):
-        total = omega
-        for i in subset:
-            total = total + data.weights[i]
-        coords = pullback_one_form(total, data.adapted_change).coeffs
-        values.append(sum((c * c for c in coords), Fraction(0)))
+    # the pullback is linear, so pull back omega and each weight once
+    base = pullback_one_form(omega, data.adapted_change).coeffs
+    pulled = [pullback_one_form(w, data.adapted_change).coeffs for w in data.weights]
+    values = [sum((sum(col) ** 2 for col in zip(base, *subset)), Fraction(0))
+              for subset in combinations(pulled, p)]
     return sorted(values)
 
 

@@ -2,8 +2,24 @@ from fractions import Fraction
 
 import pytest
 
-from liecohom import LieAlgebra, OneForm, load_example
-from liecohom.linalg import RationalMatrix, rank, vector
+from liecohom import (
+    LieAlgebra,
+    NotSolvableError,
+    NotTriangularizableError,
+    OneForm,
+    load_example,
+)
+from liecohom.algebra import derived_series
+from liecohom.linalg import (
+    RationalMatrix,
+    extend_independent,
+    kernel_basis,
+    rank,
+    span_basis,
+    unit_vector,
+    vector,
+)
+from liecohom.weights import WeightData, _char_poly, _coordinates, _rational_roots
 
 
 @pytest.fixture
@@ -135,3 +151,87 @@ def divisor_rational_roots(coeffs):
                 if acc == 0:
                     roots.add(cand)
     return sorted(roots)
+
+
+def restricted_adapted_basis(g):
+    """Reference for adapted_basis, as it was built before the adjoint table:
+    at every flag step it brackets afresh, restricts each complement action
+    to the current eigenspace, takes the smallest rational root of that
+    restriction's characteristic polynomial and reads the eigenvalue
+    functional off a second solve of [e_i, v]. Same outputs and errors.
+    """
+    series = derived_series(g)
+    if series[-1].dim != 0:
+        raise NotSolvableError("adapted basis requires a solvable Lie algebra")
+    n = g.dim
+    der = series[1]
+    k = n - der.dim
+    complement = extend_independent(der.basis, [unit_vector(n, j) for j in range(n)], n)
+    acting = complement + list(der.basis)
+    flag = []
+    adjoint_funcs = []
+
+    while len(flag) < der.dim:
+        # quot + flag is a basis of [g, g], so coordinates on it are unique and
+        # the first q_dim of them are coordinates in the quotient by the flag
+        quot = extend_independent(flag, der.basis, n)
+        q_dim = len(quot)
+        columns = quot + flag
+        coords = _coordinates(columns, [g.bracket(b, q) for b in acting for q in quot])
+        actions = [
+            RationalMatrix.from_columns([c[:q_dim] for c in coords[i:i + q_dim]])
+            for i in range(0, len(coords), q_dim)
+        ]
+        # [g, g] acts nilpotently on a solvable algebra (Lie's theorem), so its
+        # common eigenspace is the joint kernel of the actions of der.basis.
+        # The action is linear in the acting element, so every basis of [g, g]
+        # stacks to the same row space and this canonical kernel.
+        derived = [r for action in actions[k:] for r in action.to_rows()]
+        space = span_basis(kernel_basis(RationalMatrix.from_rows(derived)), q_dim)
+        for action in reversed(actions[:k]):
+            # matrix of the action on the invariant span(space), in its coordinates
+            restricted = RationalMatrix.from_columns(
+                _coordinates(space, [action.apply(s) for s in space]))
+            roots = _rational_roots(_char_poly(restricted))
+            if not roots:
+                raise NotTriangularizableError(
+                    "adjoint action has no rational eigenvalue on the current "
+                    "invariant subspace; the algebra is not rationally "
+                    "triangularizable")
+            lam = roots[0]
+            shifted = restricted + RationalMatrix.identity(len(space)).scale(-lam)
+            inner = kernel_basis(shifted)
+            lifted = [
+                tuple(sum((c * s[i] for c, s in zip(coords, space)), Fraction(0))
+                      for i in range(q_dim))
+                for coords in inner
+            ]
+            space = span_basis(lifted, q_dim)
+        vq = space[0]
+        v = tuple(sum((vq[c] * quot[c][i] for c in range(q_dim)), Fraction(0))
+                  for i in range(n))
+        pivot = next(j for j, c in enumerate(vq) if c != 0)
+        eigenvalues = []
+        # [e_i, v] modulo the flag, in quot coordinates, is ad(e_i) applied to vq
+        for image in _coordinates(columns, [g.bracket(unit_vector(n, i), v)
+                                            for i in range(n)]):
+            lam = image[pivot] / vq[pivot]
+            if any(image[j] != lam * vq[j] for j in range(q_dim)):
+                raise AssertionError("flag vector is not a joint eigenvector")
+            eigenvalues.append(lam)
+        adjoint_funcs.append(tuple(eigenvalues))
+        flag.append(v)
+
+    columns = complement + list(reversed(flag))
+    change = RationalMatrix.from_columns([list(c) for c in columns])
+    if rank(change) != n:
+        raise AssertionError("adapted basis vectors are not independent")
+    # dual-basis orientation: weights are the negatives of the adjoint
+    # eigenvalue functionals
+    weights = [OneForm.zero(n)] * k + [
+        OneForm(tuple(-c for c in func)) for func in reversed(adjoint_funcs)
+    ]
+    for w in weights:
+        if any(w.evaluate(v) != 0 for v in der.basis):
+            raise AssertionError("weights must vanish on the derived subalgebra")
+    return WeightData(adapted_change=change, weights=tuple(weights), k=k)

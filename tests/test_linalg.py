@@ -356,7 +356,7 @@ def test_sparse_matrix_matches_the_list_oracle(m, data):
 
 
 def test_floats_and_bools_are_refused():
-    from liecohom import ExteriorForm, OneForm, StructureError
+    from liecohom import ExteriorForm, LieAlgebra, OneForm, StructureError
     from liecohom.exterior import coords_to_form
     from liecohom.linalg import vector
 
@@ -375,6 +375,10 @@ def test_floats_and_bools_are_refused():
                      lambda: coords_to_form(3, 1, [bad, 0, 0])):
             with pytest.raises(StructureError):
                 make()
+    affine = LieAlgebra.from_brackets(2, {(1, 2): (0, 1)})
+    for i, j in ((1.5, 2), (True, 2), (1, 2.0)):
+        with pytest.raises(StructureError):
+            affine.bracket_basis(i, j)
     assert vector(["1/2", -3, Fraction(2, 3)]) == (Fraction(1, 2), -3, Fraction(2, 3))
     assert RationalMatrix.from_rows([["1/2", 0]]) == RationalMatrix(1, 2, [[Fraction(1, 2), 0]])
     assert ExteriorForm(3, 1, {(1,): "1/10"}) == ExteriorForm(3, 1, {(1,): Fraction(1, 10)})

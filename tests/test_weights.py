@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from liecohom import (
     ExteriorForm,
+    LieAlgebra,
     NonClosedFormError,
     NotSolvableError,
     NotTriangularizableError,
@@ -31,7 +32,14 @@ from liecohom.algebra import derived_series, random_invertible
 from liecohom.linalg import rank
 from liecohom.weights import WeightData, _char_poly, _rational_roots
 
-from conftest import closed_grid, diag, divisor_rational_roots, heisenberg5, one_form
+from conftest import (
+    closed_grid,
+    diag,
+    divisor_rational_roots,
+    heisenberg5,
+    one_form,
+    restricted_adapted_basis,
+)
 
 
 def coeff_sets(forms):
@@ -86,6 +94,8 @@ _factor = st.one_of(
 # coefficients, which the pseudo-remainders must not flip
 @example([([Fraction(4), Fraction(3)], 1), ([Fraction(-4), Fraction(1)], 1),
           ([Fraction(8), Fraction(0), Fraction(1)], 1)], Fraction(-3))
+# x^3 (x - 2/3): the zero root survives the monic transform
+@example([([Fraction(0), Fraction(1)], 3), ([Fraction(-2), Fraction(3)], 1)], Fraction(1, 3))
 def test_rational_roots_match_the_divisor_oracle(factors, lead):
     poly = [lead]
     for factor, multiplicity in factors:
@@ -247,6 +257,20 @@ def test_r0_spectrum_examples(sol3):
     assert r0_spectrum(data, one_form(-1, 0, 0), 1) == [0, 1, 4]
     assert r0_spectrum(data, OneForm.zero(3), 0) == [0]
     assert r0_spectrum(data, one_form(2, 0, 0), 0) == [4]
+
+    # against pulling back every subset sum, after a basis change
+    m = random_invertible(6, random.Random(3))
+    data = adapted_basis(change_basis(diag(6), m))
+    omega = pullback_one_form(one_form(2, 0, 0, 0, 0, 0), m)
+    for p in range(7):
+        oracle = []
+        for subset in combinations(data.weights, p):
+            total = omega
+            for w in subset:
+                total = total + w
+            coords = pullback_one_form(total, data.adapted_change).coeffs
+            oracle.append(sum((c * c for c in coords), Fraction(0)))
+        assert r0_spectrum(data, omega, p) == sorted(oracle)
 
 
 def test_r0_minimum_links_to_omega_set(sol3):
@@ -419,3 +443,45 @@ def test_adapted_basis_errors_are_pinned(euclid3, sl2):
     with pytest.raises(NotSolvableError) as exc:
         adapted_basis(sl2)
     assert str(exc.value) == "adapted basis requires a solvable Lie algebra"
+
+
+def _k2():
+    # [e1, e3] = e3, [e1, e4] = 2 e4, [e2, e4] = -e4: a complement of dimension 2
+    return LieAlgebra.from_brackets(4, {(1, 3): (0, 0, 1, 0), (1, 4): (0, 0, 0, 2),
+                                        (2, 4): (0, 0, 0, -1)})
+
+
+def _partly_rational():
+    # [e1, e2] = e2 and a rotation on span(e3, e4): the first flag step finds
+    # the eigenvalue 1, the second meets eigenvalues +-i and raises
+    return LieAlgebra.from_brackets(4, {(1, 2): (0, 1, 0, 0), (1, 3): (0, 0, 0, 1),
+                                        (1, 4): (0, 0, -1, 0)})
+
+
+ORACLE_ALGEBRAS = {
+    "abelian2": lambda: load_example("abelian", n=2).algebra,
+    "affine2": lambda: LieAlgebra.from_brackets(2, {(1, 2): (0, 1)}),
+    "heisenberg3": lambda: load_example("heisenberg3").algebra,
+    "sol3": lambda: load_example("sol3", k=1).algebra,
+    "euclid3": lambda: load_example("euclid3").algebra,
+    "diag5": lambda: diag(5),
+    "heisenberg5": heisenberg5,
+    "k2": _k2,
+    "partly_rational": _partly_rational,
+}
+
+
+def _outcome(build, g):
+    try:
+        data = build(g)
+    except (NotSolvableError, NotTriangularizableError) as exc:
+        return type(exc), str(exc)
+    return data.adapted_change.to_rows(), [w.coeffs for w in data.weights], data.k
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_ALGEBRAS)), st.integers(0, 2**32 - 1))
+def test_adapted_basis_matches_the_restricted_oracle(name, seed):
+    g = ORACLE_ALGEBRAS[name]()
+    g = change_basis(g, random_invertible(g.dim, random.Random(seed)))
+    assert _outcome(adapted_basis, g) == _outcome(restricted_adapted_basis, g)
