@@ -290,7 +290,8 @@ def derived_series(g: LieAlgebra) -> list[Subspace]:
     term = derived_subalgebra(g)
     while term.dim < series[-1].dim:
         series.append(term)
-        term = _bracket_span(g, term, term)
+        # [x, x] = 0 and [y, x] = -[x, y], so each unordered pair spans enough
+        term = Subspace.span(g.dim, [g.bracket(x, y) for x, y in combinations(term.basis, 2)])
     return series
 
 

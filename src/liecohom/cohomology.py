@@ -2,11 +2,23 @@
 
 Degree p cohomology is ker(d_w at p) modulo im(d_w at p-1); its dimension
 comes from two exact ranks, or, where representatives are built anyway,
-from their count. Representatives are picked deterministically:
-the kernel basis vectors that enlarge the span of [image columns | kept so
-far], in order. One elimination of the sparse rows of [d_w at p-1 | kernel
-basis] picks them all, so reruns and platforms agree exactly, and each
-representative is built from its nonzero coordinates alone.
+from their count.
+
+betti_numbers takes its ranks with clearing, the "twist" of persistent
+homology (Chen-Kerber 2011; Bauer 2021, Ripser). Degree p is eliminated by
+rows: one sparse row per source monomial, its image under d_w, with the
+target monomials in reverse lexicographic order. The pivot columns are then
+the lexicographically last entries of a basis of im d_p. Each such target
+sigma is the last entry of some z in im d_p, inside ker d_(p+1), so the row
+of sigma in degree p+1 is a combination of the rows of monomials before
+sigma. Degree p+1 skips those rows: neither assembly nor elimination touches
+them, and the rank is the same.
+
+Representatives are picked deterministically: the kernel basis vectors that
+enlarge the span of [image columns | kept so far], in order. One elimination
+of the sparse rows of [d_w at p-1 | kernel basis] picks them all, so reruns
+and platforms agree exactly, and each representative is built from its
+nonzero coordinates alone.
 """
 
 from __future__ import annotations
@@ -18,16 +30,18 @@ from .algebra import LieAlgebra, OneForm
 from .exterior import (
     DifferentialMatrices,
     ExteriorForm,
+    _differential_tables,
+    _monomial_image,
     coords_to_form,
     deformed_differential,
     differential_matrices,
     form_basis,
     form_to_coords,
 )
-from .linalg import RationalMatrix, in_image, kernel_modulo_image, rank
+from .linalg import RationalMatrix, _echelon, _integer_rows, in_image, kernel_modulo_image
 
-# unused here, kept importable because perfbench/tracer.py wraps this name
-from .linalg import kernel_basis  # noqa: F401
+# unused here, kept importable because perfbench/tracer.py wraps these names
+from .linalg import kernel_basis, rank  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -39,16 +53,33 @@ class CohomologyResult:
     representatives: tuple[tuple[ExteriorForm, ...], ...]
 
 
-def _betti(mats: DifferentialMatrices) -> list[int]:
-    """b^p = dim ker d_w^p - dim im d_w^(p-1) = C(n, p) - rank_p - rank_(p-1)."""
-    n = mats.algebra.dim
-    ranks = [0] + [rank(mats.matrix(p)) for p in range(n)] + [0]
+def _betti(n: int, ranks: list[int]) -> list[int]:
+    """b^p = dim ker d_w^p - dim im d_w^(p-1) = C(n, p) - rank_p - rank_(p-1),
+    from the ranks of d_w^0 .. d_w^(n-1)."""
+    ranks = [0, *ranks, 0]
     return [comb(n, p) - ranks[p + 1] - ranks[p] for p in range(n + 1)]
+
+
+def _cleared_ranks(g: LieAlgebra, omega: OneForm) -> list[int]:
+    """rank d_w^p for p = 0 .. n-1, each degree cleared by the pivots of the
+    one below (see the module docstring)."""
+    gens, wedge_terms = _differential_tables(g, omega)
+    ranks = []
+    source, cleared = form_basis(g.dim, 0), set()
+    for p in range(1, g.dim + 1):
+        target = form_basis(g.dim, p)[::-1]
+        col_of = {idx: c for c, idx in enumerate(target)}
+        rows = ({col_of[t]: x for t, x in _monomial_image(idx, gens, wedge_terms).items() if x}
+                for idx in source if idx not in cleared)
+        _, pivots = _echelon(_integer_rows(rows))
+        ranks.append(len(pivots))
+        source, cleared = target, {target[c] for c in pivots}
+    return ranks
 
 
 def betti_numbers(g: LieAlgebra, omega: OneForm) -> list[int]:
     """Exact dimensions of the twisted cohomology in degrees 0..n."""
-    return _betti(differential_matrices(g, omega))
+    return _betti(g.dim, _cleared_ranks(g, omega))
 
 
 def _representatives_from(mats: DifferentialMatrices, p: int) -> list[ExteriorForm]:

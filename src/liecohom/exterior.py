@@ -273,6 +273,21 @@ def _monomial_image(idx: tuple[int, ...], gens, wedge_terms) -> dict[tuple[int, 
     return out
 
 
+def _differential_tables(g: LieAlgebra, omega: OneForm):
+    """The ``gens`` and ``wedge_terms`` tables ``_monomial_image`` reads;
+    raises NonClosedFormError unless d omega = 0.
+
+    ``gens[k - 1]`` lists d e^k as (i, j, c, -c) for its nonzero
+    coefficients c at e^i ^ e^j, in sorted order; ``wedge_terms`` lists
+    (m, w_m, -w_m) for the nonzero coefficients of w.
+    """
+    _require_closed(g, omega)
+    gens = [[(i, j, c, -c) for (i, j), c in sorted(d.items())]
+            for d in _generator_differentials(g.dim, g.brackets)]
+    wedge_terms = [(m + 1, c, -c) for m, c in enumerate(omega.coeffs) if c]
+    return gens, wedge_terms
+
+
 def differential_matrices(g: LieAlgebra, omega: OneForm) -> DifferentialMatrices:
     """Materialize d_w on every degree; requires d omega = 0.
 
@@ -281,11 +296,8 @@ def differential_matrices(g: LieAlgebra, omega: OneForm) -> DifferentialMatrices
     sparse rows of its matrix; entries that cancel to zero are dropped, so
     no matrix stores a zero and no dense grid is ever built.
     """
-    _require_closed(g, omega)
+    gens, wedge_terms = _differential_tables(g, omega)
     n = g.dim
-    gens = [[(i, j, c, -c) for (i, j), c in sorted(d.items())]
-            for d in _generator_differentials(n, g.brackets)]
-    wedge_terms = [(m + 1, c, -c) for m, c in enumerate(omega.coeffs) if c]
     mats = []
     source = form_basis(n, 0)
     for p in range(n):

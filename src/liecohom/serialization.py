@@ -8,8 +8,10 @@ The algebra document looks like
 
 with every coefficient an exact rational string "p" or "p/q". Omitted
 brackets are zero; "basis" may be left out and defaults to e1..en. Parsing
-is strict: a denominator of zero or a stray float is a StructureError, not a
-silent approximation.
+is strict: a denominator of zero, a stray float, a key repeated in one JSON
+object, a target index that is not plain ASCII decimal or that names the
+same basis vector twice ("2" next to "02") is a StructureError, not a
+silent approximation or a last-one-wins choice.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .algebra import LieAlgebra, OneForm
 from .errors import StructureError
 from .exterior import ExteriorForm
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
 
 
 def _is_int(value) -> bool:
@@ -86,15 +88,20 @@ def algebra_from_dict(doc: Mapping) -> LieAlgebra:
         if not isinstance(coeffs, Mapping):
             raise StructureError(f"bracket ({i},{j}) \"coeffs\" must be an object")
         vec = [Fraction(0)] * dim
+        seen = set()
         for key, value in coeffs.items():
-            try:
-                k = int(key)
-            except (TypeError, ValueError):
+            # plain ASCII decimal only: int() would also take "1_0", " 3" and other scripts' digits
+            if not (isinstance(key, str) and key.isascii() and key.isdigit()):
                 raise StructureError(
-                    f"bracket ({i},{j}) has a non-integer target index {key!r}") from None
+                    f"bracket ({i},{j}) has a non-integer target index {key!r}")
+            k = int(key)
             if not 1 <= k <= dim:
                 raise StructureError(
                     f"bracket ({i},{j}) target index {k} out of range 1..{dim}")
+            if k in seen:
+                raise StructureError(
+                    f"bracket ({i},{j}) names target index {k} twice")
+            seen.add(k)
             vec[k - 1] = parse_rational(value)
         brackets[(i, j)] = vec
     return LieAlgebra.from_brackets(dim, brackets, names=names)
@@ -109,6 +116,16 @@ def algebra_to_dict(g: LieAlgebra) -> dict:
     return {"dim": g.dim, "basis": list(g.basis_names), "brackets": items}
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key is an error, not last-one-wins."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise StructureError(f"key {key!r} appears twice in one JSON object")
+        doc[key] = value
+    return doc
+
+
 def parse_algebra(text: str) -> LieAlgebra:
     """Parse and validate the JSON algebra document.
 
@@ -116,7 +133,7 @@ def parse_algebra(text: str) -> LieAlgebra:
     the table fails the Jacobi identity.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise StructureError(f"invalid JSON: {exc}") from None
     return algebra_from_dict(doc)

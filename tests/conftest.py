@@ -94,6 +94,12 @@ def heisenberg5():
     return LieAlgebra.from_brackets(5, {(1, 2): (0, 0, 0, 0, 1), (3, 4): (0, 0, 0, 0, 1)})
 
 
+def k2():
+    # [e1, e3] = e3, [e1, e4] = 2 e4, [e2, e4] = -e4: a complement of dimension 2
+    return LieAlgebra.from_brackets(4, {(1, 3): (0, 0, 1, 0), (1, 4): (0, 0, 0, 2),
+                                        (2, 4): (0, 0, 0, -1)})
+
+
 def sequential_extend(base, candidates, ambient):
     """Reference for extend_independent: re-rank the stack once per candidate."""
     stack = [list(v) for v in base]

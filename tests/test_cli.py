@@ -55,7 +55,7 @@ def euclid_file(tmp_path):
 def test_parse_rational_strict():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-7") == Fraction(-7)
-    for bad in ("1/0", "1.5", "x", "", "1/2/3"):
+    for bad in ("1/0", "1.5", "x", "", "1/2/3", "\u0663"):
         with pytest.raises(StructureError):
             parse_rational(bad)
 
@@ -236,6 +236,37 @@ def test_json_booleans_are_rejected_with_exit_1(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"dim": 3, "dim": 2}', "'dim' appears twice"),
+    ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1", "3": "5"}}]}',
+     "'3' appears twice"),
+    ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "i": 1, "coeffs": {"3": "1"}}]}',
+     "'i' appears twice"),
+    ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1", "02": "5"}}]}',
+     "target index 2 twice"),
+    ('{"dim": 11, "brackets": [{"i": 1, "j": 2, "coeffs": {"1_0": "1"}}]}',
+     "non-integer target index '1_0'"),
+    ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {" 3": "1"}}]}',
+     "non-integer target index ' 3'"),
+    ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"\u0663": "1"}}]}',
+     "non-integer target index"),
+    ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "\u0663"}}]}',
+     "not a rational literal"),
+])
+def test_ambiguous_json_is_rejected_with_exit_1(tmp_path, capsys, text, message):
+    with pytest.raises(StructureError, match=message):
+        parse_algebra(text)
+    path = tmp_path / "ambiguous.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_plain_decimal_target_indices_still_parse():
+    doc = '{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"03": "1/2"}}]}'
+    assert parse_algebra(doc).bracket_basis(1, 2) == (0, 0, Fraction(1, 2))
 
 
 def test_json_integer_coefficients_still_parse():

@@ -37,6 +37,7 @@ from conftest import (
     diag,
     divisor_rational_roots,
     heisenberg5,
+    k2,
     one_form,
     restricted_adapted_basis,
 )
@@ -445,12 +446,6 @@ def test_adapted_basis_errors_are_pinned(euclid3, sl2):
     assert str(exc.value) == "adapted basis requires a solvable Lie algebra"
 
 
-def _k2():
-    # [e1, e3] = e3, [e1, e4] = 2 e4, [e2, e4] = -e4: a complement of dimension 2
-    return LieAlgebra.from_brackets(4, {(1, 3): (0, 0, 1, 0), (1, 4): (0, 0, 0, 2),
-                                        (2, 4): (0, 0, 0, -1)})
-
-
 def _partly_rational():
     # [e1, e2] = e2 and a rotation on span(e3, e4): the first flag step finds
     # the eigenvalue 1, the second meets eigenvalues +-i and raises
@@ -466,7 +461,7 @@ ORACLE_ALGEBRAS = {
     "euclid3": lambda: load_example("euclid3").algebra,
     "diag5": lambda: diag(5),
     "heisenberg5": heisenberg5,
-    "k2": _k2,
+    "k2": k2,
     "partly_rational": _partly_rational,
 }
 
