@@ -7,7 +7,12 @@ indices facing the user are 1-based (matching the e_1 ... e_n notation),
 coordinates are plain tuples of Fractions.
 
 Every value is immutable after construction and every operation is a pure
-function, so concurrent use needs no coordination.
+function. The one exception is a private memo: the weight data of an algebra
+(``weights.adapted_basis``) is computed once per algebra object and stored on
+it, and its exceptional set once per weight data object. A memo never
+changes ``==`` or ``hash``, and ``dataclasses.replace`` builds a new empty
+one. Concurrent use still needs no lock: two threads that race on an empty
+memo each compute the same value, and the first one stored is kept.
 """
 
 from __future__ import annotations
@@ -170,10 +175,15 @@ class LieAlgebra:
     dim: int
     basis_names: tuple[str, ...]
     brackets: tuple[tuple[tuple[int, int], Vector], ...]
-    _table: dict = field(compare=False, repr=False, default_factory=dict)
+    # built per instance, never passed in, so ``dataclasses.replace`` shares
+    # neither the lookup table nor the memo with the algebra it copies
+    _table: dict = field(init=False, compare=False, repr=False)
+    # the WeightData of this algebra once ``weights.adapted_basis`` succeeds
+    _weight_memo: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self._table.update(dict(self.brackets))
+        object.__setattr__(self, "_table", dict(self.brackets))
+        object.__setattr__(self, "_weight_memo", [])
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: Mapping,

@@ -32,7 +32,7 @@ reported as NotTriangularizableError instead of being approximated.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -70,6 +70,11 @@ class WeightData:
     adapted_change: RationalMatrix
     weights: tuple[OneForm, ...]
     k: int
+    # the OmegaSet of these weights once ``omega_set`` has computed it
+    _omega_memo: list = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_omega_memo", [])
 
     @property
     def dim(self) -> int:
@@ -230,8 +235,12 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
     NotTriangularizableError when some step meets a characteristic
     polynomial without a rational root. All tie-breaks are fixed (smallest
     eigenvalue first, first independent generator first), so the output is
-    deterministic.
+    deterministic. The result is computed once per algebra object and then
+    returned from its memo; a failure is not stored and is raised again on
+    every call.
     """
+    if g._weight_memo:
+        return g._weight_memo[0]
     series = derived_series(g)
     if series[-1].dim != 0:
         raise NotSolvableError("adapted basis requires a solvable Lie algebra")
@@ -241,8 +250,15 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
     complement = extend_independent(der.basis, [unit_vector(n, j) for j in range(n)], n)
     acting = complement + list(der.basis)
     # ad(x) on [g, g] in der.basis coordinates, for every acting x; the flag
-    # below lives in these coordinates and makes no bracket
-    table = _coordinates(der.basis, [g.bracket(x, b) for x in acting for b in der.basis])
+    # below lives in these coordinates and makes no bracket. Among der.basis,
+    # [b, b] = 0 and [b', b] = -[b, b'], so only the unordered pairs are solved.
+    pairs = list(combinations(range(d), 2))
+    solved = _coordinates(der.basis, [g.bracket(x, b) for x in complement for b in der.basis]
+                          + [g.bracket(der.basis[i], der.basis[j]) for i, j in pairs])
+    block = {(i, i): (Fraction(0),) * d for i in range(d)}
+    for (i, j), c in zip(pairs, solved[k * d:]):
+        block[i, j], block[j, i] = c, tuple(-x for x in c)
+    table = solved[:k * d] + [block[i, j] for i in range(d) for j in range(d)]
     ad = [RationalMatrix.from_columns(table[i * d:(i + 1) * d]) for i in range(n)]
     # every rational eigenvalue a flag step can meet (see the module docstring)
     candidates = [_rational_roots(_char_poly(a)) for a in ad[:k]]
@@ -302,7 +318,9 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
     for w in weights:
         if any(w.evaluate(v) != 0 for v in der.basis):
             raise AssertionError("weights must vanish on the derived subalgebra")
-    return WeightData(adapted_change=change, weights=tuple(weights), k=k)
+    # a racing call may have stored an equal result first; keep that one
+    g._weight_memo.append(WeightData(adapted_change=change, weights=tuple(weights), k=k))
+    return g._weight_memo[0]
 
 
 def omega_set(data: WeightData) -> OmegaSet:
@@ -310,12 +328,17 @@ def omega_set(data: WeightData) -> OmegaSet:
 
     The zero form belongs to the set whenever some weight is zero, which for
     a solvable algebra is always the case (the closed block is nonempty).
+    The set is computed once per WeightData object and then returned from its
+    memo.
     """
+    if data._omega_memo:
+        return data._omega_memo[0]
     sums: set[OneForm] = set()
     # after j weights, sums holds the nonempty subset sums of the first j
     for w in data.weights:
         sums |= {s + w for s in sums} | {w}
-    return OmegaSet(frozenset(sums))
+    data._omega_memo.append(OmegaSet(frozenset(sums)))
+    return data._omega_memo[0]
 
 
 def _require_closed_weightwise(data: WeightData, omega: OneForm) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -11,6 +12,7 @@ from liecohom import (
     JacobiError,
     LieAlgebra,
     StructureError,
+    adapted_basis,
     change_basis,
     classify,
     closed_one_forms,
@@ -226,6 +228,21 @@ def test_bracket_antisymmetry_and_linearity(sol3):
         sol3.bracket((1, 0), (0, 1, 0))
     with pytest.raises(StructureError):
         sol3.bracket((1, 0, 0), (0, 1, 0, 0))
+
+
+def test_replace_builds_its_own_table_and_weight_memo():
+    # the lookup table and the weight memo are built per instance, so a copy
+    # made by dataclasses.replace shares neither with the algebra it copies
+    g = LieAlgebra.from_brackets(3, {(1, 2): (0, 1, 0), (1, 3): (0, 0, 2)})
+    weights_of_g = adapted_basis(g)
+    h = dataclasses.replace(g, brackets=(((2, 3), (1, 0, 0)),))
+    assert g.bracket_basis(2, 3) == (0, 0, 0)
+    assert g.bracket_basis(1, 3) == (0, 0, 2)
+    assert h.bracket_basis(2, 3) == (1, 0, 0)
+    assert h.bracket_basis(1, 3) == (0, 0, 0)
+    assert adapted_basis(g) is weights_of_g
+    assert adapted_basis(h) == adapted_basis(LieAlgebra.from_brackets(3, {(2, 3): (1, 0, 0)}))
+    assert adapted_basis(h) != weights_of_g
 
 
 def test_pullback_pairs_with_new_basis(sol3):

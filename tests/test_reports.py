@@ -9,12 +9,16 @@ from liecohom import (
     NotTriangularizableError,
     OneForm,
     StructureError,
+    adapted_basis,
     load_example,
     novikov_report,
+    omega_set,
+    r0_spectrum,
     scan_line,
 )
+from liecohom import weights
 
-from conftest import one_form
+from conftest import diag, one_form
 
 
 def test_scan_sol3(sol3):
@@ -107,10 +111,33 @@ def test_novikov_verdict_is_monotone(sol3):
 
 
 def test_novikov_works_without_weight_data(euclid3):
-    report = novikov_report(euclid3, one_form(1, 0, 0), 3, [1, 1, 1, 1])
-    assert report.lambda_critical is None
-    assert report.betti == (0, 0, 0, 0)
-    assert report.all_hold
+    # the failed weight data is not stored, so the second call fails the same way
+    for _ in range(2):
+        report = novikov_report(euclid3, one_form(1, 0, 0), 3, [1, 1, 1, 1])
+        assert report.lambda_critical is None
+        assert report.betti == (0, 0, 0, 0)
+        assert report.all_hold
+
+
+def test_weight_queries_on_one_algebra_build_the_flag_once(monkeypatch):
+    builds = []
+    real = weights.derived_series
+    monkeypatch.setattr(weights, "derived_series", lambda g: builds.append(g) or real(g))
+    g = diag(5)
+    direction = one_form(1, 0, 0, 0, 0)
+    table = scan_line(g, direction)
+    omegas = omega_set(adapted_basis(g))
+    spectrum = r0_spectrum(adapted_basis(g), direction.scale(3), 2)
+    report = novikov_report(g, direction, 3, [1, 4, 6, 4, 1, 0])
+    assert builds == [g]
+    assert omega_set(adapted_basis(g)) is omegas
+    # the shared data gives the answers a fresh algebra gives
+    fresh = diag(5)
+    assert table == scan_line(fresh, direction)
+    assert omegas == omega_set(adapted_basis(fresh))
+    assert spectrum == r0_spectrum(adapted_basis(fresh), direction.scale(3), 2)
+    assert report == novikov_report(fresh, direction, 3, [1, 4, 6, 4, 1, 0])
+    assert report.lambda_critical and min(spectrum) == 0
 
 
 def test_novikov_input_validation(sol3):

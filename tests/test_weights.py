@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,6 +30,7 @@ from liecohom import (
     vanishing_predicate,
     weight_sum_check,
 )
+from liecohom import weights as weights_module
 from liecohom.algebra import derived_series, random_invertible
 from liecohom.linalg import rank
 from liecohom.weights import WeightData, _char_poly, _rational_roots
@@ -444,6 +447,55 @@ def test_adapted_basis_errors_are_pinned(euclid3, sl2):
     with pytest.raises(NotSolvableError) as exc:
         adapted_basis(sl2)
     assert str(exc.value) == "adapted basis requires a solvable Lie algebra"
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("make", [case[0] for case in GOLDEN_ADAPTED],
+                         ids=["jordan4", "borel4", "diag5", "heisenberg5", "upper3"])
+def test_memoized_weight_data_equals_a_fresh_computation(make, seed):
+    m = random_invertible(make().dim, random.Random(seed))
+    g, fresh = change_basis(make(), m), change_basis(make(), m)
+    data = adapted_basis(g)
+    omegas = omega_set(data)
+    # a filled memo changes neither equality nor the hash
+    assert g == fresh and hash(g) == hash(fresh)
+    assert adapted_basis(g) is data and omega_set(data) is omegas
+    assert data == adapted_basis(fresh)
+    assert omegas == omega_set(adapted_basis(fresh))
+
+
+def test_threads_racing_on_one_algebra_share_one_weight_data():
+    m = random_invertible(6, random.Random(3))
+    g, fresh = change_basis(diag(6), m), change_basis(diag(6), m)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(omega_set(adapted_basis(g))))
+                   for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    # however the threads interleave, every one returns the first stored value
+    assert len(results) == 4 and all(r is omega_set(adapted_basis(g)) for r in results)
+    assert adapted_basis(g) == adapted_basis(fresh)
+
+
+def test_adapted_basis_failures_are_raised_on_every_call(euclid3, sl2, monkeypatch):
+    builds = []
+    real = weights_module.derived_series
+    monkeypatch.setattr(weights_module, "derived_series", lambda g: builds.append(g) or real(g))
+    for call in (1, 2):
+        with pytest.raises(NotTriangularizableError):
+            adapted_basis(euclid3)
+        with pytest.raises(NotSolvableError):
+            adapted_basis(sl2)
+        # a failure is not stored: every call runs the checks again
+        assert builds == [euclid3, sl2] * call
 
 
 def _partly_rational():
