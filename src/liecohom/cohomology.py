@@ -1,24 +1,24 @@
 """Cohomology of the twisted complex: Betti numbers and representatives.
 
 Degree p cohomology is ker(d_w at p) modulo im(d_w at p-1); its dimension
-comes from two exact ranks, or, where representatives are built anyway,
-from their count.
+comes from two exact ranks.
 
-betti_numbers takes its ranks with clearing, the "twist" of persistent
-homology (Chen-Kerber 2011; Bauer 2021, Ripser). Degree p is eliminated by
-rows: one sparse row per source monomial, its image under d_w, with the
-target monomials in reverse lexicographic order. The pivot columns are then
-the lexicographically last entries of a basis of im d_p. Each such target
-sigma is the last entry of some z in im d_p, inside ker d_(p+1), so the row
-of sigma in degree p+1 is a combination of the rows of monomials before
-sigma. Degree p+1 skips those rows: neither assembly nor elimination touches
-them, and the rank is the same.
+Ranks are taken with clearing, the "twist" of persistent homology
+(Chen-Kerber 2011; Bauer 2021, Ripser). Degree p is eliminated by rows, one
+per source monomial, with the target monomials in reverse lexicographic
+order, so the pivots are the last entries of a basis of im d_p: the cleared
+monomials of degree p+1. Each ends some z in im d_p, inside ker d_(p+1), so
+its row in degree p+1 depends on earlier rows; skipping it keeps the rank.
 
-Representatives are picked deterministically: the kernel basis vectors that
-enlarge the span of [image columns | kept so far], in order. One elimination
-of the sparse rows of [d_w at p-1 | kernel basis] picks them all, so reruns
-and platforms agree exactly, and each representative is built from its
-nonzero coordinates alone.
+Representatives are the kernel vector of each free monomial that is not a
+cleared pivot. The ``kernel_basis`` vector v_f of d_p at a free column f
+ends at f: it is 1 there and nonzero elsewhere only at pivots before f. A
+coboundary ending at f lies in ker d_p, so up to a scalar it is v_f plus
+earlier kernel vectors; and a coboundary equal to v_f minus earlier kernel
+vectors ends at f. So the greedy pick of the v_f, in order, modulo
+im d_(p-1) and the earlier picks, keeps v_f exactly when f is not cleared,
+and one assembly per degree feeds both the cleared elimination and the
+kernel. The choice is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -28,19 +28,20 @@ from math import comb
 
 from .algebra import LieAlgebra, OneForm
 from .exterior import (
-    DifferentialMatrices,
     ExteriorForm,
+    _check_form,
+    _degree_matrix,
     _differential_tables,
-    _monomial_image,
+    _image_rows,
     coords_to_form,
     deformed_differential,
-    differential_matrices,
     form_basis,
     form_to_coords,
 )
-from .linalg import RationalMatrix, _echelon, _integer_rows, in_image, kernel_modulo_image
+from .linalg import RationalMatrix, SparseRow, _echelon, _integer_rows, _kernel, in_image
 
 # unused here, kept importable because perfbench/tracer.py wraps these names
+from .exterior import differential_matrices  # noqa: F401
 from .linalg import kernel_basis, rank  # noqa: F401
 
 
@@ -53,57 +54,68 @@ class CohomologyResult:
     representatives: tuple[tuple[ExteriorForm, ...], ...]
 
 
-def _betti(n: int, ranks: list[int]) -> list[int]:
+def _betti(ranks: list[int]) -> list[int]:
     """b^p = dim ker d_w^p - dim im d_w^(p-1) = C(n, p) - rank_p - rank_(p-1),
     from the ranks of d_w^0 .. d_w^(n-1)."""
-    ranks = [0, *ranks, 0]
+    n, ranks = len(ranks), [0, *ranks, 0]
     return [comb(n, p) - ranks[p + 1] - ranks[p] for p in range(n + 1)]
 
 
+def _pivot_targets(rows: list[SparseRow], targets: list[tuple[int, ...]]) -> set:
+    """The targets at the pivot columns: the last entries of a basis of the span."""
+    _, pivots = _echelon(_integer_rows(rows))
+    return {targets[c] for c in pivots}
+
+
 def _cleared_ranks(g: LieAlgebra, omega: OneForm) -> list[int]:
-    """rank d_w^p for p = 0 .. n-1, each degree cleared by the pivots of the
-    one below (see the module docstring)."""
-    gens, wedge_terms = _differential_tables(g, omega)
-    ranks = []
-    source, cleared = form_basis(g.dim, 0), set()
+    """rank d_w^p for p = 0 .. n-1, each degree cleared by the one below."""
+    tables = _differential_tables(g, omega)
+    ranks, sources, cleared = [], form_basis(g.dim, 0), set()
     for p in range(1, g.dim + 1):
-        target = form_basis(g.dim, p)[::-1]
-        col_of = {idx: c for c, idx in enumerate(target)}
-        rows = ({col_of[t]: x for t, x in _monomial_image(idx, gens, wedge_terms).items() if x}
-                for idx in source if idx not in cleared)
-        _, pivots = _echelon(_integer_rows(rows))
-        ranks.append(len(pivots))
-        source, cleared = target, {target[c] for c in pivots}
+        targets = form_basis(g.dim, p)[::-1]
+        rows = _image_rows([idx for idx in sources if idx not in cleared], targets, tables)
+        sources, cleared = targets, _pivot_targets(rows, targets)
+        ranks.append(len(cleared))
     return ranks
 
 
 def betti_numbers(g: LieAlgebra, omega: OneForm) -> list[int]:
     """Exact dimensions of the twisted cohomology in degrees 0..n."""
-    return _betti(g.dim, _cleared_ranks(g, omega))
+    return _betti(_cleared_ranks(g, omega))
 
 
-def _representatives_from(mats: DifferentialMatrices, p: int) -> list[ExteriorForm]:
-    n = mats.algebra.dim
-    # nothing maps into degree 0: its image is the one-row, no-column matrix
-    below = mats.matrix(p - 1) if p > 0 else RationalMatrix(1, 0)
-    basis = form_basis(n, p)
-    return [ExteriorForm(n, p, {basis[i]: x for i, x in sorted(v.items())})
-            for v in kernel_modulo_image(mats.matrix(p), below)]
+def _representatives_from(n: int, p: int, rows: list, cleared: set) -> list[ExteriorForm]:
+    """The kernel vector of each free monomial of d_w^p outside ``cleared``."""
+    sources = form_basis(n, p)
+    d_p = RationalMatrix._adopt(len(rows), comb(n, p + 1), rows).transpose()
+    return [ExteriorForm(n, p, {sources[i]: x for i, x in sorted(v.items())})
+            for f, v in _kernel(d_p).items() if sources[f] not in cleared]
 
 
 def representatives(g: LieAlgebra, omega: OneForm, p: int) -> list[ExteriorForm]:
     """Deterministic cocycle basis of the degree-p cohomology."""
-    if not 0 <= p <= g.dim:
-        raise ValueError(f"degree {p} out of range 0..{g.dim}")
-    return _representatives_from(differential_matrices(g, omega), p)
+    reps = cohomology(g, omega).representatives
+    if not 0 <= p < len(reps):
+        raise ValueError(f"degree {p} out of range 0..{len(reps) - 1}")
+    return list(reps[p])
 
 
 def cohomology(g: LieAlgebra, omega: OneForm) -> CohomologyResult:
     """Betti numbers plus representatives for every degree in one pass."""
-    mats = differential_matrices(g, omega)
-    reps = tuple(tuple(_representatives_from(mats, p)) for p in range(g.dim + 1))
-    # d_w squares to zero, so each degree's representatives are a basis of H^p
-    return CohomologyResult(omega=omega, betti=tuple(map(len, reps)), representatives=reps)
+    tables = _differential_tables(g, omega)
+    n = g.dim
+    # degree p: the image rows of every monomial and the monomials cleared by degree p-1
+    rows, cleared = [], [set()]
+    for p in range(n + 1):
+        sources, targets = form_basis(n, p), form_basis(n, p + 1)[::-1]
+        rows.append(_image_rows(sources, targets, tables))
+        kept = [r for idx, r in zip(sources, rows[p]) if idx not in cleared[p]]
+        cleared.append(_pivot_targets(kept, targets))
+    # rank d_w^p is the number of monomials it clears
+    betti = _betti([len(c) for c in cleared[1:n + 1]])
+    reps = tuple(tuple(_representatives_from(n, p, rows[p], cleared[p])) if b else ()
+                 for p, b in enumerate(betti))
+    return CohomologyResult(omega=omega, betti=tuple(betti), representatives=reps)
 
 
 def is_cocycle(g: LieAlgebra, omega: OneForm, xi: ExteriorForm) -> bool:
@@ -114,17 +126,17 @@ def is_cocycle(g: LieAlgebra, omega: OneForm, xi: ExteriorForm) -> bool:
 def is_coboundary(g: LieAlgebra, omega: OneForm, xi: ExteriorForm) -> ExteriorForm | None:
     """A primitive eta with d_w(eta) = xi, or None when xi is not exact.
 
-    The primitive is the minimal pivot solution, hence reproducible.
+    The primitive is the minimal pivot solution, hence reproducible; only
+    degree p-1 is assembled, and above the top degree it is zero.
     """
+    tables = _differential_tables(g, omega)
+    _check_form(g, xi)
     p = xi.degree
     if p == 0:
         # nothing maps into degree 0, so no primitive ever exists
         return None
-    mats = differential_matrices(g, omega)
-    sol = in_image(mats.matrix(p - 1), form_to_coords(xi))
-    if sol is None:
-        return None
-    return coords_to_form(g.dim, p - 1, sol)
+    sol = in_image(_degree_matrix(g.dim, p - 1, tables), form_to_coords(xi))
+    return None if sol is None else coords_to_form(g.dim, p - 1, sol)
 
 
 def euler_characteristic(result: CohomologyResult) -> int:

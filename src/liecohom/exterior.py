@@ -143,11 +143,8 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
             if merged is None:
                 continue
             idx, sign = merged
-            c = out.get(idx, Fraction(0)) + sign * ca * cb
-            if c == 0:
-                out.pop(idx, None)
-            else:
-                out[idx] = c
+            # the constructor drops the entries that cancel
+            out[idx] = out.get(idx, Fraction(0)) + sign * ca * cb
     return ExteriorForm(a.dim, a.degree + b.degree, out)
 
 
@@ -161,10 +158,16 @@ def _generator_differentials(dim: int, brackets: Iterable[tuple[tuple[int, int],
     return gens
 
 
-def ce_differential(g: LieAlgebra, xi: ExteriorForm) -> ExteriorForm:
-    """Chevalley-Eilenberg differential of a form, one degree up."""
+def _check_form(g: LieAlgebra, xi: ExteriorForm) -> None:
+    if not isinstance(xi, ExteriorForm):
+        raise StructureError(f"expected an ExteriorForm, got {type(xi).__name__}")
     if xi.dim != g.dim:
         raise ValueError("form dimension does not match the algebra")
+
+
+def ce_differential(g: LieAlgebra, xi: ExteriorForm) -> ExteriorForm:
+    """Chevalley-Eilenberg differential of a form, one degree up."""
+    _check_form(g, xi)
     gens = _generator_differentials(g.dim, g.brackets)
     out: dict[tuple[int, ...], Fraction] = {}
     for idx, c in xi.terms.items():
@@ -175,11 +178,7 @@ def ce_differential(g: LieAlgebra, xi: ExteriorForm) -> ExteriorForm:
                 if merged is None:
                     continue
                 new_idx, sign = merged
-                val = out.get(new_idx, Fraction(0)) + pos_sign * sign * c * dc
-                if val == 0:
-                    out.pop(new_idx, None)
-                else:
-                    out[new_idx] = val
+                out[new_idx] = out.get(new_idx, Fraction(0)) + pos_sign * sign * c * dc
     return ExteriorForm(g.dim, xi.degree + 1, out)
 
 
@@ -189,6 +188,10 @@ def is_closed(g: LieAlgebra, omega: OneForm) -> bool:
 
 
 def _require_closed(g: LieAlgebra, omega: OneForm) -> None:
+    # every twisted-complex query passes here first, so its types are checked here
+    if not (isinstance(g, LieAlgebra) and isinstance(omega, OneForm)):
+        raise StructureError(f"expected a LieAlgebra and a OneForm, got "
+                             f"{type(g).__name__} and {type(omega).__name__}")
     if omega.dim != g.dim:
         raise ValueError("one-form length does not match the algebra dimension")
     if not is_closed(g, omega):
@@ -288,26 +291,25 @@ def _differential_tables(g: LieAlgebra, omega: OneForm):
     return gens, wedge_terms
 
 
-def differential_matrices(g: LieAlgebra, omega: OneForm) -> DifferentialMatrices:
-    """Materialize d_w on every degree; requires d omega = 0.
+def _image_rows(sources: Sequence, targets: Sequence, tables) -> list[dict[int, Fraction]]:
+    """d_w of each source monomial as one sparse row keyed by target position,
+    with no zero stored; ``tables`` is what ``_differential_tables`` returns."""
+    gens, wedge_terms = tables
+    col_of = {idx: c for c, idx in enumerate(targets)}
+    return [{col_of[t]: x for t, x in _monomial_image(idx, gens, wedge_terms).items() if x}
+            for idx in sources]
 
-    Closedness is checked and the table of d e^k built once. Each basis
-    monomial's image is then appended, as one column, straight into the
-    sparse rows of its matrix; entries that cancel to zero are dropped, so
-    no matrix stores a zero and no dense grid is ever built.
-    """
-    gens, wedge_terms = _differential_tables(g, omega)
-    n = g.dim
-    mats = []
-    source = form_basis(n, 0)
-    for p in range(n):
-        target = form_basis(n, p + 1)
-        row_of = {idx: r for r, idx in enumerate(target)}
-        rows: list[dict[int, Fraction]] = [{} for _ in target]
-        for col, idx in enumerate(source):
-            for t_idx, c in _monomial_image(idx, gens, wedge_terms).items():
-                if c:
-                    rows[row_of[t_idx]][col] = c
-        mats.append(RationalMatrix._adopt(len(target), len(source), rows))
-        source = target
-    return DifferentialMatrices(g, omega, tuple(mats))
+
+def _degree_matrix(n: int, p: int, tables) -> RationalMatrix:
+    """d_w at degree p in the lexicographic bases, from its image rows."""
+    source, target = form_basis(n, p), form_basis(n, p + 1)
+    rows = _image_rows(source, target, tables)
+    return RationalMatrix._adopt(len(source), len(target), rows).transpose()
+
+
+def differential_matrices(g: LieAlgebra, omega: OneForm) -> DifferentialMatrices:
+    """Materialize d_w on every degree; requires d omega = 0. Each matrix is
+    the transpose of its degree's image rows: no dense grid is ever built."""
+    tables = _differential_tables(g, omega)
+    return DifferentialMatrices(g, omega, tuple(_degree_matrix(g.dim, p, tables)
+                                                for p in range(g.dim)))

@@ -322,8 +322,8 @@ def rank(M: RationalMatrix) -> int:
     return len(_echelon(_integer_rows(M._rows))[1])
 
 
-def _kernel(M: RationalMatrix) -> list[SparseRow]:
-    """The ``kernel_basis`` vectors as sparse ``{coordinate: value}`` maps."""
+def _kernel(M: RationalMatrix) -> dict[int, SparseRow]:
+    """The ``kernel_basis`` vectors as sparse maps, keyed by their free column."""
     echelon, pivots = _echelon(_integer_rows(M._rows))
     _reduce(echelon, pivots)
     pivot_set = set(pivots)
@@ -333,7 +333,7 @@ def _kernel(M: RationalMatrix) -> list[SparseRow]:
         for j, x in row.items():
             if j != c:
                 basis[j][c] = Fraction(-x, d)
-    return list(basis.values())
+    return basis
 
 
 def kernel_basis(M: RationalMatrix) -> list[Vector]:
@@ -344,23 +344,7 @@ def kernel_basis(M: RationalMatrix) -> list[Vector]:
     coordinates are read off the reduced echelon form, so ``M @ v == 0``
     holds exactly for every returned ``v``.
     """
-    return [_dense(v, M.cols) for v in _kernel(M)]
-
-
-def kernel_modulo_image(M: RationalMatrix, B: RationalMatrix) -> list[SparseRow]:
-    """The ``kernel_basis`` vectors of ``M`` that enlarge the span of the
-    columns of ``B`` and of the vectors picked before, as sparse maps.
-
-    When ``M @ B == 0`` they are a basis of ``ker M / im B``. They are the
-    vectors ``extend_independent(<columns of B>, kernel_basis(M), M.cols)``
-    picks, read off the pivot columns of one elimination of the sparse rows
-    of ``[B | kernel]``.
-    """
-    if B.rows != M.cols:
-        raise ValueError("image row count does not match the kernel's ambient dimension")
-    kernel = _kernel(M)
-    _, pivots = _echelon(_integer_rows(_augment(B, kernel)))
-    return [kernel[c - B.cols] for c in pivots if c >= B.cols]
+    return [_dense(v, M.cols) for v in _kernel(M).values()]
 
 
 def solve(M: RationalMatrix, targets: Sequence[Sequence]) -> list[Vector] | None:

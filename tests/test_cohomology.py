@@ -11,6 +11,7 @@ from liecohom import (
     LieAlgebra,
     NonClosedFormError,
     OneForm,
+    StructureError,
     adapted_basis,
     betti_numbers,
     change_basis,
@@ -170,6 +171,50 @@ def test_coboundary_rejects_nontrivial_class(sol3):
     assert is_coboundary(sol3, one_form(1, 0, 0), e(3, 1, 2)) is None
 
 
+def test_coboundary_edge_cases(sol3, heisenberg3):
+    omega = one_form(1, 0, 0)
+    with pytest.raises(ValueError, match="form dimension does not match the algebra"):
+        is_coboundary(sol3, omega, e(4, 1, 2))
+    # above the top degree every form is zero, and so is its primitive
+    for p in (4, 5, 7):
+        assert is_coboundary(sol3, omega, ExteriorForm.zero(3, p)) == ExteriorForm.zero(3, p - 1)
+    assert is_coboundary(sol3, omega, ExteriorForm.scalar(3, 2)) is None
+    with pytest.raises(NonClosedFormError):
+        is_coboundary(heisenberg3, one_form(0, 0, 1), ExteriorForm.scalar(3, 1))
+
+
+def test_representatives_degree_out_of_range(sol3):
+    for p in (-1, 4):
+        with pytest.raises(ValueError, match="out of range 0..3"):
+            representatives(sol3, one_form(1, 0, 0), p)
+
+
+SOL3_ENTRY = load_example("sol3", k=1)
+TWISTED_QUERIES = {
+    "betti_numbers": lambda g, w, xi: betti_numbers(g, w),
+    "cohomology": lambda g, w, xi: cohomology(g, w),
+    "representatives": lambda g, w, xi: representatives(g, w, 1),
+    "is_cocycle": is_cocycle,
+    "is_coboundary": is_coboundary,
+}
+# (argument position, wrong value): the algebra, the one-form, the form
+WRONG_ARGUMENTS = {"g=entry": (0, SOL3_ENTRY), "g=None": (0, None),
+                   "omega=tuple": (1, (1, 0, 0)), "omega=None": (1, None),
+                   "xi=tuple": (2, (0, 1, 0)), "xi=None": (2, None),
+                   "xi=OneForm": (2, OneForm((0, 1, 0)))}
+
+
+@pytest.mark.parametrize("query,position,value", [
+    pytest.param(query, position, value, id=f"{query}-{label}")
+    for query in TWISTED_QUERIES for label, (position, value) in WRONG_ARGUMENTS.items()
+    if position < 2 or query.startswith("is_")])
+def test_wrong_argument_types_raise_structure_error(query, position, value):
+    args = [SOL3_ENTRY.algebra, one_form(1, 0, 0), e(3, 2)]
+    args[position] = value
+    with pytest.raises(StructureError):
+        TWISTED_QUERIES[query](*args)
+
+
 def test_euler_characteristic_is_zero_everywhere(heisenberg3, sol3, euclid3, abelian2):
     for g in (heisenberg3, sol3, euclid3, abelian2):
         for omega in closed_grid(g):
@@ -269,18 +314,42 @@ def rebased_with_form(name, seed):
     return g, omega, rng
 
 
-@settings(max_examples=90, deadline=None)
-@given(st.sampled_from(sorted(TRIANGULARIZABLE)),
-       st.sampled_from(["zero", "critical", "generic"]), st.integers(0, 2**32 - 1))
-def test_cleared_ranks_equal_plain_ranks(name, kind, seed):
+def rebased_case(name, kind, seed):
+    """A rebased algebra with the zero form, a critical form or a generic one."""
     g, omega, rng = rebased_with_form(name, seed)
     if kind == "zero":
         omega = OneForm.zero(g.dim)
     elif kind == "critical":
         # -w in the exceptional set: the twisted cohomology may survive
         omega = -rng.choice(omega_set(adapted_basis(g)).sorted_elements())
+    return g, omega
+
+
+rebased_cases = given(st.sampled_from(sorted(TRIANGULARIZABLE)),
+                      st.sampled_from(["zero", "critical", "generic"]),
+                      st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=90, deadline=None)
+@rebased_cases
+def test_cleared_ranks_equal_plain_ranks(name, kind, seed):
+    g, omega = rebased_case(name, kind, seed)
     plain = [rank(m) for m in differential_matrices(g, omega).matrices]
     assert _cleared_ranks(g, omega) == plain
+
+
+@settings(max_examples=60, deadline=None)
+@rebased_cases
+def test_representatives_are_the_greedy_pick(name, kind, seed):
+    g, omega = rebased_case(name, kind, seed)
+    result = cohomology(g, omega)
+    mats = differential_matrices(g, omega)
+    for p, reps in enumerate(result.representatives):
+        below = mats.matrix(p - 1) if p > 0 else RationalMatrix(comb(g.dim, p), 0)
+        image = [below.column(j) for j in range(below.cols)]
+        assert [form_to_coords(r) for r in reps] == sequential_extend(
+            image, kernel_basis(mats.matrix(p)), comb(g.dim, p))
+    assert result.betti == tuple(betti_numbers(g, omega))
 
 
 @settings(max_examples=60, deadline=None)
