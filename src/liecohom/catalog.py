@@ -21,6 +21,7 @@ from math import comb
 
 from .algebra import LieAlgebra, OneForm
 from .errors import StructureError
+from .serialization import parse_decimal, parse_rational
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,12 @@ class CatalogEntry:
 
 
 def _as_fraction(name: str, value) -> Fraction:
+    if isinstance(value, str):
+        # read like every other rational literal: "p" or "p/q", nothing else
+        try:
+            return parse_rational(value)
+        except StructureError as exc:
+            raise StructureError(f"parameter {name}: {exc}") from None
     # a float is already rounded and a bool is not a number: neither is taken
     if not isinstance(value, (bool, float)):
         try:
@@ -133,10 +140,7 @@ def load_example(name: str, **params) -> CatalogEntry:
     if name == "abelian":
         n = params.pop("n", 2)
         if isinstance(n, str):
-            try:
-                n = int(n)
-            except ValueError:
-                raise StructureError(f"abelian parameter n must be an integer, got {n!r}") from None
+            n = parse_decimal(n, "abelian parameter n must be an integer, got")
         entry = _abelian(n)
     elif name == "heisenberg3":
         entry = _heisenberg3()

@@ -9,16 +9,18 @@ per source monomial, with the target monomials in reverse lexicographic
 order, so the pivots are the last entries of a basis of im d_p: the cleared
 monomials of degree p+1. Each ends some z in im d_p, inside ker d_(p+1), so
 its row in degree p+1 depends on earlier rows; skipping it keeps the rank.
+One walk over the degrees assembles only the monomials that are not
+cleared, and b^p is their number minus rank d_p.
 
-Representatives are the kernel vector of each free monomial that is not a
-cleared pivot. The ``kernel_basis`` vector v_f of d_p at a free column f
-ends at f: it is 1 there and nonzero elsewhere only at pivots before f. A
-coboundary ending at f lies in ker d_p, so up to a scalar it is v_f plus
-earlier kernel vectors; and a coboundary equal to v_f minus earlier kernel
-vectors ends at f. So the greedy pick of the v_f, in order, modulo
-im d_(p-1) and the earlier picks, keeps v_f exactly when f is not cleared,
-and one assembly per degree feeds both the cleared elimination and the
-kernel. The choice is reproducible bit for bit.
+Representatives are the ``kernel_basis`` vectors of d_p restricted to those
+same monomials. A cleared monomial c is the lex-largest entry of some z in
+im d_(p-1), inside ker d_p, so its column of d_p depends on earlier columns
+and is never a pivot. Dropping it leaves every other kernel vector v_f
+unchanged: v_f is 1 at its free column f and lives only on the pivots
+before f. The kept free columns are exactly the free monomials outside the
+cleared set, which is the greedy pick of the v_f modulo im d_(p-1), so every
+kernel vector of the restricted d_p is a representative and the choice is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .exterior import (
     form_basis,
     form_to_coords,
 )
-from .linalg import RationalMatrix, SparseRow, _echelon, _integer_rows, _kernel, in_image
+from .linalg import RationalMatrix, _echelon, _integer_rows, _kernel, in_image
 
 # unused here, kept importable because perfbench/tracer.py wraps these names
 from .exterior import differential_matrices  # noqa: F401
@@ -54,42 +56,30 @@ class CohomologyResult:
     representatives: tuple[tuple[ExteriorForm, ...], ...]
 
 
-def _betti(ranks: list[int]) -> list[int]:
-    """b^p = dim ker d_w^p - dim im d_w^(p-1) = C(n, p) - rank_p - rank_(p-1),
-    from the ranks of d_w^0 .. d_w^(n-1)."""
-    n, ranks = len(ranks), [0, *ranks, 0]
-    return [comb(n, p) - ranks[p + 1] - ranks[p] for p in range(n + 1)]
-
-
-def _pivot_targets(rows: list[SparseRow], targets: list[tuple[int, ...]]) -> set:
-    """The targets at the pivot columns: the last entries of a basis of the span."""
-    _, pivots = _echelon(_integer_rows(rows))
-    return {targets[c] for c in pivots}
-
-
-def _cleared_ranks(g: LieAlgebra, omega: OneForm) -> list[int]:
-    """rank d_w^p for p = 0 .. n-1, each degree cleared by the one below."""
+def _cleared_walk(g: LieAlgebra, omega: OneForm):
+    """Per degree p = 0 .. n: the monomials degree p-1 did not clear (reverse
+    lexicographic order), their image rows and rank d_w^p."""
     tables = _differential_tables(g, omega)
-    ranks, sources, cleared = [], form_basis(g.dim, 0), set()
-    for p in range(1, g.dim + 1):
-        targets = form_basis(g.dim, p)[::-1]
-        rows = _image_rows([idx for idx in sources if idx not in cleared], targets, tables)
-        sources, cleared = targets, _pivot_targets(rows, targets)
-        ranks.append(len(cleared))
-    return ranks
+    sources, cleared = form_basis(g.dim, 0), set()
+    for p in range(g.dim + 1):
+        targets = form_basis(g.dim, p + 1)[::-1]
+        kept = [idx for idx in sources if idx not in cleared]
+        rows = _image_rows(kept, targets, tables)
+        _, pivots = _echelon(_integer_rows(rows))
+        yield kept, rows, len(pivots)
+        sources, cleared = targets, {targets[c] for c in pivots}
 
 
 def betti_numbers(g: LieAlgebra, omega: OneForm) -> list[int]:
     """Exact dimensions of the twisted cohomology in degrees 0..n."""
-    return _betti(_cleared_ranks(g, omega))
+    return [len(kept) - r for kept, _, r in _cleared_walk(g, omega)]
 
 
-def _representatives_from(n: int, p: int, rows: list, cleared: set) -> list[ExteriorForm]:
-    """The kernel vector of each free monomial of d_w^p outside ``cleared``."""
-    sources = form_basis(n, p)
+def _representatives_from(n: int, p: int, kept: list, rows: list) -> list[ExteriorForm]:
+    """The kernel vectors of d_w^p on the kept monomials, lexicographic order."""
     d_p = RationalMatrix._adopt(len(rows), comb(n, p + 1), rows).transpose()
-    return [ExteriorForm(n, p, {sources[i]: x for i, x in sorted(v.items())})
-            for f, v in _kernel(d_p).items() if sources[f] not in cleared]
+    return [ExteriorForm(n, p, {kept[i]: x for i, x in sorted(v.items())})
+            for v in _kernel(d_p)]
 
 
 def representatives(g: LieAlgebra, omega: OneForm, p: int) -> list[ExteriorForm]:
@@ -102,20 +92,13 @@ def representatives(g: LieAlgebra, omega: OneForm, p: int) -> list[ExteriorForm]
 
 def cohomology(g: LieAlgebra, omega: OneForm) -> CohomologyResult:
     """Betti numbers plus representatives for every degree in one pass."""
-    tables = _differential_tables(g, omega)
-    n = g.dim
-    # degree p: the image rows of every monomial and the monomials cleared by degree p-1
-    rows, cleared = [], [set()]
-    for p in range(n + 1):
-        sources, targets = form_basis(n, p), form_basis(n, p + 1)[::-1]
-        rows.append(_image_rows(sources, targets, tables))
-        kept = [r for idx, r in zip(sources, rows[p]) if idx not in cleared[p]]
-        cleared.append(_pivot_targets(kept, targets))
-    # rank d_w^p is the number of monomials it clears
-    betti = _betti([len(c) for c in cleared[1:n + 1]])
-    reps = tuple(tuple(_representatives_from(n, p, rows[p], cleared[p])) if b else ()
-                 for p, b in enumerate(betti))
-    return CohomologyResult(omega=omega, betti=tuple(betti), representatives=reps)
+    betti, reps = [], []
+    for p, (kept, rows, r) in enumerate(_cleared_walk(g, omega)):
+        betti.append(len(kept) - r)
+        # _kernel reads its free columns in lexicographic order
+        reps.append(tuple(_representatives_from(g.dim, p, kept[::-1], rows[::-1]))
+                    if betti[-1] else ())
+    return CohomologyResult(omega=omega, betti=tuple(betti), representatives=tuple(reps))
 
 
 def is_cocycle(g: LieAlgebra, omega: OneForm, xi: ExteriorForm) -> bool:

@@ -322,8 +322,8 @@ def rank(M: RationalMatrix) -> int:
     return len(_echelon(_integer_rows(M._rows))[1])
 
 
-def _kernel(M: RationalMatrix) -> dict[int, SparseRow]:
-    """The ``kernel_basis`` vectors as sparse maps, keyed by their free column."""
+def _kernel(M: RationalMatrix) -> list[SparseRow]:
+    """The ``kernel_basis`` vectors as sparse maps, in free-column order."""
     echelon, pivots = _echelon(_integer_rows(M._rows))
     _reduce(echelon, pivots)
     pivot_set = set(pivots)
@@ -333,7 +333,7 @@ def _kernel(M: RationalMatrix) -> dict[int, SparseRow]:
         for j, x in row.items():
             if j != c:
                 basis[j][c] = Fraction(-x, d)
-    return basis
+    return list(basis.values())
 
 
 def kernel_basis(M: RationalMatrix) -> list[Vector]:
@@ -344,7 +344,7 @@ def kernel_basis(M: RationalMatrix) -> list[Vector]:
     coordinates are read off the reduced echelon form, so ``M @ v == 0``
     holds exactly for every returned ``v``.
     """
-    return [_dense(v, M.cols) for v in _kernel(M).values()]
+    return [_dense(v, M.cols) for v in _kernel(M)]
 
 
 def solve(M: RationalMatrix, targets: Sequence[Sequence]) -> list[Vector] | None:

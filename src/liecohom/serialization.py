@@ -33,6 +33,25 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _int(text: str) -> int:
+    """int() of a checked digit string; past the interpreter's limit on
+    integer string conversion it is a StructureError, not a ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise StructureError(f"integer literal of {len(text.lstrip('+-'))} digits is over the "
+                             "interpreter's limit for integer conversion") from None
+
+
+def parse_decimal(text, message: str) -> int:
+    """A plain ASCII decimal string as an int, else a StructureError that
+    reads ``message`` and the repr of ``text``. int() alone would also take
+    "1_0", " 3" and other scripts' digits."""
+    if not (isinstance(text, str) and text.isascii() and text.isdigit()):
+        raise StructureError(f"{message} {text!r}")
+    return _int(text)
+
+
 def parse_rational(text) -> Fraction:
     """Parse "p" or "p/q" exactly; anything else is a StructureError."""
     if _is_int(text):
@@ -42,10 +61,10 @@ def parse_rational(text) -> Fraction:
     text = text.strip()
     if "/" in text:
         num, den = text.split("/")
-        if int(den) == 0:
+        if _int(den) == 0:
             raise StructureError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return Fraction(_int(num), _int(den))
+    return Fraction(_int(text))
 
 
 def format_rational(q: Fraction) -> str:
@@ -90,11 +109,7 @@ def algebra_from_dict(doc: Mapping) -> LieAlgebra:
         vec = [Fraction(0)] * dim
         seen = set()
         for key, value in coeffs.items():
-            # plain ASCII decimal only: int() would also take "1_0", " 3" and other scripts' digits
-            if not (isinstance(key, str) and key.isascii() and key.isdigit()):
-                raise StructureError(
-                    f"bracket ({i},{j}) has a non-integer target index {key!r}")
-            k = int(key)
+            k = parse_decimal(key, f"bracket ({i},{j}) has a non-integer target index")
             if not 1 <= k <= dim:
                 raise StructureError(
                     f"bracket ({i},{j}) target index {k} out of range 1..{dim}")
@@ -134,7 +149,8 @@ def parse_algebra(text: str) -> LieAlgebra:
     """
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer past the interpreter's digit limit
         raise StructureError(f"invalid JSON: {exc}") from None
     return algebra_from_dict(doc)
 

@@ -44,6 +44,19 @@ def test_validate_abelian_ok():
         assert validate_lie_algebra(n, {}).ok
 
 
+def test_jacobi_check_skips_triples_without_a_stored_bracket(monkeypatch):
+    calls = []
+    real = LieAlgebra.bracket
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return real(self, x, y)
+
+    monkeypatch.setattr(LieAlgebra, "bracket", counting)
+    assert LieAlgebra.from_brackets(60, {}).dim == 60
+    assert calls == []
+
+
 def test_validate_reports_jacobi_defect_exhaustively():
     report = validate_lie_algebra(3, BROKEN_TABLE)
     assert not report.ok

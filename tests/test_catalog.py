@@ -92,9 +92,25 @@ def test_floats_and_bools_are_not_coerced():
     for bad in (True, False, 2.0):
         with pytest.raises(StructureError):
             load_example("abelian", n=bad)
-    # strings stay exact, as the command line passes them
-    assert load_example("sol3", k="0.1").parameters["k"] == Fraction(1, 10)
+    # strings are read with the package's rational grammar, as the command line passes them
+    assert load_example("sol3", k="1/10").parameters["k"] == Fraction(1, 10)
     assert load_example("abelian", n="3").algebra.dim == 3
+
+
+@pytest.mark.parametrize("name,params", [
+    ("sol3", {"k": "0.1"}),            # decimal and exponent strings are not rational literals
+    ("sol3", {"k": "1e5000"}),
+    ("sol3", {"k": "1_0"}),
+    ("sol3", {"k": "\u0661"}),
+    ("abelian", {"n": "1_0"}),          # int() would take all three
+    ("abelian", {"n": "\u0661\u0660"}),
+    ("abelian", {"n": " 3"}),
+    ("abelian", {"n": "+3"}),
+    ("abelian", {"n": "3/1"}),
+])
+def test_string_parameters_use_the_strict_grammar(name, params):
+    with pytest.raises(StructureError):
+        load_example(name, **params)
 
 
 def test_entries_export_to_wire_format_and_back():

@@ -1,5 +1,6 @@
 import importlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -210,6 +211,40 @@ def test_example_prints_summary(capsys):
 
 def test_example_bad_parameter_exits_1(capsys):
     assert main(["example", "sol3", "--param", "k=0"]) == 1
+
+
+@pytest.mark.parametrize("param", ["n=1_0", "k=1e5000"])
+def test_example_parameters_outside_the_grammar_exit_1(capsys, param):
+    name = "abelian" if param.startswith("n=") else "sol3"
+    assert main(["example", name, "--param", param]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Python 3.11 and the 3.10 security releases refuse int() of a digit string
+# past a limit (4300 digits by default); 0 switches the limit off
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="no limit on integer string conversion")
+@pytest.mark.parametrize("where", ["coefficient", "json integer", "target index", "omega",
+                                   "lambda", "morse", "param k", "param n"])
+def test_integers_over_the_digit_limit_exit_1(tmp_path, capsys, heis_file, where):
+    big = "7" * (DIGIT_LIMIT + 700)
+    coeffs = {"coefficient": f'{{"3": "{big}"}}', "json integer": f'{{"3": {big}}}',
+              "target index": f'{{"{big}": "1"}}'}.get(where, '{"3": "1"}')
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"dim": 3, "brackets": [{{"i": 1, "j": 2, "coeffs": {coeffs}}}]}}')
+    argv = {
+        "omega": ["cohomology", heis_file, f"--omega={big},0,0"],
+        "lambda": ["novikov", heis_file, "--omega=0,0,0", f"--lambda={big}", "--morse=1,2,2,1"],
+        "morse": ["novikov", heis_file, "--omega=0,0,0", "--lambda=1", f"--morse=1,{big},2,1"],
+        "param k": ["example", "sol3", "--param", f"k={big}"],
+        "param n": ["example", "abelian", "--param", f"n={big}"],
+    }.get(where, ["validate", str(path)])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_novikov_rejects_fractional_morse_counts(sol3_file, capsys):

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 from math import comb
@@ -28,7 +29,7 @@ from liecohom import (
     representatives,
 )
 from liecohom.algebra import random_invertible
-from liecohom.cohomology import _cleared_ranks
+from liecohom.cohomology import _cleared_walk
 from liecohom.exterior import form_basis, form_to_coords
 from liecohom.linalg import RationalMatrix, kernel_basis, rank, unit_vector
 
@@ -334,8 +335,33 @@ rebased_cases = given(st.sampled_from(sorted(TRIANGULARIZABLE)),
 @rebased_cases
 def test_cleared_ranks_equal_plain_ranks(name, kind, seed):
     g, omega = rebased_case(name, kind, seed)
-    plain = [rank(m) for m in differential_matrices(g, omega).matrices]
-    assert _cleared_ranks(g, omega) == plain
+    mats = differential_matrices(g, omega)
+    plain = [rank(mats.matrix(p)) for p in range(g.dim + 1)]
+    assert [r for _, _, r in _cleared_walk(g, omega)] == plain
+
+
+@pytest.mark.parametrize("g,omega", [
+    (load_example("heisenberg3").algebra, one_form(0, 0, 0)),
+    (load_example("sol3", k=2).algebra, one_form(2, 0, 0)),
+    (heisenberg5(), one_form(0, 0, 0, 0, 0)),
+    (change_basis(diag(5), random_invertible(5, random.Random(3))), one_form(0, 0, 0, 0, 0)),
+])
+def test_cohomology_assembles_only_uncleared_monomials(g, omega, monkeypatch):
+    # the package exports a function named cohomology, so fetch the module itself
+    module = importlib.import_module("liecohom.cohomology")
+    assembled = []
+
+    def counting(sources, targets, tables):
+        assembled.append(len(sources))
+        return real(sources, targets, tables)
+
+    real = module._image_rows
+    monkeypatch.setattr(module, "_image_rows", counting)
+    result = cohomology(g, omega)
+    ranks = [0] + [rank(m) for m in differential_matrices(g, omega).matrices]
+    assert assembled == [comb(g.dim, p) - ranks[p] for p in range(g.dim + 1)]
+    assert sum(ranks) > 0
+    assert result.betti == tuple(betti_numbers(g, omega))
 
 
 @settings(max_examples=60, deadline=None)
