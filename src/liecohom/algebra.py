@@ -4,7 +4,11 @@ An algebra is stored as its dimension, basis names and the bracket table
 ``{(i, j): coefficient vector}`` for 1 <= i < j <= n; antisymmetry is
 implicit and the Jacobi identity is checked at construction time. All
 indices facing the user are 1-based (matching the e_1 ... e_n notation),
-coordinates are plain tuples of Fractions.
+coordinates are plain tuples of Fractions. Each algebra also carries one
+integer image of its table: the positive lcm ``L`` of every coefficient
+denominator and, per stored pair, the nonzero ``(m, L * C_ij^m)`` as ints.
+The Jacobi check, closedness of one-forms and the assembly of the twisted
+differential all read that image, so their arithmetic is on ints.
 
 Every value is immutable after construction and every operation is a pure
 function. The one exception is a private memo: the weight data of an algebra
@@ -21,6 +25,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import JacobiError, StructureError
@@ -178,11 +183,21 @@ class LieAlgebra:
     # built per instance, never passed in, so ``dataclasses.replace`` shares
     # neither the lookup table nor the memo with the algebra it copies
     _table: dict = field(init=False, compare=False, repr=False)
+    # the lcm L of all coefficient denominators, and each stored bracket as
+    # ((m, L * C_ij^m), ...) over its nonzero 0-based positions m
+    _scale: int = field(init=False, compare=False, repr=False)
+    _int_table: dict = field(init=False, compare=False, repr=False)
     # the WeightData of this algebra once ``weights.adapted_basis`` succeeds
     _weight_memo: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        scale = lcm(*(c.denominator for _, v in self.brackets for c in v if c))
         object.__setattr__(self, "_table", dict(self.brackets))
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_int_table", {
+            key: tuple((m, c.numerator * (scale // c.denominator))
+                       for m, c in enumerate(v) if c)
+            for key, v in self.brackets})
         object.__setattr__(self, "_weight_memo", [])
 
     @classmethod
@@ -246,17 +261,29 @@ def _jacobi_report(g: LieAlgebra) -> ValidationReport:
 
     A triple none of whose three pairs has a stored bracket sums to zero, so
     only the triples that contain a stored pair are visited, in sorted order.
+    The sums run over the integer table, at scale L^2; only a nonzero sum is
+    divided back into the exact defect.
     """
-    def nested(a: int, b: int, c: int) -> Vector:
-        return g.bracket(g.bracket_basis(a, b), unit_vector(g.dim, c - 1))
+    # [e_a, e_b] for a != b in either order, as (0-based m, L * C_ab^m)
+    signed = {}
+    for (i, j), terms in g._int_table.items():
+        signed[i, j] = terms
+        signed[j, i] = tuple((m, -x) for m, x in terms)
 
     defects = []
     triples = {tuple(sorted((i, j, k))) for (i, j), _ in g.brackets
                for k in range(1, g.dim + 1) if k != i and k != j}
     for i, j, k in sorted(triples):
-        total = vec_add(vec_add(nested(i, j, k), nested(j, k, i)), nested(k, i, j))
-        if not vec_is_zero(total):
-            defects.append(JacobiDefect((i, j, k), total))
+        acc: dict[int, int] = {}
+        # [[e_a, e_b], e_c] summed over the three cyclic orders
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in signed.get((a, b), ()):
+                for out, y in signed.get((m + 1, c), ()):
+                    acc[out] = acc.get(out, 0) + x * y
+        if any(acc.values()):
+            square = g._scale * g._scale
+            defect = tuple(Fraction(acc.get(m, 0), square) for m in range(g.dim))
+            defects.append(JacobiDefect((i, j, k), defect))
     return ValidationReport(ok=not defects, defects=tuple(defects))
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .algebra import LieAlgebra, OneForm
 from .errors import StructureError
@@ -59,7 +58,12 @@ def _abelian(n: int) -> CatalogEntry:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise StructureError("abelian requires an integer parameter n >= 1")
     g = LieAlgebra.from_brackets(n, {})
-    expected = ((OneForm.zero(n), tuple(comb(n, p) for p in range(n + 1))),)
+    # C(n, p+1) = C(n, p) (n - p) / (p + 1): one product per entry, where a
+    # separate binomial per entry costs a minute at n = 15000
+    binomials = [1]
+    for p in range(n):
+        binomials.append(binomials[-1] * (n - p) // (p + 1))
+    expected = ((OneForm.zero(n), tuple(binomials)),)
     return CatalogEntry(
         name="abelian",
         parameters={"n": n},

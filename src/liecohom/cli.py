@@ -185,16 +185,22 @@ def _cmd_example(args) -> int:
             fh.write("\n")
         print(f"wrote {args.emit}")
     else:
-        print(f"{entry.name} (dim {entry.algebra.dim}, "
-              f"{classify(entry.algebra).value})")
-        print(entry.provenance)
-        for (i, j), coeffs in entry.algebra.brackets:
-            terms = " + ".join(f"{format_rational(c)}*e{m + 1}"
-                               for m, c in enumerate(coeffs) if c != 0)
-            print(f"[e{i},e{j}] = {terms}")
-        for omega, betti in entry.expected:
-            print(f"expected betti at ({','.join(one_form_to_list(omega))}): "
-                  + str(list(betti)))
+        lines = [f"{entry.name} (dim {entry.algebra.dim}, "
+                 f"{classify(entry.algebra).value})", entry.provenance]
+        try:
+            for (i, j), coeffs in entry.algebra.brackets:
+                terms = " + ".join(f"{format_rational(c)}*e{m + 1}"
+                                   for m, c in enumerate(coeffs) if c != 0)
+                lines.append(f"[e{i},e{j}] = {terms}")
+            for omega, betti in entry.expected:
+                lines.append(f"expected betti at ({','.join(one_form_to_list(omega))}): "
+                             + str(list(betti)))
+        except ValueError:
+            # str() refuses an int longer than sys.get_int_max_str_digits()
+            raise StructureError(
+                f"{entry.name} has a value too long to print as a decimal; "
+                "write the algebra with --emit instead") from None
+        print("\n".join(lines))
     return 0
 
 

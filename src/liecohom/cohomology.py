@@ -40,7 +40,7 @@ from .exterior import (
     form_basis,
     form_to_coords,
 )
-from .linalg import RationalMatrix, _echelon, _integer_rows, _kernel, in_image
+from .linalg import RationalMatrix, _echelon, _kernel, in_image
 
 # unused here, kept importable because perfbench/tracer.py wraps these names
 from .exterior import differential_matrices  # noqa: F401
@@ -58,14 +58,14 @@ class CohomologyResult:
 
 def _cleared_walk(g: LieAlgebra, omega: OneForm):
     """Per degree p = 0 .. n: the monomials degree p-1 did not clear (reverse
-    lexicographic order), their image rows and rank d_w^p."""
+    lexicographic order), their int image rows (S * d_w^p) and rank d_w^p."""
     tables = _differential_tables(g, omega)
     sources, cleared = form_basis(g.dim, 0), set()
     for p in range(g.dim + 1):
         targets = form_basis(g.dim, p + 1)[::-1]
         kept = [idx for idx in sources if idx not in cleared]
         rows = _image_rows(kept, targets, tables)
-        _, pivots = _echelon(_integer_rows(rows))
+        _, pivots = _echelon(rows)
         yield kept, rows, len(pivots)
         sources, cleared = targets, {targets[c] for c in pivots}
 
@@ -76,10 +76,13 @@ def betti_numbers(g: LieAlgebra, omega: OneForm) -> list[int]:
 
 
 def _representatives_from(n: int, p: int, kept: list, rows: list) -> list[ExteriorForm]:
-    """The kernel vectors of d_w^p on the kept monomials, lexicographic order."""
+    """The kernel vectors of d_w^p on the kept monomials, lexicographic order.
+
+    ``rows`` are their int image rows; ker(S * d_w^p) = ker d_w^p.
+    """
     d_p = RationalMatrix._adopt(len(rows), comb(n, p + 1), rows).transpose()
     return [ExteriorForm(n, p, {kept[i]: x for i, x in sorted(v.items())})
-            for v in _kernel(d_p)]
+            for v in _kernel(d_p._rows, d_p.cols)]
 
 
 def representatives(g: LieAlgebra, omega: OneForm, p: int) -> list[ExteriorForm]:
@@ -110,7 +113,9 @@ def is_coboundary(g: LieAlgebra, omega: OneForm, xi: ExteriorForm) -> ExteriorFo
     """A primitive eta with d_w(eta) = xi, or None when xi is not exact.
 
     The primitive is the minimal pivot solution, hence reproducible; only
-    degree p-1 is assembled, and above the top degree it is zero.
+    degree p-1 is assembled, and above the top degree it is zero. The matrix
+    assembled is S * d_w, which has the same pivots, so its solution u gives
+    the primitive S * u.
     """
     tables = _differential_tables(g, omega)
     _check_form(g, xi)
@@ -119,7 +124,7 @@ def is_coboundary(g: LieAlgebra, omega: OneForm, xi: ExteriorForm) -> ExteriorFo
         # nothing maps into degree 0, so no primitive ever exists
         return None
     sol = in_image(_degree_matrix(g.dim, p - 1, tables), form_to_coords(xi))
-    return None if sol is None else coords_to_form(g.dim, p - 1, sol)
+    return None if sol is None else coords_to_form(g.dim, p - 1, [tables[2] * x for x in sol])
 
 
 def euler_characteristic(result: CohomologyResult) -> int:

@@ -12,6 +12,14 @@ and extends by the graded Leibniz rule; it squares to zero exactly when the
 Jacobi identity holds. The twisted differential adds a wedge with a closed
 one-form, d_w = d + w ^ . ; closedness of w is a hard precondition because
 d_w fails to square to zero otherwise.
+
+The matrices of d_w are assembled in integer arithmetic. The algebra keeps
+its bracket table scaled by the lcm L of its denominators (``LieAlgebra``);
+one scale S = lcm(L, denominators of w) turns d e^k and w into int tables,
+and every image row is S times the row of d_w. Rank, kernel and the pivots
+of a solve do not change under that scaling, so the elimination reads the
+int rows as they are; ``differential_matrices`` divides by S to give the
+rational matrices of d_w itself.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import LieAlgebra, OneForm
@@ -184,7 +193,11 @@ def ce_differential(g: LieAlgebra, xi: ExteriorForm) -> ExteriorForm:
 
 def is_closed(g: LieAlgebra, omega: OneForm) -> bool:
     """Whether d omega = 0, i.e. omega kills every bracket."""
-    return all(omega.evaluate(v) == 0 for _, v in g.brackets)
+    if omega.dim != g.dim:
+        raise ValueError("one-form length does not match the algebra dimension")
+    w = omega.coeffs
+    return not any(sum(w[m] * x for m, x in terms if w[m])
+                   for terms in g._int_table.values())
 
 
 def _require_closed(g: LieAlgebra, omega: OneForm) -> None:
@@ -192,8 +205,6 @@ def _require_closed(g: LieAlgebra, omega: OneForm) -> None:
     if not (isinstance(g, LieAlgebra) and isinstance(omega, OneForm)):
         raise StructureError(f"expected a LieAlgebra and a OneForm, got "
                              f"{type(g).__name__} and {type(omega).__name__}")
-    if omega.dim != g.dim:
-        raise ValueError("one-form length does not match the algebra dimension")
     if not is_closed(g, omega):
         raise NonClosedFormError(
             "twisting one-form is not closed; the deformed differential would "
@@ -245,8 +256,9 @@ class DifferentialMatrices:
         return self.matrices[p]
 
 
-def _monomial_image(idx: tuple[int, ...], gens, wedge_terms) -> dict[tuple[int, ...], Fraction]:
-    """d_w e^idx by index arithmetic, as {target index tuple: coefficient}.
+def _monomial_image(idx: tuple[int, ...], gens, wedge_terms) -> dict[tuple[int, ...], int]:
+    """S * d_w e^idx by index arithmetic, as {target index tuple: int}, where
+    S is the scale of the tables (``_differential_tables``).
 
     Replacing e^k at position t by the 2-form e^i ^ e^j and sorting gives the
     sign (-1)^(t + a + b), where a and b count the remaining indices below i
@@ -254,7 +266,7 @@ def _monomial_image(idx: tuple[int, ...], gens, wedge_terms) -> dict[tuple[int, 
     tables carry each coefficient next to its negative, and a target's first
     contribution is stored as it is. Contributions may cancel to zero.
     """
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int] = {}
     for t, k in enumerate(idx):
         rest = idx[:t] + idx[t + 1:]
         for i, j, c, neg in gens[k - 1]:
@@ -277,31 +289,39 @@ def _monomial_image(idx: tuple[int, ...], gens, wedge_terms) -> dict[tuple[int, 
 
 
 def _differential_tables(g: LieAlgebra, omega: OneForm):
-    """The ``gens`` and ``wedge_terms`` tables ``_monomial_image`` reads;
-    raises NonClosedFormError unless d omega = 0.
+    """The ``gens`` and ``wedge_terms`` tables ``_monomial_image`` reads and
+    their scale S; raises NonClosedFormError unless d omega = 0.
 
-    ``gens[k - 1]`` lists d e^k as (i, j, c, -c) for its nonzero
-    coefficients c at e^i ^ e^j, in sorted order; ``wedge_terms`` lists
-    (m, w_m, -w_m) for the nonzero coefficients of w.
+    S is the lcm of the algebra's scale L and the denominators of w, and
+    every entry is S times a coefficient of d_w, as an int. ``gens[k - 1]``
+    lists d e^k as (i, j, c, -c) for its nonzero coefficients c = -S C_ij^k
+    at e^i ^ e^j, in sorted order; ``wedge_terms`` lists (m, c, -c) for
+    c = S w_m at the nonzero coefficients of w.
     """
     _require_closed(g, omega)
-    gens = [[(i, j, c, -c) for (i, j), c in sorted(d.items())]
-            for d in _generator_differentials(g.dim, g.brackets)]
-    wedge_terms = [(m + 1, c, -c) for m, c in enumerate(omega.coeffs) if c]
-    return gens, wedge_terms
+    scale = lcm(g._scale, *(c.denominator for c in omega.coeffs))
+    up = scale // g._scale
+    gens = [[] for _ in range(g.dim)]
+    for (i, j), terms in sorted(g._int_table.items()):
+        for m, x in terms:
+            gens[m].append((i, j, -up * x, up * x))
+    scaled = [(m + 1, int(c * scale)) for m, c in enumerate(omega.coeffs) if c]
+    wedge_terms = [(m, x, -x) for m, x in scaled]
+    return gens, wedge_terms, scale
 
 
-def _image_rows(sources: Sequence, targets: Sequence, tables) -> list[dict[int, Fraction]]:
-    """d_w of each source monomial as one sparse row keyed by target position,
-    with no zero stored; ``tables`` is what ``_differential_tables`` returns."""
-    gens, wedge_terms = tables
+def _image_rows(sources: Sequence, targets: Sequence, tables) -> list[dict[int, int]]:
+    """S * d_w of each source monomial as one sparse int row keyed by target
+    position, with no zero stored; ``tables`` is what ``_differential_tables``
+    returns."""
+    gens, wedge_terms, _ = tables
     col_of = {idx: c for c, idx in enumerate(targets)}
     return [{col_of[t]: x for t, x in _monomial_image(idx, gens, wedge_terms).items() if x}
             for idx in sources]
 
 
 def _degree_matrix(n: int, p: int, tables) -> RationalMatrix:
-    """d_w at degree p in the lexicographic bases, from its image rows."""
+    """S * d_w at degree p in the lexicographic bases, from its image rows."""
     source, target = form_basis(n, p), form_basis(n, p + 1)
     rows = _image_rows(source, target, tables)
     return RationalMatrix._adopt(len(source), len(target), rows).transpose()
@@ -309,7 +329,9 @@ def _degree_matrix(n: int, p: int, tables) -> RationalMatrix:
 
 def differential_matrices(g: LieAlgebra, omega: OneForm) -> DifferentialMatrices:
     """Materialize d_w on every degree; requires d omega = 0. Each matrix is
-    the transpose of its degree's image rows: no dense grid is ever built."""
+    the transpose of its degree's image rows divided by their scale S: no
+    dense grid is ever built."""
     tables = _differential_tables(g, omega)
-    return DifferentialMatrices(g, omega, tuple(_degree_matrix(g.dim, p, tables)
+    unscale = Fraction(1, tables[2])
+    return DifferentialMatrices(g, omega, tuple(_degree_matrix(g.dim, p, tables).scale(unscale)
                                                 for p in range(g.dim)))

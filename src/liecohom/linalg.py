@@ -9,12 +9,16 @@ matrix follows its nonzeros rather than its shape.
 Rank, kernels, linear solves against many right-hand sides at once (a
 single preimage and an inverse are such solves), canonical span bases and
 greedy span extension all go through one fraction-free elimination on
-sparse integer rows: each row is a ``{column: int}`` map with its
-denominators cleared, a row with no entry in the pivot column is left
-untouched, and every updated row is divided by its content. Each row then
-stays the primitive multiple of the row Bareiss elimination would hold, so
-intermediate entries are bounded by minors of the input instead of letting
-numerators explode.
+sparse integer rows, ``_echelon``: each row is a ``{column: int}`` map, a
+row with no entry in the pivot column is left untouched, and every updated
+row is divided by its content. Each row then stays the primitive multiple
+of the row Bareiss elimination would hold, so intermediate entries are
+bounded by minors of the input instead of letting numerators explode.
+
+The public functions clear each rational row's denominators first
+(``_integer_rows``). The cohomology path does not need to: the exterior
+module assembles the twisted differential as int rows at one common scale,
+and hands them to ``_echelon`` and ``_kernel`` as they are.
 
 Pivot columns are taken in ascending order and are always the greedy
 independent column set, so every function is deterministic: the same matrix
@@ -121,7 +125,9 @@ class RationalMatrix:
     @classmethod
     def _adopt(cls, rows: int, cols: int, data: list[SparseRow]) -> "RationalMatrix":
         """Adopt sparse rows the package built: Fraction values, no zero
-        stored, every key below ``cols``. Nothing is checked or copied."""
+        stored, every key below ``cols``. Nothing is checked or copied.
+
+        A scaled matrix that only goes into an elimination may hold ints."""
         m = cls.__new__(cls)
         m.rows, m.cols, m._rows = rows, cols, data
         return m
@@ -229,17 +235,16 @@ class RationalMatrix:
 
 
 def _integer_rows(rows: Iterable[SparseRow]) -> list[dict[int, int]]:
-    """Nonempty sparse rows with each row's denominators cleared.
+    """Sparse rows with each row's denominators cleared.
 
     The rows must store no zero. Row scaling by a positive integer changes
     neither rank nor solution sets, so elimination on these rows answers
-    questions about the rational rows. Empty rows are dropped.
+    questions about the rational rows.
     """
     out = []
     for row in rows:
-        if row:
-            mult = lcm(*(q.denominator for q in row.values()))
-            out.append({j: q.numerator * (mult // q.denominator) for j, q in row.items()})
+        mult = lcm(*(q.denominator for q in row.values()))
+        out.append({j: q.numerator * (mult // q.denominator) for j, q in row.items()})
     return out
 
 
@@ -281,8 +286,10 @@ def _echelon(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], list[int
     ascending order, so the pivot columns are the greedy independent column
     set. In each group the shortest row (first on ties) becomes the pivot row
     and the others are reduced against it; rows leading further right are not
-    touched. Returns the pivot rows and their pivot columns, ascending.
+    touched. Empty rows are skipped and no input row is changed. Returns the
+    pivot rows and their pivot columns, ascending.
     """
+    rows = [r for r in rows if r]
     groups: dict[int, list[dict[int, int]]] = {}
     for r in rows:
         groups.setdefault(min(r), []).append(r)
@@ -322,12 +329,13 @@ def rank(M: RationalMatrix) -> int:
     return len(_echelon(_integer_rows(M._rows))[1])
 
 
-def _kernel(M: RationalMatrix) -> list[SparseRow]:
-    """The ``kernel_basis`` vectors as sparse maps, in free-column order."""
-    echelon, pivots = _echelon(_integer_rows(M._rows))
+def _kernel(rows: list[dict[int, int]], cols: int) -> list[SparseRow]:
+    """The ``kernel_basis`` vectors of the integer rows as sparse maps, in
+    free-column order; ``cols`` is the number of columns."""
+    echelon, pivots = _echelon(rows)
     _reduce(echelon, pivots)
     pivot_set = set(pivots)
-    basis = {f: {f: _ONE} for f in range(M.cols) if f not in pivot_set}
+    basis = {f: {f: _ONE} for f in range(cols) if f not in pivot_set}
     for row, c in zip(echelon, pivots):
         d = row[c]
         for j, x in row.items():
@@ -344,7 +352,7 @@ def kernel_basis(M: RationalMatrix) -> list[Vector]:
     coordinates are read off the reduced echelon form, so ``M @ v == 0``
     holds exactly for every returned ``v``.
     """
-    return [_dense(v, M.cols) for v in _kernel(M)]
+    return [_dense(v, M.cols) for v in _kernel(_integer_rows(M._rows), M.cols)]
 
 
 def solve(M: RationalMatrix, targets: Sequence[Sequence]) -> list[Vector] | None:

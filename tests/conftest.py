@@ -94,6 +94,19 @@ def heisenberg5():
     return LieAlgebra.from_brackets(5, {(1, 2): (0, 0, 0, 0, 1), (3, 4): (0, 0, 0, 0, 1)})
 
 
+def rational_sol3_plane():
+    """sol3(7/3) + Q^2 in the basis random_invertible(5, Random(2)); its
+    structure constants have the denominators 2, 31 and 62."""
+    from random import Random
+
+    from liecohom import change_basis
+    from liecohom.algebra import random_invertible
+
+    k = Fraction(7, 3)
+    g = LieAlgebra.from_brackets(5, {(1, 2): (0, k, 0, 0, 0), (1, 3): (0, 0, -k, 0, 0)})
+    return change_basis(g, random_invertible(5, Random(2)))
+
+
 def k2():
     # [e1, e3] = e3, [e1, e4] = 2 e4, [e2, e4] = -e4: a complement of dimension 2
     return LieAlgebra.from_brackets(4, {(1, 3): (0, 0, 1, 0), (1, 4): (0, 0, 0, 2),

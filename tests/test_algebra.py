@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -32,6 +33,11 @@ from conftest import diag, heisenberg5, one_form
 #   [[e1,e2],e3] + [[e2,e3],e1] + [[e3,e1],e2] = [e1,e3] + 0 - [e3,e2] = e3
 BROKEN_TABLE = {(1, 2): (1, 0, 0), (1, 3): (0, 0, 1)}
 
+# [e1,e2] = e3/3, [e1,e3] = 2e1/5, [e2,e3] = e2: the cyclic sum over (1,2,3) is
+#   [e3/3, e3] + [e2, e1] - [2e1/5, e2] = -e3/3 - 2e3/15 = -7/15 e3
+RATIONAL_BROKEN_TABLE = {(1, 2): (0, 0, Fraction(1, 3)), (1, 3): (Fraction(2, 5), 0, 0),
+                         (2, 3): (0, 1, 0)}
+
 
 def test_validate_heisenberg_ok():
     report = validate_lie_algebra(3, {(1, 2): (0, 0, 1)})
@@ -57,6 +63,12 @@ def test_jacobi_check_skips_triples_without_a_stored_bracket(monkeypatch):
     assert calls == []
 
 
+def test_jacobi_defect_keeps_a_fractional_coefficient():
+    (defect,) = validate_lie_algebra(3, RATIONAL_BROKEN_TABLE).defects
+    assert defect.defect == (0, 0, Fraction(-7, 15))
+    assert str(defect) == "jacobi defect on (1, 2, 3): -7/15*e3"
+
+
 def test_validate_reports_jacobi_defect_exhaustively():
     report = validate_lie_algebra(3, BROKEN_TABLE)
     assert not report.ok
@@ -70,7 +82,8 @@ def test_validate_reports_jacobi_defect_exhaustively():
 @st.composite
 def _tables(draw):
     n = draw(st.integers(1, 6))
-    entry = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)]),
+    entry = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3),
+                                      Fraction(3, 5)]),
                      min_size=n, max_size=n)
     return n, {(i, j): draw(entry) for i, j in combinations(range(1, n + 1), 2)
                if draw(st.booleans())}
@@ -80,6 +93,7 @@ def _tables(draw):
 @given(_tables())
 @example((3, BROKEN_TABLE))
 @example((3, {(1, 2): (0, 0, 1)}))
+@example((3, RATIONAL_BROKEN_TABLE))
 def test_validate_matches_structure_constant_oracle(case):
     n, table = case
     # c[a][b][m] is the e_m coefficient of [e_a, e_b], 0-based
@@ -217,6 +231,21 @@ def test_change_basis_preserves_jacobi(heisenberg3, sol3, euclid3, sl2):
     for g in (heisenberg3, sol3, euclid3, sl2):
         for _ in range(10):
             change_basis(g, random_invertible(g.dim, rng))  # revalidates internally
+
+
+def test_change_basis_runs_the_jacobi_check(monkeypatch, sol3):
+    algebra = importlib.import_module("liecohom.algebra")
+    calls = []
+    real = algebra._jacobi_report
+
+    def counting(g):
+        calls.append(g.dim)
+        return real(g)
+
+    monkeypatch.setattr(algebra, "_jacobi_report", counting)
+    for seed in range(3):
+        change_basis(sol3, random_invertible(3, random.Random(seed)))
+    assert calls == [3, 3, 3]
 
 
 def test_bracket_antisymmetry_and_linearity(sol3):

@@ -1,5 +1,7 @@
 import json
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -35,6 +37,23 @@ def test_expected_tables_are_reproduced():
     for entry in entries:
         for omega, expected in entry.expected:
             assert tuple(betti_numbers(entry.algebra, omega)) == expected
+
+
+def test_abelian_tables_are_binomial_rows():
+    for n in range(1, 40):
+        ((omega, betti),) = load_example("abelian", n=n).expected
+        assert omega.is_zero()
+        assert betti == tuple(comb(n, p) for p in range(n + 1))
+
+
+def test_abelian_table_at_large_n_is_built_in_linear_steps():
+    # one math.comb per entry took close to a minute here
+    start = time.perf_counter()
+    ((_, betti),) = load_example("abelian", n=15000).expected
+    assert time.perf_counter() - start < 5
+    assert len(betti) == 15001 and betti == betti[::-1]
+    assert betti[:3] == (1, 15000, comb(15000, 2))
+    assert betti[7500] == comb(15000, 7500)
 
 
 def test_sol3_structure_relations():

@@ -247,6 +247,16 @@ def test_integers_over_the_digit_limit_exit_1(tmp_path, capsys, heis_file, where
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="no limit on integer string conversion")
+def test_example_value_over_the_digit_limit_exits_1(capsys):
+    # C(15000, 7500) has 4514 digits, past the default limit of 4300
+    assert main(["example", "abelian", "--param", "n=15000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--emit" in captured.err
+
+
 def test_novikov_rejects_fractional_morse_counts(sol3_file, capsys):
     assert main(["novikov", sol3_file, "--omega", "1,0,0", "--lambda", "1",
                  "--morse", "0,1/2,0,0"]) == 1

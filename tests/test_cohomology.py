@@ -30,10 +30,18 @@ from liecohom import (
 )
 from liecohom.algebra import random_invertible
 from liecohom.cohomology import _cleared_walk
-from liecohom.exterior import form_basis, form_to_coords
-from liecohom.linalg import RationalMatrix, kernel_basis, rank, unit_vector
+from liecohom.exterior import coords_to_form, form_basis, form_to_coords
+from liecohom.linalg import RationalMatrix, in_image, kernel_basis, rank, unit_vector
 
-from conftest import closed_grid, diag, heisenberg5, k2, one_form, sequential_extend
+from conftest import (
+    closed_grid,
+    diag,
+    heisenberg5,
+    k2,
+    one_form,
+    rational_sol3_plane,
+    sequential_extend,
+)
 
 
 def e(dim, *indices):
@@ -149,18 +157,58 @@ def test_betti_matches_kernel_minus_image_rank(sol3):
         assert betti[p] == ker - img
 
 
+RATIONAL = rational_sol3_plane()
+
+
+def rational_forms():
+    """The zero form, every critical form and a generic closed form with
+    fractional coefficients on ``RATIONAL``."""
+    critical = [-w for w in omega_set(adapted_basis(RATIONAL)).sorted_elements()
+                if not w.is_zero()]
+    b1, b2, b3 = closed_one_forms(RATIONAL).basis
+    generic = OneForm([Fraction(2, 3) * x - Fraction(5, 7) * y + Fraction(1, 2) * z
+                       for x, y, z in zip(b1, b2, b3)])
+    return [OneForm.zero(5)] + critical + [generic]
+
+
+def test_rational_constants_have_the_stated_denominators():
+    assert {c.denominator for _, v in RATIONAL.brackets for c in v} == {1, 2, 31, 62}
+    assert betti_numbers(RATIONAL, OneForm.zero(5)) == [1, 3, 4, 4, 3, 1]
+
+
 def test_coboundary_roundtrip_random(heisenberg3, sol3):
     rng = random.Random(71)
-    for g, omega in [(heisenberg3, OneForm.zero(3)), (sol3, one_form(1, 0, 0))]:
+    cases = [(heisenberg3, OneForm.zero(3)), (sol3, one_form(1, 0, 0))]
+    for g, omega in cases + [(RATIONAL, w) for w in rational_forms()]:
         for _ in range(20):
-            p = rng.randint(0, 2)
-            eta = ExteriorForm(3, p, {
-                idx: Fraction(rng.randint(-2, 2)) for idx in form_basis(3, p)
+            p = rng.randint(0, g.dim - 1)
+            eta = ExteriorForm(g.dim, p, {
+                idx: Fraction(rng.randint(-2, 2)) for idx in form_basis(g.dim, p)
             })
             xi = deformed_differential(g, omega, eta)
             primitive = is_coboundary(g, omega, xi)
             assert primitive is not None
             assert deformed_differential(g, omega, primitive) == xi
+
+
+@pytest.mark.parametrize("omega", rational_forms())
+def test_coboundary_is_the_minimal_pivot_preimage(omega):
+    rng = random.Random(5)
+    mats = differential_matrices(RATIONAL, omega)
+    for p in range(1, RATIONAL.dim + 1):
+        for exact in (True, False):
+            if exact:
+                eta = ExteriorForm(5, p - 1, {idx: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                              for idx in form_basis(5, p - 1)})
+                xi = deformed_differential(RATIONAL, omega, eta)
+            else:
+                xi = ExteriorForm(5, p, {idx: Fraction(rng.randint(-3, 3))
+                                         for idx in form_basis(5, p)})
+            sol = in_image(mats.matrix(p - 1), form_to_coords(xi))
+            expected = None if sol is None else coords_to_form(5, p - 1, sol)
+            assert is_coboundary(RATIONAL, omega, xi) == expected
+            if exact:
+                assert expected is not None
 
 
 def test_coboundary_known_primitive(heisenberg3):
@@ -364,10 +412,7 @@ def test_cohomology_assembles_only_uncleared_monomials(g, omega, monkeypatch):
     assert result.betti == tuple(betti_numbers(g, omega))
 
 
-@settings(max_examples=60, deadline=None)
-@rebased_cases
-def test_representatives_are_the_greedy_pick(name, kind, seed):
-    g, omega = rebased_case(name, kind, seed)
+def assert_greedy_pick(g, omega):
     result = cohomology(g, omega)
     mats = differential_matrices(g, omega)
     for p, reps in enumerate(result.representatives):
@@ -376,6 +421,17 @@ def test_representatives_are_the_greedy_pick(name, kind, seed):
         assert [form_to_coords(r) for r in reps] == sequential_extend(
             image, kernel_basis(mats.matrix(p)), comb(g.dim, p))
     assert result.betti == tuple(betti_numbers(g, omega))
+
+
+@settings(max_examples=60, deadline=None)
+@rebased_cases
+def test_representatives_are_the_greedy_pick(name, kind, seed):
+    assert_greedy_pick(*rebased_case(name, kind, seed))
+
+
+@pytest.mark.parametrize("omega", rational_forms())
+def test_representatives_are_the_greedy_pick_with_rational_constants(omega):
+    assert_greedy_pick(RATIONAL, omega)
 
 
 @settings(max_examples=60, deadline=None)

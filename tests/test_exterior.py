@@ -256,6 +256,7 @@ ALGEBRAS = {
     "abelian4": lambda: load_example("abelian", n=4).algebra,
     "heisenberg3": lambda: load_example("heisenberg3").algebra,
     "sol3": lambda: load_example("sol3", k=Fraction(-3, 2)).algebra,
+    "sol3_7/3": lambda: load_example("sol3", k=Fraction(7, 3)).algebra,
     "euclid3": lambda: load_example("euclid3").algebra,
     "diag5": lambda: diag(5),
     "heisenberg5": heisenberg5,
@@ -269,7 +270,8 @@ def test_assembled_columns_match_deformed_differential(name, rebased, seed):
     g = ALGEBRAS[name]()
     if rebased:
         g = change_basis(g, random_invertible(g.dim, rng))
-    terms = [(rng.randint(-3, 3), b) for b in closed_one_forms(g).basis]
+    terms = [(Fraction(rng.randint(-3, 3), rng.randint(1, 4)), b)
+             for b in closed_one_forms(g).basis]
     omega = OneForm([sum((c * b[i] for c, b in terms), Fraction(0)) for i in range(g.dim)])
     mats = differential_matrices(g, omega)
     n = g.dim
