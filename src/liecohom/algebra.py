@@ -156,8 +156,9 @@ def _normalize_brackets(dim: int, brackets: Mapping) -> dict[tuple[int, int], Ve
                 f"bracket indices ({i},{j}) must satisfy 1 <= i < j <= {dim}")
         try:
             v = vector(coeffs)
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise StructureError(f"bracket ({i},{j}) has a non-rational coefficient") from None
+        # a TypeError: the coefficients are not iterable
+        except (StructureError, TypeError) as exc:
+            raise StructureError(f"bracket ({i},{j}): {exc}") from None
         if len(v) != dim:
             raise StructureError(
                 f"bracket ({i},{j}) has {len(v)} coefficients, expected {dim}")

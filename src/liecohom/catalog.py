@@ -16,11 +16,11 @@ is unrestricted here and the condition is only documented.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import LieAlgebra, OneForm
 from .errors import StructureError
-from .serialization import parse_decimal, parse_rational
+from .linalg import _exact
+from .serialization import parse_decimal
 
 
 @dataclass(frozen=True)
@@ -36,22 +36,6 @@ class CatalogEntry:
     algebra: LieAlgebra
     provenance: str
     expected: tuple[tuple[OneForm, tuple[int, ...]], ...] = ()
-
-
-def _as_fraction(name: str, value) -> Fraction:
-    if isinstance(value, str):
-        # read like every other rational literal: "p" or "p/q", nothing else
-        try:
-            return parse_rational(value)
-        except StructureError as exc:
-            raise StructureError(f"parameter {name}: {exc}") from None
-    # a float is already rounded and a bool is not a number: neither is taken
-    if not isinstance(value, (bool, float)):
-        try:
-            return Fraction(value)
-        except (TypeError, ValueError, ZeroDivisionError):
-            pass
-    raise StructureError(f"parameter {name} must be rational, got {value!r}")
 
 
 def _abelian(n: int) -> CatalogEntry:
@@ -93,7 +77,10 @@ def _heisenberg3() -> CatalogEntry:
 
 
 def _sol3(k) -> CatalogEntry:
-    k = _as_fraction("k", k)
+    try:
+        k = _exact(k)
+    except StructureError as exc:
+        raise StructureError(f"parameter k: {exc}") from None
     if k == 0:
         raise StructureError("sol3 requires a nonzero rational parameter k")
     g = LieAlgebra.from_brackets(3, {(1, 2): (0, k, 0), (1, 3): (0, 0, -k)})

@@ -27,7 +27,6 @@ from .serialization import (
     one_form_to_list,
     parse_algebra,
     parse_one_form,
-    parse_rational,
 )
 from .weights import adapted_basis, omega_set, weight_sum_check
 
@@ -132,21 +131,11 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _parse_counts(text: str) -> list[int]:
-    counts = []
-    for part in text.split(","):
-        q = parse_rational(part)
-        if q.denominator != 1:
-            raise StructureError(f"Morse counts must be integers, got {part.strip()!r}")
-        counts.append(int(q))
-    return counts
-
-
 def _cmd_novikov(args) -> int:
     g = _load_algebra(args.file)
     omega = parse_one_form(args.omega, g.dim)
-    lam = parse_rational(args.lam)
-    report = novikov_report(g, omega, lam, _parse_counts(args.morse))
+    report = novikov_report(g, omega, args.lam,
+                            [part.strip() for part in args.morse.split(",")])
     if args.json:
         _emit_json({
             "omega": one_form_to_list(omega),

@@ -31,10 +31,12 @@ from math import comb
 from .algebra import LieAlgebra, OneForm
 from .exterior import (
     ExteriorForm,
+    _check_degree,
     _check_form,
     _degree_matrix,
     _differential_tables,
     _image_rows,
+    _require_closed,
     coords_to_form,
     deformed_differential,
     form_basis,
@@ -87,10 +89,10 @@ def _representatives_from(n: int, p: int, kept: list, rows: list) -> list[Exteri
 
 def representatives(g: LieAlgebra, omega: OneForm, p: int) -> list[ExteriorForm]:
     """Deterministic cocycle basis of the degree-p cohomology."""
-    reps = cohomology(g, omega).representatives
-    if not 0 <= p < len(reps):
-        raise ValueError(f"degree {p} out of range 0..{len(reps) - 1}")
-    return list(reps[p])
+    # the types first: a degree is only checked against an algebra
+    _require_closed(g, omega)
+    _check_degree(p, g.dim)
+    return list(cohomology(g, omega).representatives[p])
 
 
 def cohomology(g: LieAlgebra, omega: OneForm) -> CohomologyResult:

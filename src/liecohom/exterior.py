@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .algebra import LieAlgebra, OneForm
 from .errors import NonClosedFormError, StructureError
-from .linalg import RationalMatrix, Vector, _exact
+from .linalg import RationalMatrix, Vector, _exact, _integer_rows, _nonzeros
 
 
 def sort_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
@@ -192,11 +192,15 @@ def ce_differential(g: LieAlgebra, xi: ExteriorForm) -> ExteriorForm:
 
 
 def is_closed(g: LieAlgebra, omega: OneForm) -> bool:
-    """Whether d omega = 0, i.e. omega kills every bracket."""
+    """Whether d omega = 0, i.e. omega kills every bracket.
+
+    Reads the integer table with w's denominators cleared, so each sum is
+    over ints and is a positive multiple of w([e_i, e_j]).
+    """
     if omega.dim != g.dim:
         raise ValueError("one-form length does not match the algebra dimension")
-    w = omega.coeffs
-    return not any(sum(w[m] * x for m, x in terms if w[m])
+    w = _integer_rows([_nonzeros(omega.coeffs)])[0]
+    return not any(sum(w[m] * x for m, x in terms if m in w)
                    for terms in g._int_table.values())
 
 
@@ -215,6 +219,14 @@ def deformed_differential(g: LieAlgebra, omega: OneForm, xi: ExteriorForm) -> Ex
     """d_w(xi) = d(xi) + w ^ xi for a closed one-form w."""
     _require_closed(g, omega)
     return ce_differential(g, xi) + wedge(ExteriorForm.from_one_form(omega), xi)
+
+
+def _check_degree(p, n: int) -> None:
+    """A degree of the complex on n generators: an int in 0..n."""
+    if type(p) is not int:
+        raise StructureError(f"degree must be an integer, got {p!r}")
+    if not 0 <= p <= n:
+        raise ValueError(f"degree {p} out of range 0..{n}")
 
 
 def form_basis(n: int, p: int) -> list[tuple[int, ...]]:
@@ -248,8 +260,7 @@ class DifferentialMatrices:
 
     def matrix(self, p: int) -> RationalMatrix:
         n = self.algebra.dim
-        if not 0 <= p <= n:
-            raise ValueError(f"degree {p} out of range 0..{n}")
+        _check_degree(p, n)
         if p == n:
             # top degree maps to the zero space
             return RationalMatrix(0, 1)

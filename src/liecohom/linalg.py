@@ -1,7 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Everything here works with ``fractions.Fraction`` entries and never rounds;
-a float or a bool is refused rather than converted. ``RationalMatrix``
+Everything here works with ``fractions.Fraction`` entries and never rounds.
+Every value that is not yet a Fraction becomes one through ``_exact``, the
+package's one rational grammar: ints and other exact rationals, and strings
+"p" or "p/q" in ASCII digits. A float, a bool, a decimal or exponent string
+and anything else is refused rather than converted. ``RationalMatrix``
 stores sparse rows, one ``{column: Fraction}`` map of the nonzero entries
 per row, and the elimination reads those rows directly, so the cost of a
 matrix follows its nonzeros rather than its shape.
@@ -28,8 +31,10 @@ extension, bit for bit.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from typing import Iterable, Sequence
 
 from .errors import StructureError
@@ -41,15 +46,43 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _exact(x) -> Fraction:
-    """A value that is not yet a Fraction, as one.
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
-    A float is already rounded and a bool is not a number, so neither is
-    taken; ints, strings and other exact rationals are.
+
+def _int(text: str) -> int:
+    """int() of a checked digit string; past the interpreter's limit on
+    integer string conversion it is a StructureError, not a ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise StructureError(f"integer literal of {len(text.lstrip('+-'))} digits is over the "
+                             "interpreter's limit for integer conversion") from None
+
+
+def _exact(x) -> Fraction:
+    """A value that is not yet a Fraction, as one; the only way a number
+    enters the package.
+
+    An int, a Fraction or another ``numbers.Rational`` is taken as it is. A
+    string must read "p" or "p/q" in ASCII digits, with an optional sign and
+    surrounding whitespace; a zero denominator or a literal past the
+    interpreter's digit limit is refused. A float is already rounded, a bool
+    is not a number, and a decimal or exponent string, a ``Decimal``,
+    ``None`` or anything else is no exact rational: each is a StructureError.
     """
-    if isinstance(x, (bool, float)):
-        raise StructureError(f"expected an exact rational, got {x!r}")
-    return Fraction(x)
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, str):
+        text = x.strip()
+        if _RATIONAL_RE.fullmatch(text):
+            num, _, den = text.partition("/")
+            q = _int(den) if den else 1
+            if q == 0:
+                raise StructureError(f"zero denominator in {text!r}")
+            return Fraction(_int(num), q)
+    elif isinstance(x, Rational) and not isinstance(x, bool):
+        return Fraction(x)
+    raise StructureError(f"not a rational literal: {x!r}")
 
 
 def vector(values: Iterable) -> Vector:

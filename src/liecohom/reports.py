@@ -21,6 +21,7 @@ from .algebra import LieAlgebra, OneForm
 from .cohomology import betti_numbers
 from .errors import ComputationDomainError, NonClosedFormError, StructureError
 from .exterior import is_closed
+from .linalg import _exact
 from .weights import WeightData, adapted_basis, omega_set
 
 
@@ -109,15 +110,13 @@ class NovikovReport:
 def novikov_report(g: LieAlgebra, omega: OneForm, lam,
                    morse_counts) -> NovikovReport:
     """Compare Morse counts against the Betti numbers of lambda * omega."""
-    # a float is already rounded and a bool is not a number: neither is taken
-    if isinstance(lam, (bool, float)):
-        raise StructureError(f"multiplier must be rational, got {lam!r}")
-    lam = Fraction(lam)
+    lam = _exact(lam)
     checked = []
     for m in morse_counts:
-        if isinstance(m, (bool, float)) or Fraction(m).denominator != 1:
+        q = _exact(m)
+        if q.denominator != 1:
             raise StructureError(f"Morse counts must be integers, got {m!r}")
-        checked.append(int(m))
+        checked.append(q.numerator)
     counts = tuple(checked)
     if len(counts) != g.dim + 1:
         raise StructureError(

@@ -6,41 +6,30 @@ The algebra document looks like
      "basis": ["e1", "e2", "e3"],
      "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]}
 
-with every coefficient an exact rational string "p" or "p/q". Omitted
-brackets are zero; "basis" may be left out and defaults to e1..en. Parsing
-is strict: a denominator of zero, a stray float, a key repeated in one JSON
-object, a target index that is not plain ASCII decimal or that names the
-same basis vector twice ("2" next to "02") is a StructureError, not a
-silent approximation or a last-one-wins choice.
+with every coefficient an exact rational string "p" or "p/q" (or a JSON
+integer), read by ``linalg._exact`` like every other number the package
+takes. Omitted brackets are zero; "basis" may be left out and defaults to
+e1..en. Parsing is strict: a denominator of zero, a stray float, a key
+repeated in one JSON object, a target index that is not plain ASCII decimal
+or that names the same basis vector twice ("2" next to "02") is a
+StructureError, not a silent approximation or a last-one-wins choice.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import Mapping
 
 from .algebra import LieAlgebra, OneForm
 from .errors import StructureError
 from .exterior import ExteriorForm
-
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
+from .linalg import _exact, _int
 
 
 def _is_int(value) -> bool:
     """A JSON integer; JSON booleans are Python ints too and do not count."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int(text: str) -> int:
-    """int() of a checked digit string; past the interpreter's limit on
-    integer string conversion it is a StructureError, not a ValueError."""
-    try:
-        return int(text)
-    except ValueError:
-        raise StructureError(f"integer literal of {len(text.lstrip('+-'))} digits is over the "
-                             "interpreter's limit for integer conversion") from None
 
 
 def parse_decimal(text, message: str) -> int:
@@ -52,23 +41,7 @@ def parse_decimal(text, message: str) -> int:
     return _int(text)
 
 
-def parse_rational(text) -> Fraction:
-    """Parse "p" or "p/q" exactly; anything else is a StructureError."""
-    if _is_int(text):
-        return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
-        raise StructureError(f"not a rational literal: {text!r}")
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        if _int(den) == 0:
-            raise StructureError(f"zero denominator in {text!r}")
-        return Fraction(_int(num), _int(den))
-    return Fraction(_int(text))
-
-
 def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -117,7 +90,7 @@ def algebra_from_dict(doc: Mapping) -> LieAlgebra:
                 raise StructureError(
                     f"bracket ({i},{j}) names target index {k} twice")
             seen.add(k)
-            vec[k - 1] = parse_rational(value)
+            vec[k - 1] = _exact(value)
         brackets[(i, j)] = vec
     return LieAlgebra.from_brackets(dim, brackets, names=names)
 
@@ -161,7 +134,7 @@ def parse_one_form(text: str, dim: int) -> OneForm:
     if len(parts) != dim:
         raise StructureError(
             f"one-form has {len(parts)} coefficients, expected {dim}")
-    return OneForm([parse_rational(p) for p in parts])
+    return OneForm(parts)
 
 
 def one_form_to_list(omega: OneForm) -> list[str]:

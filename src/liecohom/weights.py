@@ -40,6 +40,7 @@ from typing import Sequence
 
 from .algebra import LieAlgebra, OneForm, derived_series, pullback_one_form
 from .errors import NonClosedFormError, NotSolvableError, NotTriangularizableError
+from .exterior import _check_degree
 from .linalg import (
     RationalMatrix,
     Vector,
@@ -368,9 +369,7 @@ def r0_spectrum(data: WeightData, omega: OneForm, p: int) -> list[Fraction]:
     orthonormal. Sorted ascending; the minimum is zero exactly when some
     p-subset of weights sums to -omega.
     """
-    n = data.dim
-    if not 0 <= p <= n:
-        raise ValueError(f"degree {p} out of range 0..{n}")
+    _check_degree(p, data.dim)
     _require_closed_weightwise(data, omega)
     # the pullback is linear, so pull back omega and each weight once
     base = pullback_one_form(omega, data.adapted_change).coeffs

@@ -7,7 +7,8 @@ import pytest
 
 from liecohom import JacobiError, StructureError, parse_algebra
 from liecohom.cli import main
-from liecohom.serialization import parse_one_form, parse_rational
+from liecohom.linalg import _exact as parse_rational
+from liecohom.serialization import parse_one_form
 
 HEISENBERG_DOC = {
     "dim": 3,

@@ -26,6 +26,7 @@ from liecohom import (
     load_example,
     omega_set,
     pullback_one_form,
+    r0_spectrum,
     representatives,
 )
 from liecohom.algebra import random_invertible
@@ -233,9 +234,18 @@ def test_coboundary_edge_cases(sol3, heisenberg3):
 
 
 def test_representatives_degree_out_of_range(sol3):
-    for p in (-1, 4):
-        with pytest.raises(ValueError, match="out of range 0..3"):
-            representatives(sol3, one_form(1, 0, 0), p)
+    omega = one_form(1, 0, 0)
+    queries = (lambda p: representatives(sol3, omega, p),
+               lambda p: r0_spectrum(adapted_basis(sol3), omega, p),
+               lambda p: differential_matrices(sol3, omega).matrix(p))
+    for query in queries:
+        for p in (-1, 4):
+            with pytest.raises(ValueError, match="out of range 0..3"):
+                query(p)
+        # a bool, a float or a string is not a degree, not even when it equals one
+        for p in (True, 1.0, "1"):
+            with pytest.raises(StructureError, match="degree must be an integer"):
+                query(p)
 
 
 SOL3_ENTRY = load_example("sol3", k=1)

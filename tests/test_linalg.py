@@ -1,4 +1,8 @@
 import random
+import re
+import time
+from collections.abc import Hashable
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -356,11 +360,14 @@ def test_sparse_matrix_matches_the_list_oracle(m, data):
 
 
 def test_floats_and_bools_are_refused():
-    from liecohom import ExteriorForm, LieAlgebra, OneForm, StructureError
+    from liecohom import (ExteriorForm, LieAlgebra, OneForm, StructureError, load_example,
+                          novikov_report)
     from liecohom.exterior import coords_to_form
     from liecohom.linalg import vector
 
-    for bad in (0.1, 0.5, 1.0, True, False):
+    sol3 = load_example("sol3", k=1).algebra
+    for bad in (0.1, 0.5, 1.0, True, False, "0.5", "1e5000000", "\u0661", "1/0", "x",
+                None, [1], Decimal("0.1")):
         for make in (lambda: vector([1, bad]),
                      lambda: OneForm([bad, 0, 0]),
                      lambda: OneForm([1, 0, 0]).evaluate([bad, 0, 0]),
@@ -369,12 +376,19 @@ def test_floats_and_bools_are_refused():
                      lambda: RationalMatrix.identity(2).apply([bad, 0]),
                      lambda: RationalMatrix.identity(2).scale(bad),
                      lambda: ExteriorForm(3, 1, {(1,): bad}),
-                     lambda: ExteriorForm(3, 1, {(bad,): 1}),
+                     # a list cannot be a key; its tuple stands in for it as an index
+                     lambda: ExteriorForm(3, 1, {(bad if isinstance(bad, Hashable)
+                                                  else tuple(bad),): 1}),
                      lambda: ExteriorForm.basis(3, (1,)).scale(bad),
                      lambda: ExteriorForm.scalar(3, bad),
-                     lambda: coords_to_form(3, 1, [bad, 0, 0])):
+                     lambda: coords_to_form(3, 1, [bad, 0, 0]),
+                     lambda: LieAlgebra.from_brackets(2, {(1, 2): (0, bad)}),
+                     lambda: novikov_report(sol3, OneForm([1, 0, 0]), bad, [0, 1, 1, 0])):
+            start = time.perf_counter()
             with pytest.raises(StructureError):
                 make()
+            # an exponent is refused by its spelling, before any digit is expanded
+            assert time.perf_counter() - start < 0.1
     affine = LieAlgebra.from_brackets(2, {(1, 2): (0, 1)})
     for i, j in ((1.5, 2), (True, 2), (1, 2.0)):
         with pytest.raises(StructureError):
@@ -383,6 +397,30 @@ def test_floats_and_bools_are_refused():
     assert RationalMatrix.from_rows([["1/2", 0]]) == RationalMatrix(1, 2, [[Fraction(1, 2), 0]])
     assert ExteriorForm(3, 1, {(1,): "1/10"}) == ExteriorForm(3, 1, {(1,): Fraction(1, 10)})
     assert OneForm([1, 2, 0]).evaluate(["1/2", 1, 0]) == Fraction(5, 2)
+
+
+GRAMMAR = r"[+-]?([0-9]+)(?:/([0-9]+))?"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), st.from_regex(rf"\s*{GRAMMAR}\s*", fullmatch=True),
+                 st.none(), st.lists(st.integers(), max_size=2), st.floats(),
+                 st.booleans(), st.integers(), st.fractions()))
+def test_every_value_is_a_fraction_or_a_structure_error(x):
+    from liecohom import StructureError
+    from liecohom.linalg import _exact
+
+    literal = re.fullmatch(GRAMMAR, x.strip()) if isinstance(x, str) else None
+    if literal and int(literal[2] or 1):
+        expected = Fraction(int(literal[0].partition("/")[0]), int(literal[2] or 1))
+    elif type(x) in (int, Fraction):
+        expected = Fraction(x)
+    else:
+        with pytest.raises(StructureError):
+            _exact(x)
+        return
+    q = _exact(x)
+    assert type(q) is Fraction and q == expected
 
 
 def test_ragged_input_is_refused():

@@ -157,3 +157,10 @@ def test_novikov_input_validation(sol3):
     # exact rationals and integral counts stay accepted
     report = novikov_report(sol3, one_form(1, 0, 0), Fraction(3, 2), [0, Fraction(2), "1", 0])
     assert report.lam == Fraction(3, 2) and report.morse_counts == (0, 2, 1, 0)
+    # counts and multiplier share the package's one rational grammar
+    assert novikov_report(sol3, one_form(1, 0, 0), 1, ["0", "2/2", "1", "0"]).morse_counts \
+        == (0, 1, 1, 0)
+    for lam, counts in (("1e0", [0, 0, 0, 0]), (None, [0, 0, 0, 0]),
+                        (1, [0, "1e0", 0, 0]), (1, [0, None, 0, 0])):
+        with pytest.raises(StructureError):
+            novikov_report(sol3, one_form(1, 0, 0), lam, counts)
