@@ -4,11 +4,10 @@ An algebra is stored as its dimension, basis names and the bracket table
 ``{(i, j): coefficient vector}`` for 1 <= i < j <= n; antisymmetry is
 implicit and the Jacobi identity is checked at construction time. All
 indices facing the user are 1-based (matching the e_1 ... e_n notation),
-coordinates are plain tuples of Fractions. Each algebra also carries one
-integer image of its table: the positive lcm ``L`` of every coefficient
-denominator and, per stored pair, the nonzero ``(m, L * C_ij^m)`` as ints.
-The Jacobi check, closedness of one-forms and the assembly of the twisted
-differential all read that image, so their arithmetic is on ints.
+coordinates are plain tuples of Fractions. Each algebra's one private copy
+of its table is an integer image: the lcm ``L`` of all coefficient denominators
+and, per stored pair, the nonzero ``(m, L * C_ij^m)`` as ints. Brackets, the
+Jacobi check, closedness and ``d_w`` sum over it; a change of basis is one solve.
 
 Every value is immutable after construction and every operation is a pure
 function. The one exception is a private memo: the weight data of an algebra
@@ -33,9 +32,9 @@ from .linalg import (
     RationalMatrix,
     Vector,
     in_image,
-    invert,
     kernel_basis,
     rank,
+    solve,
     span_basis,
     unit_vector,
     vec_add,
@@ -44,6 +43,9 @@ from .linalg import (
     vector,
     zero_vector,
 )
+
+# unused here, kept importable because perfbench/tracer.py wraps this name
+from .linalg import invert  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -156,8 +158,7 @@ def _normalize_brackets(dim: int, brackets: Mapping) -> dict[tuple[int, int], Ve
                 f"bracket indices ({i},{j}) must satisfy 1 <= i < j <= {dim}")
         try:
             v = vector(coeffs)
-        # a TypeError: the coefficients are not iterable
-        except (StructureError, TypeError) as exc:
+        except StructureError as exc:
             raise StructureError(f"bracket ({i},{j}): {exc}") from None
         if len(v) != dim:
             raise StructureError(
@@ -182,8 +183,7 @@ class LieAlgebra:
     basis_names: tuple[str, ...]
     brackets: tuple[tuple[tuple[int, int], Vector], ...]
     # built per instance, never passed in, so ``dataclasses.replace`` shares
-    # neither the lookup table nor the memo with the algebra it copies
-    _table: dict = field(init=False, compare=False, repr=False)
+    # neither the integer table nor the memo with the algebra it copies
     # the lcm L of all coefficient denominators, and each stored bracket as
     # ((m, L * C_ij^m), ...) over its nonzero 0-based positions m
     _scale: int = field(init=False, compare=False, repr=False)
@@ -193,7 +193,6 @@ class LieAlgebra:
 
     def __post_init__(self):
         scale = lcm(*(c.denominator for _, v in self.brackets for c in v if c))
-        object.__setattr__(self, "_table", dict(self.brackets))
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_int_table", {
             key: tuple((m, c.numerator * (scale // c.denominator))
@@ -228,28 +227,27 @@ class LieAlgebra:
             raise StructureError(f"basis indices must be integers: ({i!r},{j!r})")
         if not (1 <= i <= self.dim and 1 <= j <= self.dim):
             raise StructureError(f"basis index out of range: ({i},{j})")
-        if i == j:
-            return zero_vector(self.dim)
-        if i < j:
-            return self._table.get((i, j), zero_vector(self.dim))
-        return vec_scale(-1, self._table.get((j, i), zero_vector(self.dim)))
+        return self.bracket(unit_vector(self.dim, i - 1), unit_vector(self.dim, j - 1))
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
-        """[x, y] for coordinate vectors, by bilinearity."""
+        """[x, y] for coordinate vectors, by bilinearity, summed in ints."""
         x, y = vector(x), vector(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise StructureError(f"bracket needs two vectors of length {self.dim}")
-        out = list(zero_vector(self.dim))
-        for (i, j), v in self.brackets:
+        # x and y with their denominators cleared, against the table at scale L
+        dx, dy = lcm(*(q.denominator for q in x)), lcm(*(q.denominator for q in y))
+        x = [q.numerator * (dx // q.denominator) for q in x]
+        y = [q.numerator * (dy // q.denominator) for q in y]
+        out = [0] * self.dim
+        for (i, j), terms in self._int_table.items():
             xi, xj = x[i - 1], x[j - 1]
             if not (xi or xj):
                 continue
             c = xi * y[j - 1] - xj * y[i - 1]
             if c:
-                for m, a in enumerate(v):
-                    if a:
-                        out[m] += c * a
-        return tuple(out)
+                for m, a in terms:
+                    out[m] += c * a
+        return tuple(Fraction(v, self._scale * dx * dy) for v in out)
 
     def ad(self, x: Sequence) -> RationalMatrix:
         """Matrix of ad(x): columns are [x, e_j] in basis coordinates."""
@@ -371,20 +369,22 @@ def is_unimodular(g: LieAlgebra) -> bool:
 def change_basis(g: LieAlgebra, m: RationalMatrix) -> LieAlgebra:
     """Rewrite the algebra in the basis whose vectors are the columns of ``m``.
 
-    Raises ValueError when ``m`` is singular. The result is re-validated,
-    although Jacobi holds automatically (it is basis-independent).
+    One solve of ``m u = [m e_a, m e_b]`` gives every new bracket u. Its first
+    targets, the unit vectors, make a singular ``m`` raise ValueError even when
+    every bracket is zero. The result is re-validated, although Jacobi holds
+    automatically (it is basis-independent).
     """
-    if (m.rows, m.cols) != (g.dim, g.dim):
-        raise ValueError(f"change of basis must be {g.dim}x{g.dim}")
-    minv = invert(m)
-    brackets = {}
-    for a in range(1, g.dim + 1):
-        for b in range(a + 1, g.dim + 1):
-            old = g.bracket(m.column(a - 1), m.column(b - 1))
-            new = minv.apply(old)
-            if not vec_is_zero(new):
-                brackets[(a, b)] = new
-    return LieAlgebra.from_brackets(g.dim, brackets, names=g.basis_names)
+    n = g.dim
+    if (m.rows, m.cols) != (n, n):
+        raise ValueError(f"change of basis must be {n}x{n}")
+    pairs = list(combinations(range(n), 2))
+    solved = solve(m, [unit_vector(n, j) for j in range(n)]
+                   + [g.bracket(m.column(a), m.column(b)) for a, b in pairs])
+    if solved is None:
+        raise ValueError("singular matrix")
+    brackets = {(a + 1, b + 1): v for (a, b), v in zip(pairs, solved[n:])
+                if not vec_is_zero(v)}
+    return LieAlgebra.from_brackets(n, brackets, names=g.basis_names)
 
 
 def pullback_one_form(omega: OneForm, m: RationalMatrix) -> OneForm:

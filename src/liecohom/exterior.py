@@ -58,6 +58,8 @@ class ExteriorForm:
     __slots__ = ("dim", "degree", "terms")
 
     def __init__(self, dim: int, degree: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
+        if type(dim) is not int or type(degree) is not int:
+            raise StructureError(f"dimension and degree must be integers, got {dim!r}, {degree!r}")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         self.dim = dim

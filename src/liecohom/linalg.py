@@ -86,7 +86,10 @@ def _exact(x) -> Fraction:
 
 
 def vector(values: Iterable) -> Vector:
-    """Coerce an iterable of rationals (ints, strings, Fractions) to a Vector."""
+    """Coerce an iterable of rationals (ints, strings, Fractions) to a Vector;
+    a string or bytes value, or one that is not iterable, is a StructureError."""
+    if isinstance(values, (str, bytes, bytearray)) or not hasattr(values, "__iter__"):
+        raise StructureError(f"expected a sequence of coefficients, got a {type(values).__name__}")
     return tuple(v if type(v) is Fraction else _exact(v) for v in values)
 
 

@@ -21,7 +21,7 @@ from .algebra import LieAlgebra, OneForm
 from .cohomology import betti_numbers
 from .errors import ComputationDomainError, NonClosedFormError, StructureError
 from .exterior import is_closed
-from .linalg import _exact
+from .linalg import _exact, vector
 from .weights import WeightData, adapted_basis, omega_set
 
 
@@ -111,13 +111,10 @@ def novikov_report(g: LieAlgebra, omega: OneForm, lam,
                    morse_counts) -> NovikovReport:
     """Compare Morse counts against the Betti numbers of lambda * omega."""
     lam = _exact(lam)
-    checked = []
-    for m in morse_counts:
-        q = _exact(m)
-        if q.denominator != 1:
-            raise StructureError(f"Morse counts must be integers, got {m!r}")
-        checked.append(q.numerator)
-    counts = tuple(checked)
+    counts = vector(morse_counts)
+    if fractional := [q for q in counts if q.denominator != 1]:
+        raise StructureError(f"Morse counts must be integers, got {fractional[0]}")
+    counts = tuple(q.numerator for q in counts)
     if len(counts) != g.dim + 1:
         raise StructureError(
             f"need {g.dim + 1} Morse counts (degrees 0..{g.dim}), got {len(counts)}")

@@ -45,7 +45,6 @@ from .linalg import (
     RationalMatrix,
     Vector,
     extend_independent,
-    invert,
     kernel_basis,
     rank,
     solve,
@@ -309,13 +308,11 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
     change = RationalMatrix.from_columns([list(c) for c in columns])
     if rank(change) != n:
         raise AssertionError("adapted basis vectors are not independent")
-    # dual-basis orientation: weights are the negatives of the adjoint
-    # eigenvalue functionals, carried from the basis acting to the original one
-    to_acting = invert(RationalMatrix.from_columns(acting))
-    weights = [OneForm.zero(n)] * k + [
-        pullback_one_form(OneForm([-c for c in func]), to_acting)
-        for func in reversed(adjoint_funcs)
-    ]
+    # dual-basis orientation: weight w is the negated adjoint eigenvalue
+    # functional f, so <w, x> = -f(x) for every x in ``acting``: one solve
+    carried = solve(RationalMatrix.from_rows(acting),
+                    [[-c for c in func] for func in reversed(adjoint_funcs)])
+    weights = [OneForm.zero(n)] * k + [OneForm(w) for w in carried]
     for w in weights:
         if any(w.evaluate(v) != 0 for v in der.basis):
             raise AssertionError("weights must vanish on the derived subalgebra")
@@ -342,12 +339,13 @@ def omega_set(data: WeightData) -> OmegaSet:
     return data._omega_memo[0]
 
 
-def _require_closed_weightwise(data: WeightData, omega: OneForm) -> None:
-    # positions k+1..n of the adapted basis span [g, g], so a closed form is
-    # exactly one with no coefficients there
+def _require_closed_weightwise(data: WeightData, omega: OneForm) -> Vector:
+    # omega in the adapted dual basis; positions k+1..n of the adapted basis
+    # span [g, g], so a closed form is exactly one with no coefficients there
     coords = pullback_one_form(omega, data.adapted_change).coeffs
     if any(c != 0 for c in coords[data.k:]):
         raise NonClosedFormError("one-form is not closed (does not kill [g, g])")
+    return coords
 
 
 def vanishing_predicate(data: WeightData, omega: OneForm) -> Vanishing:
@@ -370,9 +368,8 @@ def r0_spectrum(data: WeightData, omega: OneForm, p: int) -> list[Fraction]:
     p-subset of weights sums to -omega.
     """
     _check_degree(p, data.dim)
-    _require_closed_weightwise(data, omega)
     # the pullback is linear, so pull back omega and each weight once
-    base = pullback_one_form(omega, data.adapted_change).coeffs
+    base = _require_closed_weightwise(data, omega)
     pulled = [pullback_one_form(w, data.adapted_change).coeffs for w in data.weights]
     values = [sum((sum(col) ** 2 for col in zip(base, *subset)), Fraction(0))
               for subset in combinations(pulled, p)]

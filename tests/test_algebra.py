@@ -5,13 +5,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from liecohom import (
     AlgebraClass,
     JacobiError,
     LieAlgebra,
+    OneForm,
     StructureError,
     adapted_basis,
     change_basis,
@@ -130,10 +131,22 @@ def test_construction_raises_on_jacobi_failure():
     (True, {}),                       # a bool is not a dimension
     (2, {(1.9, 2): (0, 1)}),          # a float index is not cast to 1
     (2, {(True, 2): (0, 1)}),         # nor is a bool
+    (2, {(1, 2): "01"}),              # a string is not a coefficient sequence
+    (2, {(1, 2): None}),              # nor is None
 ])
 def test_malformed_tables_are_structural_errors(dim, brackets):
     with pytest.raises(StructureError):
         validate_lie_algebra(dim, brackets)
+
+
+def test_a_string_or_scalar_is_not_a_coefficient_sequence():
+    # a string used to be read digit by digit: OneForm("101") was (1, 0, 1)
+    for bad in ("101", b"101", bytearray(b"1"), None, 5, Fraction(1, 2)):
+        with pytest.raises(StructureError, match="sequence of coefficients"):
+            OneForm(bad)
+    with pytest.raises(StructureError):
+        LieAlgebra.from_brackets(3, {}).bracket("100", (0, 1, 0))
+    assert OneForm(iter([1, "1/2"])).coeffs == (1, Fraction(1, 2))
 
 
 def test_structural_errors_are_not_jacobi_errors():
@@ -226,6 +239,86 @@ def test_change_basis_rejects_singular(sol3):
         change_basis(sol3, RationalMatrix(3, 3))
 
 
+def _oracle_inverse(m):
+    """Gauss-Jordan over Fractions on ``[m | I]``; None when m is singular."""
+    n = len(m)
+    rows = [list(map(Fraction, r)) + [Fraction(int(i == j)) for j in range(n)]
+            for i, r in enumerate(m)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c]:
+                rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[c])]
+    return [r[n:] for r in rows]
+
+
+def _oracle_bracket(n, table, x, y):
+    """[x, y] expanded over the stored pairs of ``table``, in Fractions."""
+    out = [Fraction(0)] * n
+    for (i, j), v in table:
+        c = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
+        for k, a in enumerate(v):
+            out[k] += c * a
+    return tuple(out)
+
+
+_RATIONALS = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4),
+                              Fraction(3, 7)])
+
+
+@st.composite
+def _fractional_algebras(draw):
+    """An almost abelian algebra, [e1, ej] = sum_k A_kj e_k on the abelian ideal
+    spanned by e2..en, or a Heisenberg algebra with scaled brackets; both with
+    some denominator above 1, so that the integer table has scale L > 1."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        cols = [[0] + draw(st.lists(_RATIONALS, min_size=n - 1, max_size=n - 1))
+                for _ in range(n - 1)]
+        table = {(1, j): cols[j - 2] for j in range(2, n + 1)}
+    else:
+        n = 2 * (n // 2) + 1
+        table = {(i, i + 1): [0] * (n - 1) + [draw(_RATIONALS)] for i in range(1, n - 1, 2)}
+    g = LieAlgebra.from_brackets(n, table)
+    assume(g._scale > 1)
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(_fractional_algebras(), st.data())
+def test_change_basis_matches_inverse_then_apply(g, data):
+    n = g.dim
+    m = data.draw(st.lists(st.lists(_RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n))
+    minv = _oracle_inverse(m)
+    if minv is None:
+        with pytest.raises(ValueError):
+            change_basis(g, RationalMatrix.from_rows(m))
+        return
+    columns = list(zip(*m))
+    expected = {}
+    for a, b in combinations(range(n), 2):
+        old = _oracle_bracket(n, g.brackets, columns[a], columns[b])
+        new = tuple(sum((x * y for x, y in zip(r, old)), Fraction(0)) for r in minv)
+        if any(new):
+            expected[a + 1, b + 1] = new
+    h = change_basis(g, RationalMatrix.from_rows(m))
+    assert h.brackets == tuple(sorted(expected.items()))
+    # bracket and bracket_basis read the integer table; both agree with ``brackets``
+    for k in (g, h):
+        units = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+        for a in range(n):
+            for b in range(n):
+                assert k.bracket_basis(a + 1, b + 1) == _oracle_bracket(n, k.brackets,
+                                                                        units[a], units[b])
+        x, y = (data.draw(st.lists(_RATIONALS, min_size=n, max_size=n)) for _ in range(2))
+        assert k.bracket(x, y) == _oracle_bracket(n, k.brackets, x, y)
+        assert all(type(c) is Fraction for c in k.bracket(x, y))
+
+
 def test_change_basis_preserves_jacobi(heisenberg3, sol3, euclid3, sl2):
     rng = random.Random(23)
     for g in (heisenberg3, sol3, euclid3, sl2):
@@ -273,7 +366,7 @@ def test_bracket_antisymmetry_and_linearity(sol3):
 
 
 def test_replace_builds_its_own_table_and_weight_memo():
-    # the lookup table and the weight memo are built per instance, so a copy
+    # the integer table and the weight memo are built per instance, so a copy
     # made by dataclasses.replace shares neither with the algebra it copies
     g = LieAlgebra.from_brackets(3, {(1, 2): (0, 1, 0), (1, 3): (0, 0, 2)})
     weights_of_g = adapted_basis(g)

@@ -36,6 +36,20 @@ def random_form(rng, dim, degree):
     })
 
 
+def test_dimension_and_degree_must_be_ints():
+    from liecohom import StructureError
+
+    # a bool or a float used to be kept: ExteriorForm(3, True, ...) had degree True
+    for dim, degree in ((3, True), (True, 1), (3, 1.0), (3.0, 1), (3, "1"), (3, None)):
+        with pytest.raises(StructureError):
+            ExteriorForm(dim, degree, {})
+    with pytest.raises(StructureError):
+        ExteriorForm(3, True, {(1,): 1})
+    with pytest.raises(ValueError, match="nonnegative"):
+        ExteriorForm(3, -1)
+    assert ExteriorForm(3, 1, {(2,): 1}).degree == 1
+
+
 def test_sort_sign():
     assert sort_sign((1, 2)) == ((1, 2), 1)
     assert sort_sign((2, 1)) == ((1, 2), -1)

@@ -161,6 +161,9 @@ def test_novikov_input_validation(sol3):
     assert novikov_report(sol3, one_form(1, 0, 0), 1, ["0", "2/2", "1", "0"]).morse_counts \
         == (0, 1, 1, 0)
     for lam, counts in (("1e0", [0, 0, 0, 0]), (None, [0, 0, 0, 0]),
-                        (1, [0, "1e0", 0, 0]), (1, [0, None, 0, 0])):
+                        (1, [0, "1e0", 0, 0]), (1, [0, None, 0, 0]),
+                        # a string is not read as one count per digit
+                        (1, "0110"), (1, b"0110"), (1, None), (1, 4)):
         with pytest.raises(StructureError):
             novikov_report(sol3, one_form(1, 0, 0), lam, counts)
+
