@@ -21,6 +21,21 @@ before f. The kept free columns are exactly the free monomials outside the
 cleared set, which is the greedy pick of the v_f modulo im d_(p-1), so every
 kernel vector of the restricted d_p is a representative and the choice is
 reproducible bit for bit.
+
+Betti numbers split a direct sum first (Kunneth; Hochschild-Serre 1953).
+Join the indices i, j and m of every nonzero C_ij^m: each component then
+spans an ideal, since a bracket with an element of the component lands in
+it, and distinct components commute, since no bracket joins them. So g is
+the direct sum of its components a_1 .. a_r, and the cochain complex of g
+with coefficients in the line of w is the graded tensor product of the
+complexes of the a_s, each twisted by the restriction of w, which is closed
+on it. Over Q the cohomology of a tensor product of complexes is the tensor
+product of their cohomologies, so the Betti list of g is the convolution of
+the factors' lists, and one acyclic factor makes every Betti number zero. A
+one-index component is Q with differential w_i e^i ^ . : its Betti list is
+(1, 1) when w_i = 0 and (0, 0) otherwise. Every larger component is walked
+on its own slice of the tables, its indices renumbered in order.
+Representatives are not split: ``cohomology`` walks the whole algebra.
 """
 
 from __future__ import annotations
@@ -58,13 +73,14 @@ class CohomologyResult:
     representatives: tuple[tuple[ExteriorForm, ...], ...]
 
 
-def _cleared_walk(g: LieAlgebra, omega: OneForm):
-    """Per degree p = 0 .. n: the monomials degree p-1 did not clear (reverse
-    lexicographic order), their int image rows (S * d_w^p) and rank d_w^p."""
-    tables = _differential_tables(g, omega)
-    sources, cleared = form_basis(g.dim, 0), set()
-    for p in range(g.dim + 1):
-        targets = form_basis(g.dim, p + 1)[::-1]
+def _cleared_walk(n: int, tables):
+    """Per degree p = 0 .. n of the complex on n generators whose differential
+    is given by ``tables`` (``_differential_tables``): the monomials degree
+    p-1 did not clear (reverse lexicographic order), their int image rows
+    (S * d_w^p) and rank d_w^p."""
+    sources, cleared = form_basis(n, 0), set()
+    for p in range(n + 1):
+        targets = form_basis(n, p + 1)[::-1]
         kept = [idx for idx in sources if idx not in cleared]
         rows = _image_rows(kept, targets, tables)
         _, pivots = _echelon(rows)
@@ -72,9 +88,68 @@ def _cleared_walk(g: LieAlgebra, omega: OneForm):
         sources, cleared = targets, {targets[c] for c in pivots}
 
 
+def _walked_betti(n: int, tables) -> list[int]:
+    return [len(kept) - r for kept, _, r in _cleared_walk(n, tables)]
+
+
+def _components(g: LieAlgebra) -> list[list[int]]:
+    """The index sets of the direct factors of g in its given basis, each
+    ascending, smallest first: one union-find pass over the bracket table."""
+    parent = list(range(g.dim + 1))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for (i, j), terms in g._int_table.items():
+        for m in (j, *(m + 1 for m, _ in terms)):
+            parent[root(m)] = root(i)
+    groups: dict[int, list[int]] = {}
+    for i in range(1, g.dim + 1):
+        groups.setdefault(root(i), []).append(i)
+    return sorted(groups.values(), key=len)
+
+
+def _factor_tables(tables, indices: list[int]):
+    """The slice of ``tables`` on one component, its ascending ``indices``
+    renumbered 1..k in order, which keeps every table sorted."""
+    gens, wedge_terms, scale = tables
+    label = {i: a for a, i in enumerate(indices, 1)}
+    return ([[(label[i], label[j], c, neg) for i, j, c, neg in gens[m - 1]] for m in indices],
+            [(label[m], c, neg) for m, c, neg in wedge_terms if m in label], scale)
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def betti_numbers(g: LieAlgebra, omega: OneForm) -> list[int]:
-    """Exact dimensions of the twisted cohomology in degrees 0..n."""
-    return [len(kept) - r for kept, _, r in _cleared_walk(g, omega)]
+    """Exact dimensions of the twisted cohomology in degrees 0..n, as the
+    convolution of the Betti lists of the direct factors (module docstring)."""
+    tables = _differential_tables(g, omega)
+    components = _components(g)
+    if len(components) == 1:
+        return _walked_betti(g.dim, tables)
+    zero = [0] * (g.dim + 1)
+    singles = {c[0] for c in components if len(c) == 1}
+    # tables[1] lists w by its nonzero coefficients
+    if any(m in singles for m, _, _ in tables[1]):
+        return zero
+    # s untwisted singletons give (1, 1) each: C(s, p), one product per entry
+    s, betti = len(singles), [1]
+    for p in range(s):
+        betti.append(betti[-1] * (s - p) // (p + 1))
+    for indices in components[s:]:
+        factor = _walked_betti(len(indices), _factor_tables(tables, indices))
+        if not any(factor):
+            return zero
+        betti = _convolve(betti, factor)
+    return betti
 
 
 def _representatives_from(n: int, p: int, kept: list, rows: list) -> list[ExteriorForm]:
@@ -97,8 +172,9 @@ def representatives(g: LieAlgebra, omega: OneForm, p: int) -> list[ExteriorForm]
 
 def cohomology(g: LieAlgebra, omega: OneForm) -> CohomologyResult:
     """Betti numbers plus representatives for every degree in one pass."""
+    tables = _differential_tables(g, omega)
     betti, reps = [], []
-    for p, (kept, rows, r) in enumerate(_cleared_walk(g, omega)):
+    for p, (kept, rows, r) in enumerate(_cleared_walk(g.dim, tables)):
         betti.append(len(kept) - r)
         # _kernel reads its free columns in lexicographic order
         reps.append(tuple(_representatives_from(g.dim, p, kept[::-1], rows[::-1]))

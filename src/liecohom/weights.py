@@ -44,12 +44,14 @@ from .exterior import _check_degree
 from .linalg import (
     RationalMatrix,
     Vector,
+    _nonzeros,
     extend_independent,
     kernel_basis,
     rank,
     solve,
     span_basis,
     unit_vector,
+    zero_vector,
 )
 
 # unused here, kept importable because perfbench/tracer.py wraps these names
@@ -70,10 +72,16 @@ class WeightData:
     adapted_change: RationalMatrix
     weights: tuple[OneForm, ...]
     k: int
+    # each weight's coefficients in the adapted dual basis, which
+    # ``adapted_basis`` already holds; built by pullback when not passed
+    _adapted_weights: tuple = field(default=None, compare=False, repr=False)
     # the OmegaSet of these weights once ``omega_set`` has computed it
     _omega_memo: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self._adapted_weights is None:
+            object.__setattr__(self, "_adapted_weights", tuple(
+                pullback_one_form(w, self.adapted_change).coeffs for w in self.weights))
         object.__setattr__(self, "_omega_memo", [])
 
     @property
@@ -221,8 +229,13 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
 
 
 def _coordinates(columns: list[Vector], targets: list[Vector]) -> list[Vector]:
-    """Coordinates of every target on the independent ``columns``."""
-    coords = solve(RationalMatrix.from_columns(columns), targets)
+    """Coordinates of every target on the independent ``columns``, Vectors of
+    the targets' length."""
+    if not targets:
+        return []
+    # the columns are the rows of the transpose, already Fractions
+    m = RationalMatrix._adopt(len(columns), len(targets[0]), list(map(_nonzeros, columns)))
+    coords = solve(m.transpose(), targets)
     if coords is None:
         raise AssertionError("vector unexpectedly outside an invariant subspace")
     return coords
@@ -259,7 +272,8 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
     for (i, j), c in zip(pairs, solved[k * d:]):
         block[i, j], block[j, i] = c, tuple(-x for x in c)
     table = solved[:k * d] + [block[i, j] for i in range(d) for j in range(d)]
-    ad = [RationalMatrix.from_columns(table[i * d:(i + 1) * d]) for i in range(n)]
+    ad = [RationalMatrix._adopt(d, d, list(map(_nonzeros, table[i * d:(i + 1) * d]))).transpose()
+          for i in range(n)]
     # every rational eigenvalue a flag step can meet (see the module docstring)
     candidates = [_rational_roots(_char_poly(a)) for a in ad[:k]]
     units = [unit_vector(d, j) for j in range(d)]
@@ -273,7 +287,8 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
         q_dim = len(quot)
         coords = _coordinates(quot + flag, [a.apply(q) for a in ad for q in quot])
         actions = [
-            RationalMatrix.from_columns([c[:q_dim] for c in coords[i:i + q_dim]])
+            RationalMatrix._adopt(q_dim, q_dim,
+                                  [_nonzeros(c[:q_dim]) for c in coords[i:i + q_dim]]).transpose()
             for i in range(0, len(coords), q_dim)
         ]
         # [g, g] acts nilpotently on a solvable algebra (Lie's theorem), so its
@@ -283,12 +298,12 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
         # eigenspace found is invariant under every action, so the smallest
         # candidate that leaves a nonzero joint kernel is the smallest
         # rational eigenvalue of the next action restricted to it.
-        stack = [r for action in actions[k:] for r in action.to_rows()]
+        stack = [r for action in actions[k:] for r in action._rows]
         lams = [Fraction(0)] * n
         for i in reversed(range(k)):
             for lam in candidates[i]:
-                shifted = (actions[i] + RationalMatrix.identity(q_dim).scale(-lam)).to_rows()
-                if kernel_basis(RationalMatrix.from_rows(stack + shifted)):
+                shifted = (actions[i] + RationalMatrix.identity(q_dim).scale(-lam))._rows
+                if kernel_basis(RationalMatrix._adopt(len(stack) + q_dim, q_dim, stack + shifted)):
                     stack += shifted
                     lams[i] = lam
                     break
@@ -297,27 +312,31 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
                     "adjoint action has no rational eigenvalue on the current "
                     "invariant subspace; the algebra is not rationally "
                     "triangularizable")
-        vq = span_basis(kernel_basis(RationalMatrix.from_rows(stack)), q_dim)[0]
+        vq = span_basis(kernel_basis(RationalMatrix._adopt(len(stack), q_dim, stack)), q_dim)[0]
         if any(a.apply(vq) != tuple(lam * c for c in vq) for a, lam in zip(actions, lams)):
             raise AssertionError("flag vector is not a joint eigenvector")
         adjoint_funcs.append(lams)
-        flag.append(RationalMatrix.from_columns(quot).apply(vq))
+        lift = RationalMatrix._adopt(q_dim, d, list(map(_nonzeros, quot))).transpose()
+        flag.append(lift.apply(vq))
 
-    to_original = RationalMatrix.from_columns(der.basis)
+    to_original = RationalMatrix._adopt(d, n, list(map(_nonzeros, der.basis))).transpose()
     columns = complement + [to_original.apply(v) for v in reversed(flag)]
-    change = RationalMatrix.from_columns([list(c) for c in columns])
+    change = RationalMatrix._adopt(n, n, list(map(_nonzeros, columns))).transpose()
     if rank(change) != n:
         raise AssertionError("adapted basis vectors are not independent")
     # dual-basis orientation: weight w is the negated adjoint eigenvalue
-    # functional f, so <w, x> = -f(x) for every x in ``acting``: one solve
-    carried = solve(RationalMatrix.from_rows(acting),
-                    [[-c for c in func] for func in reversed(adjoint_funcs)])
+    # functional f, so <w, x> = -f(x) for every x in ``acting``: one solve.
+    # f is zero on [g, g], so -f is also w on the adapted basis, whose first
+    # k vectors are the complement and the others lie in [g, g].
+    negated = [tuple(-c for c in func) for func in reversed(adjoint_funcs)]
+    carried = solve(RationalMatrix._adopt(n, n, list(map(_nonzeros, acting))), negated)
     weights = [OneForm.zero(n)] * k + [OneForm(w) for w in carried]
     for w in weights:
         if any(w.evaluate(v) != 0 for v in der.basis):
             raise AssertionError("weights must vanish on the derived subalgebra")
     # a racing call may have stored an equal result first; keep that one
-    g._weight_memo.append(WeightData(adapted_change=change, weights=tuple(weights), k=k))
+    g._weight_memo.append(WeightData(adapted_change=change, weights=tuple(weights), k=k,
+                                     _adapted_weights=(zero_vector(n),) * k + tuple(negated)))
     return g._weight_memo[0]
 
 
@@ -368,11 +387,9 @@ def r0_spectrum(data: WeightData, omega: OneForm, p: int) -> list[Fraction]:
     p-subset of weights sums to -omega.
     """
     _check_degree(p, data.dim)
-    # the pullback is linear, so pull back omega and each weight once
     base = _require_closed_weightwise(data, omega)
-    pulled = [pullback_one_form(w, data.adapted_change).coeffs for w in data.weights]
     values = [sum((sum(col) ** 2 for col in zip(base, *subset)), Fraction(0))
-              for subset in combinations(pulled, p)]
+              for subset in combinations(data._adapted_weights, p)]
     return sorted(values)
 
 

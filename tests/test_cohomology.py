@@ -1,5 +1,6 @@
 import importlib
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -31,7 +32,7 @@ from liecohom import (
 )
 from liecohom.algebra import random_invertible
 from liecohom.cohomology import _cleared_walk
-from liecohom.exterior import coords_to_form, form_basis, form_to_coords
+from liecohom.exterior import _differential_tables, coords_to_form, form_basis, form_to_coords
 from liecohom.linalg import RationalMatrix, in_image, kernel_basis, rank, unit_vector
 
 from conftest import (
@@ -395,7 +396,7 @@ def test_cleared_ranks_equal_plain_ranks(name, kind, seed):
     g, omega = rebased_case(name, kind, seed)
     mats = differential_matrices(g, omega)
     plain = [rank(mats.matrix(p)) for p in range(g.dim + 1)]
-    assert [r for _, _, r in _cleared_walk(g, omega)] == plain
+    assert [r for _, _, r in _cleared_walk(g.dim, _differential_tables(g, omega))] == plain
 
 
 @pytest.mark.parametrize("g,omega", [
@@ -450,3 +451,141 @@ def test_cohomology_vanishes_off_the_exceptional_set(name, seed):
     g, omega, _ = rebased_with_form(name, seed)
     assume(-omega not in omega_set(adapted_basis(g)))
     assert betti_numbers(g, omega) == [0] * (g.dim + 1)
+
+
+# --- Kunneth: Betti numbers of a direct sum from its factors ---
+
+def scaled_diag(n, c):
+    # diag n with every bracket times c; a non-integer c gives _scale > 1
+    return LieAlgebra.from_brackets(n, {
+        (1, j): tuple(c * (j - 1) if m == j - 1 else 0 for m in range(n))
+        for j in range(2, n + 1)})
+
+
+def direct_sum(*factors):
+    """The block-diagonal sum of the factors, in the order given."""
+    n = sum(f.dim for f in factors)
+    brackets, offset = {}, 0
+    for f in factors:
+        for (i, j), v in f.brackets:
+            brackets[i + offset, j + offset] = (0,) * offset + v + (0,) * (n - offset - f.dim)
+        offset += f.dim
+    return LieAlgebra.from_brackets(n, brackets)
+
+
+def random_factor(rng):
+    """A factor and a closed one-form on it, biased toward critical forms."""
+    kind = rng.choice(["abelian", "heisenberg3", "sol3", "diag", "euclid3"])
+    if kind == "abelian":
+        f = load_example("abelian", n=rng.randint(1, 2)).algebra
+    elif kind == "sol3":
+        f = load_example("sol3", k=Fraction(rng.choice([1, 2, 3, -5]), rng.randint(1, 4))).algebra
+    elif kind == "diag":
+        f = scaled_diag(rng.randint(3, 4), Fraction(rng.choice([1, -2, 3]), rng.randint(1, 3)))
+    else:
+        f = load_example(kind).algebra
+    draw = rng.random()
+    if draw < 0.3:
+        return f, OneForm.zero(f.dim)
+    if draw < 0.7 and kind != "euclid3":
+        # -w in the exceptional set: the factor's cohomology may survive
+        return f, -rng.choice(omega_set(adapted_basis(f)).sorted_elements())
+    terms = [(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), b)
+             for b in closed_one_forms(f).basis]
+    return f, OneForm([sum((c * b[i] for c, b in terms), Fraction(0)) for i in range(f.dim)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_factored_betti_numbers_equal_the_full_walk(count, seed):
+    rng = random.Random(seed)
+    while True:
+        pairs = [random_factor(rng) for _ in range(count)]
+        if sum(f.dim for f, _ in pairs) <= 8:
+            break
+    g = direct_sum(*(f for f, _ in pairs))
+    omega = OneForm([c for _, w in pairs for c in w.coeffs])
+    n = g.dim
+    perm = list(range(n))
+    rng.shuffle(perm)
+    # the block basis; a permutation of it, which interleaves the factors'
+    # indices; and a random basis, in which nothing splits
+    bases = [RationalMatrix.from_columns([unit_vector(n, j) for j in perm]),
+             random_invertible(n, rng)]
+    for h, w in [(g, omega)] + [(change_basis(g, m), pullback_one_form(omega, m)) for m in bases]:
+        assert betti_numbers(h, w) == list(cohomology(h, w).betti)
+
+
+@pytest.mark.parametrize("g,omega,expected", [
+    (load_example("abelian", n=1).algebra, one_form(0), [1, 1]),
+    (load_example("abelian", n=1).algebra, one_form(Fraction(-2, 3)), [0, 0]),
+    (direct_sum(scaled_diag(3, Fraction(1, 2)), load_example("abelian", n=1).algebra),
+     one_form(0, 0, 0, 0), [1, 2, 1, 0, 0]),
+    (direct_sum(scaled_diag(3, Fraction(1, 2)), load_example("abelian", n=1).algebra),
+     one_form(Fraction(1, 2), 0, 0, 0), [0, 1, 2, 1, 0]),
+    (direct_sum(load_example("sol3", k=Fraction(2, 3)).algebra,
+                load_example("heisenberg3").algebra),
+     one_form(Fraction(2, 3), 0, 0, 0, 0, 0), [0, 1, 3, 4, 3, 1, 0]),
+])
+def test_factored_betti_numbers_in_dimension_one_and_at_scale(g, omega, expected):
+    assert betti_numbers(g, omega) == expected == list(cohomology(g, omega).betti)
+
+
+def test_the_empty_complex_is_the_unit_of_the_convolution():
+    assert [len(kept) - r for kept, _, r in _cleared_walk(0, ([], [], 1))] == [1]
+
+
+def counted_image_rows(monkeypatch):
+    """Replace ``_image_rows`` by a wrapper that records each call's sources."""
+    module = importlib.import_module("liecohom.cohomology")
+    calls = []
+
+    def counting(sources, targets, tables):
+        calls.append(list(sources))
+        return real(sources, targets, tables)
+
+    real = module._image_rows
+    monkeypatch.setattr(module, "_image_rows", counting)
+    return calls
+
+
+def test_abelian_40_is_answered_without_a_walk(monkeypatch):
+    g = load_example("abelian", n=40).algebra
+    calls = counted_image_rows(monkeypatch)
+    start = time.perf_counter()
+    betti = betti_numbers(g, OneForm.zero(40))
+    assert time.perf_counter() - start < 0.1
+    assert betti == [comb(40, p) for p in range(41)]
+    assert calls == []
+
+
+@pytest.mark.parametrize("g,omega", [
+    (load_example("abelian", n=40).algebra, OneForm([0] * 39 + [1])),
+    (direct_sum(load_example("sol3", k=2).algebra, load_example("abelian", n=3).algebra),
+     one_form(-2, 0, 0, 0, Fraction(1, 5), 0)),
+    (direct_sum(load_example("abelian", n=1).algebra, load_example("heisenberg3").algebra,
+                load_example("abelian", n=1).algebra),
+     one_form(0, 0, 0, 0, -1)),
+])
+def test_a_twisted_isolated_index_kills_everything_without_a_walk(g, omega, monkeypatch):
+    calls = counted_image_rows(monkeypatch)
+    assert betti_numbers(g, omega) == [0] * (g.dim + 1)
+    assert calls == []
+    if g.dim < 10:
+        # the full walk, which abelian 40 cannot afford
+        assert list(cohomology(g, omega).betti) == [0] * (g.dim + 1)
+
+
+@pytest.mark.parametrize("omega,expected", [
+    (one_form(0, 0, 0, 0, 0, 0, 0, 0), [1, 1, 1, 1]),
+    (one_form(Fraction(-7, 2), 0, 0, 0, 0, 0, 0, 0), [0, 1, 1, 0]),
+])
+def test_sol3a_walks_only_its_three_dimensional_component(omega, expected, monkeypatch):
+    sol3 = load_example("sol3", k=Fraction(7, 2)).algebra
+    g = direct_sum(sol3, load_example("abelian", n=5).algebra)
+    calls = counted_image_rows(monkeypatch)
+    betti = betti_numbers(g, omega)
+    assert [m for call in calls for m in call if max(m, default=1) > 3] == []
+    assert sum(map(len, calls)) <= 2 ** 3
+    assert betti == [sum(expected[i] * comb(5, p - i) for i in range(max(0, p - 5), min(p, 3) + 1))
+                     for p in range(9)]

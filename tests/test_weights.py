@@ -438,6 +438,23 @@ def test_adapted_basis_is_pinned(make, seed, k, change, weights):
     assert [w.coeffs for w in data.weights] == [tuple(map(Fraction, w)) for w in weights]
 
 
+@pytest.mark.parametrize("make,seed", [case[:2] for case in GOLDEN_ADAPTED],
+                         ids=["jordan4", "borel4", "diag5", "heisenberg5", "upper3"])
+def test_stored_adapted_weights_are_the_pullbacks(make, seed):
+    g = make()
+    if seed is not None:
+        g = change_basis(g, random_invertible(g.dim, random.Random(seed)))
+    data = adapted_basis(g)
+    pulled = tuple(pullback_one_form(w, data.adapted_change).coeffs for w in data.weights)
+    assert data._adapted_weights == pulled
+    # weight data built by hand gets the same coordinates, and the same spectra
+    rebuilt = WeightData(adapted_change=data.adapted_change, weights=data.weights, k=data.k)
+    assert rebuilt._adapted_weights == pulled
+    omega = OneForm.zero(g.dim)
+    assert [r0_spectrum(rebuilt, omega, p) for p in range(g.dim + 1)] \
+        == [r0_spectrum(data, omega, p) for p in range(g.dim + 1)]
+
+
 def test_adapted_basis_errors_are_pinned(euclid3, sl2):
     with pytest.raises(NotTriangularizableError) as exc:
         adapted_basis(euclid3)
