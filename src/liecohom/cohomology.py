@@ -140,10 +140,9 @@ def betti_numbers(g: LieAlgebra, omega: OneForm) -> list[int]:
     # tables[1] lists w by its nonzero coefficients
     if any(m in singles for m, _, _ in tables[1]):
         return zero
-    # s untwisted singletons give (1, 1) each: C(s, p), one product per entry
-    s, betti = len(singles), [1]
-    for p in range(s):
-        betti.append(betti[-1] * (s - p) // (p + 1))
+    # s untwisted singletons give (1, 1) each: C(s, p)
+    s = len(singles)
+    betti = [comb(s, p) for p in range(s + 1)]
     for indices in components[s:]:
         factor = _walked_betti(len(indices), _factor_tables(tables, indices))
         if not any(factor):

@@ -51,7 +51,6 @@ from .linalg import (
     solve,
     span_basis,
     unit_vector,
-    zero_vector,
 )
 
 # unused here, kept importable because perfbench/tracer.py wraps these names
@@ -72,16 +71,16 @@ class WeightData:
     adapted_change: RationalMatrix
     weights: tuple[OneForm, ...]
     k: int
-    # each weight's coefficients in the adapted dual basis, which
-    # ``adapted_basis`` already holds; built by pullback when not passed
-    _adapted_weights: tuple = field(default=None, compare=False, repr=False)
+    # each weight's coefficients in the adapted dual basis, pulled back once
+    # per instance so that ``r0_spectrum`` need not
+    _adapted_weights: tuple = field(init=False, compare=False, repr=False)
     # the OmegaSet of these weights once ``omega_set`` has computed it
     _omega_memo: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self._adapted_weights is None:
-            object.__setattr__(self, "_adapted_weights", tuple(
-                pullback_one_form(w, self.adapted_change).coeffs for w in self.weights))
+        to_adapted = self.adapted_change.transpose()
+        object.__setattr__(self, "_adapted_weights",
+                           tuple(to_adapted.apply(w.coeffs) for w in self.weights))
         object.__setattr__(self, "_omega_memo", [])
 
     @property
@@ -325,18 +324,15 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
     if rank(change) != n:
         raise AssertionError("adapted basis vectors are not independent")
     # dual-basis orientation: weight w is the negated adjoint eigenvalue
-    # functional f, so <w, x> = -f(x) for every x in ``acting``: one solve.
-    # f is zero on [g, g], so -f is also w on the adapted basis, whose first
-    # k vectors are the complement and the others lie in [g, g].
-    negated = [tuple(-c for c in func) for func in reversed(adjoint_funcs)]
-    carried = solve(RationalMatrix._adopt(n, n, list(map(_nonzeros, acting))), negated)
+    # functional f, so <w, x> = -f(x) for every x in ``acting``: one solve
+    carried = solve(RationalMatrix._adopt(n, n, list(map(_nonzeros, acting))),
+                    [[-c for c in func] for func in reversed(adjoint_funcs)])
     weights = [OneForm.zero(n)] * k + [OneForm(w) for w in carried]
     for w in weights:
         if any(w.evaluate(v) != 0 for v in der.basis):
             raise AssertionError("weights must vanish on the derived subalgebra")
     # a racing call may have stored an equal result first; keep that one
-    g._weight_memo.append(WeightData(adapted_change=change, weights=tuple(weights), k=k,
-                                     _adapted_weights=(zero_vector(n),) * k + tuple(negated)))
+    g._weight_memo.append(WeightData(adapted_change=change, weights=tuple(weights), k=k))
     return g._weight_memo[0]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import threading
@@ -447,12 +448,29 @@ def test_stored_adapted_weights_are_the_pullbacks(make, seed):
     data = adapted_basis(g)
     pulled = tuple(pullback_one_form(w, data.adapted_change).coeffs for w in data.weights)
     assert data._adapted_weights == pulled
-    # weight data built by hand gets the same coordinates, and the same spectra
-    rebuilt = WeightData(adapted_change=data.adapted_change, weights=data.weights, k=data.k)
-    assert rebuilt._adapted_weights == pulled
+
+
+@pytest.mark.parametrize("make,seed", [case[:2] for case in GOLDEN_ADAPTED],
+                         ids=["jordan4", "borel4", "diag5", "heisenberg5", "upper3"])
+def test_replace_pulls_the_new_weights_back(make, seed):
+    g = make()
+    if seed is not None:
+        g = change_basis(g, random_invertible(g.dim, random.Random(seed)))
+    data = adapted_basis(g)
+    rng = random.Random(0)
+    permuted = list(data.weights)
+    rng.shuffle(permuted)
+    doubled = [w + w for w in data.weights]
+    halved = data.adapted_change.scale(Fraction(1, 2))
     omega = OneForm.zero(g.dim)
-    assert [r0_spectrum(rebuilt, omega, p) for p in range(g.dim + 1)] \
-        == [r0_spectrum(data, omega, p) for p in range(g.dim + 1)]
+    for changes in ({"weights": tuple(permuted)}, {"weights": tuple(doubled)},
+                    {"adapted_change": halved}):
+        replaced = dataclasses.replace(data, **changes)
+        fresh = WeightData(**{"adapted_change": data.adapted_change, "weights": data.weights,
+                              "k": data.k, **changes})
+        assert replaced._adapted_weights == fresh._adapted_weights
+        assert [r0_spectrum(replaced, omega, p) for p in range(g.dim + 1)] \
+            == [r0_spectrum(fresh, omega, p) for p in range(g.dim + 1)]
 
 
 def test_adapted_basis_errors_are_pinned(euclid3, sl2):
