@@ -10,9 +10,10 @@ and, per stored pair, the nonzero ``(m, L * C_ij^m)`` as ints. Brackets, the
 Jacobi check, closedness and ``d_w`` sum over it; a change of basis is one solve.
 
 Every value is immutable after construction and every operation is a pure
-function. The one exception is a private memo: the weight data of an algebra
-(``weights.adapted_basis``) is computed once per algebra object and stored on
-it, and its exceptional set once per weight data object. A memo never
+function. The exceptions are private memos: the weight data of an algebra
+(``weights.adapted_basis``) and its inner diagonal elements
+(``_inner_diagonal``) are computed once per algebra object and stored on it,
+and the exceptional set once per weight data object. A memo never
 changes ``==`` or ``hash``, and ``dataclasses.replace`` builds a new empty
 one. Concurrent use still needs no lock: two threads that race on an empty
 memo each compute the same value, and the first one stored is kept.
@@ -31,10 +32,13 @@ from .errors import JacobiError, StructureError
 from .linalg import (
     RationalMatrix,
     Vector,
+    _echelon,
+    _integer_rows,
+    _kernel,
+    _solve,
     in_image,
     kernel_basis,
     rank,
-    solve,
     span_basis,
     unit_vector,
     vec_add,
@@ -108,7 +112,7 @@ class Subspace:
         if self.dim == 0:
             return vec_is_zero(vector(v))
         m = RationalMatrix.from_columns([list(b) for b in self.basis])
-        return in_image(m, vector(v)) is not None
+        return in_image(m, v) is not None
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -190,6 +194,8 @@ class LieAlgebra:
     _int_table: dict = field(init=False, compare=False, repr=False)
     # the WeightData of this algebra once ``weights.adapted_basis`` succeeds
     _weight_memo: list = field(init=False, compare=False, repr=False)
+    # what ``_inner_diagonal`` returns, once it has been asked for
+    _diagonal_memo: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         scale = lcm(*(c.denominator for _, v in self.brackets for c in v if c))
@@ -199,6 +205,7 @@ class LieAlgebra:
                        for m, c in enumerate(v) if c)
             for key, v in self.brackets})
         object.__setattr__(self, "_weight_memo", [])
+        object.__setattr__(self, "_diagonal_memo", [])
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: Mapping,
@@ -253,6 +260,47 @@ class LieAlgebra:
         """Matrix of ad(x): columns are [x, e_j] in basis coordinates."""
         cols = [self.bracket(x, unit_vector(self.dim, j)) for j in range(self.dim)]
         return RationalMatrix.from_columns([list(c) for c in cols])
+
+
+def _inner_diagonal(g: LieAlgebra) -> tuple[list, list]:
+    """The x whose ad x is diagonal in the given basis, split by their action.
+
+    Such an x acts by [x, e_i] = a_i(x) e_i. The x are the kernel of the
+    integer system [x, e_i]_m = 0 for every m != i, read off the table at
+    scale L. Returns ``(acting, central)``: ``acting`` lists pairs (a, x) of
+    sparse int rows, a = L * (a_1(x) .. a_n(x)), whose a are independent;
+    ``central`` lists int rows x with ad x = 0, a basis of the center. Both
+    are 0-based, and each row lies in one direct factor of the given basis.
+    Computed once per algebra object and then returned from its memo.
+    """
+    if g._diagonal_memo:
+        return g._diagonal_memo[0]
+    n = g.dim
+    # off[i, m]: the coefficients of the x_j in [x, e_i]_m; diag[i]: in L a_i(x)
+    off: dict[tuple[int, int], dict[int, int]] = {}
+    diag: dict[int, dict[int, int]] = {}
+    for (i, j), terms in g._int_table.items():
+        for m, c in terms:
+            # [e_i, e_j] = sum (c / L) e_m: x_i feeds [x, e_j], and -x_j feeds [x, e_i]
+            for src, dst, v in ((i - 1, j - 1, c), (j - 1, i - 1, -c)):
+                row = diag.setdefault(dst, {}) if m == dst else off.setdefault((dst, m), {})
+                row[src] = v
+    acting, central = [], []
+    # [a | x] per kernel vector: in echelon form the rows that lead inside a
+    # have independent a, and the rows that lead inside x span a = 0
+    rows = []
+    for x in _integer_rows(_kernel(list(off.values()), n)):
+        a = {i: s for i, d in diag.items() if (s := sum(x.get(j, 0) * v for j, v in d.items()))}
+        rows.append(a | {n + j: v for j, v in x.items()})
+    for row, c in zip(*_echelon(rows)):
+        x = {j - n: v for j, v in row.items() if j >= n}
+        if c < n:
+            acting.append(({i: v for i, v in row.items() if i < n}, x))
+        else:
+            central.append(x)
+    # a racing call may have stored an equal result first; keep that one
+    g._diagonal_memo.append((acting, central))
+    return g._diagonal_memo[0]
 
 
 def _jacobi_report(g: LieAlgebra) -> ValidationReport:
@@ -378,7 +426,7 @@ def change_basis(g: LieAlgebra, m: RationalMatrix) -> LieAlgebra:
     if (m.rows, m.cols) != (n, n):
         raise ValueError(f"change of basis must be {n}x{n}")
     pairs = list(combinations(range(n), 2))
-    solved = solve(m, [unit_vector(n, j) for j in range(n)]
+    solved = _solve(m, [unit_vector(n, j) for j in range(n)]
                    + [g.bracket(m.column(a), m.column(b)) for a, b in pairs])
     if solved is None:
         raise ValueError("singular matrix")

@@ -31,11 +31,27 @@ with coefficients in the line of w is the graded tensor product of the
 complexes of the a_s, each twisted by the restriction of w, which is closed
 on it. Over Q the cohomology of a tensor product of complexes is the tensor
 product of their cohomologies, so the Betti list of g is the convolution of
-the factors' lists, and one acyclic factor makes every Betti number zero. A
-one-index component is Q with differential w_i e^i ^ . : its Betti list is
-(1, 1) when w_i = 0 and (0, 0) otherwise. Every larger component is walked
-on its own slice of the tables, its indices renumbered in order.
-Representatives are not split: ``cohomology`` walks the whole algebra.
+the factors' lists, and one acyclic factor makes every Betti number zero. An
+untwisted one-index component is Q with d_w = 0: its Betti list is (1, 1).
+Every larger component is walked on its own slice of the tables, its
+indices renumbered in order. Representatives are not split: ``cohomology``
+walks the whole algebra.
+
+Each factor is walked on its live monomials only (Hattori 1960; as a Morse
+matching, Skoldberg 2006). Let x act diagonally in the given basis,
+[x, e_i] = a_i e_i. Then L_x e^I = -a_I e^I with a_I the sum of the a_i over
+I, and the twisted Cartan formula d_w i_x + i_x d_w = L_x + w(x) makes i_x
+a contracting homotopy, up to the nonzero factor w(x) - a_I, on the span of
+the e^I with a_I != w(x). L_x commutes with d_w, so these spans and the
+live span, a_I = w(x), are subcomplexes and direct summands: the live span
+carries all the cohomology. A nonzero C_ij^m forces a_i + a_j = a_m, since
+ad x is a derivation, and w_m != 0 forces a_m = 0, since w kills [g, g]:
+d_w sends each live monomial to live monomials only. So the live monomials
+of every degree, in lexicographic order, form a complex of the same kind as
+the full one, and the clearing argument above holds on it word for word.
+The x with ad x = 0 are the center: one with w(x) != 0 makes everything
+acyclic (a_I = 0 for every I). A factor on which no x acts by nonzero a_i
+is walked whole.
 """
 
 from __future__ import annotations
@@ -43,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .algebra import LieAlgebra, OneForm
+from .algebra import LieAlgebra, OneForm, _inner_diagonal
 from .exterior import (
     ExteriorForm,
     _check_degree,
@@ -73,14 +89,15 @@ class CohomologyResult:
     representatives: tuple[tuple[ExteriorForm, ...], ...]
 
 
-def _cleared_walk(n: int, tables):
-    """Per degree p = 0 .. n of the complex on n generators whose differential
-    is given by ``tables`` (``_differential_tables``): the monomials degree
-    p-1 did not clear (reverse lexicographic order), their int image rows
-    (S * d_w^p) and rank d_w^p."""
-    sources, cleared = form_basis(n, 0), set()
-    for p in range(n + 1):
-        targets = form_basis(n, p + 1)[::-1]
+def _cleared_walk(monomials: list, tables):
+    """Per degree p of the complex spanned by ``monomials`` (per degree, in
+    lexicographic order, closed under the differential given by ``tables``,
+    see ``_differential_tables``): the monomials degree p-1 did not clear
+    (reverse lexicographic order), their int image rows (S * d_w^p) and
+    rank d_w^p."""
+    sources, cleared = monomials[0], set()
+    for p in range(len(monomials)):
+        targets = monomials[p + 1][::-1] if p + 1 < len(monomials) else []
         kept = [idx for idx in sources if idx not in cleared]
         rows = _image_rows(kept, targets, tables)
         _, pivots = _echelon(rows)
@@ -88,8 +105,48 @@ def _cleared_walk(n: int, tables):
         sources, cleared = targets, {targets[c] for c in pivots}
 
 
-def _walked_betti(n: int, tables) -> list[int]:
-    return [len(kept) - r for kept, _, r in _cleared_walk(n, tables)]
+def _all_monomials(n: int) -> list:
+    return [form_basis(n, p) for p in range(n + 1)]
+
+
+def _walked_betti(monomials: list, tables) -> list[int]:
+    return [len(kept) - r for kept, _, r in _cleared_walk(monomials, tables)]
+
+
+def _live_monomials(k: int, constraints: list) -> list:
+    """Per degree p = 0 .. k, in lexicographic order, the p-subsets I of
+    1 .. k with sum_(i in I) c_i = t for every constraint (c, t).
+
+    The constraints are packed into one: with B above twice every
+    |sum_(i in I) c_i - t|, the sum of those differences times B^s (for the
+    s-th constraint) is zero only when each difference is. A depth-first walk
+    adds indices in ascending order, so each degree comes out in
+    lexicographic order; it leaves a branch as soon as the remaining target
+    lies outside the sums still reachable from the indices left.
+    """
+    base = 2 * max(sum(map(abs, c)) + abs(t) for c, t in constraints) + 1
+    coeffs = [sum(c[i] * base ** s for s, (c, _) in enumerate(constraints)) for i in range(k)]
+    # low[i], high[i]: the least and greatest sums over subsets of i .. k-1
+    low, high = [0], [0]
+    for v in reversed(coeffs):
+        low.append(low[-1] + min(v, 0))
+        high.append(high[-1] + max(v, 0))
+    low.reverse()
+    high.reverse()
+    out: list[list] = [[] for _ in range(k + 1)]
+
+    def walk(start: int, chosen: tuple, need: int) -> None:
+        if not need:
+            out[len(chosen)].append(chosen)
+        for i in range(start, k):
+            rest = need - coeffs[i]
+            if low[i + 1] <= rest <= high[i + 1]:
+                walk(i + 1, chosen + (i + 1,), rest)
+
+    need = sum(t * base ** s for s, (_, t) in enumerate(constraints))
+    if low[0] <= need <= high[0]:
+        walk(0, (), need)
+    return out
 
 
 def _components(g: LieAlgebra) -> list[list[int]]:
@@ -129,22 +186,40 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
 
 
 def betti_numbers(g: LieAlgebra, omega: OneForm) -> list[int]:
-    """Exact dimensions of the twisted cohomology in degrees 0..n, as the
-    convolution of the Betti lists of the direct factors (module docstring)."""
+    """Exact dimensions of the twisted cohomology in degrees 0..n: the
+    convolution of the Betti lists of the direct factors, each walked on its
+    live monomials only (module docstring)."""
     tables = _differential_tables(g, omega)
-    components = _components(g)
-    if len(components) == 1:
-        return _walked_betti(g.dim, tables)
+    acting, central = _inner_diagonal(g)
+    # S * w by 0-based index, and S / L, which lifts L * a to the scale S
+    sw = {m - 1: c for m, c, _ in tables[1]}
+    up = tables[2] // g._scale
+
+    def at(x: dict) -> int:
+        # S * w(x) for an int row x
+        return sum(sw.get(j, 0) * v for j, v in x.items())
+
     zero = [0] * (g.dim + 1)
-    singles = {c[0] for c in components if len(c) == 1}
-    # tables[1] lists w by its nonzero coefficients
-    if any(m in singles for m, _, _ in tables[1]):
+    # x with ad x = 0 and w(x) != 0 makes the whole complex acyclic
+    if any(map(at, central)):
         return zero
+    components = _components(g)
     # s untwisted singletons give (1, 1) each: C(s, p)
-    s = len(singles)
+    s = sum(len(c) == 1 for c in components)
     betti = [comb(s, p) for p in range(s + 1)]
     for indices in components[s:]:
-        factor = _walked_betti(len(indices), _factor_tables(tables, indices))
+        k, members = len(indices), {i - 1 for i in indices}
+        constraints = []
+        for a, x in acting:
+            if next(iter(a)) in members:
+                # L * a_I(x) = L * w(x), at the scale S
+                target, rest = divmod(at(x), up)
+                if rest:
+                    return zero
+                constraints.append(([a.get(i - 1, 0) for i in indices], target))
+        monomials = _live_monomials(k, constraints) if constraints else _all_monomials(k)
+        factor = _walked_betti(monomials, tables if k == g.dim
+                               else _factor_tables(tables, indices))
         if not any(factor):
             return zero
         betti = _convolve(betti, factor)
@@ -173,7 +248,7 @@ def cohomology(g: LieAlgebra, omega: OneForm) -> CohomologyResult:
     """Betti numbers plus representatives for every degree in one pass."""
     tables = _differential_tables(g, omega)
     betti, reps = [], []
-    for p, (kept, rows, r) in enumerate(_cleared_walk(g.dim, tables)):
+    for p, (kept, rows, r) in enumerate(_cleared_walk(_all_monomials(g.dim), tables)):
         betti.append(len(kept) - r)
         # _kernel reads its free columns in lexicographic order
         reps.append(tuple(_representatives_from(g.dim, p, kept[::-1], rows[::-1]))

@@ -218,7 +218,11 @@ class RationalMatrix:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        v = vector(v)
+        return self._apply(vector(v))
+
+    def _apply(self, v: Sequence[Fraction]) -> Vector:
+        """``apply`` to Fractions the package built, ``cols`` of them; nothing
+        is checked or coerced."""
         return tuple(sum((x * v[j] for j, x in r.items()), _ZERO) for r in self._rows)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -403,7 +407,12 @@ def solve(M: RationalMatrix, targets: Sequence[Sequence]) -> list[Vector] | None
     alone reads off. Each solution is the minimal pivot one: free variables
     are pinned to zero, which makes the choice deterministic.
     """
-    targets = [vector(t) for t in targets]
+    return _solve(M, [vector(t) for t in targets])
+
+
+def _solve(M: RationalMatrix, targets: list[Sequence[Fraction]]) -> list[Vector] | None:
+    """``solve`` for targets of Fractions the package built; they are not
+    coerced again."""
     if any(len(t) != M.rows for t in targets):
         raise ValueError("target length does not match row count")
     if not targets:
@@ -430,7 +439,7 @@ def invert(M: RationalMatrix) -> RationalMatrix:
     """Inverse of a square matrix; raises ValueError if singular."""
     if M.rows != M.cols:
         raise ValueError("only square matrices can be inverted")
-    columns = solve(M, [unit_vector(M.rows, j) for j in range(M.rows)])
+    columns = _solve(M, [unit_vector(M.rows, j) for j in range(M.rows)])
     if columns is None:
         raise ValueError("singular matrix")
     return RationalMatrix.from_columns(columns)

@@ -45,10 +45,10 @@ from .linalg import (
     RationalMatrix,
     Vector,
     _nonzeros,
+    _solve,
     extend_independent,
     kernel_basis,
     rank,
-    solve,
     span_basis,
     unit_vector,
 )
@@ -234,7 +234,7 @@ def _coordinates(columns: list[Vector], targets: list[Vector]) -> list[Vector]:
         return []
     # the columns are the rows of the transpose, already Fractions
     m = RationalMatrix._adopt(len(columns), len(targets[0]), list(map(_nonzeros, columns)))
-    coords = solve(m.transpose(), targets)
+    coords = _solve(m.transpose(), targets)
     if coords is None:
         raise AssertionError("vector unexpectedly outside an invariant subspace")
     return coords
@@ -284,7 +284,7 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
         # the first q_dim of them are coordinates in the quotient by the flag
         quot = extend_independent(flag, units, d)
         q_dim = len(quot)
-        coords = _coordinates(quot + flag, [a.apply(q) for a in ad for q in quot])
+        coords = _coordinates(quot + flag, [a._apply(q) for a in ad for q in quot])
         actions = [
             RationalMatrix._adopt(q_dim, q_dim,
                                   [_nonzeros(c[:q_dim]) for c in coords[i:i + q_dim]]).transpose()
@@ -312,21 +312,21 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
                     "invariant subspace; the algebra is not rationally "
                     "triangularizable")
         vq = span_basis(kernel_basis(RationalMatrix._adopt(len(stack), q_dim, stack)), q_dim)[0]
-        if any(a.apply(vq) != tuple(lam * c for c in vq) for a, lam in zip(actions, lams)):
+        if any(a._apply(vq) != tuple(lam * c for c in vq) for a, lam in zip(actions, lams)):
             raise AssertionError("flag vector is not a joint eigenvector")
         adjoint_funcs.append(lams)
         lift = RationalMatrix._adopt(q_dim, d, list(map(_nonzeros, quot))).transpose()
-        flag.append(lift.apply(vq))
+        flag.append(lift._apply(vq))
 
     to_original = RationalMatrix._adopt(d, n, list(map(_nonzeros, der.basis))).transpose()
-    columns = complement + [to_original.apply(v) for v in reversed(flag)]
+    columns = complement + [to_original._apply(v) for v in reversed(flag)]
     change = RationalMatrix._adopt(n, n, list(map(_nonzeros, columns))).transpose()
     if rank(change) != n:
         raise AssertionError("adapted basis vectors are not independent")
     # dual-basis orientation: weight w is the negated adjoint eigenvalue
     # functional f, so <w, x> = -f(x) for every x in ``acting``: one solve
-    carried = solve(RationalMatrix._adopt(n, n, list(map(_nonzeros, acting))),
-                    [[-c for c in func] for func in reversed(adjoint_funcs)])
+    carried = _solve(RationalMatrix._adopt(n, n, list(map(_nonzeros, acting))),
+                     [[-c for c in func] for func in reversed(adjoint_funcs)])
     weights = [OneForm.zero(n)] * k + [OneForm(w) for w in carried]
     for w in weights:
         if any(w.evaluate(v) != 0 for v in der.basis):

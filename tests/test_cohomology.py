@@ -2,6 +2,7 @@ import importlib
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -30,8 +31,8 @@ from liecohom import (
     r0_spectrum,
     representatives,
 )
-from liecohom.algebra import random_invertible
-from liecohom.cohomology import _cleared_walk
+from liecohom.algebra import _inner_diagonal, random_invertible
+from liecohom.cohomology import _all_monomials, _cleared_walk, _components, _live_monomials
 from liecohom.exterior import _differential_tables, coords_to_form, form_basis, form_to_coords
 from liecohom.linalg import RationalMatrix, in_image, kernel_basis, rank, unit_vector
 
@@ -396,7 +397,8 @@ def test_cleared_ranks_equal_plain_ranks(name, kind, seed):
     g, omega = rebased_case(name, kind, seed)
     mats = differential_matrices(g, omega)
     plain = [rank(mats.matrix(p)) for p in range(g.dim + 1)]
-    assert [r for _, _, r in _cleared_walk(g.dim, _differential_tables(g, omega))] == plain
+    walk = _cleared_walk(_all_monomials(g.dim), _differential_tables(g, omega))
+    assert [r for _, _, r in walk] == plain
 
 
 @pytest.mark.parametrize("g,omega", [
@@ -532,7 +534,7 @@ def test_factored_betti_numbers_in_dimension_one_and_at_scale(g, omega, expected
 
 
 def test_the_empty_complex_is_the_unit_of_the_convolution():
-    assert [len(kept) - r for kept, _, r in _cleared_walk(0, ([], [], 1))] == [1]
+    assert [len(kept) - r for kept, _, r in _cleared_walk([[()]], ([], [], 1))] == [1]
 
 
 def counted_image_rows(monkeypatch):
@@ -589,3 +591,129 @@ def test_sol3a_walks_only_its_three_dimensional_component(omega, expected, monke
     assert sum(map(len, calls)) <= 2 ** 3
     assert betti == [sum(expected[i] * comb(5, p - i) for i in range(max(0, p - 5), min(p, 3) + 1))
                      for p in range(9)]
+
+
+# --- Live weight blocks: only the monomials that can carry cohomology ---
+
+def semidirect(*actions):
+    """Q^r acting diagonally on Q^m: [e_s, e_(r+j)] = actions[s][j] e_(r+j).
+    One action (1, .., n-1) is diag n, and (k, -k) is sol3(k)."""
+    r, m = len(actions), len(actions[0])
+    n = r + m
+    return LieAlgebra.from_brackets(n, {
+        (s + 1, r + j + 1): tuple(a[j] if i == r + j else 0 for i in range(n))
+        for s, a in enumerate(actions) for j in range(m) if a[j]})
+
+
+def live_count(actions, p, targets):
+    """N(p, c): the p-subsets J of the acted-on indices with, for every action
+    a and its target c, the sum of a over J equal to c."""
+    m = len(actions[0])
+    return sum(all(sum(a[j] for j in js) == c for a, c in zip(actions, targets))
+               for js in combinations(range(m), p)) if p >= 0 else 0
+
+
+def closed_form(actions, targets):
+    """b_p of the semidirect algebra at w = sum c_s e^s. With T among the r
+    acting indices and J among the others, d_w(e^T ^ e^J) is, up to sign,
+    (w - a_J) ^ e^T ^ e^J for the one-form a_J = sum_s (sum_J a_s) e^s. So
+    each J spans a copy of the exterior algebra on r generators, acyclic
+    unless w = a_J and with zero differential when it is:
+    b_p = sum_q C(r, q) N(p - q)."""
+    r, m = len(actions), len(actions[0])
+    return [sum(comb(r, q) * live_count(actions, p - q, targets) for q in range(r + 1))
+            for p in range(r + m + 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["diag", "sol3", "torus2"]),
+       st.sampled_from(["standard", "permuted", "scaled", "random"]),
+       st.integers(0, 2**32 - 1))
+def test_live_betti_numbers_equal_the_full_walk_and_the_closed_form(family, basis, seed):
+    rng = random.Random(seed)
+    s = Fraction(rng.choice([1, -2, 3]), rng.randint(1, 3))
+    if family == "diag":
+        actions = [[s * j for j in range(1, rng.randint(3, 6))]]
+    elif family == "sol3":
+        actions = [[s, -s]]
+    else:
+        # two actions, two constraints on every live monomial; dependent
+        # actions leave a central combination of e1 and e2
+        m = rng.randint(2, 4)
+        actions = [[s * rng.randint(-2, 2) for _ in range(m)] for _ in range(2)]
+    g = semidirect(*actions)
+    n, r = g.dim, len(actions)
+    # a subset sum of every action (critical) or random rationals (generic)
+    js = [j for j in range(len(actions[0])) if rng.random() < 0.5]
+    targets = ([sum((a[j] for j in js), Fraction(0)) for a in actions] if rng.random() < 0.7
+               else [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in actions])
+    omega = OneForm(targets + [0] * (n - r))
+    if basis == "standard":
+        m = RationalMatrix.identity(n)
+    elif basis == "permuted":
+        perm = list(range(n))
+        rng.shuffle(perm)
+        m = RationalMatrix.from_columns([unit_vector(n, j) for j in perm])
+    elif basis == "scaled":
+        m = RationalMatrix.from_columns(
+            [[Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)) if i == j else 0
+              for i in range(n)] for j in range(n)])
+    else:
+        # no inner diagonal x acts in a random basis: the fallback walk
+        m = random_invertible(n, rng)
+    h, w = change_basis(g, m), pullback_one_form(omega, m)
+    assert betti_numbers(h, w) == list(cohomology(h, w).betti) == closed_form(actions, targets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_live_monomials_are_the_subsets_with_the_given_sums(k, count, seed):
+    rng = random.Random(seed)
+    constraints = [([rng.randint(-3, 3) for _ in range(k)], rng.randint(-4, 4))
+                   for _ in range(count)]
+    assert _live_monomials(k, constraints) == [
+        [idx for idx in form_basis(k, p)
+         if all(sum(c[i - 1] for i in idx) == t for c, t in constraints)]
+        for p in range(k + 1)]
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(-1), Fraction(29), Fraction(5),
+                               Fraction(14), Fraction(28)])
+def test_diag_8_assembles_only_live_monomials(c, monkeypatch):
+    g = diag(8)
+    live = {idx for p in range(9) for idx in form_basis(8, p) if sum(i - 1 for i in idx) == c}
+    omega = one_form(c, 0, 0, 0, 0, 0, 0, 0)
+    calls = counted_image_rows(monkeypatch)
+    betti = betti_numbers(g, omega)
+    assembled = [idx for call in calls for idx in call]
+    assert betti == closed_form([range(1, 8)], [c]) == list(cohomology(g, omega).betti)
+    if not live:
+        assert assembled == [] and betti == [0] * 9
+    else:
+        assert assembled and set(assembled) <= live
+        assert len(assembled) == len(set(assembled))
+
+
+def test_a_random_basis_walks_every_monomial(monkeypatch):
+    h = change_basis(diag(6), random_invertible(6, random.Random(1)))
+    assert _inner_diagonal(h)[0] == []
+    calls = counted_image_rows(monkeypatch)
+    assert betti_numbers(h, OneForm.zero(6)) == [1, 1, 0, 0, 0, 0, 0]
+    assert sum(map(len, calls)) == sum(len(kept) for kept, _, _ in _cleared_walk(
+        _all_monomials(6), _differential_tables(h, OneForm.zero(6))))
+
+
+@pytest.mark.parametrize("w1", [0, 1, -1, 5])
+def test_a_twisted_center_off_the_basis_kills_everything_without_a_walk(w1, monkeypatch):
+    # sol3 + Q in the basis e1, e2, e3, e4 + e2: no index is isolated, and the
+    # center e4 = e4' - e2 lies outside [g, g] but is no basis vector
+    g = direct_sum(load_example("sol3", k=1).algebra, load_example("abelian", n=1).algebra)
+    m = RationalMatrix.from_columns([unit_vector(4, 0), unit_vector(4, 1), unit_vector(4, 2),
+                                     (0, 1, 0, 1)])
+    h = change_basis(g, m)
+    assert len(_components(h)) == 1
+    omega = one_form(w1, 0, 0, Fraction(1, 3))
+    calls = counted_image_rows(monkeypatch)
+    assert betti_numbers(h, omega) == [0] * 5
+    assert calls == []
+    assert list(cohomology(h, omega).betti) == [0] * 5
