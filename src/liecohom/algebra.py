@@ -28,11 +28,12 @@ from itertools import combinations
 from math import lcm
 from typing import Mapping, Sequence
 
-from .errors import JacobiError, StructureError
+from .errors import JacobiError, StructureError, _require_types
 from .linalg import (
     RationalMatrix,
     Vector,
     _echelon,
+    _exact,
     _integer_rows,
     _kernel,
     _solve,
@@ -41,9 +42,6 @@ from .linalg import (
     rank,
     span_basis,
     unit_vector,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
     vector,
     zero_vector,
 )
@@ -70,7 +68,7 @@ class OneForm:
         return len(self.coeffs)
 
     def is_zero(self) -> bool:
-        return vec_is_zero(self.coeffs)
+        return not any(self.coeffs)
 
     def evaluate(self, v: Sequence) -> Fraction:
         """Pairing with a vector of the algebra."""
@@ -78,16 +76,19 @@ class OneForm:
                    Fraction(0))
 
     def __add__(self, other: "OneForm") -> "OneForm":
-        return OneForm(vec_add(self.coeffs, other.coeffs))
+        if self.dim != other.dim:
+            raise ValueError(f"cannot add one-forms of dimensions {self.dim} and {other.dim}")
+        return OneForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "OneForm":
-        return OneForm(vec_scale(-1, self.coeffs))
+        return OneForm(tuple(-a for a in self.coeffs))
 
     def __sub__(self, other: "OneForm") -> "OneForm":
         return self + (-other)
 
     def scale(self, c) -> "OneForm":
-        return OneForm(vec_scale(c, self.coeffs))
+        c = c if type(c) is Fraction else _exact(c)
+        return OneForm(tuple(c * a for a in self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ class Subspace:
 
     def contains(self, v: Sequence) -> bool:
         if self.dim == 0:
-            return vec_is_zero(vector(v))
+            return not any(vector(v))
         m = RationalMatrix.from_columns([list(b) for b in self.basis])
         return in_image(m, v) is not None
 
@@ -167,7 +168,7 @@ def _normalize_brackets(dim: int, brackets: Mapping) -> dict[tuple[int, int], Ve
         if len(v) != dim:
             raise StructureError(
                 f"bracket ({i},{j}) has {len(v)} coefficients, expected {dim}")
-        if not vec_is_zero(v):
+        if any(v):
             table[(i, j)] = v
     return table
 
@@ -410,8 +411,21 @@ def classify(g: LieAlgebra) -> AlgebraClass:
 
 
 def is_unimodular(g: LieAlgebra) -> bool:
-    """True when trace(ad e_i) = 0 for every basis vector."""
-    return all(g.ad(unit_vector(g.dim, j)).trace() == 0 for j in range(g.dim))
+    """True when trace(ad e_i) = 0 for every basis vector.
+
+    Read off the integer table: a stored [e_i, e_j] adds its e_j coefficient
+    to tr ad e_i and, as [e_j, e_i] = -[e_i, e_j], minus its e_i coefficient
+    to tr ad e_j.
+    """
+    _require_types((g, LieAlgebra))
+    trace = [0] * g.dim
+    for (i, j), terms in g._int_table.items():
+        for m, c in terms:
+            if m == j - 1:
+                trace[i - 1] += c
+            elif m == i - 1:
+                trace[j - 1] -= c
+    return not any(trace)
 
 
 def change_basis(g: LieAlgebra, m: RationalMatrix) -> LieAlgebra:
@@ -431,7 +445,7 @@ def change_basis(g: LieAlgebra, m: RationalMatrix) -> LieAlgebra:
     if solved is None:
         raise ValueError("singular matrix")
     brackets = {(a + 1, b + 1): v for (a, b), v in zip(pairs, solved[n:])
-                if not vec_is_zero(v)}
+                if any(v)}
     return LieAlgebra.from_brackets(n, brackets, names=g.basis_names)
 
 

@@ -44,3 +44,11 @@ class NotTriangularizableError(ComputationDomainError):
     Raised when some characteristic polynomial met during the flag
     construction has no rational root (irrational or complex eigenvalues).
     """
+
+
+def _require_types(*pairs) -> None:
+    """StructureError unless every (value, type) pair matches: each public
+    query checks its arguments here before it reads any attribute of them."""
+    if not all(isinstance(value, kind) for value, kind in pairs):
+        raise StructureError("expected " + " and ".join(f"a {k.__name__}" for _, k in pairs)
+                             + ", got " + " and ".join(type(v).__name__ for v, _ in pairs))

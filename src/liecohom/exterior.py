@@ -32,7 +32,7 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import LieAlgebra, OneForm
-from .errors import NonClosedFormError, StructureError
+from .errors import NonClosedFormError, StructureError, _require_types
 from .linalg import RationalMatrix, Vector, _exact, _integer_rows, _nonzeros
 
 
@@ -208,9 +208,7 @@ def is_closed(g: LieAlgebra, omega: OneForm) -> bool:
 
 def _require_closed(g: LieAlgebra, omega: OneForm) -> None:
     # every twisted-complex query passes here first, so its types are checked here
-    if not (isinstance(g, LieAlgebra) and isinstance(omega, OneForm)):
-        raise StructureError(f"expected a LieAlgebra and a OneForm, got "
-                             f"{type(g).__name__} and {type(omega).__name__}")
+    _require_types((g, LieAlgebra), (omega, OneForm))
     if not is_closed(g, omega):
         raise NonClosedFormError(
             "twisting one-form is not closed; the deformed differential would "

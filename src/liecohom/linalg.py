@@ -104,19 +104,6 @@ def unit_vector(n: int, j: int) -> Vector:
     return tuple(v)
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    c = c if type(c) is Fraction else _exact(c)
-    return tuple(c * a for a in v)
-
-
-def vec_is_zero(v: Vector) -> bool:
-    return all(a == 0 for a in v)
-
-
 def _nonzeros(v: Vector) -> SparseRow:
     """The nonzero entries of a vector, by position."""
     return {j: x for j, x in enumerate(v) if x}
@@ -225,42 +212,12 @@ class RationalMatrix:
         is checked or coerced."""
         return tuple(sum((x * v[j] for j, x in r.items()), _ZERO) for r in self._rows)
 
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        data = []
-        for r in self._rows:
-            acc: SparseRow = {}
-            for k, a in r.items():
-                for j, b in other._rows[k].items():
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-            data.append({j: x for j, x in acc.items() if x})
-        return RationalMatrix._adopt(self.rows, other.cols, data)
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        data = []
-        for r1, r2 in zip(self._rows, other._rows):
-            row = dict(r1)
-            for j, x in r2.items():
-                s = row.pop(j, _ZERO) + x
-                if s:
-                    row[j] = s
-            data.append(row)
-        return RationalMatrix._adopt(self.rows, self.cols, data)
-
     def scale(self, c) -> "RationalMatrix":
         c = c if type(c) is Fraction else _exact(c)
         if not c:
             return RationalMatrix(self.rows, self.cols)
         return RationalMatrix._adopt(self.rows, self.cols,
                                      [{j: c * x for j, x in r.items()} for r in self._rows])
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((r.get(i, _ZERO) for i, r in enumerate(self._rows)), _ZERO)
 
     def is_zero(self) -> bool:
         return not any(self._rows)
@@ -389,8 +346,8 @@ def kernel_basis(M: RationalMatrix) -> list[Vector]:
 
     One basis vector per free column, in ascending column order; the free
     coordinate is set to 1, the other free coordinates to 0, and the pivot
-    coordinates are read off the reduced echelon form, so ``M @ v == 0``
-    holds exactly for every returned ``v``.
+    coordinates are read off the reduced echelon form, so ``M.apply(v)``
+    is exactly zero for every returned ``v``.
     """
     return [_dense(v, M.cols) for v in _kernel(_integer_rows(M._rows), M.cols)]
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebra import LieAlgebra, OneForm
 from .cohomology import betti_numbers
-from .errors import ComputationDomainError, NonClosedFormError, StructureError
+from .errors import ComputationDomainError, NonClosedFormError, StructureError, _require_types
 from .exterior import is_closed
 from .linalg import _exact, vector
 from .weights import WeightData, adapted_basis, omega_set
@@ -63,6 +63,7 @@ def scan_line(g: LieAlgebra, direction: OneForm) -> ScanTable:
     Requires a nonzero closed direction and a rationally triangularizable
     algebra (the critical set comes from the weight data).
     """
+    _require_types((g, LieAlgebra), (direction, OneForm))
     if direction.is_zero():
         raise ComputationDomainError("scan direction must be a nonzero one-form")
     if not is_closed(g, direction):
@@ -110,6 +111,7 @@ class NovikovReport:
 def novikov_report(g: LieAlgebra, omega: OneForm, lam,
                    morse_counts) -> NovikovReport:
     """Compare Morse counts against the Betti numbers of lambda * omega."""
+    _require_types((g, LieAlgebra), (omega, OneForm))
     lam = _exact(lam)
     counts = vector(morse_counts)
     if fractional := [q for q in counts if q.denominator != 1]:

@@ -14,9 +14,10 @@ Only those k need eigenvalues. The adjoint action on [g, g] is tabulated
 once per call, and every flag step reads that table. An action on an
 invariant subspace of a quotient of [g, g] has a characteristic polynomial
 dividing the one on [g, g], so one characteristic polynomial per complement
-element on [g, g] holds every eigenvalue a step can meet. Its rational
-roots are isolated exactly with Sturm sequences, at a cost polynomial in
-the bit size of the coefficients.
+element on [g, g] holds every eigenvalue a step can meet. Those eigenvalues
+are the integer roots of the characteristic polynomial of the action scaled
+by the lcm D of its denominators, divided by D; Sturm sequences isolate them
+exactly, at a cost polynomial in the bit size of the coefficients.
 
 The recorded weight alpha_i is the coefficient form of the dual relation
 
@@ -36,10 +37,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Sequence
 
 from .algebra import LieAlgebra, OneForm, derived_series, pullback_one_form
-from .errors import NonClosedFormError, NotSolvableError, NotTriangularizableError
+from .errors import (NonClosedFormError, NotSolvableError, NotTriangularizableError,
+                     _require_types)
 from .exterior import _check_degree
 from .linalg import (
     RationalMatrix,
@@ -109,21 +110,37 @@ class Vanishing(enum.Enum):
     POSSIBLY_NONTRIVIAL = "possibly_nontrivial"
 
 
-def _char_poly(a: RationalMatrix) -> list[Fraction]:
-    """Coefficients c_0..c_m of det(x I - A), by the trace recursion.
+def _plus_diagonal(rows: list[dict], c) -> list[dict]:
+    """Sparse rows of M + c I, for the square M whose sparse rows are given."""
+    return [{j: x for j, x in (r | {i: r.get(i, 0) + c}).items() if x}
+            for i, r in enumerate(rows)]
 
-    Exact over the rationals; the only divisions are by integers 1..m.
+
+def _eigenvalues(a: RationalMatrix) -> list[Fraction]:
+    """Distinct rational eigenvalues of a square matrix, ascending.
+
+    B = D a is an integer matrix for the lcm D of the denominators. The trace
+    recursion M_k = B M_(k-1) + c_(m-k+1) I, c_(m-k) = -tr(B M_k) / k gives
+    its characteristic polynomial x^m + c_(m-1) x^(m-1) + ... + c_0 over
+    sparse int rows; it is monic over Z, so each division by k is exact and
+    every rational eigenvalue of ``a`` is an integer root of it divided by D.
     """
-    m = a.rows
-    coeffs = [Fraction(0)] * (m + 1)
-    coeffs[m] = Fraction(1)
-    mk = RationalMatrix.identity(m)
-    for k in range(1, m + 1):
-        am = a @ mk
-        c = -am.trace() / k
-        coeffs[m - k] = c
-        mk = am + RationalMatrix.identity(m).scale(c)
-    return coeffs
+    if not a.rows:
+        return []
+    scale = lcm(*(x.denominator for r in a._rows for x in r.values()))
+    b = [{j: x.numerator * (scale // x.denominator) for j, x in r.items()} for r in a._rows]
+    poly, prod = [1], [{} for _ in b]
+    for k in range(1, len(b) + 1):
+        mk, prod = _plus_diagonal(prod, poly[-1]), []
+        # B M_k = M_k B: row i combines the rows of B that row i of M_k names
+        for r in mk:
+            acc: dict[int, int] = {}
+            for s, x in r.items():
+                for j, y in b[s].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            prod.append({j: v for j, v in acc.items() if v})
+        poly.append(-sum(r.get(i, 0) for i, r in enumerate(prod)) // k)
+    return sorted(Fraction(y, scale) for y in _integer_roots(poly))
 
 
 def _remainder(a: list[int], b: list[int]) -> list[int]:
@@ -203,30 +220,6 @@ def _integer_roots(g: list[int]) -> list[int]:
     return roots
 
 
-def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """Distinct rational roots, ascending, at a cost polynomial in the bit size.
-
-    The polynomial is cleared to a primitive integer polynomial f. With a the
-    leading coefficient of f and m its degree, g(y) = a^(m-1) f(y/a) is monic
-    over the integers, so the rational roots of f are y/a for the integer
-    roots y of g, which Sturm isolation finds without enumerating divisors.
-    A zero root of f stays a zero root of g.
-    """
-    mult = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * mult) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if not ints:
-        raise ValueError("zero polynomial has every rational as a root")
-    if len(ints) == 1:
-        return []
-    content = gcd(*ints)
-    ints = [c // content for c in ints]
-    m, a = len(ints) - 1, ints[-1]
-    g = [1] + [ints[i] * a ** (m - 1 - i) for i in range(m - 1, -1, -1)]
-    return sorted(Fraction(y, a) for y in _integer_roots(g))
-
-
 def _coordinates(columns: list[Vector], targets: list[Vector]) -> list[Vector]:
     """Coordinates of every target on the independent ``columns``, Vectors of
     the targets' length."""
@@ -251,6 +244,7 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
     returned from its memo; a failure is not stored and is raised again on
     every call.
     """
+    _require_types((g, LieAlgebra))
     if g._weight_memo:
         return g._weight_memo[0]
     series = derived_series(g)
@@ -274,7 +268,7 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
     ad = [RationalMatrix._adopt(d, d, list(map(_nonzeros, table[i * d:(i + 1) * d]))).transpose()
           for i in range(n)]
     # every rational eigenvalue a flag step can meet (see the module docstring)
-    candidates = [_rational_roots(_char_poly(a)) for a in ad[:k]]
+    candidates = [_eigenvalues(a) for a in ad[:k]]
     units = [unit_vector(d, j) for j in range(d)]
     flag: list[Vector] = []
     adjoint_funcs: list[list[Fraction]] = []
@@ -301,7 +295,7 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
         lams = [Fraction(0)] * n
         for i in reversed(range(k)):
             for lam in candidates[i]:
-                shifted = (actions[i] + RationalMatrix.identity(q_dim).scale(-lam))._rows
+                shifted = _plus_diagonal(actions[i]._rows, -lam)
                 if kernel_basis(RationalMatrix._adopt(len(stack) + q_dim, q_dim, stack + shifted)):
                     stack += shifted
                     lams[i] = lam
@@ -344,6 +338,7 @@ def omega_set(data: WeightData) -> OmegaSet:
     The set is computed once per WeightData object and then returned from its
     memo.
     """
+    _require_types((data, WeightData))
     if data._omega_memo:
         return data._omega_memo[0]
     sums: set[OneForm] = set()
@@ -368,6 +363,7 @@ def vanishing_predicate(data: WeightData, omega: OneForm) -> Vanishing:
 
     One-directional: PossiblyNontrivial makes no claim either way.
     """
+    _require_types((data, WeightData), (omega, OneForm))
     _require_closed_weightwise(data, omega)
     if -omega in omega_set(data):
         return Vanishing.POSSIBLY_NONTRIVIAL
@@ -382,6 +378,7 @@ def r0_spectrum(data: WeightData, omega: OneForm, p: int) -> list[Fraction]:
     orthonormal. Sorted ascending; the minimum is zero exactly when some
     p-subset of weights sums to -omega.
     """
+    _require_types((data, WeightData), (omega, OneForm))
     _check_degree(p, data.dim)
     base = _require_closed_weightwise(data, omega)
     values = [sum((sum(col) ** 2 for col in zip(base, *subset)), Fraction(0))
@@ -391,7 +388,5 @@ def r0_spectrum(data: WeightData, omega: OneForm, p: int) -> list[Fraction]:
 
 def weight_sum_check(data: WeightData) -> bool:
     """Whether the weights sum to zero; agrees with unimodularity."""
-    total = OneForm.zero(data.dim)
-    for w in data.weights:
-        total = total + w
-    return total.is_zero()
+    _require_types((data, WeightData))
+    return not any(map(sum, zip(*(w.coeffs for w in data.weights))))

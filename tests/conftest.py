@@ -19,7 +19,7 @@ from liecohom.linalg import (
     unit_vector,
     vector,
 )
-from liecohom.weights import WeightData, _char_poly, _coordinates, _rational_roots
+from liecohom.weights import WeightData, _coordinates
 
 
 @pytest.fixture
@@ -127,8 +127,52 @@ def sequential_extend(base, candidates, ambient):
     return picked
 
 
+def matrix_product(a, b):
+    """Reference product of two matrices, summed over their dense rows."""
+    assert a.cols == b.rows
+    right = b.to_rows()
+    out = []
+    for r in a.to_rows():
+        acc = [Fraction(0)] * b.cols
+        for x, row in zip(r, right):
+            if x:
+                for j, y in enumerate(row):
+                    acc[j] += x * y
+        out.append(acc)
+    return RationalMatrix(a.rows, b.cols, out)
+
+
+def plus_diagonal(a, c):
+    """Reference for a + c I, over the dense rows."""
+    return RationalMatrix(a.rows, a.cols, [[x + c if i == j else x for j, x in enumerate(r)]
+                                           for i, r in enumerate(a.to_rows())])
+
+
+def trace(a):
+    return sum((a[i, i] for i in range(a.rows)), Fraction(0))
+
+
+def trace_form(g):
+    """theta(x) = tr ad x; zero exactly on unimodular algebras."""
+    return OneForm([trace(g.ad(unit_vector(g.dim, j))) for j in range(g.dim)])
+
+
+def char_poly(a):
+    """Reference characteristic polynomial: the coefficients c_0..c_m of
+    det(x I - a), by the trace recursion over dense Fractions."""
+    m = a.rows
+    coeffs = [Fraction(0)] * (m + 1)
+    coeffs[m] = Fraction(1)
+    mk = RationalMatrix.identity(m)
+    for k in range(1, m + 1):
+        am = matrix_product(a, mk)
+        coeffs[m - k] = -trace(am) / k
+        mk = plus_diagonal(am, coeffs[m - k])
+    return coeffs
+
+
 def divisor_rational_roots(coeffs):
-    """Reference for _rational_roots: try every p/q the rational root theorem
+    """Reference for rational roots: try every p/q the rational root theorem
     allows (p divides the constant term, q the leading one).
 
     Trial division takes time proportional to the square root of the
@@ -211,15 +255,14 @@ def restricted_adapted_basis(g):
             # matrix of the action on the invariant span(space), in its coordinates
             restricted = RationalMatrix.from_columns(
                 _coordinates(space, [action.apply(s) for s in space]))
-            roots = _rational_roots(_char_poly(restricted))
+            roots = divisor_rational_roots(char_poly(restricted))
             if not roots:
                 raise NotTriangularizableError(
                     "adjoint action has no rational eigenvalue on the current "
                     "invariant subspace; the algebra is not rationally "
                     "triangularizable")
             lam = roots[0]
-            shifted = restricted + RationalMatrix.identity(len(space)).scale(-lam)
-            inner = kernel_basis(shifted)
+            inner = kernel_basis(plus_diagonal(restricted, -lam))
             lifted = [
                 tuple(sum((c * s[i] for c, s in zip(coords, space)), Fraction(0))
                       for i in range(q_dim))

@@ -37,7 +37,7 @@ from liecohom.exterior import form_to_coords
 from liecohom.linalg import RationalMatrix, rank
 from liecohom.weights import Vanishing
 
-from conftest import unchecked_algebra
+from conftest import matrix_product, unchecked_algebra
 
 
 def _report(num: int, description: str, passed: bool) -> None:
@@ -197,7 +197,7 @@ def test_criterion_07_d_squared_and_jacobi():
     for g in cases:
         mats = differential_matrices(g, OneForm.zero(g.dim))
         for p in range(g.dim - 1):
-            ok = ok and (mats.matrix(p + 1) @ mats.matrix(p)).is_zero()
+            ok = ok and matrix_product(mats.matrix(p + 1), mats.matrix(p)).is_zero()
     broken = unchecked_algebra(3, {(1, 2): (1, 0, 0), (1, 3): (0, 0, 1)})
     dd_nonzero = any(
         not ce_differential(broken, ce_differential(broken, _basis(j))).is_zero()

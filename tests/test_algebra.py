@@ -211,6 +211,13 @@ def test_is_unimodular(heisenberg3, sol3, affine2):
     assert not is_unimodular(affine2)
 
 
+def test_one_forms_of_different_dimensions_do_not_add():
+    with pytest.raises(ValueError, match="dimensions 2 and 3"):
+        OneForm((1, 0)) + OneForm((1, 0, 0))
+    with pytest.raises(ValueError, match="dimensions 3 and 2"):
+        OneForm((1, 0, 0)) - OneForm((0, 1))
+
+
 def test_nilpotent_implies_unimodular_and_dixmier(heisenberg3):
     for g in (heisenberg3, load_example("abelian", n=4).algebra):
         assert classify(g) in (AlgebraClass.ABELIAN, AlgebraClass.NILPOTENT)

@@ -25,11 +25,16 @@ from liecohom import (
     euler_characteristic,
     is_coboundary,
     is_cocycle,
+    is_unimodular,
     load_example,
+    novikov_report,
     omega_set,
     pullback_one_form,
     r0_spectrum,
     representatives,
+    scan_line,
+    vanishing_predicate,
+    weight_sum_check,
 )
 from liecohom.algebra import _inner_diagonal, random_invertible
 from liecohom.cohomology import _all_monomials, _cleared_walk, _components, _live_monomials
@@ -44,6 +49,7 @@ from conftest import (
     one_form,
     rational_sol3_plane,
     sequential_extend,
+    trace_form,
 )
 
 
@@ -263,17 +269,41 @@ WRONG_ARGUMENTS = {"g=entry": (0, SOL3_ENTRY), "g=None": (0, None),
                    "omega=tuple": (1, (1, 0, 0)), "omega=None": (1, None),
                    "xi=tuple": (2, (0, 1, 0)), "xi=None": (2, None),
                    "xi=OneForm": (2, OneForm((0, 1, 0)))}
+SOL3_DATA = adapted_basis(SOL3_ENTRY.algebra)
+# the weight layer: query -> (function, valid arguments, the names of the
+# leading ones, each of which is replaced by a string in turn)
+WEIGHT_QUERIES = {
+    "adapted_basis": (adapted_basis, [SOL3_ENTRY.algebra], ["g"]),
+    "omega_set": (omega_set, [SOL3_DATA], ["data"]),
+    "weight_sum_check": (weight_sum_check, [SOL3_DATA], ["data"]),
+    "is_unimodular": (is_unimodular, [SOL3_ENTRY.algebra], ["g"]),
+    "vanishing_predicate": (vanishing_predicate, [SOL3_DATA, one_form(1, 0, 0)],
+                            ["data", "omega"]),
+    "r0_spectrum": (r0_spectrum, [SOL3_DATA, one_form(1, 0, 0), 1], ["data", "omega"]),
+    "scan_line": (scan_line, [SOL3_ENTRY.algebra, one_form(1, 0, 0)], ["g", "direction"]),
+    "novikov_report": (novikov_report, [SOL3_ENTRY.algebra, one_form(1, 0, 0), 1, [0, 1, 1, 0]],
+                       ["g", "omega"]),
+}
 
 
-@pytest.mark.parametrize("query,position,value", [
-    pytest.param(query, position, value, id=f"{query}-{label}")
-    for query in TWISTED_QUERIES for label, (position, value) in WRONG_ARGUMENTS.items()
-    if position < 2 or query.startswith("is_")])
-def test_wrong_argument_types_raise_structure_error(query, position, value):
-    args = [SOL3_ENTRY.algebra, one_form(1, 0, 0), e(3, 2)]
-    args[position] = value
+def wrong_argument_calls():
+    for query, call in TWISTED_QUERIES.items():
+        for label, (position, value) in WRONG_ARGUMENTS.items():
+            if position < 2 or query.startswith("is_"):
+                args = [SOL3_ENTRY.algebra, one_form(1, 0, 0), e(3, 2)]
+                args[position] = value
+                yield pytest.param(call, args, id=f"{query}-{label}")
+    for query, (call, valid, names) in WEIGHT_QUERIES.items():
+        for position, name in enumerate(names):
+            args = list(valid)
+            args[position] = "x"
+            yield pytest.param(call, args, id=f"{query}-{name}=str")
+
+
+@pytest.mark.parametrize("call,args", wrong_argument_calls())
+def test_wrong_argument_types_raise_structure_error(call, args):
     with pytest.raises(StructureError):
-        TWISTED_QUERIES[query](*args)
+        call(*args)
 
 
 def test_euler_characteristic_is_zero_everywhere(heisenberg3, sol3, euclid3, abelian2):
@@ -308,11 +338,6 @@ def test_betti_invariant_under_basis_change(heisenberg3, sol3, euclid3, abelian2
             for omega in omegas:
                 assert betti_numbers(h, pullback_one_form(omega, m)) \
                     == betti_numbers(g, omega)
-
-
-def trace_form(g):
-    """theta(x) = tr ad x; zero exactly on unimodular algebras."""
-    return OneForm([g.ad(unit_vector(g.dim, j)).trace() for j in range(g.dim)])
 
 
 def test_poincare_duality_on_unimodular_entries(heisenberg3, sol3, euclid3, abelian2, affine2):
@@ -389,6 +414,28 @@ def rebased_case(name, kind, seed):
 rebased_cases = given(st.sampled_from(sorted(TRIANGULARIZABLE)),
                       st.sampled_from(["zero", "critical", "generic"]),
                       st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(TRIANGULARIZABLE)), st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_unimodularity_matches_the_trace_form(name, seed, denominator):
+    """is_unimodular and weight_sum_check against sum_i ad(e_j)[i, i], in the
+    given basis and in a random one scaled by 1 / denominator, which divides
+    the structure constants by it."""
+    base = TRIANGULARIZABLE[name]()
+    m = random_invertible(base.dim, random.Random(seed)).scale(Fraction(1, denominator))
+    for g in (base, change_basis(base, m)):
+        unimodular = trace_form(g).is_zero()
+        assert is_unimodular(g) == unimodular
+        assert weight_sum_check(adapted_basis(g)) == unimodular
+
+
+def test_unimodularity_without_weight_data(sl2, euclid3):
+    g = rational_sol3_plane()
+    assert is_unimodular(g) and weight_sum_check(adapted_basis(g)) and trace_form(g).is_zero()
+    # no weight data: sl2 is not solvable, euclid3 has no rational eigenvalue
+    for g in (sl2, euclid3, change_basis(euclid3, random_invertible(3, random.Random(4)))):
+        assert is_unimodular(g) and trace_form(g).is_zero()
 
 
 @settings(max_examples=90, deadline=None)

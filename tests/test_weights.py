@@ -33,15 +33,17 @@ from liecohom import (
 )
 from liecohom import weights as weights_module
 from liecohom.algebra import derived_series, random_invertible
-from liecohom.linalg import rank
-from liecohom.weights import WeightData, _char_poly, _rational_roots
+from liecohom.linalg import RationalMatrix, invert, rank
+from liecohom.weights import WeightData, _eigenvalues
 
 from conftest import (
+    char_poly,
     closed_grid,
     diag,
     divisor_rational_roots,
     heisenberg5,
     k2,
+    matrix_product,
     one_form,
     restricted_adapted_basis,
 )
@@ -51,25 +53,29 @@ def coeff_sets(forms):
     return {tuple(f.coeffs) for f in forms}
 
 
-def test_char_poly_and_rational_roots():
-    from liecohom.linalg import RationalMatrix
+def companion(coeffs):
+    """The companion matrix of the polynomial with coefficients c_0..c_m:
+    its characteristic polynomial is that polynomial divided by c_m."""
+    m = len(coeffs) - 1
+    return RationalMatrix(m, m, [[Fraction(int(i == j + 1)) for j in range(m - 1)]
+                                 + [-Fraction(coeffs[i]) / coeffs[m]] for i in range(m)])
 
+
+def test_char_poly_and_rational_roots():
     a = RationalMatrix.from_rows([[1, 0], [0, -1]])
-    assert _char_poly(a) == [Fraction(-1), Fraction(0), Fraction(1)]
-    assert _rational_roots(_char_poly(a)) == [Fraction(-1), Fraction(1)]
+    assert char_poly(a) == [Fraction(-1), Fraction(0), Fraction(1)]
+    assert _eigenvalues(a) == [Fraction(-1), Fraction(1)]
 
     rot = RationalMatrix.from_rows([[0, 1], [-1, 0]])
-    assert _char_poly(rot) == [Fraction(1), Fraction(0), Fraction(1)]
-    assert _rational_roots(_char_poly(rot)) == []
+    assert char_poly(rot) == [Fraction(1), Fraction(0), Fraction(1)]
+    assert _eigenvalues(rot) == []
 
     # x^3 - x^2: roots 0 and 1
-    assert _rational_roots([Fraction(0), Fraction(0), Fraction(-1), Fraction(1)]) \
-        == [Fraction(0), Fraction(1)]
+    assert _eigenvalues(companion([0, 0, -1, 1])) == [Fraction(0), Fraction(1)]
     # 2x^2 - 3x + 1: roots 1/2 and 1
-    assert _rational_roots([Fraction(1), Fraction(-3), Fraction(2)]) \
-        == [Fraction(1, 2), Fraction(1)]
+    assert _eigenvalues(companion([1, -3, 2])) == [Fraction(1, 2), Fraction(1)]
     # x^2 - 2 has no rational roots
-    assert _rational_roots([Fraction(-2), Fraction(0), Fraction(1)]) == []
+    assert _eigenvalues(companion([-2, 0, 1])) == []
 
 
 def _times(p, q):
@@ -106,7 +112,35 @@ def test_rational_roots_match_the_divisor_oracle(factors, lead):
     for factor, multiplicity in factors:
         for _ in range(multiplicity):
             poly = _times(poly, factor)
-    assert _rational_roots(poly) == divisor_rational_roots(poly)
+    assert _eigenvalues(companion(poly)) == divisor_rational_roots(poly)
+
+
+@st.composite
+def known_spectra(draw):
+    """A block upper triangular matrix with rational entries, conjugated by
+    random_invertible, and its eigenvalues: the diagonal entries outside the
+    block [[0, 2], [1, 0]], whose characteristic polynomial x^2 - 2 has no
+    rational root."""
+    cell = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    diagonal = draw(st.lists(cell, max_size=5))
+    blocks = [[[d]] for d in diagonal]
+    if draw(st.booleans()):
+        blocks.insert(draw(st.integers(0, len(blocks))), [[0, 2], [1, 0]])
+    n = sum(map(len, blocks))
+    rows, start = [], 0
+    for block in blocks:
+        end = start + len(block)
+        rows += [[0] * start + r + [draw(cell) for _ in range(end, n)] for r in block]
+        start = end
+    p = random_invertible(n, random.Random(draw(st.integers(0, 2**32 - 1))))
+    return matrix_product(matrix_product(p, RationalMatrix(n, n, rows)), invert(p)), diagonal
+
+
+@settings(max_examples=100, deadline=None)
+@given(known_spectra())
+def test_eigenvalues_of_conjugated_triangular_matrices(case):
+    m, diagonal = case
+    assert _eigenvalues(m) == sorted(set(diagonal)) == divisor_rational_roots(char_poly(m))
 
 
 def test_derived_algebra_acts_nilpotently(heisenberg3, sol3, euclid3, abelian2, affine2):
@@ -121,7 +155,7 @@ def test_derived_algebra_acts_nilpotently(heisenberg3, sol3, euclid3, abelian2, 
                 ad = g.ad(b)
                 power = ad
                 for _ in range(g.dim - 1):
-                    power = power @ ad
+                    power = matrix_product(power, ad)
                 assert power.is_zero(), (g, b)
 
 
