@@ -110,9 +110,9 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Sequence) -> bool:
-        if self.dim == 0:
-            return not any(vector(v))
-        m = RationalMatrix.from_columns([list(b) for b in self.basis])
+        # the zero subspace is the image of the ambient_dim x 0 matrix
+        m = (RationalMatrix.from_columns(self.basis) if self.basis
+             else RationalMatrix(self.ambient_dim, 0))
         return in_image(m, v) is not None
 
     def is_zero(self) -> bool:
@@ -351,6 +351,7 @@ def validate_lie_algebra(dim: int, brackets: Mapping) -> ValidationReport:
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
     """Span of all bracket values [g, g]."""
+    _require_types((g, LieAlgebra))
     return Subspace.span(g.dim, [v for _, v in g.brackets])
 
 
@@ -393,6 +394,7 @@ def classify(g: LieAlgebra) -> AlgebraClass:
     derived series; abelian algebras are exactly those with an empty bracket
     table.
     """
+    _require_types((g, LieAlgebra))
     if not g.brackets:
         return AlgebraClass.ABELIAN
     full = Subspace.span(g.dim, [unit_vector(g.dim, j) for j in range(g.dim)])
@@ -436,6 +438,7 @@ def change_basis(g: LieAlgebra, m: RationalMatrix) -> LieAlgebra:
     every bracket is zero. The result is re-validated, although Jacobi holds
     automatically (it is basis-independent).
     """
+    _require_types((g, LieAlgebra), (m, RationalMatrix))
     n = g.dim
     if (m.rows, m.cols) != (n, n):
         raise ValueError(f"change of basis must be {n}x{n}")
@@ -455,6 +458,7 @@ def pullback_one_form(omega: OneForm, m: RationalMatrix) -> OneForm:
     The j-th new coefficient is omega evaluated on the j-th new basis vector,
     i.e. the transpose of ``m`` applied to the old coefficients.
     """
+    _require_types((omega, OneForm), (m, RationalMatrix))
     return OneForm(m.transpose().apply(omega.coeffs))
 
 

@@ -12,15 +12,17 @@ its row in degree p+1 depends on earlier rows; skipping it keeps the rank.
 One walk over the degrees assembles only the monomials that are not
 cleared, and b^p is their number minus rank d_p.
 
-Representatives are the ``kernel_basis`` vectors of d_p restricted to those
-same monomials. A cleared monomial c is the lex-largest entry of some z in
-im d_(p-1), inside ker d_p, so its column of d_p depends on earlier columns
-and is never a pivot. Dropping it leaves every other kernel vector v_f
-unchanged: v_f is 1 at its free column f and lives only on the pivots
-before f. The kept free columns are exactly the free monomials outside the
-cleared set, which is the greedy pick of the v_f modulo im d_(p-1), so every
-kernel vector of the restricted d_p is a representative and the choice is
-reproducible bit for bit.
+Representatives come out of the same elimination: kept row i also carries
+a 1 in column t + i, past the t targets. The echelon rows that lead at t or
+later, shifted back by t, are the relations among the kept rows in echelon
+form, a basis of ker d_p on them. The rows run in reverse lexicographic
+order, so the reduced relation led by i is the ``kernel_basis`` vector v_f:
+1 at its lex-last monomial f, 0 at the other free columns of d_p. A cleared
+monomial is the lex-largest entry of some z in im d_(p-1), inside ker d_p,
+so its column of d_p is never a pivot and dropping it leaves every other v_f
+unchanged. The kept free columns are the free monomials outside the cleared
+set, the greedy pick of the v_f modulo im d_(p-1): every relation is a
+representative, reproducible bit for bit.
 
 Betti numbers split a direct sum first (Kunneth; Hochschild-Serre 1953).
 Join the indices i, j and m of every nonzero C_ij^m: each component then
@@ -56,7 +58,9 @@ is walked whole.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 from .algebra import LieAlgebra, OneForm, _inner_diagonal
@@ -73,7 +77,7 @@ from .exterior import (
     form_basis,
     form_to_coords,
 )
-from .linalg import RationalMatrix, _echelon, _kernel, in_image
+from .linalg import _echelon, _reduce, in_image
 
 # unused here, kept importable because perfbench/tracer.py wraps these names
 from .exterior import differential_matrices  # noqa: F401
@@ -89,20 +93,23 @@ class CohomologyResult:
     representatives: tuple[tuple[ExteriorForm, ...], ...]
 
 
-def _cleared_walk(monomials: list, tables):
+def _cleared_walk(monomials: list, tables, relations: bool = False):
     """Per degree p of the complex spanned by ``monomials`` (per degree, in
     lexicographic order, closed under the differential given by ``tables``,
     see ``_differential_tables``): the monomials degree p-1 did not clear
-    (reverse lexicographic order), their int image rows (S * d_w^p) and
-    rank d_w^p."""
+    (reverse lexicographic order), the relations among their int image rows
+    (S * d_w^p) if ``relations`` is set, else [], and rank d_w^p."""
     sources, cleared = monomials[0], set()
     for p in range(len(monomials)):
         targets = monomials[p + 1][::-1] if p + 1 < len(monomials) else []
         kept = [idx for idx in sources if idx not in cleared]
-        rows = _image_rows(kept, targets, tables)
-        _, pivots = _echelon(rows)
-        yield kept, rows, len(pivots)
-        sources, cleared = targets, {targets[c] for c in pivots}
+        rows, t = _image_rows(kept, targets, tables), len(targets)
+        if relations:
+            rows = [row | {t + i: 1} for i, row in enumerate(rows)]
+        echelon, pivots = _echelon(rows)
+        r = bisect_left(pivots, t)
+        yield kept, [{j - t: x for j, x in row.items()} for row in echelon[r:]], r
+        sources, cleared = targets, {targets[c] for c in pivots[:r]}
 
 
 def _all_monomials(n: int) -> list:
@@ -226,14 +233,13 @@ def betti_numbers(g: LieAlgebra, omega: OneForm) -> list[int]:
     return betti
 
 
-def _representatives_from(n: int, p: int, kept: list, rows: list) -> list[ExteriorForm]:
-    """The kernel vectors of d_w^p on the kept monomials, lexicographic order.
-
-    ``rows`` are their int image rows; ker(S * d_w^p) = ker d_w^p.
-    """
-    d_p = RationalMatrix._adopt(len(rows), comb(n, p + 1), rows).transpose()
-    return [ExteriorForm(n, p, {kept[i]: x for i, x in sorted(v.items())})
-            for v in _kernel(d_p._rows, d_p.cols)]
+def _representatives_from(n: int, p: int, kept: list, relations: list) -> list[ExteriorForm]:
+    """The kernel vectors of d_w^p on the kept monomials, in lexicographic order:
+    each relation of ``_cleared_walk``, reduced and divided by its pivot entry."""
+    pivots = [min(row) for row in relations]
+    _reduce(relations, pivots)
+    return [ExteriorForm(n, p, {kept[i]: Fraction(row[i], row[c]) for i in sorted(row)[::-1]})
+            for row, c in zip(relations[::-1], pivots[::-1])]
 
 
 def representatives(g: LieAlgebra, omega: OneForm, p: int) -> list[ExteriorForm]:
@@ -248,11 +254,9 @@ def cohomology(g: LieAlgebra, omega: OneForm) -> CohomologyResult:
     """Betti numbers plus representatives for every degree in one pass."""
     tables = _differential_tables(g, omega)
     betti, reps = [], []
-    for p, (kept, rows, r) in enumerate(_cleared_walk(_all_monomials(g.dim), tables)):
+    for p, (kept, relations, r) in enumerate(_cleared_walk(_all_monomials(g.dim), tables, True)):
         betti.append(len(kept) - r)
-        # _kernel reads its free columns in lexicographic order
-        reps.append(tuple(_representatives_from(g.dim, p, kept[::-1], rows[::-1]))
-                    if betti[-1] else ())
+        reps.append(tuple(_representatives_from(g.dim, p, kept, relations)) if betti[-1] else ())
     return CohomologyResult(omega=omega, betti=tuple(betti), representatives=tuple(reps))
 
 

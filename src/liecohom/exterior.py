@@ -4,14 +4,15 @@ Forms are stored sparsely: a map from strictly increasing 1-based index
 tuples to nonzero rational coefficients. The basis of each graded piece is
 ordered lexicographically, which fixes every matrix layout once and for all.
 
-Two differentials live here. The plain one acts on generators by
+One differential lives here, d_w = d + w ^ . for a closed one-form w. Its
+plain part acts on generators by
 
     d e^k = - sum_{i<j} C_ij^k e^i ^ e^j
 
 and extends by the graded Leibniz rule; it squares to zero exactly when the
-Jacobi identity holds. The twisted differential adds a wedge with a closed
-one-form, d_w = d + w ^ . ; closedness of w is a hard precondition because
-d_w fails to square to zero otherwise.
+Jacobi identity holds. Closedness of w is a hard precondition because d_w
+fails to square to zero otherwise. Forms, matrices and solves all read d_w
+off ``_monomial_image``; ``ce_differential`` is d_w at w = 0.
 
 The matrices of d_w are assembled in integer arithmetic. The algebra keeps
 its bracket table scaled by the lcm L of its denominators (``LieAlgebra``);
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .algebra import LieAlgebra, OneForm
 from .errors import NonClosedFormError, StructureError, _require_types
@@ -159,16 +160,6 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     return ExteriorForm(a.dim, a.degree + b.degree, out)
 
 
-def _generator_differentials(dim: int, brackets: Iterable[tuple[tuple[int, int], Vector]]):
-    """d e^k as sparse 2-forms, one per generator, from the bracket table."""
-    gens: list[dict[tuple[int, int], Fraction]] = [dict() for _ in range(dim)]
-    for (i, j), coeffs in brackets:
-        for k, c in enumerate(coeffs):
-            if c != 0:
-                gens[k][(i, j)] = -c
-    return gens
-
-
 def _check_form(g: LieAlgebra, xi: ExteriorForm) -> None:
     if not isinstance(xi, ExteriorForm):
         raise StructureError(f"expected an ExteriorForm, got {type(xi).__name__}")
@@ -178,19 +169,8 @@ def _check_form(g: LieAlgebra, xi: ExteriorForm) -> None:
 
 def ce_differential(g: LieAlgebra, xi: ExteriorForm) -> ExteriorForm:
     """Chevalley-Eilenberg differential of a form, one degree up."""
-    _check_form(g, xi)
-    gens = _generator_differentials(g.dim, g.brackets)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for idx, c in xi.terms.items():
-        for t, k in enumerate(idx):
-            pos_sign = -1 if t % 2 else 1
-            for (i, j), dc in gens[k - 1].items():
-                merged = sort_sign(idx[:t] + (i, j) + idx[t + 1:])
-                if merged is None:
-                    continue
-                new_idx, sign = merged
-                out[new_idx] = out.get(new_idx, Fraction(0)) + pos_sign * sign * c * dc
-    return ExteriorForm(g.dim, xi.degree + 1, out)
+    _require_types((g, LieAlgebra))
+    return deformed_differential(g, OneForm.zero(g.dim), xi)
 
 
 def is_closed(g: LieAlgebra, omega: OneForm) -> bool:
@@ -199,6 +179,7 @@ def is_closed(g: LieAlgebra, omega: OneForm) -> bool:
     Reads the integer table with w's denominators cleared, so each sum is
     over ints and is a positive multiple of w([e_i, e_j]).
     """
+    _require_types((g, LieAlgebra), (omega, OneForm))
     if omega.dim != g.dim:
         raise ValueError("one-form length does not match the algebra dimension")
     w = _integer_rows([_nonzeros(omega.coeffs)])[0]
@@ -207,8 +188,7 @@ def is_closed(g: LieAlgebra, omega: OneForm) -> bool:
 
 
 def _require_closed(g: LieAlgebra, omega: OneForm) -> None:
-    # every twisted-complex query passes here first, so its types are checked here
-    _require_types((g, LieAlgebra), (omega, OneForm))
+    # every twisted-complex query passes here first; is_closed checks the types
     if not is_closed(g, omega):
         raise NonClosedFormError(
             "twisting one-form is not closed; the deformed differential would "
@@ -216,9 +196,15 @@ def _require_closed(g: LieAlgebra, omega: OneForm) -> None:
 
 
 def deformed_differential(g: LieAlgebra, omega: OneForm, xi: ExteriorForm) -> ExteriorForm:
-    """d_w(xi) = d(xi) + w ^ xi for a closed one-form w."""
-    _require_closed(g, omega)
-    return ce_differential(g, xi) + wedge(ExteriorForm.from_one_form(omega), xi)
+    """d_w(xi) = d(xi) + w ^ xi for a closed one-form w, summed over the
+    monomial images of xi and divided by their scale S."""
+    gens, wedge_terms, scale = _differential_tables(g, omega)
+    _check_form(g, xi)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for idx, c in xi.terms.items():
+        for new, x in _monomial_image(idx, gens, wedge_terms).items():
+            out[new] = out.get(new, 0) + c * x
+    return ExteriorForm(g.dim, xi.degree + 1, {t: v / scale for t, v in out.items()})
 
 
 def _check_degree(p, n: int) -> None:

@@ -21,7 +21,7 @@ bounded by minors of the input instead of letting numerators explode.
 The public functions clear each rational row's denominators first
 (``_integer_rows``). The cohomology path does not need to: the exterior
 module assembles the twisted differential as int rows at one common scale,
-and hands them to ``_echelon`` and ``_kernel`` as they are.
+and hands them to ``_echelon`` and ``_reduce`` as they are.
 
 Pivot columns are taken in ascending order and are always the greedy
 independent column set, so every function is deterministic: the same matrix
@@ -313,12 +313,15 @@ def _reduce(echelon: list[dict[int, int]], pivots: list[int]) -> None:
 
     Afterwards row i has entries only in its pivot column and in non-pivot
     columns: it is the i-th row of the reduced echelon form times an integer.
+    From the bottom up, each row meets only the pivot rows of the pivot
+    columns it holds, rightmost first; a reduced pivot row adds none.
     """
-    for k in range(len(pivots) - 1, 0, -1):
-        c, pivot_row = pivots[k], echelon[k]
-        for i in range(k):
-            if c in echelon[i]:
-                echelon[i] = _eliminate(echelon[i], pivot_row, c)
+    where = {c: k for k, c in enumerate(pivots)}
+    for i in range(len(pivots) - 2, -1, -1):
+        row = echelon[i]
+        for c in sorted((c for c in row if c in where and c != pivots[i]), reverse=True):
+            row = _eliminate(row, echelon[where[c]], c)
+        echelon[i] = row
 
 
 def rank(M: RationalMatrix) -> int:

@@ -3,15 +3,19 @@ from fractions import Fraction
 import pytest
 
 from liecohom import (
+    ExteriorForm,
     LieAlgebra,
     NotSolvableError,
     NotTriangularizableError,
     OneForm,
+    differential_matrices,
     load_example,
 )
 from liecohom.algebra import derived_series
+from liecohom.exterior import form_basis, sort_sign
 from liecohom.linalg import (
     RationalMatrix,
+    _eliminate,
     extend_independent,
     kernel_basis,
     rank,
@@ -297,3 +301,62 @@ def restricted_adapted_basis(g):
         if any(w.evaluate(v) != 0 for v in der.basis):
             raise AssertionError("weights must vanish on the derived subalgebra")
     return WeightData(adapted_change=change, weights=tuple(weights), k=k)
+
+
+def reference_differential(g, omega, xi):
+    """Reference for d_w(xi) = d(xi) + w ^ xi, in Fractions over the public
+    bracket table: each e^k of each monomial is replaced by
+    d e^k = -sum C_ij^k e^i ^ e^j, and w ^ e^I is summed term by term, with
+    the signs of sorting the indices. It needs neither a closed w nor the
+    Jacobi identity."""
+    out = {}
+
+    def add(indices, c):
+        merged = sort_sign(indices)
+        if merged is not None:
+            idx, sign = merged
+            out[idx] = out.get(idx, Fraction(0)) + sign * c
+
+    for idx, c in xi.terms.items():
+        for t, k in enumerate(idx):
+            for (i, j), v in g.brackets:
+                if v[k - 1]:
+                    add(idx[:t] + (i, j) + idx[t + 1:], (-1) ** t * c * -v[k - 1])
+        for m, w in enumerate(omega.coeffs, 1):
+            if w:
+                add((m,) + idx, w * c)
+    return ExteriorForm(g.dim, xi.degree + 1, out)
+
+
+def two_elimination_representatives(g, omega):
+    """Reference for ``cohomology().representatives``: two eliminations per
+    degree. The cleared monomials of degree p are the rows of d_(p-1) that
+    raise the rank, taken in reverse lexicographic order; the representatives
+    are the ``kernel_basis`` vectors of d_p restricted to the other columns."""
+    mats = differential_matrices(g, omega)
+    n, reps = g.dim, []
+    for p in range(n + 1):
+        basis = form_basis(n, p)
+        cleared = set()
+        if p > 0:
+            below, picked = mats.matrix(p - 1).to_rows(), []
+            for i in reversed(range(len(basis))):
+                if rank(RationalMatrix.from_rows(picked + [below[i]])) > len(picked):
+                    picked.append(below[i])
+                    cleared.add(i)
+        kept = [i for i in range(len(basis)) if i not in cleared]
+        d_p = mats.matrix(p)
+        vectors = kernel_basis(RationalMatrix.from_columns([d_p.column(i) for i in kept]))
+        reps.append(tuple(ExteriorForm(n, p, {basis[kept[j]]: x for j, x in enumerate(v)})
+                          for v in vectors))
+    return tuple(reps)
+
+
+def loop_reduce(echelon, pivots):
+    """Reference for ``linalg._reduce``: for each pivot from the last one up,
+    clear its column in every row above it."""
+    for k in range(len(pivots) - 1, 0, -1):
+        c, pivot_row = pivots[k], echelon[k]
+        for i in range(k):
+            if c in echelon[i]:
+                echelon[i] = _eliminate(echelon[i], pivot_row, c)

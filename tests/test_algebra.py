@@ -165,6 +165,15 @@ def test_derived_subalgebra(heisenberg3, sol3, abelian2):
     assert not der.contains((1, 0, 0))
 
 
+def test_subspace_contains_refuses_a_vector_of_the_wrong_length():
+    for space in (Subspace(3, ()), Subspace.span(3, [[1, 0, 0]])):
+        assert space.contains([0, 0, 0])
+        assert not space.contains([0, 1, 0])
+        for v in ([0, 0], [0, 0, 0, 0]):
+            with pytest.raises(ValueError):
+                space.contains(v)
+
+
 def test_closed_one_forms(heisenberg3, sol3, abelian2):
     assert closed_one_forms(heisenberg3) == Subspace.span(3, [[1, 0, 0], [0, 1, 0]])
     assert closed_one_forms(sol3) == Subspace.span(3, [[1, 0, 0]])

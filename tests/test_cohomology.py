@@ -6,7 +6,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from liecohom import (
@@ -17,12 +17,16 @@ from liecohom import (
     StructureError,
     adapted_basis,
     betti_numbers,
+    ce_differential,
     change_basis,
+    classify,
     closed_one_forms,
     cohomology,
     deformed_differential,
+    derived_subalgebra,
     differential_matrices,
     euler_characteristic,
+    is_closed,
     is_coboundary,
     is_cocycle,
     is_unimodular,
@@ -48,8 +52,11 @@ from conftest import (
     k2,
     one_form,
     rational_sol3_plane,
+    reference_differential,
     sequential_extend,
     trace_form,
+    two_elimination_representatives,
+    unchecked_algebra,
 )
 
 
@@ -285,6 +292,21 @@ WEIGHT_QUERIES = {
                        ["g", "omega"]),
 }
 
+IDENTITY3 = RationalMatrix.identity(3)
+# the other public functions that read attributes of their arguments
+OTHER_WRONG_CALLS = {
+    "ce_differential-g=None": (ce_differential, [None, e(3, 2)]),
+    "change_basis-m=list": (change_basis, [SOL3_ENTRY.algebra, IDENTITY3.to_rows()]),
+    "change_basis-g=str": (change_basis, ["x", IDENTITY3]),
+    "pullback_one_form-omega=tuple": (pullback_one_form, [(1, 0, 0), IDENTITY3]),
+    "pullback_one_form-m=list": (pullback_one_form, [one_form(1, 0, 0), IDENTITY3.to_rows()]),
+    "classify-g=str": (classify, ["x"]),
+    "derived_subalgebra-g=None": (derived_subalgebra, [None]),
+    "closed_one_forms-g=None": (closed_one_forms, [None]),
+    "is_closed-g=None": (is_closed, [None, one_form(1, 0, 0)]),
+    "is_closed-omega=tuple": (is_closed, [SOL3_ENTRY.algebra, (1, 0, 0)]),
+}
+
 
 def wrong_argument_calls():
     for query, call in TWISTED_QUERIES.items():
@@ -298,6 +320,8 @@ def wrong_argument_calls():
             args = list(valid)
             args[position] = "x"
             yield pytest.param(call, args, id=f"{query}-{name}=str")
+    for label, (call, args) in OTHER_WRONG_CALLS.items():
+        yield pytest.param(call, args, id=label)
 
 
 @pytest.mark.parametrize("call,args", wrong_argument_calls())
@@ -492,6 +516,95 @@ def test_representatives_are_the_greedy_pick(name, kind, seed):
 @pytest.mark.parametrize("omega", rational_forms())
 def test_representatives_are_the_greedy_pick_with_rational_constants(omega):
     assert_greedy_pick(RATIONAL, omega)
+
+
+def heisenberg7():
+    top = tuple(int(k == 6) for k in range(7))
+    return LieAlgebra.from_brackets(7, {(1, 2): top, (3, 4): top, (5, 6): top})
+
+
+REPS_ALGEBRAS = {"abelian6": lambda: load_example("abelian", n=6).algebra,
+                 "h7": heisenberg7, "diag7": lambda: diag(7)}
+
+
+def term_lists(representatives):
+    # the terms in stored order, so that equal forms built differently differ
+    return [[list(form.terms.items()) for form in reps] for reps in representatives]
+
+
+@settings(max_examples=12, deadline=None)
+@example("diag7", False, 1)
+@given(st.sampled_from(sorted(REPS_ALGEBRAS)), st.booleans(), st.integers(0, 2**32 - 1))
+def test_representatives_match_the_two_elimination_reference(name, twisted, seed):
+    rng = random.Random(seed)
+    g = REPS_ALGEBRAS[name]()
+    g = change_basis(g, random_invertible(g.dim, rng))
+    omega = OneForm.zero(g.dim)
+    if twisted:
+        omega = sum((b.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                     for b in map(OneForm, closed_one_forms(g).basis)), omega)
+    result = cohomology(g, omega)
+    assert term_lists(result.representatives) == term_lists(
+        two_elimination_representatives(g, omega))
+    if name == "diag7" and not twisted:
+        # [1, 1, 0, 0, 0, 0, 0, 0]: degrees with no representative are compared too
+        assert result.betti[2] == 0
+
+
+@pytest.mark.parametrize("g,omega", [
+    (heisenberg5(), one_form(0, 0, 0, 0, 0)),
+    (load_example("sol3", k=2).algebra, one_form(2, 0, 0)),
+    (change_basis(diag(5), random_invertible(5, random.Random(3))), one_form(0, 0, 0, 0, 0)),
+])
+def test_cohomology_makes_one_echelon_per_degree_and_no_kernel(g, omega, monkeypatch):
+    module = importlib.import_module("liecohom.cohomology")
+    linalg = importlib.import_module("liecohom.linalg")
+    expected = two_elimination_representatives(g, omega)
+    echelons = []
+
+    def counting(rows):
+        echelons.append(len(rows))
+        return real(rows)
+
+    def refuse(*args):
+        raise AssertionError("cohomology() ran a second elimination")
+
+    real = module._echelon
+    monkeypatch.setattr(module, "_echelon", counting)
+    monkeypatch.setattr(linalg, "_kernel", refuse)
+    assert cohomology(g, omega).representatives == expected
+    assert len(echelons) == g.dim + 1
+    assert not hasattr(module, "_kernel") and not hasattr(module, "RationalMatrix")
+
+
+def random_rational_form(rng, n, p):
+    basis = form_basis(n, p)
+    return ExteriorForm(n, p, {idx: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                               for idx in rng.sample(basis, min(4, len(basis)))})
+
+
+@settings(max_examples=60, deadline=None)
+@rebased_cases
+def test_deformed_differential_matches_the_reference(name, kind, seed):
+    g, omega = rebased_case(name, kind, seed)
+    rng = random.Random(seed)
+    for p in range(g.dim + 1):
+        xi = random_rational_form(rng, g.dim, p)
+        assert deformed_differential(g, omega, xi) == reference_differential(g, omega, xi)
+        assert ce_differential(g, xi) == reference_differential(g, OneForm.zero(g.dim), xi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-3, 3), st.integers(0, 2**32 - 1))
+def test_the_differential_of_a_jacobi_broken_algebra_matches_the_reference(w2, seed):
+    # [e1, e2] = e1 and [e1, e3] = e3 fail Jacobi; w2 e^2 still kills both brackets
+    broken = unchecked_algebra(3, {(1, 2): (1, 0, 0), (1, 3): (0, 0, 1)})
+    omega = one_form(0, w2, 0)
+    rng = random.Random(seed)
+    for p in range(4):
+        xi = random_rational_form(rng, 3, p)
+        assert deformed_differential(broken, omega, xi) == reference_differential(broken, omega, xi)
+        assert ce_differential(broken, xi) == reference_differential(broken, OneForm.zero(3), xi)
 
 
 @settings(max_examples=60, deadline=None)

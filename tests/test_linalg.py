@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from liecohom.linalg import (
     RationalMatrix,
+    _echelon,
+    _reduce,
     extend_independent,
     in_image,
     invert,
@@ -21,7 +23,7 @@ from liecohom.linalg import (
     zero_vector,
 )
 
-from conftest import matrix_product, sequential_extend
+from conftest import loop_reduce, matrix_product, sequential_extend
 
 
 def naive_rank(m: RationalMatrix) -> int:
@@ -409,3 +411,20 @@ def test_dense_views_check_column_bounds():
             m[0, j]
         with pytest.raises(IndexError):
             m.column(j)
+
+
+sparse_int_rows = st.lists(st.dictionaries(st.integers(0, 11), st.integers(-9, 9).filter(bool),
+                                           max_size=5), max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_int_rows)
+def test_reduce_matches_the_pivot_by_pivot_loop(rows):
+    """_reduce visits each row's own pivot columns only; the loop checks every
+    row above every pivot. Both make the same eliminations."""
+    echelon, pivots = _echelon(rows)
+    expected = [dict(r) for r in echelon]
+    loop_reduce(expected, pivots)
+    _reduce(echelon, pivots)
+    assert echelon == expected
+    assert all(c not in r for i, r in enumerate(echelon) for c in pivots if c != pivots[i])
