@@ -257,11 +257,6 @@ class LieAlgebra:
                     out[m] += c * a
         return tuple(Fraction(v, self._scale * dx * dy) for v in out)
 
-    def ad(self, x: Sequence) -> RationalMatrix:
-        """Matrix of ad(x): columns are [x, e_j] in basis coordinates."""
-        cols = [self.bracket(x, unit_vector(self.dim, j)) for j in range(self.dim)]
-        return RationalMatrix.from_columns([list(c) for c in cols])
-
 
 def _inner_diagonal(g: LieAlgebra) -> tuple[list, list]:
     """The x whose ad x is diagonal in the given basis, split by their action.

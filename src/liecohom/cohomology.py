@@ -61,6 +61,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 from .algebra import LieAlgebra, OneForm, _inner_diagonal
@@ -247,7 +248,10 @@ def representatives(g: LieAlgebra, omega: OneForm, p: int) -> list[ExteriorForm]
     # the types first: a degree is only checked against an algebra
     _require_closed(g, omega)
     _check_degree(p, g.dim)
-    return list(cohomology(g, omega).representatives[p])
+    walk = _cleared_walk(_all_monomials(g.dim), _differential_tables(g, omega), True)
+    # the walk is lazy: stopping at degree p assembles no monomial above it
+    kept, relations, _ = next(islice(walk, p, None))
+    return _representatives_from(g.dim, p, kept, relations)
 
 
 def cohomology(g: LieAlgebra, omega: OneForm) -> CohomologyResult:

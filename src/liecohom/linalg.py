@@ -175,10 +175,6 @@ class RationalMatrix:
                     data[i][j] = x
         return cls._adopt(rows, cols, data)
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls._adopt(n, n, [{i: _ONE} for i in range(n)])
-
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         # indexing a range checks bounds and resolves negative indices

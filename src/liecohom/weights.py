@@ -10,8 +10,14 @@ whole algebra. Every subspace that contains [g, g] is an ideal, so the
 actions can be taken in any fixed order: first [g, g], which acts
 nilpotently (Lie's theorem) and so has one joint kernel as its common
 eigenspace, then the k vectors of a complement of [g, g], one at a time.
-Only those k need eigenvalues. The adjoint action on [g, g] is tabulated
-once per call, and every flag step reads that table. An action on an
+Only those k need eigenvalues. The actions on [g, g] are read off the
+brackets with no solve: in the reduced echelon basis of [g, g] a vector's
+coordinates are its entries at the pivots. The step that finds the
+eigenvector v deflates them by one elimination step, row_i -= (v_i / v_s)
+row_s with row and column s dropped, for the last nonzero coordinate s of v:
+a greedy pick of unit vectors modulo the enlarged flag keeps every other
+coordinate, as v puts e_s, and no other, in the span of those before it.
+An action on an
 invariant subspace of a quotient of [g, g] has a characteristic polynomial
 dividing the one on [g, g], so one characteristic polynomial per complement
 element on [g, g] holds every eigenvalue a step can meet. Those eigenvalues
@@ -220,17 +226,15 @@ def _integer_roots(g: list[int]) -> list[int]:
     return roots
 
 
-def _coordinates(columns: list[Vector], targets: list[Vector]) -> list[Vector]:
-    """Coordinates of every target on the independent ``columns``, Vectors of
-    the targets' length."""
-    if not targets:
-        return []
-    # the columns are the rows of the transpose, already Fractions
-    m = RationalMatrix._adopt(len(columns), len(targets[0]), list(map(_nonzeros, columns)))
-    coords = _solve(m.transpose(), targets)
-    if coords is None:
-        raise AssertionError("vector unexpectedly outside an invariant subspace")
-    return coords
+def _deflate(action: RationalMatrix, v: Vector, s: int) -> RationalMatrix:
+    """The action modulo its eigenvector ``v``, on the coordinates less
+    ``s``: row_i -= (v_i / v_s) row_s, then row and column s go."""
+    pivot, rows = action._rows[s], []
+    for i, r in enumerate(action._rows):
+        r = r | {j: r.get(j, 0) - v[i] / v[s] * x for j, x in pivot.items()}
+        rows.append({j - (j > s): x for j, x in r.items() if x and j != s})
+    del rows[s]
+    return RationalMatrix._adopt(len(rows), len(rows), rows)
 
 
 def adapted_basis(g: LieAlgebra) -> WeightData:
@@ -255,35 +259,24 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
     d, k = der.dim, n - der.dim
     complement = extend_independent(der.basis, [unit_vector(n, j) for j in range(n)], n)
     acting = complement + list(der.basis)
-    # ad(x) on [g, g] in der.basis coordinates, for every acting x; the flag
-    # below lives in these coordinates and makes no bracket. Among der.basis,
-    # [b, b] = 0 and [b', b] = -[b, b'], so only the unordered pairs are solved.
-    pairs = list(combinations(range(d), 2))
-    solved = _coordinates(der.basis, [g.bracket(x, b) for x in complement for b in der.basis]
-                          + [g.bracket(der.basis[i], der.basis[j]) for i, j in pairs])
-    block = {(i, i): (Fraction(0),) * d for i in range(d)}
-    for (i, j), c in zip(pairs, solved[k * d:]):
-        block[i, j], block[j, i] = c, tuple(-x for x in c)
-    table = solved[:k * d] + [block[i, j] for i in range(d) for j in range(d)]
-    ad = [RationalMatrix._adopt(d, d, list(map(_nonzeros, table[i * d:(i + 1) * d]))).transpose()
-          for i in range(n)]
+    # ad(x) on [g, g] in der.basis coordinates, for every acting x: row r
+    # reads the brackets at pivot r of the reduced echelon der.basis
+    pivots = [next(j for j, c in enumerate(b) if c) for b in der.basis]
+    actions = []
+    for x in acting:
+        images = [g.bracket(x, b) for b in der.basis]
+        actions.append(RationalMatrix._adopt(d, d, [_nonzeros([y[p] for y in images])
+                                                    for p in pivots]))
     # every rational eigenvalue a flag step can meet (see the module docstring)
-    candidates = [_eigenvalues(a) for a in ad[:k]]
-    units = [unit_vector(d, j) for j in range(d)]
+    candidates = [_eigenvalues(a) for a in actions[:k]]
+    # the der.basis vectors whose images are the basis of the quotient of
+    # [g, g] by the flag that ``actions`` act on
+    quot = list(der.basis)
     flag: list[Vector] = []
     adjoint_funcs: list[list[Fraction]] = []
 
-    while len(flag) < d:
-        # quot + flag is a basis of Q^d, so coordinates on it are unique and
-        # the first q_dim of them are coordinates in the quotient by the flag
-        quot = extend_independent(flag, units, d)
+    while quot:
         q_dim = len(quot)
-        coords = _coordinates(quot + flag, [a._apply(q) for a in ad for q in quot])
-        actions = [
-            RationalMatrix._adopt(q_dim, q_dim,
-                                  [_nonzeros(c[:q_dim]) for c in coords[i:i + q_dim]]).transpose()
-            for i in range(0, len(coords), q_dim)
-        ]
         # [g, g] acts nilpotently on a solvable algebra (Lie's theorem), so its
         # common eigenspace is the joint kernel of the actions of der.basis.
         # The action is linear in the acting element, so every basis of [g, g]
@@ -309,11 +302,14 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
         if any(a._apply(vq) != tuple(lam * c for c in vq) for a, lam in zip(actions, lams)):
             raise AssertionError("flag vector is not a joint eigenvector")
         adjoint_funcs.append(lams)
-        lift = RationalMatrix._adopt(q_dim, d, list(map(_nonzeros, quot))).transpose()
-        flag.append(lift._apply(vq))
+        flag.append(tuple(sum(c * x for c, x in zip(vq, col)) for col in zip(*quot)))
+        # a greedy pick of unit vectors modulo the enlarged flag keeps every
+        # quotient coordinate but the last one vq uses (module docstring)
+        s = max(c for c, x in enumerate(vq) if x)
+        actions = [_deflate(a, vq, s) for a in actions]
+        del quot[s]
 
-    to_original = RationalMatrix._adopt(d, n, list(map(_nonzeros, der.basis))).transpose()
-    columns = complement + [to_original._apply(v) for v in reversed(flag)]
+    columns = complement + flag[::-1]
     change = RationalMatrix._adopt(n, n, list(map(_nonzeros, columns))).transpose()
     if rank(change) != n:
         raise AssertionError("adapted basis vectors are not independent")

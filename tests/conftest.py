@@ -8,6 +8,7 @@ from liecohom import (
     NotSolvableError,
     NotTriangularizableError,
     OneForm,
+    WeightData,
     differential_matrices,
     load_example,
 )
@@ -23,7 +24,6 @@ from liecohom.linalg import (
     unit_vector,
     vector,
 )
-from liecohom.weights import WeightData, _coordinates
 
 
 @pytest.fixture
@@ -152,13 +152,22 @@ def plus_diagonal(a, c):
                                            for i, r in enumerate(a.to_rows())])
 
 
+def identity(n):
+    return RationalMatrix(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def ad(g, x):
+    """Matrix of ad(x): columns are [x, e_j] in basis coordinates."""
+    return RationalMatrix.from_columns([g.bracket(x, unit_vector(g.dim, j)) for j in range(g.dim)])
+
+
 def trace(a):
     return sum((a[i, i] for i in range(a.rows)), Fraction(0))
 
 
 def trace_form(g):
     """theta(x) = tr ad x; zero exactly on unimodular algebras."""
-    return OneForm([trace(g.ad(unit_vector(g.dim, j))) for j in range(g.dim)])
+    return OneForm([trace(ad(g, unit_vector(g.dim, j))) for j in range(g.dim)])
 
 
 def char_poly(a):
@@ -167,7 +176,7 @@ def char_poly(a):
     m = a.rows
     coeffs = [Fraction(0)] * (m + 1)
     coeffs[m] = Fraction(1)
-    mk = RationalMatrix.identity(m)
+    mk = identity(m)
     for k in range(1, m + 1):
         am = matrix_product(a, mk)
         coeffs[m - k] = -trace(am) / k
@@ -220,6 +229,24 @@ def divisor_rational_roots(coeffs):
     return sorted(roots)
 
 
+def coordinates(columns, targets):
+    """Reference coordinates of every target on the independent ``columns``:
+    Gauss-Jordan elimination of [columns | targets] over dense Fractions."""
+    m = len(columns)
+    rows = [[Fraction(c[i]) for c in columns] + [Fraction(t[i]) for t in targets]
+            for i in range(len(columns[0]))]
+    for j in range(m):
+        p = next(i for i in range(j, len(rows)) if rows[i][j])
+        rows[j], rows[p] = rows[p], rows[j]
+        rows[j] = [x / rows[j][j] for x in rows[j]]
+        for i, r in enumerate(rows):
+            if i != j and r[j]:
+                rows[i] = [x - r[j] * y for x, y in zip(r, rows[j])]
+    if any(any(r[m:]) for r in rows[m:]):
+        raise AssertionError("vector unexpectedly outside an invariant subspace")
+    return [tuple(r[m + t] for r in rows[:m]) for t in range(len(targets))]
+
+
 def restricted_adapted_basis(g):
     """Reference for adapted_basis, as it was built before the adjoint table:
     at every flag step it brackets afresh, restricts each complement action
@@ -244,7 +271,7 @@ def restricted_adapted_basis(g):
         quot = extend_independent(flag, der.basis, n)
         q_dim = len(quot)
         columns = quot + flag
-        coords = _coordinates(columns, [g.bracket(b, q) for b in acting for q in quot])
+        coords = coordinates(columns, [g.bracket(b, q) for b in acting for q in quot])
         actions = [
             RationalMatrix.from_columns([c[:q_dim] for c in coords[i:i + q_dim]])
             for i in range(0, len(coords), q_dim)
@@ -258,7 +285,7 @@ def restricted_adapted_basis(g):
         for action in reversed(actions[:k]):
             # matrix of the action on the invariant span(space), in its coordinates
             restricted = RationalMatrix.from_columns(
-                _coordinates(space, [action.apply(s) for s in space]))
+                coordinates(space, [action.apply(s) for s in space]))
             roots = divisor_rational_roots(char_poly(restricted))
             if not roots:
                 raise NotTriangularizableError(
@@ -279,7 +306,7 @@ def restricted_adapted_basis(g):
         pivot = next(j for j, c in enumerate(vq) if c != 0)
         eigenvalues = []
         # [e_i, v] modulo the flag, in quot coordinates, is ad(e_i) applied to vq
-        for image in _coordinates(columns, [g.bracket(unit_vector(n, i), v)
+        for image in coordinates(columns, [g.bracket(unit_vector(n, i), v)
                                             for i in range(n)]):
             lam = image[pivot] / vq[pivot]
             if any(image[j] != lam * vq[j] for j in range(q_dim)):

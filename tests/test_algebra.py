@@ -27,7 +27,7 @@ from liecohom import (
 from liecohom.algebra import Subspace, derived_series, random_invertible
 from liecohom.linalg import RationalMatrix
 
-from conftest import diag, heisenberg5, one_form
+from conftest import diag, heisenberg5, identity, one_form
 
 
 # {[e1,e2]=e1, [e1,e3]=e3, [e2,e3]=0}: the cyclic sum over (1,2,3) is
@@ -235,7 +235,7 @@ def test_nilpotent_implies_unimodular_and_dixmier(heisenberg3):
 
 
 def test_change_basis_identity(sol3):
-    assert change_basis(sol3, RationalMatrix.identity(3)).brackets == sol3.brackets
+    assert change_basis(sol3, identity(3)).brackets == sol3.brackets
 
 
 def test_change_basis_rescales_bracket(heisenberg3):

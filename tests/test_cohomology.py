@@ -49,6 +49,7 @@ from conftest import (
     closed_grid,
     diag,
     heisenberg5,
+    identity,
     k2,
     one_form,
     rational_sol3_plane,
@@ -292,7 +293,7 @@ WEIGHT_QUERIES = {
                        ["g", "omega"]),
 }
 
-IDENTITY3 = RationalMatrix.identity(3)
+IDENTITY3 = identity(3)
 # the other public functions that read attributes of their arguments
 OTHER_WRONG_CALLS = {
     "ce_differential-g=None": (ce_differential, [None, e(3, 2)]),
@@ -711,6 +712,22 @@ def counted_image_rows(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("g,omega", [
+    (change_basis(heisenberg5(), random_invertible(5, random.Random(4))), one_form(0, 0, 0, 0, 0)),
+    (load_example("sol3", k=2).algebra, one_form(2, 0, 0)),
+    (RATIONAL, one_form(0, 0, 0, 0, 0)),
+])
+def test_representatives_stop_the_walk_at_their_degree(g, omega, monkeypatch):
+    expected = cohomology(g, omega).representatives
+    calls = counted_image_rows(monkeypatch)
+    for p in range(g.dim + 1):
+        calls.clear()
+        assert term_lists([representatives(g, omega, p)]) == term_lists([expected[p]])
+        # one assembly per degree 0 .. p, none of a monomial above degree p
+        assert len(calls) == p + 1
+        assert all(len(idx) <= p for sources in calls for idx in sources)
+
+
 def test_abelian_40_is_answered_without_a_walk(monkeypatch):
     g = load_example("abelian", n=40).algebra
     calls = counted_image_rows(monkeypatch)
@@ -809,7 +826,7 @@ def test_live_betti_numbers_equal_the_full_walk_and_the_closed_form(family, basi
                else [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in actions])
     omega = OneForm(targets + [0] * (n - r))
     if basis == "standard":
-        m = RationalMatrix.identity(n)
+        m = identity(n)
     elif basis == "permuted":
         perm = list(range(n))
         rng.shuffle(perm)

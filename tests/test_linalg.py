@@ -23,7 +23,7 @@ from liecohom.linalg import (
     zero_vector,
 )
 
-from conftest import loop_reduce, matrix_product, sequential_extend
+from conftest import identity, loop_reduce, matrix_product, sequential_extend
 
 
 def naive_rank(m: RationalMatrix) -> int:
@@ -56,7 +56,7 @@ def test_rank_zero_matrix():
 
 def test_rank_identity():
     for n in (1, 2, 5):
-        assert rank(RationalMatrix.identity(n)) == n
+        assert rank(identity(n)) == n
 
 
 def test_rank_proportional_rows():
@@ -79,7 +79,7 @@ def test_rank_equals_transpose_rank():
 
 
 def test_kernel_of_identity_is_empty():
-    assert kernel_basis(RationalMatrix.identity(4)) == []
+    assert kernel_basis(identity(4)) == []
 
 
 def test_kernel_of_difference_form():
@@ -112,7 +112,7 @@ def test_in_image_zero_vector():
 
 
 def test_in_image_identity_returns_vector():
-    m = RationalMatrix.identity(3)
+    m = identity(3)
     assert in_image(m, (1, Fraction(1, 2), -3)) == (1, Fraction(1, 2), -3)
 
 
@@ -141,7 +141,7 @@ def test_invert_roundtrip_and_singular():
             with pytest.raises(ValueError):
                 invert(m)
             continue
-        assert matrix_product(m, invert(m)) == RationalMatrix.identity(n)
+        assert matrix_product(m, invert(m)) == identity(n)
     with pytest.raises(ValueError):
         invert(RationalMatrix(2, 2))
 
@@ -267,7 +267,7 @@ def test_span_basis_and_inverse_match_the_fraction_oracle(m):
             with pytest.raises(ValueError):
                 invert(m)
         else:
-            assert matrix_product(invert(m), m) == RationalMatrix.identity(m.rows)
+            assert matrix_product(invert(m), m) == identity(m.rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -345,8 +345,8 @@ def test_floats_and_bools_are_refused():
                      lambda: OneForm([1, 0, 0]).evaluate([bad, 0, 0]),
                      lambda: RationalMatrix.from_rows([[bad, 1]]),
                      lambda: RationalMatrix.from_columns([[1], [bad]]),
-                     lambda: RationalMatrix.identity(2).apply([bad, 0]),
-                     lambda: RationalMatrix.identity(2).scale(bad),
+                     lambda: identity(2).apply([bad, 0]),
+                     lambda: identity(2).scale(bad),
                      lambda: ExteriorForm(3, 1, {(1,): bad}),
                      # a list cannot be a key; its tuple stands in for it as an index
                      lambda: ExteriorForm(3, 1, {(bad if isinstance(bad, Hashable)

@@ -37,6 +37,7 @@ from liecohom.linalg import RationalMatrix, invert, rank
 from liecohom.weights import WeightData, _eigenvalues
 
 from conftest import (
+    ad,
     char_poly,
     closed_grid,
     diag,
@@ -152,10 +153,10 @@ def test_derived_algebra_acts_nilpotently(heisenberg3, sol3, euclid3, abelian2, 
             series = derived_series(g)
             assert series[-1].is_zero()
             for b in series[1].basis:
-                ad = g.ad(b)
-                power = ad
+                ad_b = ad(g, b)
+                power = ad_b
                 for _ in range(g.dim - 1):
-                    power = matrix_product(power, ad)
+                    power = matrix_product(power, ad_b)
                 assert power.is_zero(), (g, b)
 
 
@@ -584,6 +585,10 @@ ORACLE_ALGEBRAS = {
     "heisenberg5": heisenberg5,
     "k2": k2,
     "partly_rational": _partly_rational,
+    # a Jordan block, and derived length three: in a random basis, flags of
+    # several steps whose deflations meet off-diagonal entries
+    "jordan4": jordan4,
+    "borel4": borel4,
 }
 
 
@@ -595,7 +600,7 @@ def _outcome(build, g):
     return data.adapted_change.to_rows(), [w.coeffs for w in data.weights], data.k
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(st.sampled_from(sorted(ORACLE_ALGEBRAS)), st.integers(0, 2**32 - 1))
 def test_adapted_basis_matches_the_restricted_oracle(name, seed):
     g = ORACLE_ALGEBRAS[name]()
