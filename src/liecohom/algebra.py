@@ -72,10 +72,14 @@ class OneForm:
 
     def evaluate(self, v: Sequence) -> Fraction:
         """Pairing with a vector of the algebra."""
-        return sum((a * b for a, b in zip(self.coeffs, vector(v), strict=True) if a),
-                   Fraction(0))
+        if len(v := vector(v)) != self.dim:
+            raise ValueError(f"cannot pair a one-form of dimension {self.dim} "
+                             f"with a vector of length {len(v)}")
+        return sum((a * b for a, b in zip(self.coeffs, v) if a), Fraction(0))
 
     def __add__(self, other: "OneForm") -> "OneForm":
+        if not isinstance(other, OneForm):
+            return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"cannot add one-forms of dimensions {self.dim} and {other.dim}")
         return OneForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -84,7 +88,7 @@ class OneForm:
         return OneForm(tuple(-a for a in self.coeffs))
 
     def __sub__(self, other: "OneForm") -> "OneForm":
-        return self + (-other)
+        return self + (-other) if isinstance(other, OneForm) else NotImplemented
 
     def scale(self, c) -> "OneForm":
         c = c if type(c) is Fraction else _exact(c)
@@ -258,16 +262,16 @@ class LieAlgebra:
         return tuple(Fraction(v, self._scale * dx * dy) for v in out)
 
 
-def _inner_diagonal(g: LieAlgebra) -> tuple[list, list]:
-    """The x whose ad x is diagonal in the given basis, split by their action.
+def _inner_diagonal(g: LieAlgebra) -> list:
+    """The x whose ad x is diagonal in the given basis, with their action.
 
     Such an x acts by [x, e_i] = a_i(x) e_i. The x are the kernel of the
     integer system [x, e_i]_m = 0 for every m != i, read off the table at
-    scale L. Returns ``(acting, central)``: ``acting`` lists pairs (a, x) of
-    sparse int rows, a = L * (a_1(x) .. a_n(x)), whose a are independent;
-    ``central`` lists int rows x with ad x = 0, a basis of the center. Both
-    are 0-based, and each row lies in one direct factor of the given basis.
-    Computed once per algebra object and then returned from its memo.
+    scale L. Returns a basis of them as pairs (a, x) of 0-based sparse int
+    rows, a = L * (a_1(x) .. a_n(x)): the nonzero a are independent, and the
+    x with a = {} (ad x = 0) are a basis of the center. Each row lies in one
+    direct factor of the given basis. Computed once per algebra object and
+    then returned from its memo.
     """
     if g._diagonal_memo:
         return g._diagonal_memo[0]
@@ -281,21 +285,16 @@ def _inner_diagonal(g: LieAlgebra) -> tuple[list, list]:
             for src, dst, v in ((i - 1, j - 1, c), (j - 1, i - 1, -c)):
                 row = diag.setdefault(dst, {}) if m == dst else off.setdefault((dst, m), {})
                 row[src] = v
-    acting, central = [], []
     # [a | x] per kernel vector: in echelon form the rows that lead inside a
     # have independent a, and the rows that lead inside x span a = 0
     rows = []
     for x in _integer_rows(_kernel(list(off.values()), n)):
         a = {i: s for i, d in diag.items() if (s := sum(x.get(j, 0) * v for j, v in d.items()))}
         rows.append(a | {n + j: v for j, v in x.items()})
-    for row, c in zip(*_echelon(rows)):
-        x = {j - n: v for j, v in row.items() if j >= n}
-        if c < n:
-            acting.append(({i: v for i, v in row.items() if i < n}, x))
-        else:
-            central.append(x)
     # a racing call may have stored an equal result first; keep that one
-    g._diagonal_memo.append((acting, central))
+    g._diagonal_memo.append([({i: v for i, v in row.items() if i < n},
+                              {j - n: v for j, v in row.items() if j >= n})
+                             for row in _echelon(rows)[0]])
     return g._diagonal_memo[0]
 
 

@@ -37,7 +37,7 @@ the factors' lists, and one acyclic factor makes every Betti number zero. An
 untwisted one-index component is Q with d_w = 0: its Betti list is (1, 1).
 Every larger component is walked on its own slice of the tables, its
 indices renumbered in order. Representatives are not split: ``cohomology``
-walks the whole algebra.
+walks the live monomials (below) of the whole algebra.
 
 Each factor is walked on its live monomials only (Hattori 1960; as a Morse
 matching, Skoldberg 2006). Let x act diagonally in the given basis,
@@ -53,7 +53,11 @@ of every degree, in lexicographic order, form a complex of the same kind as
 the full one, and the clearing argument above holds on it word for word.
 The x with ad x = 0 are the center: one with w(x) != 0 makes everything
 acyclic (a_I = 0 for every I). A factor on which no x acts by nonzero a_i
-is walked whole.
+is walked whole. The live walk gives the representatives of the full one:
+d_w is block diagonal over the weight blocks (one per value of the a_I),
+``_echelon`` and ``_reduce`` only combine rows with a common leading column,
+hence rows of one block, and an acyclic block B keeps |B_p| - rk d_(p-1)|B
+rows of rank rk d_p|B in degree p, which leave no relation.
 """
 
 from __future__ import annotations
@@ -62,9 +66,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb
+from math import comb, gcd
 
 from .algebra import LieAlgebra, OneForm, _inner_diagonal
+from .errors import _require_types
 from .exterior import (
     ExteriorForm,
     _check_degree,
@@ -72,7 +77,6 @@ from .exterior import (
     _degree_matrix,
     _differential_tables,
     _image_rows,
-    _require_closed,
     coords_to_form,
     deformed_differential,
     form_basis,
@@ -113,17 +117,9 @@ def _cleared_walk(monomials: list, tables, relations: bool = False):
         sources, cleared = targets, {targets[c] for c in pivots[:r]}
 
 
-def _all_monomials(n: int) -> list:
-    return [form_basis(n, p) for p in range(n + 1)]
-
-
-def _walked_betti(monomials: list, tables) -> list[int]:
-    return [len(kept) - r for kept, _, r in _cleared_walk(monomials, tables)]
-
-
 def _live_monomials(k: int, constraints: list) -> list:
-    """Per degree p = 0 .. k, in lexicographic order, the p-subsets I of
-    1 .. k with sum_(i in I) c_i = t for every constraint (c, t).
+    """Per degree p = 0 .. k, in lexicographic order, the p-subsets I of 1 .. k
+    with sum_(i in I) c_i = t for every constraint (c, t), all if there is none.
 
     The constraints are packed into one: with B above twice every
     |sum_(i in I) c_i - t|, the sum of those differences times B^s (for the
@@ -132,6 +128,12 @@ def _live_monomials(k: int, constraints: list) -> list:
     lexicographic order; it leaves a branch as soon as the remaining target
     lies outside the sums still reachable from the indices left.
     """
+    if not constraints:
+        return [form_basis(k, p) for p in range(k + 1)]
+    out: list[list] = [[] for _ in range(k + 1)]
+    # a sum over I is a multiple of gcd(c), 0 if c = 0: no I meets a t off those
+    if any(t % d if (d := gcd(*c)) else t for c, t in constraints):
+        return out
     base = 2 * max(sum(map(abs, c)) + abs(t) for c, t in constraints) + 1
     coeffs = [sum(c[i] * base ** s for s, (c, _) in enumerate(constraints)) for i in range(k)]
     # low[i], high[i]: the least and greatest sums over subsets of i .. k-1
@@ -141,7 +143,6 @@ def _live_monomials(k: int, constraints: list) -> list:
         high.append(high[-1] + max(v, 0))
     low.reverse()
     high.reverse()
-    out: list[list] = [[] for _ in range(k + 1)]
 
     def walk(start: int, chosen: tuple, need: int) -> None:
         if not need:
@@ -193,41 +194,38 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _live(g: LieAlgebra, tables, indices) -> list:
+    """The live monomials of the factor on the ascending ``indices``, renumbered
+    1..k: sum_(i in I) (S / L) * L * a_i(x) = S * w(x) at the scale S of ``tables``
+    for each acting x and each twisted central x (a = 0: no subset meets it)."""
+    up = tables[2] // g._scale
+    # (a, S * w(x)) for the x of this factor
+    pairs = [(a, sum(c * x.get(m - 1, 0) for m, c, _ in tables[1]))
+             for a, x in _inner_diagonal(g) if next(iter(x)) + 1 in indices]
+    return _live_monomials(len(indices), [([up * a.get(i - 1, 0) for i in indices], t)
+                                          for a, t in pairs if a or t])
+
+
 def betti_numbers(g: LieAlgebra, omega: OneForm) -> list[int]:
     """Exact dimensions of the twisted cohomology in degrees 0..n: the
     convolution of the Betti lists of the direct factors, each walked on its
     live monomials only (module docstring)."""
     tables = _differential_tables(g, omega)
-    acting, central = _inner_diagonal(g)
-    # S * w by 0-based index, and S / L, which lifts L * a to the scale S
-    sw = {m - 1: c for m, c, _ in tables[1]}
-    up = tables[2] // g._scale
-
-    def at(x: dict) -> int:
-        # S * w(x) for an int row x
-        return sum(sw.get(j, 0) * v for j, v in x.items())
-
     zero = [0] * (g.dim + 1)
     # x with ad x = 0 and w(x) != 0 makes the whole complex acyclic
-    if any(map(at, central)):
+    if any(not a and sum(c * x.get(m - 1, 0) for m, c, _ in tables[1])
+           for a, x in _inner_diagonal(g)):
         return zero
     components = _components(g)
     # s untwisted singletons give (1, 1) each: C(s, p)
     s = sum(len(c) == 1 for c in components)
     betti = [comb(s, p) for p in range(s + 1)]
     for indices in components[s:]:
-        k, members = len(indices), {i - 1 for i in indices}
-        constraints = []
-        for a, x in acting:
-            if next(iter(a)) in members:
-                # L * a_I(x) = L * w(x), at the scale S
-                target, rest = divmod(at(x), up)
-                if rest:
-                    return zero
-                constraints.append(([a.get(i - 1, 0) for i in indices], target))
-        monomials = _live_monomials(k, constraints) if constraints else _all_monomials(k)
-        factor = _walked_betti(monomials, tables if k == g.dim
-                               else _factor_tables(tables, indices))
+        live = _live(g, tables, indices)
+        # a factor with no live monomial is acyclic: no walk
+        walk = _cleared_walk(live, tables if len(indices) == g.dim
+                             else _factor_tables(tables, indices)) if any(live) else ()
+        factor = [len(kept) - r for kept, _, r in walk]
         if not any(factor):
             return zero
         betti = _convolve(betti, factor)
@@ -246,9 +244,9 @@ def _representatives_from(n: int, p: int, kept: list, relations: list) -> list[E
 def representatives(g: LieAlgebra, omega: OneForm, p: int) -> list[ExteriorForm]:
     """Deterministic cocycle basis of the degree-p cohomology."""
     # the types first: a degree is only checked against an algebra
-    _require_closed(g, omega)
+    tables = _differential_tables(g, omega)
     _check_degree(p, g.dim)
-    walk = _cleared_walk(_all_monomials(g.dim), _differential_tables(g, omega), True)
+    walk = _cleared_walk(_live(g, tables, range(1, g.dim + 1)), tables, True)
     # the walk is lazy: stopping at degree p assembles no monomial above it
     kept, relations, _ = next(islice(walk, p, None))
     return _representatives_from(g.dim, p, kept, relations)
@@ -258,7 +256,8 @@ def cohomology(g: LieAlgebra, omega: OneForm) -> CohomologyResult:
     """Betti numbers plus representatives for every degree in one pass."""
     tables = _differential_tables(g, omega)
     betti, reps = [], []
-    for p, (kept, relations, r) in enumerate(_cleared_walk(_all_monomials(g.dim), tables, True)):
+    walk = _cleared_walk(_live(g, tables, range(1, g.dim + 1)), tables, True)
+    for p, (kept, relations, r) in enumerate(walk):
         betti.append(len(kept) - r)
         reps.append(tuple(_representatives_from(g.dim, p, kept, relations)) if betti[-1] else ())
     return CohomologyResult(omega=omega, betti=tuple(betti), representatives=tuple(reps))
@@ -289,4 +288,5 @@ def is_coboundary(g: LieAlgebra, omega: OneForm, xi: ExteriorForm) -> ExteriorFo
 
 def euler_characteristic(result: CohomologyResult) -> int:
     """Alternating sum of the Betti numbers."""
+    _require_types((result, CohomologyResult))
     return sum((-1) ** p * b for p, b in enumerate(result.betti))

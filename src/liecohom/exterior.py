@@ -107,6 +107,8 @@ class ExteriorForm:
         return self.terms.get(tuple(indices), Fraction(0))
 
     def __add__(self, other: "ExteriorForm") -> "ExteriorForm":
+        if not isinstance(other, ExteriorForm):
+            return NotImplemented
         if (self.dim, self.degree) != (other.dim, other.degree):
             raise ValueError("cannot add forms of different dimension or degree")
         out = dict(self.terms)
@@ -118,7 +120,7 @@ class ExteriorForm:
         return self.scale(-1)
 
     def __sub__(self, other: "ExteriorForm") -> "ExteriorForm":
-        return self + (-other)
+        return self + (-other) if isinstance(other, ExteriorForm) else NotImplemented
 
     def scale(self, c) -> "ExteriorForm":
         c = c if type(c) is Fraction else _exact(c)
@@ -146,6 +148,7 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     Degrees above the ambient dimension are allowed and give the zero form
     of the formal degree.
     """
+    _require_types((a, ExteriorForm), (b, ExteriorForm))
     if a.dim != b.dim:
         raise ValueError("wedge of forms over different ambient dimensions")
     out: dict[tuple[int, ...], Fraction] = {}
@@ -185,14 +188,6 @@ def is_closed(g: LieAlgebra, omega: OneForm) -> bool:
     w = _integer_rows([_nonzeros(omega.coeffs)])[0]
     return not any(sum(w[m] * x for m, x in terms if m in w)
                    for terms in g._int_table.values())
-
-
-def _require_closed(g: LieAlgebra, omega: OneForm) -> None:
-    # every twisted-complex query passes here first; is_closed checks the types
-    if not is_closed(g, omega):
-        raise NonClosedFormError(
-            "twisting one-form is not closed; the deformed differential would "
-            "not square to zero")
 
 
 def deformed_differential(g: LieAlgebra, omega: OneForm, xi: ExteriorForm) -> ExteriorForm:
@@ -295,7 +290,11 @@ def _differential_tables(g: LieAlgebra, omega: OneForm):
     at e^i ^ e^j, in sorted order; ``wedge_terms`` lists (m, c, -c) for
     c = S w_m at the nonzero coefficients of w.
     """
-    _require_closed(g, omega)
+    # every twisted-complex query passes here first; is_closed checks the types
+    if not is_closed(g, omega):
+        raise NonClosedFormError(
+            "twisting one-form is not closed; the deformed differential would "
+            "not square to zero")
     scale = lcm(g._scale, *(c.denominator for c in omega.coeffs))
     up = scale // g._scale
     gens = [[] for _ in range(g.dim)]

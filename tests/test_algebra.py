@@ -225,6 +225,16 @@ def test_one_forms_of_different_dimensions_do_not_add():
         OneForm((1, 0)) + OneForm((1, 0, 0))
     with pytest.raises(ValueError, match="dimensions 3 and 2"):
         OneForm((1, 0, 0)) - OneForm((0, 1))
+    with pytest.raises(ValueError, match="dimension 3 with a vector of length 2"):
+        OneForm((1, 0, 0)).evaluate((1, 0))
+
+
+@pytest.mark.parametrize("other", [1, (1, 0), None])
+def test_a_one_form_adds_and_subtracts_only_one_forms(other):
+    w = OneForm((1, 0))
+    for op in (lambda: w + other, lambda: w - other, lambda: other + w, lambda: other - w):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_nilpotent_implies_unimodular_and_dixmier(heisenberg3):

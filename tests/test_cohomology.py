@@ -38,10 +38,11 @@ from liecohom import (
     representatives,
     scan_line,
     vanishing_predicate,
+    wedge,
     weight_sum_check,
 )
 from liecohom.algebra import _inner_diagonal, random_invertible
-from liecohom.cohomology import _all_monomials, _cleared_walk, _components, _live_monomials
+from liecohom.cohomology import _cleared_walk, _components, _live_monomials
 from liecohom.exterior import _differential_tables, coords_to_form, form_basis, form_to_coords
 from liecohom.linalg import RationalMatrix, in_image, kernel_basis, rank, unit_vector
 
@@ -306,6 +307,9 @@ OTHER_WRONG_CALLS = {
     "closed_one_forms-g=None": (closed_one_forms, [None]),
     "is_closed-g=None": (is_closed, [None, one_form(1, 0, 0)]),
     "is_closed-omega=tuple": (is_closed, [SOL3_ENTRY.algebra, (1, 0, 0)]),
+    "wedge-b=int": (wedge, [e(3, 2), 1]),
+    "wedge-a=OneForm": (wedge, [one_form(1, 0, 0), e(3, 2)]),
+    "euler_characteristic-result=tuple": (euler_characteristic, [(1, 1, 0)]),
 }
 
 
@@ -469,8 +473,18 @@ def test_cleared_ranks_equal_plain_ranks(name, kind, seed):
     g, omega = rebased_case(name, kind, seed)
     mats = differential_matrices(g, omega)
     plain = [rank(mats.matrix(p)) for p in range(g.dim + 1)]
-    walk = _cleared_walk(_all_monomials(g.dim), _differential_tables(g, omega))
+    walk = _cleared_walk(_live_monomials(g.dim, []), _differential_tables(g, omega))
     assert [r for _, _, r in walk] == plain
+
+
+def live_block(g, omega):
+    """Per degree, the monomials e^I with a_I(x) = w(x) for every x whose
+    ad x is diagonal in the given basis, the center included, by brute force."""
+    return [[idx for idx in form_basis(g.dim, p)
+             if all(Fraction(sum(a.get(i - 1, 0) for i in idx), g._scale)
+                    == sum(omega.coeffs[j] * v for j, v in x.items())
+                    for a, x in _inner_diagonal(g))]
+            for p in range(g.dim + 1)]
 
 
 @pytest.mark.parametrize("g,omega", [
@@ -478,22 +492,26 @@ def test_cleared_ranks_equal_plain_ranks(name, kind, seed):
     (load_example("sol3", k=2).algebra, one_form(2, 0, 0)),
     (heisenberg5(), one_form(0, 0, 0, 0, 0)),
     (change_basis(diag(5), random_invertible(5, random.Random(3))), one_form(0, 0, 0, 0, 0)),
+    (diag(6), one_form(5, 0, 0, 0, 0, 0)),
 ])
 def test_cohomology_assembles_only_uncleared_monomials(g, omega, monkeypatch):
-    # the package exports a function named cohomology, so fetch the module itself
-    module = importlib.import_module("liecohom.cohomology")
-    assembled = []
-
-    def counting(sources, targets, tables):
-        assembled.append(len(sources))
-        return real(sources, targets, tables)
-
-    real = module._image_rows
-    monkeypatch.setattr(module, "_image_rows", counting)
+    """Degree p assembles the live monomials less the rank of d_(p-1) on the
+    live block, read off the full matrix restricted to its rows and columns."""
+    live = live_block(g, omega)
+    mats = differential_matrices(g, omega)
+    ranks = [0]
+    for p in range(1, g.dim + 1):
+        basis, below = form_basis(g.dim, p), form_basis(g.dim, p - 1)
+        rows = [[mats.matrix(p - 1)[basis.index(t), below.index(s)] for s in live[p - 1]]
+                for t in live[p]]
+        ranks.append(rank(RationalMatrix.from_rows(rows)) if rows and live[p - 1] else 0)
+    calls = counted_image_rows(monkeypatch)
     result = cohomology(g, omega)
-    ranks = [0] + [rank(m) for m in differential_matrices(g, omega).matrices]
-    assert assembled == [comb(g.dim, p) - ranks[p] for p in range(g.dim + 1)]
-    assert sum(ranks) > 0
+    assert [len(sources) for sources in calls] == [len(live[p]) - ranks[p]
+                                                   for p in range(g.dim + 1)]
+    assert all(set(sources) <= set(live[p]) for p, sources in enumerate(calls))
+    # each case skips something: cleared monomials, or those off the live block
+    assert sum(ranks) > 0 or sum(map(len, live)) < 2 ** g.dim
     assert result.betti == tuple(betti_numbers(g, omega))
 
 
@@ -524,8 +542,17 @@ def heisenberg7():
     return LieAlgebra.from_brackets(7, {(1, 2): top, (3, 4): top, (5, 6): top})
 
 
-REPS_ALGEBRAS = {"abelian6": lambda: load_example("abelian", n=6).algebra,
-                 "h7": heisenberg7, "diag7": lambda: diag(7)}
+REPS_ALGEBRAS = {
+    "abelian6": lambda: load_example("abelian", n=6).algebra,
+    "h7": heisenberg7,
+    "diag7": lambda: diag(7),
+    "sol3a": lambda: direct_sum(load_example("sol3", k=Fraction(7, 2)).algebra,
+                                load_example("abelian", n=3).algebra),
+    "two_action": lambda: semidirect([1, 0, 2, -1], [0, 1, 1, 1]),
+    # the filter acts on the diag block only
+    "diag_h5": lambda: direct_sum(diag(3), change_basis(heisenberg5(),
+                                                        random_invertible(5, random.Random(1)))),
+}
 
 
 def term_lists(representatives):
@@ -533,23 +560,67 @@ def term_lists(representatives):
     return [[list(form.terms.items()) for form in reps] for reps in representatives]
 
 
-@settings(max_examples=12, deadline=None)
-@example("diag7", False, 1)
-@given(st.sampled_from(sorted(REPS_ALGEBRAS)), st.booleans(), st.integers(0, 2**32 - 1))
-def test_representatives_match_the_two_elimination_reference(name, twisted, seed):
+def basis_change(kind, n, rng):
+    """The identity, a permutation, a diagonal scaling or a random matrix."""
+    if kind == "standard":
+        return identity(n)
+    if kind == "permuted":
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return RationalMatrix.from_columns([unit_vector(n, j) for j in perm])
+    if kind == "scaled":
+        return RationalMatrix.from_columns(
+            [[Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)) if i == j else 0
+              for i in range(n)] for j in range(n)])
+    return random_invertible(n, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@example("diag7", "random", "zero", 1)
+@given(st.sampled_from(sorted(REPS_ALGEBRAS)),
+       st.sampled_from(["standard", "permuted", "scaled", "random"]),
+       st.sampled_from(["zero", "closed", "critical"]), st.integers(0, 2**32 - 1))
+def test_representatives_match_the_two_elimination_reference(name, basis, form, seed):
+    """Also in the bases where the live filter acts, at critical forms: the
+    live walk keeps the representatives of the full one."""
     rng = random.Random(seed)
     g = REPS_ALGEBRAS[name]()
-    g = change_basis(g, random_invertible(g.dim, rng))
-    omega = OneForm.zero(g.dim)
-    if twisted:
+    m = basis_change(basis, g.dim, rng)
+    if form == "critical":
+        # -w in the exceptional set: the twisted cohomology may survive
+        omega = -rng.choice(omega_set(adapted_basis(g)).sorted_elements())
+    else:
         omega = sum((b.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-                     for b in map(OneForm, closed_one_forms(g).basis)), omega)
+                     for b in map(OneForm, closed_one_forms(g).basis) if form == "closed"),
+                    OneForm.zero(g.dim))
+    g, omega = change_basis(g, m), pullback_one_form(omega, m)
     result = cohomology(g, omega)
     assert term_lists(result.representatives) == term_lists(
         two_elimination_representatives(g, omega))
-    if name == "diag7" and not twisted:
+    if name == "diag7" and basis == "random" and form == "zero":
         # [1, 1, 0, 0, 0, 0, 0, 0]: degrees with no representative are compared too
         assert result.betti[2] == 0
+
+
+@pytest.mark.parametrize("c,images", [(Fraction(1, 2), 0), (5, 6), (3, 4)])
+def test_diag_8_cohomology_builds_no_more_monomial_images_than_betti_numbers(c, images,
+                                                                          monkeypatch):
+    exterior = importlib.import_module("liecohom.exterior")
+    built = []
+
+    def counting(idx, gens, wedge_terms):
+        built.append(idx)
+        return real(idx, gens, wedge_terms)
+
+    real = exterior._monomial_image
+    monkeypatch.setattr(exterior, "_monomial_image", counting)
+    g, omega = diag(8), one_form(c, 0, 0, 0, 0, 0, 0, 0)
+    betti = betti_numbers(g, omega)
+    counts = [len(built)]
+    built.clear()
+    result = cohomology(g, omega)
+    assert counts + [len(built)] == [images, images]
+    assert list(result.betti) == betti
 
 
 @pytest.mark.parametrize("g,omega", [
@@ -750,9 +821,10 @@ def test_a_twisted_isolated_index_kills_everything_without_a_walk(g, omega, monk
     calls = counted_image_rows(monkeypatch)
     assert betti_numbers(g, omega) == [0] * (g.dim + 1)
     assert calls == []
-    if g.dim < 10:
-        # the full walk, which abelian 40 cannot afford
-        assert list(cohomology(g, omega).betti) == [0] * (g.dim + 1)
+    result = cohomology(g, omega)
+    assert list(result.betti) == [0] * (g.dim + 1)
+    assert result.representatives == ((),) * (g.dim + 1)
+    assert sum(map(len, calls)) == 0
 
 
 @pytest.mark.parametrize("omega,expected", [
@@ -825,25 +897,14 @@ def test_live_betti_numbers_equal_the_full_walk_and_the_closed_form(family, basi
     targets = ([sum((a[j] for j in js), Fraction(0)) for a in actions] if rng.random() < 0.7
                else [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in actions])
     omega = OneForm(targets + [0] * (n - r))
-    if basis == "standard":
-        m = identity(n)
-    elif basis == "permuted":
-        perm = list(range(n))
-        rng.shuffle(perm)
-        m = RationalMatrix.from_columns([unit_vector(n, j) for j in perm])
-    elif basis == "scaled":
-        m = RationalMatrix.from_columns(
-            [[Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)) if i == j else 0
-              for i in range(n)] for j in range(n)])
-    else:
-        # no inner diagonal x acts in a random basis: the fallback walk
-        m = random_invertible(n, rng)
+    # no inner diagonal x acts in a random basis: the fallback walk
+    m = basis_change(basis, n, rng)
     h, w = change_basis(g, m), pullback_one_form(omega, m)
     assert betti_numbers(h, w) == list(cohomology(h, w).betti) == closed_form(actions, targets)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 7), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 7), st.integers(0, 3), st.integers(0, 2**32 - 1))
 def test_live_monomials_are_the_subsets_with_the_given_sums(k, count, seed):
     rng = random.Random(seed)
     constraints = [([rng.randint(-3, 3) for _ in range(k)], rng.randint(-4, 4))
@@ -873,11 +934,11 @@ def test_diag_8_assembles_only_live_monomials(c, monkeypatch):
 
 def test_a_random_basis_walks_every_monomial(monkeypatch):
     h = change_basis(diag(6), random_invertible(6, random.Random(1)))
-    assert _inner_diagonal(h)[0] == []
+    assert all(not a for a, _ in _inner_diagonal(h))
     calls = counted_image_rows(monkeypatch)
     assert betti_numbers(h, OneForm.zero(6)) == [1, 1, 0, 0, 0, 0, 0]
     assert sum(map(len, calls)) == sum(len(kept) for kept, _, _ in _cleared_walk(
-        _all_monomials(6), _differential_tables(h, OneForm.zero(6))))
+        _live_monomials(6, []), _differential_tables(h, OneForm.zero(6))))
 
 
 @pytest.mark.parametrize("w1", [0, 1, -1, 5])

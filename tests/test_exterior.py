@@ -89,6 +89,14 @@ def test_wedge_dimension_mismatch():
         wedge(e(2, 1), e(3, 1))
 
 
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), None])
+def test_a_form_adds_and_subtracts_only_forms(other):
+    xi = e(3, 1)
+    for op in (lambda: xi + other, lambda: xi - other, lambda: other + xi, lambda: other - xi):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_wedge_graded_commutativity_random():
     rng = random.Random(41)
     for _ in range(60):
