@@ -453,6 +453,9 @@ def pullback_one_form(omega: OneForm, m: RationalMatrix) -> OneForm:
     i.e. the transpose of ``m`` applied to the old coefficients.
     """
     _require_types((omega, OneForm), (m, RationalMatrix))
+    if omega.dim != m.rows:
+        raise ValueError(f"cannot pull back a one-form of dimension {omega.dim} "
+                         f"along a change of basis of dimension {m.rows}")
     return OneForm(m.transpose().apply(omega.coeffs))
 
 

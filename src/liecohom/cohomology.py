@@ -35,9 +35,9 @@ on it. Over Q the cohomology of a tensor product of complexes is the tensor
 product of their cohomologies, so the Betti list of g is the convolution of
 the factors' lists, and one acyclic factor makes every Betti number zero. An
 untwisted one-index component is Q with d_w = 0: its Betti list is (1, 1).
-Every larger component is walked on its own slice of the tables, its
-indices renumbered in order. Representatives are not split: ``cohomology``
-walks the live monomials (below) of the whole algebra.
+A larger one is walked in its own indices with the terms of w on them (d e^k
+names only indices of k's component). Representatives are not split:
+``cohomology`` walks the live monomials (below) of the whole algebra.
 
 Each factor is walked on its live monomials only (Hattori 1960; as a Morse
 matching, Skoldberg 2006). Let x act diagonally in the given basis,
@@ -65,7 +65,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 from math import comb, gcd
 
 from .algebra import LieAlgebra, OneForm, _inner_diagonal
@@ -79,7 +79,6 @@ from .exterior import (
     _image_rows,
     coords_to_form,
     deformed_differential,
-    form_basis,
     form_to_coords,
 )
 from .linalg import _echelon, _reduce, in_image
@@ -117,9 +116,10 @@ def _cleared_walk(monomials: list, tables, relations: bool = False):
         sources, cleared = targets, {targets[c] for c in pivots[:r]}
 
 
-def _live_monomials(k: int, constraints: list) -> list:
-    """Per degree p = 0 .. k, in lexicographic order, the p-subsets I of 1 .. k
-    with sum_(i in I) c_i = t for every constraint (c, t), all if there is none.
+def _live_monomials(indices, constraints: list) -> list:
+    """Per degree p = 0 .. k, in lexicographic order, the p-subsets I of the k
+    ascending ``indices`` with sum_(i in I) c_i = t for every constraint (c, t),
+    c_s the coefficient of the s-th index; all of them if there is none.
 
     The constraints are packed into one: with B above twice every
     |sum_(i in I) c_i - t|, the sum of those differences times B^s (for the
@@ -128,8 +128,9 @@ def _live_monomials(k: int, constraints: list) -> list:
     lexicographic order; it leaves a branch as soon as the remaining target
     lies outside the sums still reachable from the indices left.
     """
+    k = len(indices)
     if not constraints:
-        return [form_basis(k, p) for p in range(k + 1)]
+        return [list(combinations(indices, p)) for p in range(k + 1)]
     out: list[list] = [[] for _ in range(k + 1)]
     # a sum over I is a multiple of gcd(c), 0 if c = 0: no I meets a t off those
     if any(t % d if (d := gcd(*c)) else t for c, t in constraints):
@@ -150,7 +151,7 @@ def _live_monomials(k: int, constraints: list) -> list:
         for i in range(start, k):
             rest = need - coeffs[i]
             if low[i + 1] <= rest <= high[i + 1]:
-                walk(i + 1, chosen + (i + 1,), rest)
+                walk(i + 1, chosen + (indices[i],), rest)
 
     need = sum(t * base ** s for s, (_, t) in enumerate(constraints))
     if low[0] <= need <= high[0]:
@@ -177,15 +178,6 @@ def _components(g: LieAlgebra) -> list[list[int]]:
     return sorted(groups.values(), key=len)
 
 
-def _factor_tables(tables, indices: list[int]):
-    """The slice of ``tables`` on one component, its ascending ``indices``
-    renumbered 1..k in order, which keeps every table sorted."""
-    gens, wedge_terms, scale = tables
-    label = {i: a for a, i in enumerate(indices, 1)}
-    return ([[(label[i], label[j], c, neg) for i, j, c, neg in gens[m - 1]] for m in indices],
-            [(label[m], c, neg) for m, c, neg in wedge_terms if m in label], scale)
-
-
 def _convolve(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -195,15 +187,15 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
 
 
 def _live(g: LieAlgebra, tables, indices) -> list:
-    """The live monomials of the factor on the ascending ``indices``, renumbered
-    1..k: sum_(i in I) (S / L) * L * a_i(x) = S * w(x) at the scale S of ``tables``
+    """The live monomials I of the factor on the ascending ``indices``, subsets
+    of them: sum_(i in I) (S / L) * L * a_i(x) = S * w(x) at the scale S of ``tables``
     for each acting x and each twisted central x (a = 0: no subset meets it)."""
     up = tables[2] // g._scale
     # (a, S * w(x)) for the x of this factor
-    pairs = [(a, sum(c * x.get(m - 1, 0) for m, c, _ in tables[1]))
+    pairs = [(a, sum(c * x.get(m - 1, 0) for m, c in tables[1]))
              for a, x in _inner_diagonal(g) if next(iter(x)) + 1 in indices]
-    return _live_monomials(len(indices), [([up * a.get(i - 1, 0) for i in indices], t)
-                                          for a, t in pairs if a or t])
+    return _live_monomials(indices, [([up * a.get(i - 1, 0) for i in indices], t)
+                                     for a, t in pairs if a or t])
 
 
 def betti_numbers(g: LieAlgebra, omega: OneForm) -> list[int]:
@@ -213,7 +205,7 @@ def betti_numbers(g: LieAlgebra, omega: OneForm) -> list[int]:
     tables = _differential_tables(g, omega)
     zero = [0] * (g.dim + 1)
     # x with ad x = 0 and w(x) != 0 makes the whole complex acyclic
-    if any(not a and sum(c * x.get(m - 1, 0) for m, c, _ in tables[1])
+    if any(not a and sum(c * x.get(m - 1, 0) for m, c in tables[1])
            for a, x in _inner_diagonal(g)):
         return zero
     components = _components(g)
@@ -222,9 +214,9 @@ def betti_numbers(g: LieAlgebra, omega: OneForm) -> list[int]:
     betti = [comb(s, p) for p in range(s + 1)]
     for indices in components[s:]:
         live = _live(g, tables, indices)
-        # a factor with no live monomial is acyclic: no walk
-        walk = _cleared_walk(live, tables if len(indices) == g.dim
-                             else _factor_tables(tables, indices)) if any(live) else ()
+        # no live monomial: acyclic, no walk; w ^ . on the factor: its own wedge terms
+        walk = _cleared_walk(live, (tables[0], [(m, c) for m, c in tables[1] if m in indices],
+                                    tables[2])) if any(live) else ()
         factor = [len(kept) - r for kept, _, r in walk]
         if not any(factor):
             return zero

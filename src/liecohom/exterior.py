@@ -26,11 +26,11 @@ rational matrices of d_w itself.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Mapping, Sequence
 
 from .algebra import LieAlgebra, OneForm
 from .errors import NonClosedFormError, StructureError, _require_types
@@ -63,13 +63,15 @@ class ExteriorForm:
             raise StructureError(f"dimension and degree must be integers, got {dim!r}, {degree!r}")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
+        terms = {} if terms is None else terms
+        if not isinstance(terms, Mapping):
+            raise StructureError(f"terms must be a mapping, got {type(terms).__name__}")
         self.dim = dim
         self.degree = degree
         clean: dict[tuple[int, ...], Fraction] = {}
-        for idx, c in (terms or {}).items():
-            if any(type(i) is not int for i in idx):
-                raise StructureError(f"index tuple {idx!r} must hold integers")
-            idx = tuple(idx)
+        for idx, c in terms.items():
+            if type(idx) is not tuple or any(type(i) is not int for i in idx):
+                raise StructureError(f"index tuple {idx!r} must be a tuple of integers")
             c = c if type(c) is Fraction else _exact(c)
             if c == 0:
                 continue
@@ -254,29 +256,24 @@ def _monomial_image(idx: tuple[int, ...], gens, wedge_terms) -> dict[tuple[int, 
 
     Replacing e^k at position t by the 2-form e^i ^ e^j and sorting gives the
     sign (-1)^(t + a + b), where a and b count the remaining indices below i
-    and below j; w_m e^m ^ e^idx gets (-1)^a for the a indices below m. Both
-    tables carry each coefficient next to its negative, and a target's first
-    contribution is stored as it is. Contributions may cancel to zero.
+    and below j; w_m e^m ^ e^idx gets (-1)^a for the a indices below m.
+    Contributions may cancel to zero.
     """
     out: dict[tuple[int, ...], int] = {}
     for t, k in enumerate(idx):
         rest = idx[:t] + idx[t + 1:]
-        for i, j, c, neg in gens[k - 1]:
+        for i, j, c in gens[k - 1]:
             if i in rest or j in rest:
                 continue
             a, b = bisect_left(rest, i), bisect_left(rest, j)
             new = rest[:a] + (i,) + rest[a:b] + (j,) + rest[b:]
-            term = neg if (t + a + b) % 2 else c
-            old = out.get(new)
-            out[new] = term if old is None else old + term
-    for m, c, neg in wedge_terms:
+            out[new] = out.get(new, 0) + (-c if (t + a + b) % 2 else c)
+    for m, c in wedge_terms:
         if m in idx:
             continue
         a = bisect_left(idx, m)
         new = idx[:a] + (m,) + idx[a:]
-        term = neg if a % 2 else c
-        old = out.get(new)
-        out[new] = term if old is None else old + term
+        out[new] = out.get(new, 0) + (-c if a % 2 else c)
     return out
 
 
@@ -286,9 +283,9 @@ def _differential_tables(g: LieAlgebra, omega: OneForm):
 
     S is the lcm of the algebra's scale L and the denominators of w, and
     every entry is S times a coefficient of d_w, as an int. ``gens[k - 1]``
-    lists d e^k as (i, j, c, -c) for its nonzero coefficients c = -S C_ij^k
-    at e^i ^ e^j, in sorted order; ``wedge_terms`` lists (m, c, -c) for
-    c = S w_m at the nonzero coefficients of w.
+    lists d e^k as (i, j, c) for its nonzero coefficients c = -S C_ij^k at
+    e^i ^ e^j, in sorted order; ``wedge_terms`` lists (m, c) for c = S w_m at
+    the nonzero coefficients of w. Indices are the algebra's own, from 1.
     """
     # every twisted-complex query passes here first; is_closed checks the types
     if not is_closed(g, omega):
@@ -300,10 +297,8 @@ def _differential_tables(g: LieAlgebra, omega: OneForm):
     gens = [[] for _ in range(g.dim)]
     for (i, j), terms in sorted(g._int_table.items()):
         for m, x in terms:
-            gens[m].append((i, j, -up * x, up * x))
-    scaled = [(m + 1, int(c * scale)) for m, c in enumerate(omega.coeffs) if c]
-    wedge_terms = [(m, x, -x) for m, x in scaled]
-    return gens, wedge_terms, scale
+            gens[m].append((i, j, -up * x))
+    return gens, [(m + 1, int(c * scale)) for m, c in enumerate(omega.coeffs) if c], scale
 
 
 def _image_rows(sources: Sequence, targets: Sequence, tables) -> list[dict[int, int]]:

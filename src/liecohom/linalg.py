@@ -37,7 +37,7 @@ from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Sequence
 
-from .errors import StructureError
+from .errors import StructureError, _require_types
 
 Vector = tuple[Fraction, ...]
 SparseRow = dict[int, Fraction]
@@ -130,6 +130,8 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Sequence] | None = None):
+        if type(rows) is not int or type(cols) is not int:
+            raise StructureError(f"matrix dimensions must be integers, got {rows!r}, {cols!r}")
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if entries is None:
@@ -322,6 +324,7 @@ def _reduce(echelon: list[dict[int, int]], pivots: list[int]) -> None:
 
 def rank(M: RationalMatrix) -> int:
     """Rank over the rationals via fraction-free elimination."""
+    _require_types((M, RationalMatrix))
     return len(_echelon(_integer_rows(M._rows))[1])
 
 
@@ -348,6 +351,7 @@ def kernel_basis(M: RationalMatrix) -> list[Vector]:
     coordinates are read off the reduced echelon form, so ``M.apply(v)``
     is exactly zero for every returned ``v``.
     """
+    _require_types((M, RationalMatrix))
     return [_dense(v, M.cols) for v in _kernel(_integer_rows(M._rows), M.cols)]
 
 
@@ -363,6 +367,7 @@ def solve(M: RationalMatrix, targets: Sequence[Sequence]) -> list[Vector] | None
     alone reads off. Each solution is the minimal pivot one: free variables
     are pinned to zero, which makes the choice deterministic.
     """
+    _require_types((M, RationalMatrix))
     return _solve(M, [vector(t) for t in targets])
 
 
@@ -393,6 +398,7 @@ def in_image(M: RationalMatrix, target: Sequence) -> Vector | None:
 
 def invert(M: RationalMatrix) -> RationalMatrix:
     """Inverse of a square matrix; raises ValueError if singular."""
+    _require_types((M, RationalMatrix))
     if M.rows != M.cols:
         raise ValueError("only square matrices can be inverted")
     columns = _solve(M, [unit_vector(M.rows, j) for j in range(M.rows)])

@@ -44,7 +44,8 @@ from liecohom import (
 from liecohom.algebra import _inner_diagonal, random_invertible
 from liecohom.cohomology import _cleared_walk, _components, _live_monomials
 from liecohom.exterior import _differential_tables, coords_to_form, form_basis, form_to_coords
-from liecohom.linalg import RationalMatrix, in_image, kernel_basis, rank, unit_vector
+from liecohom.linalg import (RationalMatrix, in_image, invert, kernel_basis, rank, solve,
+                             unit_vector)
 
 from conftest import (
     closed_grid,
@@ -310,6 +311,11 @@ OTHER_WRONG_CALLS = {
     "wedge-b=int": (wedge, [e(3, 2), 1]),
     "wedge-a=OneForm": (wedge, [one_form(1, 0, 0), e(3, 2)]),
     "euler_characteristic-result=tuple": (euler_characteristic, [(1, 1, 0)]),
+    "rank-M=None": (rank, [None]),
+    "kernel_basis-M=None": (kernel_basis, [None]),
+    "in_image-M=list": (in_image, [[[1]], [1]]),
+    "invert-M=list": (invert, [[[1]]]),
+    "solve-M=list": (solve, [[[1]], [[1]]]),
 }
 
 
@@ -473,7 +479,8 @@ def test_cleared_ranks_equal_plain_ranks(name, kind, seed):
     g, omega = rebased_case(name, kind, seed)
     mats = differential_matrices(g, omega)
     plain = [rank(mats.matrix(p)) for p in range(g.dim + 1)]
-    walk = _cleared_walk(_live_monomials(g.dim, []), _differential_tables(g, omega))
+    walk = _cleared_walk(_live_monomials(range(1, g.dim + 1), []),
+                         _differential_tables(g, omega))
     assert [r for _, _, r in walk] == plain
 
 
@@ -904,14 +911,17 @@ def test_live_betti_numbers_equal_the_full_walk_and_the_closed_form(family, basi
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 7), st.integers(0, 3), st.integers(0, 2**32 - 1))
-def test_live_monomials_are_the_subsets_with_the_given_sums(k, count, seed):
+@given(st.integers(1, 7), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
+def test_live_monomials_are_the_subsets_with_the_given_sums(k, count, gaps, seed):
     rng = random.Random(seed)
+    # 1 .. k, or k ascending indices with gaps between them
+    indices = sorted(rng.sample(range(1, 3 * k + 1), k)) if gaps else list(range(1, k + 1))
+    position = {i: s for s, i in enumerate(indices)}
     constraints = [([rng.randint(-3, 3) for _ in range(k)], rng.randint(-4, 4))
                    for _ in range(count)]
-    assert _live_monomials(k, constraints) == [
-        [idx for idx in form_basis(k, p)
-         if all(sum(c[i - 1] for i in idx) == t for c, t in constraints)]
+    assert _live_monomials(indices, constraints) == [
+        [idx for idx in combinations(indices, p)
+         if all(sum(c[position[i]] for i in idx) == t for c, t in constraints)]
         for p in range(k + 1)]
 
 
@@ -938,7 +948,21 @@ def test_a_random_basis_walks_every_monomial(monkeypatch):
     calls = counted_image_rows(monkeypatch)
     assert betti_numbers(h, OneForm.zero(6)) == [1, 1, 0, 0, 0, 0, 0]
     assert sum(map(len, calls)) == sum(len(kept) for kept, _, _ in _cleared_walk(
-        _live_monomials(6, []), _differential_tables(h, OneForm.zero(6))))
+        _live_monomials(range(1, 7), []), _differential_tables(h, OneForm.zero(6))))
+
+
+def test_interleaved_factors_are_walked_in_the_algebra_s_own_indices(monkeypatch):
+    # sol3(2) on e1, e3, e5 and diag 3 on e2, e4, e6
+    g = LieAlgebra.from_brackets(6, {(1, 3): (0, 0, 2, 0, 0, 0), (1, 5): (0, 0, 0, 0, -2, 0),
+                                     (2, 4): (0, 0, 0, 1, 0, 0), (2, 6): (0, 0, 0, 0, 0, 2)})
+    assert _components(g) == [[1, 3, 5], [2, 4, 6]]
+    omega = one_form(2, 1, 0, 0, 0, 0)
+    calls = counted_image_rows(monkeypatch)
+    assert betti_numbers(g, omega) == [0, 0, 1, 2, 1, 0, 0]
+    walked = {idx for call in calls for idx in call}
+    assert {(3,), (1, 3), (4,), (2, 4)} <= walked
+    assert all(set(idx) <= {1, 3, 5} or set(idx) <= {2, 4, 6} for idx in walked)
+    assert list(cohomology(g, omega).betti) == [0, 0, 1, 2, 1, 0, 0]
 
 
 @pytest.mark.parametrize("w1", [0, 1, -1, 5])

@@ -57,6 +57,19 @@ def test_dimension_and_degree_must_be_ints():
     assert ExteriorForm(3, 1, {(2,): 1}).degree == 1
 
 
+def test_terms_must_map_tuples_of_ints():
+    from types import MappingProxyType
+
+    from liecohom import StructureError
+
+    # an int key used to raise TypeError, a list of pairs AttributeError
+    for terms in ({1: 2}, [((1,), 2)], {"1": 2}, {frozenset({1}): 2}, {(1.0,): 2}, 5):
+        with pytest.raises(StructureError):
+            ExteriorForm(3, 1, terms)
+    assert ExteriorForm(3, 1, MappingProxyType({(2,): 1})) == ExteriorForm.basis(3, (2,))
+    assert ExteriorForm(3, 1, None) == ExteriorForm(3, 1, {}) == ExteriorForm.zero(3, 1)
+
+
 def test_sort_sign():
     assert sort_sign((1, 2)) == ((1, 2), 1)
     assert sort_sign((2, 1)) == ((1, 2), -1)

@@ -395,6 +395,18 @@ def test_every_value_is_a_fraction_or_a_structure_error(x):
     assert type(q) is Fraction and q == expected
 
 
+def test_matrix_dimensions_must_be_ints():
+    from liecohom import StructureError
+
+    # RationalMatrix(True, 1) used to keep rows == True; a float or a string raised TypeError
+    for rows, cols in ((True, 1), (1, False), (2.5, 1), ("2", 1), (1, None)):
+        with pytest.raises(StructureError):
+            RationalMatrix(rows, cols)
+    with pytest.raises(ValueError, match="nonnegative"):
+        RationalMatrix(-1, 1)
+    assert RationalMatrix(2, 0).rows == 2
+
+
 def test_ragged_input_is_refused():
     for ragged in ([[1], [2, 3]], [[1, 2], [3]]):
         with pytest.raises(ValueError):

@@ -291,6 +291,16 @@ def test_vanishing_predicate_agrees_with_engine(sol3, heisenberg3, abelian2, aff
                 assert -omega in omega_set(data)
 
 
+def test_a_one_form_of_the_wrong_length_names_both_dimensions(sol3):
+    data = adapted_basis(sol3)
+    short = OneForm((1, 0))
+    for call in (lambda: pullback_one_form(short, data.adapted_change),
+                 lambda: vanishing_predicate(data, short),
+                 lambda: r0_spectrum(data, short, 1)):
+        with pytest.raises(ValueError, match="dimension 2 .* dimension 3"):
+            call()
+
+
 def test_r0_spectrum_examples(sol3):
     data = adapted_basis(sol3)
     assert r0_spectrum(data, OneForm.zero(3), 1) == [0, 1, 1]
