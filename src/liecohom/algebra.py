@@ -10,13 +10,7 @@ and, per stored pair, the nonzero ``(m, L * C_ij^m)`` as ints. Brackets, the
 Jacobi check, closedness and ``d_w`` sum over it; a change of basis is one solve.
 
 Every value is immutable after construction and every operation is a pure
-function. The exceptions are private memos: the weight data of an algebra
-(``weights.adapted_basis``) and its inner diagonal elements
-(``_inner_diagonal``) are computed once per algebra object and stored on it,
-and the exceptional set once per weight data object. A memo never
-changes ``==`` or ``hash``, and ``dataclasses.replace`` builds a new empty
-one. Concurrent use still needs no lock: two threads that race on an empty
-memo each compute the same value, and the first one stored is kept.
+function; the one exception is ``_memo``, which caches a fact of an object on it.
 """
 
 from __future__ import annotations
@@ -48,6 +42,17 @@ from .linalg import (
 
 # unused here, kept importable because perfbench/tracer.py wraps this name
 from .linalg import invert  # noqa: F401
+
+
+def _memo(obj, name: str, build):
+    """``build(obj)``, built on the first call and then the same object on every
+    call: kept in ``obj.__dict__`` under ``name``, outside the dataclass fields
+    that ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` read. A failure
+    is not kept; threads racing on a first call return the first value stored."""
+    try:
+        return obj.__dict__[name]
+    except KeyError:
+        return obj.__dict__.setdefault(name, build(obj))
 
 
 @dataclass(frozen=True)
@@ -114,10 +119,8 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Sequence) -> bool:
-        # the zero subspace is the image of the ambient_dim x 0 matrix
-        m = (RationalMatrix.from_columns(self.basis) if self.basis
-             else RationalMatrix(self.ambient_dim, 0))
-        return in_image(m, v) is not None
+        columns = RationalMatrix(self.dim, self.ambient_dim, self.basis).transpose()
+        return in_image(columns, v) is not None
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -191,16 +194,11 @@ class LieAlgebra:
     dim: int
     basis_names: tuple[str, ...]
     brackets: tuple[tuple[tuple[int, int], Vector], ...]
-    # built per instance, never passed in, so ``dataclasses.replace`` shares
-    # neither the integer table nor the memo with the algebra it copies
-    # the lcm L of all coefficient denominators, and each stored bracket as
-    # ((m, L * C_ij^m), ...) over its nonzero 0-based positions m
+    # built per instance, never passed in, so a ``dataclasses.replace`` copy
+    # builds its own: the lcm L of all coefficient denominators, and each
+    # stored bracket as ((m, L * C_ij^m), ...) over its nonzero 0-based m
     _scale: int = field(init=False, compare=False, repr=False)
     _int_table: dict = field(init=False, compare=False, repr=False)
-    # the WeightData of this algebra once ``weights.adapted_basis`` succeeds
-    _weight_memo: list = field(init=False, compare=False, repr=False)
-    # what ``_inner_diagonal`` returns, once it has been asked for
-    _diagonal_memo: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         scale = lcm(*(c.denominator for _, v in self.brackets for c in v if c))
@@ -209,8 +207,6 @@ class LieAlgebra:
             key: tuple((m, c.numerator * (scale // c.denominator))
                        for m, c in enumerate(v) if c)
             for key, v in self.brackets})
-        object.__setattr__(self, "_weight_memo", [])
-        object.__setattr__(self, "_diagonal_memo", [])
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: Mapping,
@@ -224,7 +220,13 @@ class LieAlgebra:
         if names is None:
             names = tuple(f"e{i}" for i in range(1, dim + 1))
         else:
-            names = tuple(str(s) for s in names)
+            # a string or a mapping iterates, but not over basis names
+            if isinstance(names, (str, bytes, Mapping)) or not hasattr(names, "__iter__"):
+                raise StructureError(f"expected a sequence of basis names, got a "
+                                     f"{type(names).__name__}")
+            names = tuple(names)
+            if not all(isinstance(s, str) for s in names):
+                raise StructureError(f"basis names must be strings, got {names!r}")
             if len(names) != dim:
                 raise StructureError(f"expected {dim} basis names, got {len(names)}")
         g = cls(dim, names, tuple(sorted(table.items())))
@@ -270,11 +272,12 @@ def _inner_diagonal(g: LieAlgebra) -> list:
     scale L. Returns a basis of them as pairs (a, x) of 0-based sparse int
     rows, a = L * (a_1(x) .. a_n(x)): the nonzero a are independent, and the
     x with a = {} (ad x = 0) are a basis of the center. Each row lies in one
-    direct factor of the given basis. Computed once per algebra object and
-    then returned from its memo.
+    direct factor of the given basis. Computed once per algebra (``_memo``).
     """
-    if g._diagonal_memo:
-        return g._diagonal_memo[0]
+    return _memo(g, "_inner_diagonal", _diagonal_elements)
+
+
+def _diagonal_elements(g: LieAlgebra) -> list:
     n = g.dim
     # off[i, m]: the coefficients of the x_j in [x, e_i]_m; diag[i]: in L a_i(x)
     off: dict[tuple[int, int], dict[int, int]] = {}
@@ -291,11 +294,8 @@ def _inner_diagonal(g: LieAlgebra) -> list:
     for x in _integer_rows(_kernel(list(off.values()), n)):
         a = {i: s for i, d in diag.items() if (s := sum(x.get(j, 0) * v for j, v in d.items()))}
         rows.append(a | {n + j: v for j, v in x.items()})
-    # a racing call may have stored an equal result first; keep that one
-    g._diagonal_memo.append([({i: v for i, v in row.items() if i < n},
-                              {j - n: v for j, v in row.items() if j >= n})
-                             for row in _echelon(rows)[0]])
-    return g._diagonal_memo[0]
+    return [({i: v for i, v in row.items() if i < n}, {j - n: v for j, v in row.items() if j >= n})
+            for row in _echelon(rows)[0]]
 
 
 def _jacobi_report(g: LieAlgebra) -> ValidationReport:
@@ -356,10 +356,7 @@ def closed_one_forms(g: LieAlgebra) -> Subspace:
     has dimension n - dim [g, g] = b1.
     """
     der = derived_subalgebra(g)
-    if der.dim == 0:
-        return Subspace.span(g.dim, [unit_vector(g.dim, j) for j in range(g.dim)])
-    m = RationalMatrix.from_rows([list(b) for b in der.basis])
-    return Subspace.span(g.dim, [list(v) for v in kernel_basis(m)])
+    return Subspace.span(g.dim, kernel_basis(RationalMatrix(der.dim, g.dim, der.basis)))
 
 
 def _bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:

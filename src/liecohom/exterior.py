@@ -61,8 +61,8 @@ class ExteriorForm:
     def __init__(self, dim: int, degree: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
         if type(dim) is not int or type(degree) is not int:
             raise StructureError(f"dimension and degree must be integers, got {dim!r}, {degree!r}")
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
+        if dim < 0 or degree < 0:
+            raise ValueError("dimension and degree must be nonnegative")
         terms = {} if terms is None else terms
         if not isinstance(terms, Mapping):
             raise StructureError(f"terms must be a mapping, got {type(terms).__name__}")

@@ -117,6 +117,14 @@ def _dense(entries: SparseRow, n: int) -> Vector:
     return tuple(out)
 
 
+def _position(i, n: int) -> int:
+    """The row or column index ``i`` as a position in range(n), negative ones
+    counted from the end; an index that is not an int is a StructureError."""
+    if type(i) is not int:
+        raise StructureError(f"matrix indices must be integers, got {i!r}")
+    return range(n)[i]
+
+
 class RationalMatrix:
     """Matrix of exact rationals stored as sparse rows.
 
@@ -179,14 +187,13 @@ class RationalMatrix:
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        # indexing a range checks bounds and resolves negative indices
-        return self._rows[i].get(range(self.cols)[j], _ZERO)
+        return self._rows[_position(i, self.rows)].get(_position(j, self.cols), _ZERO)
 
     def row(self, i: int) -> Vector:
-        return _dense(self._rows[i], self.cols)
+        return _dense(self._rows[_position(i, self.rows)], self.cols)
 
     def column(self, j: int) -> Vector:
-        j = range(self.cols)[j]
+        j = _position(j, self.cols)
         return tuple(r.get(j, _ZERO) for r in self._rows)
 
     def to_rows(self) -> list[list[Fraction]]:

@@ -55,13 +55,6 @@ def algebra_from_dict(doc: Mapping) -> LieAlgebra:
     dim = doc["dim"]
     if not _is_int(dim) or dim < 1:
         raise StructureError(f"\"dim\" must be an integer >= 1, got {dim!r}")
-    names = doc.get("basis")
-    if names is not None:
-        if (not isinstance(names, list)
-                or not all(isinstance(s, str) for s in names)):
-            raise StructureError("\"basis\" must be a list of strings")
-        if len(names) != dim:
-            raise StructureError(f"\"basis\" has {len(names)} names, expected {dim}")
     brackets = {}
     raw = doc.get("brackets", [])
     if not isinstance(raw, list):
@@ -92,7 +85,7 @@ def algebra_from_dict(doc: Mapping) -> LieAlgebra:
             seen.add(k)
             vec[k - 1] = _exact(value)
         brackets[(i, j)] = vec
-    return LieAlgebra.from_brackets(dim, brackets, names=names)
+    return LieAlgebra.from_brackets(dim, brackets, names=doc.get("basis"))
 
 
 def algebra_to_dict(g: LieAlgebra) -> dict:
@@ -120,6 +113,8 @@ def parse_algebra(text: str) -> LieAlgebra:
     Raises StructureError on syntax or schema problems and JacobiError when
     the table fails the Jacobi identity.
     """
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise StructureError(f"expected a JSON document as text, got a {type(text).__name__}")
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:

@@ -44,7 +44,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .algebra import LieAlgebra, OneForm, derived_series, pullback_one_form
+from .algebra import LieAlgebra, OneForm, _memo, derived_series, pullback_one_form
 from .errors import (NonClosedFormError, NotSolvableError, NotTriangularizableError,
                      _require_types)
 from .exterior import _check_degree
@@ -81,14 +81,13 @@ class WeightData:
     # each weight's coefficients in the adapted dual basis, pulled back once
     # per instance so that ``r0_spectrum`` need not
     _adapted_weights: tuple = field(init=False, compare=False, repr=False)
-    # the OmegaSet of these weights once ``omega_set`` has computed it
-    _omega_memo: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        _require_types((self.adapted_change, RationalMatrix), (self.weights, tuple), (self.k, int))
+        _require_types(*((w, OneForm) for w in self.weights))
         to_adapted = self.adapted_change.transpose()
         object.__setattr__(self, "_adapted_weights",
                            tuple(to_adapted.apply(w.coeffs) for w in self.weights))
-        object.__setattr__(self, "_omega_memo", [])
 
     @property
     def dim(self) -> int:
@@ -244,13 +243,14 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
     NotTriangularizableError when some step meets a characteristic
     polynomial without a rational root. All tie-breaks are fixed (smallest
     eigenvalue first, first independent generator first), so the output is
-    deterministic. The result is computed once per algebra object and then
-    returned from its memo; a failure is not stored and is raised again on
-    every call.
+    deterministic. The result is computed once per algebra (``_memo``); a
+    failure is raised again on every call.
     """
     _require_types((g, LieAlgebra))
-    if g._weight_memo:
-        return g._weight_memo[0]
+    return _memo(g, "_weight_data", _flag)
+
+
+def _flag(g: LieAlgebra) -> WeightData:
     series = derived_series(g)
     if series[-1].dim != 0:
         raise NotSolvableError("adapted basis requires a solvable Lie algebra")
@@ -321,9 +321,7 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
     for w in weights:
         if any(w.evaluate(v) != 0 for v in der.basis):
             raise AssertionError("weights must vanish on the derived subalgebra")
-    # a racing call may have stored an equal result first; keep that one
-    g._weight_memo.append(WeightData(adapted_change=change, weights=tuple(weights), k=k))
-    return g._weight_memo[0]
+    return WeightData(adapted_change=change, weights=tuple(weights), k=k)
 
 
 def omega_set(data: WeightData) -> OmegaSet:
@@ -331,18 +329,18 @@ def omega_set(data: WeightData) -> OmegaSet:
 
     The zero form belongs to the set whenever some weight is zero, which for
     a solvable algebra is always the case (the closed block is nonempty).
-    The set is computed once per WeightData object and then returned from its
-    memo.
+    The set is computed once per WeightData object (``_memo``).
     """
     _require_types((data, WeightData))
-    if data._omega_memo:
-        return data._omega_memo[0]
+    return _memo(data, "_omega_set", _subset_sums)
+
+
+def _subset_sums(data: WeightData) -> OmegaSet:
     sums: set[OneForm] = set()
     # after j weights, sums holds the nonempty subset sums of the first j
     for w in data.weights:
         sums |= {s + w for s in sums} | {w}
-    data._omega_memo.append(OmegaSet(frozenset(sums)))
-    return data._omega_memo[0]
+    return OmegaSet(frozenset(sums))
 
 
 def _require_closed_weightwise(data: WeightData, omega: OneForm) -> Vector:

@@ -133,6 +133,7 @@ def test_construction_raises_on_jacobi_failure():
     (2, {(True, 2): (0, 1)}),         # nor is a bool
     (2, {(1, 2): "01"}),              # a string is not a coefficient sequence
     (2, {(1, 2): None}),              # nor is None
+    (2, {1: (0, 1)}),                 # a key that is not a pair
 ])
 def test_malformed_tables_are_structural_errors(dim, brackets):
     with pytest.raises(StructureError):
@@ -421,3 +422,5 @@ def test_basis_names_default_and_custom():
     assert LieAlgebra.from_brackets(2, {}).basis_names == ("e1", "e2")
     with pytest.raises(StructureError):
         LieAlgebra.from_brackets(2, {}, names=["x"])
+    # any iterable of strings names the basis, in order
+    assert LieAlgebra.from_brackets(2, {}, names=iter(("x", "y"))).basis_names == ("x", "y")

@@ -8,7 +8,8 @@ import pytest
 from liecohom import JacobiError, StructureError, parse_algebra
 from liecohom.cli import main
 from liecohom.linalg import _exact as parse_rational
-from liecohom.serialization import parse_one_form
+from liecohom.exterior import ExteriorForm
+from liecohom.serialization import format_form, parse_one_form
 
 HEISENBERG_DOC = {
     "dim": 3,
@@ -86,6 +87,34 @@ def test_parse_algebra_rejects_bad_documents():
         parse_algebra(json.dumps(bad_coeff))
     with pytest.raises(JacobiError):
         parse_algebra(json.dumps(BROKEN_DOC))
+    item = {"i": 1, "j": 2, "coeffs": {"2": "1"}}
+    for doc in ([1], {"dim": 2, "brackets": item},
+                *({"dim": 2, "brackets": [{k: v for k, v in item.items() if k != key}]}
+                  for key in item),
+                {"dim": 2, "brackets": [item, item]},
+                {"dim": 2, "brackets": [item | {"coeffs": ["1"]}]},
+                {"dim": 2, "brackets": [item | {"coeffs": {"3": "1"}}]}):
+        with pytest.raises(StructureError):
+            parse_algebra(json.dumps(doc))
+
+
+@pytest.mark.parametrize("basis", ["e1e2e3", ["e1", "e2"], ["e1", "e2", 3], {"a": 1, "b": 2, "c": 3}])
+def test_bad_basis_names_exit_1(tmp_path, capsys, basis):
+    doc = HEISENBERG_DOC | {"basis": basis}
+    with pytest.raises(StructureError):
+        parse_algebra(json.dumps(doc))
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_format_form_renders_each_kind_of_coefficient():
+    assert format_form(ExteriorForm(3, 2)) == "0"
+    assert format_form(ExteriorForm.scalar(3, "-5/2")) == "-5/2"
+    assert format_form(ExteriorForm(3, 2, {(1, 2): -1, (1, 3): "1/2", (2, 3): 1})) == (
+        "-e1^e2 + 1/2 e1^e3 + e2^e3")
+    assert format_form(ExteriorForm(3, 1, {(1,): "-1/2", (3,): 2})) == "-1/2 e1 + 2 e3"
 
 
 def test_validate_ok(heis_file, capsys):
@@ -214,7 +243,7 @@ def test_example_bad_parameter_exits_1(capsys):
     assert main(["example", "sol3", "--param", "k=0"]) == 1
 
 
-@pytest.mark.parametrize("param", ["n=1_0", "k=1e5000"])
+@pytest.mark.parametrize("param", ["n=1_0", "k=1e5000", "k"])
 def test_example_parameters_outside_the_grammar_exit_1(capsys, param):
     name = "abelian" if param.startswith("n=") else "sol3"
     assert main(["example", name, "--param", param]) == 1

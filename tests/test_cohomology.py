@@ -44,8 +44,10 @@ from liecohom import (
 from liecohom.algebra import _inner_diagonal, random_invertible
 from liecohom.cohomology import _cleared_walk, _components, _live_monomials
 from liecohom.exterior import _differential_tables, coords_to_form, form_basis, form_to_coords
-from liecohom.linalg import (RationalMatrix, in_image, invert, kernel_basis, rank, solve,
-                             unit_vector)
+from liecohom.linalg import (RationalMatrix, extend_independent, in_image, invert, kernel_basis,
+                             rank, solve, span_basis, unit_vector)
+from liecohom.serialization import parse_algebra
+from liecohom.weights import WeightData
 
 from conftest import (
     closed_grid,
@@ -316,6 +318,25 @@ OTHER_WRONG_CALLS = {
     "in_image-M=list": (in_image, [[[1]], [1]]),
     "invert-M=list": (invert, [[[1]]]),
     "solve-M=list": (solve, [[[1]], [[1]]]),
+    "bracket_basis-i=0": (SOL3_ENTRY.algebra.bracket_basis, [0, 1]),
+    "from_brackets-names=str": (LieAlgebra.from_brackets, [2, {}, "ab"]),
+    "from_brackets-names=bytes": (LieAlgebra.from_brackets, [2, {}, b"ab"]),
+    "from_brackets-names=int": (LieAlgebra.from_brackets, [2, {}, 2]),
+    "from_brackets-names=ints": (LieAlgebra.from_brackets, [2, {}, [1, 2]]),
+    "from_brackets-names=dict": (LieAlgebra.from_brackets, [2, {}, {"a": 1, "b": 2}]),
+    "getitem-i=True": (IDENTITY3.__getitem__, [(True, 0)]),
+    "getitem-j=True": (IDENTITY3.__getitem__, [(0, True)]),
+    "getitem-i=float": (IDENTITY3.__getitem__, [(0.5, 0)]),
+    "row-i=True": (IDENTITY3.row, [True]),
+    "row-i=float": (IDENTITY3.row, [1.0]),
+    "column-j=True": (IDENTITY3.column, [True]),
+    "column-j=float": (IDENTITY3.column, [1.0]),
+    "parse_algebra-text=None": (parse_algebra, [None]),
+    "parse_algebra-text=dict": (parse_algebra, [{"dim": 1}]),
+    "WeightData-adapted_change=None": (WeightData, [None, (), 0]),
+    "WeightData-weights=list": (WeightData, [identity(1), [OneForm((0,))], 0]),
+    "WeightData-weight=None": (WeightData, [identity(1), (None,), 0]),
+    "WeightData-k=str": (WeightData, [identity(1), (OneForm((0,)),), "0"]),
 }
 
 
@@ -338,6 +359,30 @@ def wrong_argument_calls():
 @pytest.mark.parametrize("call,args", wrong_argument_calls())
 def test_wrong_argument_types_raise_structure_error(call, args):
     with pytest.raises(StructureError):
+        call(*args)
+
+
+# arguments of the right types whose sizes do not fit together
+SHAPE_MISMATCHES = {
+    "change_basis-m=2x2": (change_basis, [SOL3_ENTRY.algebra, identity(2)]),
+    "betti_numbers-omega of length 2": (betti_numbers, [SOL3_ENTRY.algebra, OneForm((1, 0))]),
+    "ExteriorForm-dim=-1": (ExteriorForm, [-1, 0]),
+    "ExteriorForm-term of degree 1 in degree 2": (ExteriorForm, [3, 2, {(1,): 1}]),
+    "ExteriorForm-index 4 in dimension 3": (ExteriorForm, [3, 1, {(4,): 1}]),
+    "ExteriorForm-indices not increasing": (ExteriorForm, [3, 2, {(2, 1): 1}]),
+    "ExteriorForm-add degrees 1 and 2": (ExteriorForm.__add__, [e(3, 1), e(3, 1, 2)]),
+    "RationalMatrix-1 row of 2": (RationalMatrix, [2, 2, [[1, 2]]]),
+    "apply-vector of length 1": (IDENTITY3.apply, [(1,)]),
+    "invert-2x3": (invert, [RationalMatrix(2, 3)]),
+    "span_basis-vector of length 2 in 3": (span_basis, [[(1, 2)], 3]),
+    "extend_independent-vector of length 2 in 3": (extend_independent, [[], [(1, 2)], 3]),
+}
+
+
+@pytest.mark.parametrize("call,args", [pytest.param(call, args, id=label)
+                                       for label, (call, args) in SHAPE_MISMATCHES.items()])
+def test_mismatched_shapes_raise_value_error(call, args):
+    with pytest.raises(ValueError):
         call(*args)
 
 
