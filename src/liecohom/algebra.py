@@ -157,6 +157,8 @@ def _normalize_brackets(dim: int, brackets: Mapping) -> dict[tuple[int, int], Ve
     """
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise StructureError(f"dimension must be an integer >= 1, got {dim!r}")
+    if not isinstance(brackets, Mapping):
+        raise StructureError(f"brackets must be a mapping, got a {type(brackets).__name__}")
     table: dict[tuple[int, int], Vector] = {}
     for key, coeffs in brackets.items():
         try:

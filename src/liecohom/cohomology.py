@@ -24,6 +24,16 @@ unchanged. The kept free columns are the free monomials outside the cleared
 set, the greedy pick of the v_f modulo im d_(p-1): every relation is a
 representative, reproducible bit for bit.
 
+Primitives are relations led by xi. ``is_coboundary`` puts the row of D * xi
+(D the lcm of its denominators) ahead of the image rows of all degree p-1
+monomials in reverse lexicographic order, each with its unit entry past the
+t targets; xi is exact exactly when some relation leads at column t. A
+relation leads at source f exactly when d_w e^f depends on the rows of the
+monomials before f, so the free columns of the relations are the pivot
+columns of d_(p-1) in lexicographic order. Reduced, the relation led by xi is
+zero at every other relation pivot, and -S / (D * row[t]) times it is the
+minimal pivot preimage of xi, the one ``in_image`` gives on the lex matrix.
+
 Betti numbers split a direct sum first (Kunneth; Hochschild-Serre 1953).
 Join the indices i, j and m of every nonzero C_ij^m: each component then
 spans an ideal, since a bracket with an element of the component lands in
@@ -66,7 +76,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .algebra import LieAlgebra, OneForm, _inner_diagonal
 from .errors import _require_types
@@ -74,18 +84,16 @@ from .exterior import (
     ExteriorForm,
     _check_degree,
     _check_form,
-    _degree_matrix,
     _differential_tables,
     _image_rows,
-    coords_to_form,
     deformed_differential,
-    form_to_coords,
+    form_basis,
 )
-from .linalg import _echelon, _reduce, in_image
+from .linalg import _echelon, _reduce
 
 # unused here, kept importable because perfbench/tracer.py wraps these names
 from .exterior import differential_matrices  # noqa: F401
-from .linalg import kernel_basis, rank  # noqa: F401
+from .linalg import in_image, kernel_basis, rank  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -264,9 +272,9 @@ def is_coboundary(g: LieAlgebra, omega: OneForm, xi: ExteriorForm) -> ExteriorFo
     """A primitive eta with d_w(eta) = xi, or None when xi is not exact.
 
     The primitive is the minimal pivot solution, hence reproducible; only
-    degree p-1 is assembled, and above the top degree it is zero. The matrix
-    assembled is S * d_w, which has the same pivots, so its solution u gives
-    the primitive S * u.
+    degree p-1 is assembled, and above the top degree it is zero. It is read
+    off the relation led by D * xi, D the lcm of its denominators, among the
+    image rows S * d_w of the degree p-1 monomials (module docstring).
     """
     tables = _differential_tables(g, omega)
     _check_form(g, xi)
@@ -274,8 +282,22 @@ def is_coboundary(g: LieAlgebra, omega: OneForm, xi: ExteriorForm) -> ExteriorFo
     if p == 0:
         # nothing maps into degree 0, so no primitive ever exists
         return None
-    sol = in_image(_degree_matrix(g.dim, p - 1, tables), form_to_coords(xi))
-    return None if sol is None else coords_to_form(g.dim, p - 1, [tables[2] * x for x in sol])
+    sources, targets = form_basis(g.dim, p - 1)[::-1], form_basis(g.dim, p)
+    col_of, t = {idx: c for c, idx in enumerate(targets)}, len(targets)
+    d = lcm(*(c.denominator for c in xi.terms.values()))
+    rows = [{col_of[idx]: int(d * c) for idx, c in xi.terms.items()}]
+    rows += _image_rows(sources, targets, tables)
+    echelon, pivots = _echelon([row | {t + i: 1} for i, row in enumerate(rows)])
+    r = bisect_left(pivots, t)
+    if pivots[r:r + 1] != [t]:
+        # no relation involves xi: it is not exact
+        return None
+    relations = echelon[r:]
+    _reduce(relations, pivots[r:])
+    row = relations[0]
+    unscale = Fraction(-tables[2], d * row[t])
+    return ExteriorForm(g.dim, p - 1, {sources[j - t - 1]: unscale * row[j]
+                                       for j in sorted(row, reverse=True)[:-1]})
 
 
 def euler_characteristic(result: CohomologyResult) -> int:

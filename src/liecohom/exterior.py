@@ -11,8 +11,10 @@ plain part acts on generators by
 
 and extends by the graded Leibniz rule; it squares to zero exactly when the
 Jacobi identity holds. Closedness of w is a hard precondition because d_w
-fails to square to zero otherwise. Forms, matrices and solves all read d_w
-off ``_monomial_image``; ``ce_differential`` is d_w at w = 0.
+fails to square to zero otherwise. Forms, image rows and matrices all read
+d_w off ``_monomial_image``; ``ce_differential`` is d_w at w = 0. Every solve
+eliminates the image rows, and ``differential_matrices`` is the only
+lexicographic matrix built from them.
 
 The matrices of d_w are assembled in integer arithmetic. The algebra keeps
 its bracket table scaled by the lcm L of its denominators (``LieAlgebra``);
@@ -34,7 +36,7 @@ from math import lcm
 
 from .algebra import LieAlgebra, OneForm
 from .errors import NonClosedFormError, StructureError, _require_types
-from .linalg import RationalMatrix, Vector, _exact, _integer_rows, _nonzeros
+from .linalg import RationalMatrix, _exact, _integer_rows, _iterable, _nonzeros
 
 
 def sort_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
@@ -95,7 +97,8 @@ class ExteriorForm:
     @classmethod
     def basis(cls, dim: int, indices: Sequence[int]) -> "ExteriorForm":
         """The basis form e^{i_1} ^ ... ^ e^{i_p} for increasing indices."""
-        return cls(dim, len(indices), {tuple(indices): Fraction(1)})
+        idx = tuple(_iterable(indices, "indices"))
+        return cls(dim, len(idx), {idx: Fraction(1)})
 
     @classmethod
     def from_one_form(cls, omega: OneForm) -> "ExteriorForm":
@@ -106,7 +109,7 @@ class ExteriorForm:
         return not self.terms
 
     def coefficient(self, indices: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(indices), Fraction(0))
+        return self.terms.get(tuple(_iterable(indices, "indices")), Fraction(0))
 
     def __add__(self, other: "ExteriorForm") -> "ExteriorForm":
         if not isinstance(other, ExteriorForm):
@@ -217,18 +220,6 @@ def form_basis(n: int, p: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, n + 1), p))
 
 
-def form_to_coords(xi: ExteriorForm) -> Vector:
-    basis = form_basis(xi.dim, xi.degree)
-    return tuple(xi.terms.get(idx, Fraction(0)) for idx in basis)
-
-
-def coords_to_form(n: int, p: int, coords: Sequence) -> ExteriorForm:
-    basis = form_basis(n, p)
-    if len(coords) != len(basis):
-        raise ValueError("coordinate length does not match the graded dimension")
-    return ExteriorForm(n, p, dict(zip(basis, coords)))
-
-
 @dataclass(frozen=True)
 class DifferentialMatrices:
     """Degree-by-degree matrices of d_w in the lexicographic bases.
@@ -311,18 +302,13 @@ def _image_rows(sources: Sequence, targets: Sequence, tables) -> list[dict[int, 
             for idx in sources]
 
 
-def _degree_matrix(n: int, p: int, tables) -> RationalMatrix:
-    """S * d_w at degree p in the lexicographic bases, from its image rows."""
-    source, target = form_basis(n, p), form_basis(n, p + 1)
-    rows = _image_rows(source, target, tables)
-    return RationalMatrix._adopt(len(source), len(target), rows).transpose()
-
-
 def differential_matrices(g: LieAlgebra, omega: OneForm) -> DifferentialMatrices:
     """Materialize d_w on every degree; requires d omega = 0. Each matrix is
     the transpose of its degree's image rows divided by their scale S: no
     dense grid is ever built."""
     tables = _differential_tables(g, omega)
     unscale = Fraction(1, tables[2])
-    return DifferentialMatrices(g, omega, tuple(_degree_matrix(g.dim, p, tables).scale(unscale)
-                                                for p in range(g.dim)))
+    bases = [form_basis(g.dim, p) for p in range(g.dim + 1)]
+    return DifferentialMatrices(g, omega, tuple(
+        RationalMatrix._adopt(len(s), len(t), _image_rows(s, t, tables)).transpose().scale(unscale)
+        for s, t in zip(bases, bases[1:])))

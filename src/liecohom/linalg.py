@@ -85,12 +85,22 @@ def _exact(x) -> Fraction:
     raise StructureError(f"not a rational literal: {x!r}")
 
 
+def _iterable(values, what: str) -> Iterable:
+    """``values``, unless it is a string, bytes or not iterable: a StructureError."""
+    if isinstance(values, (str, bytes, bytearray)) or not hasattr(values, "__iter__"):
+        raise StructureError(f"expected a sequence of {what}, got a {type(values).__name__}")
+    return values
+
+
 def vector(values: Iterable) -> Vector:
     """Coerce an iterable of rationals (ints, strings, Fractions) to a Vector;
     a string or bytes value, or one that is not iterable, is a StructureError."""
-    if isinstance(values, (str, bytes, bytearray)) or not hasattr(values, "__iter__"):
-        raise StructureError(f"expected a sequence of coefficients, got a {type(values).__name__}")
-    return tuple(v if type(v) is Fraction else _exact(v) for v in values)
+    return tuple(v if type(v) is Fraction else _exact(v) for v in _iterable(values, "coefficients"))
+
+
+def _vectors(values: Iterable) -> list[Vector]:
+    """``vector`` of each item of an iterable, checked the same way."""
+    return [vector(v) for v in _iterable(values, "vectors")]
 
 
 def zero_vector(n: int) -> Vector:
@@ -145,11 +155,11 @@ class RationalMatrix:
         if entries is None:
             data = [{} for _ in range(rows)]
         else:
+            entries = _vectors(entries)
             if len(entries) != rows:
                 raise ValueError(f"expected {rows} rows, got {len(entries)}")
             data = []
             for r in entries:
-                r = vector(r)
                 if len(r) != cols:
                     raise ValueError(f"expected {cols} columns, got {len(r)}")
                 data.append(_nonzeros(r))
@@ -167,17 +177,16 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, entries: Sequence[Sequence]) -> "RationalMatrix":
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        return cls(rows, cols, entries)
+        entries = _vectors(entries)
+        return cls(len(entries), len(entries[0]) if entries else 0, entries)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "RationalMatrix":
+        columns = _vectors(columns)
         cols = len(columns)
         rows = len(columns[0]) if cols else 0
         data: list[SparseRow] = [{} for _ in range(rows)]
         for j, c in enumerate(columns):
-            c = vector(c)
             if len(c) != rows:
                 raise ValueError(f"expected columns of length {rows}, got {len(c)}")
             for i, x in enumerate(c):
@@ -186,6 +195,8 @@ class RationalMatrix:
         return cls._adopt(rows, cols, data)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
+        if type(key) is not tuple or len(key) != 2:
+            raise StructureError(f"a matrix entry is indexed by a pair (i, j), got {key!r}")
         i, j = key
         return self._rows[_position(i, self.rows)].get(_position(j, self.cols), _ZERO)
 
@@ -420,7 +431,7 @@ def span_basis(vectors: Iterable[Sequence], ambient: int) -> list[Vector]:
     Canonical means two spanning sets of the same subspace produce the same
     output, which makes subspace equality a plain list comparison.
     """
-    rows = [vector(v) for v in vectors]
+    rows = _vectors(vectors)
     if any(len(r) != ambient for r in rows):
         raise ValueError("vector length does not match ambient dimension")
     echelon, pivots = _echelon(_integer_rows(map(_nonzeros, rows)))
@@ -439,8 +450,8 @@ def extend_independent(base: Sequence[Sequence], candidates: Iterable[Sequence],
     sequential scan would keep. The returned vectors are the candidates
     themselves (not canonicalized), in scan order.
     """
-    cands = [vector(v) for v in candidates]
-    columns = [vector(v) for v in base] + cands
+    cands = _vectors(candidates)
+    columns = _vectors(base) + cands
     if any(len(v) != ambient for v in columns):
         raise ValueError("vector length does not match ambient dimension")
     rows = _augment(RationalMatrix(ambient, 0), map(_nonzeros, columns))

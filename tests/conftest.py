@@ -80,6 +80,19 @@ def closed_grid(g, lo=-2, hi=2):
     return forms
 
 
+def form_to_coords(xi):
+    """The coordinates of a form in the lexicographic basis of its degree."""
+    return tuple(xi.terms.get(idx, Fraction(0)) for idx in form_basis(xi.dim, xi.degree))
+
+
+def coords_to_form(n, p, coords):
+    """The degree-p form with the given lexicographic coordinates."""
+    basis = form_basis(n, p)
+    if len(coords) != len(basis):
+        raise ValueError("coordinate length does not match the graded dimension")
+    return ExteriorForm(n, p, dict(zip(basis, coords)))
+
+
 def diag(n):
     # [e1, ej] = (j - 1) ej: solvable, not unimodular, closed forms only along e^1
     return LieAlgebra.from_brackets(n, {

@@ -33,11 +33,10 @@ from liecohom import (
     weight_sum_check,
 )
 from liecohom.algebra import random_invertible
-from liecohom.exterior import form_to_coords
 from liecohom.linalg import RationalMatrix, rank
 from liecohom.weights import Vanishing
 
-from conftest import matrix_product, unchecked_algebra
+from conftest import form_to_coords, matrix_product, unchecked_algebra
 
 
 def _report(num: int, description: str, passed: bool) -> None:

@@ -15,6 +15,7 @@ from liecohom import (
     NonClosedFormError,
     OneForm,
     StructureError,
+    Subspace,
     adapted_basis,
     betti_numbers,
     ce_differential,
@@ -37,13 +38,14 @@ from liecohom import (
     r0_spectrum,
     representatives,
     scan_line,
+    validate_lie_algebra,
     vanishing_predicate,
     wedge,
     weight_sum_check,
 )
 from liecohom.algebra import _inner_diagonal, random_invertible
 from liecohom.cohomology import _cleared_walk, _components, _live_monomials
-from liecohom.exterior import _differential_tables, coords_to_form, form_basis, form_to_coords
+from liecohom.exterior import _differential_tables, form_basis
 from liecohom.linalg import (RationalMatrix, extend_independent, in_image, invert, kernel_basis,
                              rank, solve, span_basis, unit_vector)
 from liecohom.serialization import parse_algebra
@@ -51,7 +53,9 @@ from liecohom.weights import WeightData
 
 from conftest import (
     closed_grid,
+    coords_to_form,
     diag,
+    form_to_coords,
     heisenberg5,
     identity,
     k2,
@@ -212,23 +216,43 @@ def test_coboundary_roundtrip_random(heisenberg3, sol3):
             assert deformed_differential(g, omega, primitive) == xi
 
 
-@pytest.mark.parametrize("omega", rational_forms())
-def test_coboundary_is_the_minimal_pivot_preimage(omega):
+def coboundary_cases():
+    """``RATIONAL`` at ``rational_forms``; h_5 and diag 5 in a random basis; a
+    twisted center; sol3(7/3) + Q^2 in its given basis at a critical form."""
+    for i, omega in enumerate(rational_forms()):
+        yield pytest.param(RATIONAL, omega, id=f"omega{i}")
+    m = random_invertible(5, random.Random(1))
+    for name, g, omega in (("h5", heisenberg5(), one_form(1, 0, 0, 0, 0)),
+                           ("diag5", diag(5), one_form(3, 0, 0, 0, 0))):
+        h = change_basis(g, m)
+        yield pytest.param(h, OneForm.zero(5), id=f"{name}-rebased-zero")
+        yield pytest.param(h, pullback_one_form(omega, m), id=f"{name}-rebased-twisted")
+    yield pytest.param(LieAlgebra.from_brackets(4, {}), one_form(0, 0, 0, 1), id="abelian4-e4")
+    k = Fraction(7, 3)
+    plane = LieAlgebra.from_brackets(5, {(1, 2): (0, k, 0, 0, 0), (1, 3): (0, 0, -k, 0, 0)})
+    yield pytest.param(plane, one_form(k, 0, 0, 0, 0), id="sol3+Q2-critical")
+
+
+@pytest.mark.parametrize("g,omega", coboundary_cases())
+def test_coboundary_is_the_minimal_pivot_preimage(g, omega):
     rng = random.Random(5)
-    mats = differential_matrices(RATIONAL, omega)
-    for p in range(1, RATIONAL.dim + 1):
-        for exact in (True, False):
-            if exact:
-                eta = ExteriorForm(5, p - 1, {idx: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                                              for idx in form_basis(5, p - 1)})
-                xi = deformed_differential(RATIONAL, omega, eta)
+    n, mats = g.dim, differential_matrices(g, omega)
+    # up to one degree above the top, where every form is zero
+    for p in range(1, n + 2):
+        for kind in ("exact", "inexact", "zero"):
+            if kind == "exact":
+                eta = ExteriorForm(n, p - 1, {idx: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                              for idx in form_basis(n, p - 1)})
+                xi = deformed_differential(g, omega, eta)
+            elif kind == "inexact":
+                xi = ExteriorForm(n, p, {idx: Fraction(rng.randint(-3, 3))
+                                         for idx in form_basis(n, p)})
             else:
-                xi = ExteriorForm(5, p, {idx: Fraction(rng.randint(-3, 3))
-                                         for idx in form_basis(5, p)})
+                xi = ExteriorForm.zero(n, p)
             sol = in_image(mats.matrix(p - 1), form_to_coords(xi))
-            expected = None if sol is None else coords_to_form(5, p - 1, sol)
-            assert is_coboundary(RATIONAL, omega, xi) == expected
-            if exact:
+            expected = None if sol is None else coords_to_form(n, p - 1, sol)
+            assert is_coboundary(g, omega, xi) == expected
+            if kind != "inexact":
                 assert expected is not None
 
 
@@ -337,6 +361,19 @@ OTHER_WRONG_CALLS = {
     "WeightData-weights=list": (WeightData, [identity(1), [OneForm((0,))], 0]),
     "WeightData-weight=None": (WeightData, [identity(1), (None,), 0]),
     "WeightData-k=str": (WeightData, [identity(1), (OneForm((0,)),), "0"]),
+    "getitem-key=int": (IDENTITY3.__getitem__, [0]),
+    "getitem-key=triple": (IDENTITY3.__getitem__, [(0, 0, 0)]),
+    "from_rows-entries=None": (RationalMatrix.from_rows, [None]),
+    "from_columns-columns=None": (RationalMatrix.from_columns, [None]),
+    "RationalMatrix-entries=int": (RationalMatrix, [2, 2, 5]),
+    "coefficient-indices=None": (ExteriorForm(3, 1).coefficient, [None]),
+    "coefficient-indices=int": (ExteriorForm(3, 1).coefficient, [5]),
+    "from_brackets-brackets=None": (LieAlgebra.from_brackets, [3, None]),
+    "validate_lie_algebra-brackets=None": (validate_lie_algebra, [3, None]),
+    "from_brackets-brackets=list": (LieAlgebra.from_brackets, [3, [((1, 2), (0, 0, 1))]]),
+    "basis-indices=None": (ExteriorForm.basis, [3, None]),
+    "basis-indices=int": (ExteriorForm.basis, [3, 5]),
+    "Subspace.span-vectors=None": (Subspace.span, [3, None]),
 }
 
 

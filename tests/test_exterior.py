@@ -20,10 +20,12 @@ from liecohom import (
     wedge,
 )
 from liecohom.algebra import random_invertible
-from liecohom.exterior import coords_to_form, form_basis, form_to_coords, sort_sign
+from liecohom.exterior import form_basis, sort_sign
 
 from conftest import (
+    coords_to_form,
     diag,
+    form_to_coords,
     heisenberg5,
     matrix_product,
     one_form,

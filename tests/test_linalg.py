@@ -23,7 +23,7 @@ from liecohom.linalg import (
     zero_vector,
 )
 
-from conftest import identity, loop_reduce, matrix_product, sequential_extend
+from conftest import coords_to_form, identity, loop_reduce, matrix_product, sequential_extend
 
 
 def naive_rank(m: RationalMatrix) -> int:
@@ -334,7 +334,6 @@ def test_sparse_matrix_matches_the_list_oracle(m, data):
 def test_floats_and_bools_are_refused():
     from liecohom import (ExteriorForm, LieAlgebra, OneForm, StructureError, load_example,
                           novikov_report)
-    from liecohom.exterior import coords_to_form
     from liecohom.linalg import vector
 
     sol3 = load_example("sol3", k=1).algebra
