@@ -30,10 +30,10 @@ from .linalg import (
     _exact,
     _integer_rows,
     _kernel,
-    _solve,
     in_image,
     kernel_basis,
     rank,
+    solve,
     span_basis,
     unit_vector,
     vector,
@@ -436,8 +436,8 @@ def change_basis(g: LieAlgebra, m: RationalMatrix) -> LieAlgebra:
     if (m.rows, m.cols) != (n, n):
         raise ValueError(f"change of basis must be {n}x{n}")
     pairs = list(combinations(range(n), 2))
-    solved = _solve(m, [unit_vector(n, j) for j in range(n)]
-                   + [g.bracket(m.column(a), m.column(b)) for a, b in pairs])
+    solved = solve(m, [unit_vector(n, j) for j in range(n)]
+                  + [g.bracket(m.column(a), m.column(b)) for a, b in pairs])
     if solved is None:
         raise ValueError("singular matrix")
     brackets = {(a + 1, b + 1): v for (a, b), v in zip(pairs, solved[n:])

@@ -72,19 +72,23 @@ class ExteriorForm:
         self.degree = degree
         clean: dict[tuple[int, ...], Fraction] = {}
         for idx, c in terms.items():
-            if type(idx) is not tuple or any(type(i) is not int for i in idx):
-                raise StructureError(f"index tuple {idx!r} must be a tuple of integers")
+            self._check_index(idx)
             c = c if type(c) is Fraction else _exact(c)
-            if c == 0:
-                continue
-            if len(idx) != degree:
-                raise ValueError(f"index tuple {idx} does not match degree {degree}")
-            if any(not 1 <= i <= dim for i in idx):
-                raise ValueError(f"index out of range in {idx}")
-            if any(a >= b for a, b in zip(idx, idx[1:])):
-                raise ValueError(f"index tuple {idx} is not strictly increasing")
-            clean[idx] = c
+            if c != 0:
+                clean[idx] = c
         self.terms = clean
+
+    def _check_index(self, idx) -> None:
+        """A StructureError unless ``idx`` is a tuple of ints; a ValueError
+        unless it is a strictly increasing ``degree``-tuple in 1..dim."""
+        if type(idx) is not tuple or any(type(i) is not int for i in idx):
+            raise StructureError(f"index tuple {idx!r} must be a tuple of integers")
+        if len(idx) != self.degree:
+            raise ValueError(f"index tuple {idx} does not match degree {self.degree}")
+        if any(not 1 <= i <= self.dim for i in idx):
+            raise ValueError(f"index out of range in {idx}")
+        if any(a >= b for a, b in zip(idx, idx[1:])):
+            raise ValueError(f"index tuple {idx} is not strictly increasing")
 
     @classmethod
     def zero(cls, dim: int, degree: int) -> "ExteriorForm":
@@ -109,7 +113,9 @@ class ExteriorForm:
         return not self.terms
 
     def coefficient(self, indices: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(_iterable(indices, "indices")), Fraction(0))
+        idx = tuple(_iterable(indices, "indices"))
+        self._check_index(idx)
+        return self.terms.get(idx, Fraction(0))
 
     def __add__(self, other: "ExteriorForm") -> "ExteriorForm":
         if not isinstance(other, ExteriorForm):

@@ -9,14 +9,16 @@ stores sparse rows, one ``{column: Fraction}`` map of the nonzero entries
 per row, and the elimination reads those rows directly, so the cost of a
 matrix follows its nonzeros rather than its shape.
 
-Rank, kernels, linear solves against many right-hand sides at once (a
-single preimage and an inverse are such solves), canonical span bases and
-greedy span extension all go through one fraction-free elimination on
-sparse integer rows, ``_echelon``: each row is a ``{column: int}`` map, a
-row with no entry in the pivot column is left untouched, and every updated
-row is divided by its content. Each row then stays the primitive multiple
-of the row Bareiss elimination would hold, so intermediate entries are
-bounded by minors of the input instead of letting numerators explode.
+Rank, kernels, linear solves against many right-hand sides at once,
+canonical span bases and greedy span extension all go through one
+fraction-free elimination on sparse integer rows, ``_echelon``: each row is
+a ``{column: int}`` map, a row with no entry in the pivot column is left
+untouched, and every updated row is divided by its content. Each row then
+stays the primitive multiple of the row Bareiss elimination would hold, so
+intermediate entries are bounded by minors of the input instead of letting
+numerators explode. ``solve`` is the one solve: a single preimage
+(``in_image``), an inverse (``invert``), a change of basis and the weights
+of the adapted basis all call it, and it coerces the targets once.
 
 The public functions clear each rational row's denominators first
 (``_integer_rows``). The cohomology path does not need to: the exterior
@@ -32,10 +34,10 @@ extension, bit for bit.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from typing import Iterable, Sequence
 
 from .errors import StructureError, _require_types
 
@@ -86,15 +88,16 @@ def _exact(x) -> Fraction:
 
 
 def _iterable(values, what: str) -> Iterable:
-    """``values``, unless it is a string, bytes or not iterable: a StructureError."""
-    if isinstance(values, (str, bytes, bytearray)) or not hasattr(values, "__iter__"):
+    """``values``, unless it is a string, bytes, a mapping (whose iteration
+    yields only its keys) or not iterable: a StructureError."""
+    if isinstance(values, (str, bytes, bytearray, Mapping)) or not hasattr(values, "__iter__"):
         raise StructureError(f"expected a sequence of {what}, got a {type(values).__name__}")
     return values
 
 
 def vector(values: Iterable) -> Vector:
     """Coerce an iterable of rationals (ints, strings, Fractions) to a Vector;
-    a string or bytes value, or one that is not iterable, is a StructureError."""
+    a value that ``_iterable`` refuses is a StructureError."""
     return tuple(v if type(v) is Fraction else _exact(v) for v in _iterable(values, "coefficients"))
 
 
@@ -219,13 +222,9 @@ class RationalMatrix:
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix-vector product."""
+        v = vector(v)
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        return self._apply(vector(v))
-
-    def _apply(self, v: Sequence[Fraction]) -> Vector:
-        """``apply`` to Fractions the package built, ``cols`` of them; nothing
-        is checked or coerced."""
         return tuple(sum((x * v[j] for j, x in r.items()), _ZERO) for r in self._rows)
 
     def scale(self, c) -> "RationalMatrix":
@@ -386,12 +385,7 @@ def solve(M: RationalMatrix, targets: Sequence[Sequence]) -> list[Vector] | None
     are pinned to zero, which makes the choice deterministic.
     """
     _require_types((M, RationalMatrix))
-    return _solve(M, [vector(t) for t in targets])
-
-
-def _solve(M: RationalMatrix, targets: list[Sequence[Fraction]]) -> list[Vector] | None:
-    """``solve`` for targets of Fractions the package built; they are not
-    coerced again."""
+    targets = _vectors(targets)
     if any(len(t) != M.rows for t in targets):
         raise ValueError("target length does not match row count")
     if not targets:
@@ -419,7 +413,7 @@ def invert(M: RationalMatrix) -> RationalMatrix:
     _require_types((M, RationalMatrix))
     if M.rows != M.cols:
         raise ValueError("only square matrices can be inverted")
-    columns = _solve(M, [unit_vector(M.rows, j) for j in range(M.rows)])
+    columns = solve(M, [unit_vector(M.rows, j) for j in range(M.rows)])
     if columns is None:
         raise ValueError("singular matrix")
     return RationalMatrix.from_columns(columns)

@@ -10,20 +10,23 @@ whole algebra. Every subspace that contains [g, g] is an ideal, so the
 actions can be taken in any fixed order: first [g, g], which acts
 nilpotently (Lie's theorem) and so has one joint kernel as its common
 eigenspace, then the k vectors of a complement of [g, g], one at a time.
-Only those k need eigenvalues. The actions on [g, g] are read off the
-brackets with no solve: in the reduced echelon basis of [g, g] a vector's
-coordinates are its entries at the pivots. The step that finds the
-eigenvector v deflates them by one elimination step, row_i -= (v_i / v_s)
-row_s with row and column s dropped, for the last nonzero coordinate s of v:
-a greedy pick of unit vectors modulo the enlarged flag keeps every other
-coordinate, as v puts e_s, and no other, in the span of those before it.
-An action on an
-invariant subspace of a quotient of [g, g] has a characteristic polynomial
-dividing the one on [g, g], so one characteristic polynomial per complement
-element on [g, g] holds every eigenvalue a step can meet. Those eigenvalues
-are the integer roots of the characteristic polynomial of the action scaled
-by the lcm D of its denominators, divided by D; Sturm sequences isolate them
-exactly, at a cost polynomial in the bit size of the coefficients.
+Only those k need eigenvalues. A candidate is tested by one elimination of
+an integer echelon of the joint eigenspace found so far plus the candidate's
+shifted rows: rank below the quotient's dimension means it leaves a nonzero
+joint kernel, and that echelon is the one the next action is tested on. The
+actions on [g, g] are read off the brackets with no solve: in the reduced
+echelon basis of [g, g] a vector's coordinates are its entries at the
+pivots. The step that finds the eigenvector v deflates them by one
+elimination step, row_i -= (v_i / v_s) row_s with row and column s dropped,
+for the last nonzero coordinate s of v: a greedy pick of unit vectors modulo
+the enlarged flag keeps every other coordinate, as v puts e_s, and no other,
+in the span of those before it. An action on an invariant subspace of a
+quotient of [g, g] has a characteristic polynomial dividing the one on
+[g, g], so one characteristic polynomial per complement element on [g, g]
+holds every eigenvalue a step can meet. Those eigenvalues are the integer
+roots of the characteristic polynomial of the action scaled by the lcm D of
+its denominators, divided by D; Sturm sequences isolate them exactly, at a
+cost polynomial in the bit size of the coefficients.
 
 The recorded weight alpha_i is the coefficient form of the dual relation
 
@@ -51,11 +54,13 @@ from .exterior import _check_degree
 from .linalg import (
     RationalMatrix,
     Vector,
+    _echelon,
+    _integer_rows,
     _nonzeros,
-    _solve,
     extend_independent,
     kernel_basis,
     rank,
+    solve,
     span_basis,
     unit_vector,
 )
@@ -121,8 +126,8 @@ def _plus_diagonal(rows: list[dict], c) -> list[dict]:
             for i, r in enumerate(rows)]
 
 
-def _eigenvalues(a: RationalMatrix) -> list[Fraction]:
-    """Distinct rational eigenvalues of a square matrix, ascending.
+def _eigenvalues(a: list[dict]) -> list[Fraction]:
+    """Distinct rational eigenvalues of a square matrix's sparse rows, ascending.
 
     B = D a is an integer matrix for the lcm D of the denominators. The trace
     recursion M_k = B M_(k-1) + c_(m-k+1) I, c_(m-k) = -tr(B M_k) / k gives
@@ -130,10 +135,10 @@ def _eigenvalues(a: RationalMatrix) -> list[Fraction]:
     sparse int rows; it is monic over Z, so each division by k is exact and
     every rational eigenvalue of ``a`` is an integer root of it divided by D.
     """
-    if not a.rows:
+    if not a:
         return []
-    scale = lcm(*(x.denominator for r in a._rows for x in r.values()))
-    b = [{j: x.numerator * (scale // x.denominator) for j, x in r.items()} for r in a._rows]
+    scale = lcm(*(x.denominator for r in a for x in r.values()))
+    b = [{j: x.numerator * (scale // x.denominator) for j, x in r.items()} for r in a]
     poly, prod = [1], [{} for _ in b]
     for k in range(1, len(b) + 1):
         mk, prod = _plus_diagonal(prod, poly[-1]), []
@@ -225,15 +230,15 @@ def _integer_roots(g: list[int]) -> list[int]:
     return roots
 
 
-def _deflate(action: RationalMatrix, v: Vector, s: int) -> RationalMatrix:
-    """The action modulo its eigenvector ``v``, on the coordinates less
-    ``s``: row_i -= (v_i / v_s) row_s, then row and column s go."""
-    pivot, rows = action._rows[s], []
-    for i, r in enumerate(action._rows):
+def _deflate(action: list[dict], v: Vector, s: int) -> list[dict]:
+    """The action's rows modulo its eigenvector ``v``, on the coordinates
+    less ``s``: row_i -= (v_i / v_s) row_s, then row and column s go."""
+    pivot, rows = action[s], []
+    for i, r in enumerate(action):
         r = r | {j: r.get(j, 0) - v[i] / v[s] * x for j, x in pivot.items()}
         rows.append({j - (j > s): x for j, x in r.items() if x and j != s})
     del rows[s]
-    return RationalMatrix._adopt(len(rows), len(rows), rows)
+    return rows
 
 
 def adapted_basis(g: LieAlgebra) -> WeightData:
@@ -256,7 +261,7 @@ def _flag(g: LieAlgebra) -> WeightData:
         raise NotSolvableError("adapted basis requires a solvable Lie algebra")
     n = g.dim
     der = series[1]
-    d, k = der.dim, n - der.dim
+    k = n - der.dim
     complement = extend_independent(der.basis, [unit_vector(n, j) for j in range(n)], n)
     acting = complement + list(der.basis)
     # ad(x) on [g, g] in der.basis coordinates, for every acting x: row r
@@ -265,8 +270,7 @@ def _flag(g: LieAlgebra) -> WeightData:
     actions = []
     for x in acting:
         images = [g.bracket(x, b) for b in der.basis]
-        actions.append(RationalMatrix._adopt(d, d, [_nonzeros([y[p] for y in images])
-                                                    for p in pivots]))
+        actions.append([_nonzeros([y[p] for y in images]) for p in pivots])
     # every rational eigenvalue a flag step can meet (see the module docstring)
     candidates = [_eigenvalues(a) for a in actions[:k]]
     # the der.basis vectors whose images are the basis of the quotient of
@@ -278,28 +282,29 @@ def _flag(g: LieAlgebra) -> WeightData:
     while quot:
         q_dim = len(quot)
         # [g, g] acts nilpotently on a solvable algebra (Lie's theorem), so its
-        # common eigenspace is the joint kernel of the actions of der.basis.
-        # The action is linear in the acting element, so every basis of [g, g]
-        # stacks to the same row space and this canonical kernel. Each joint
-        # eigenspace found is invariant under every action, so the smallest
-        # candidate that leaves a nonzero joint kernel is the smallest
-        # rational eigenvalue of the next action restricted to it.
-        stack = [r for action in actions[k:] for r in action._rows]
+        # common eigenspace is the joint kernel of the actions of der.basis
+        # (of any basis: the action is linear in the acting element); ``cut``
+        # is an integer echelon of rows with that kernel. Each joint eigenspace
+        # is invariant under every action, so the smallest candidate whose
+        # shifted rows, eliminated once with ``cut``, give rank below q_dim (a
+        # nonzero joint kernel) is the smallest rational eigenvalue of the next
+        # action on it, and that echelon is the new ``cut``.
+        cut, _ = _echelon(_integer_rows(r for action in actions[k:] for r in action))
         lams = [Fraction(0)] * n
         for i in reversed(range(k)):
             for lam in candidates[i]:
-                shifted = _plus_diagonal(actions[i]._rows, -lam)
-                if kernel_basis(RationalMatrix._adopt(len(stack) + q_dim, q_dim, stack + shifted)):
-                    stack += shifted
-                    lams[i] = lam
+                echelon, leads = _echelon(cut + _integer_rows(_plus_diagonal(actions[i], -lam)))
+                if len(leads) < q_dim:
+                    cut, lams[i] = echelon, lam
                     break
             else:
                 raise NotTriangularizableError(
                     "adjoint action has no rational eigenvalue on the current "
                     "invariant subspace; the algebra is not rationally "
                     "triangularizable")
-        vq = span_basis(kernel_basis(RationalMatrix._adopt(len(stack), q_dim, stack)), q_dim)[0]
-        if any(a._apply(vq) != tuple(lam * c for c in vq) for a, lam in zip(actions, lams)):
+        vq = span_basis(kernel_basis(RationalMatrix._adopt(len(cut), q_dim, cut)), q_dim)[0]
+        if any(sum(x * vq[j] for j, x in r.items()) for a, lam in zip(actions, lams)
+               for r in _plus_diagonal(a, -lam)):
             raise AssertionError("flag vector is not a joint eigenvector")
         adjoint_funcs.append(lams)
         flag.append(tuple(sum(c * x for c, x in zip(vq, col)) for col in zip(*quot)))
@@ -315,8 +320,8 @@ def _flag(g: LieAlgebra) -> WeightData:
         raise AssertionError("adapted basis vectors are not independent")
     # dual-basis orientation: weight w is the negated adjoint eigenvalue
     # functional f, so <w, x> = -f(x) for every x in ``acting``: one solve
-    carried = _solve(RationalMatrix._adopt(n, n, list(map(_nonzeros, acting))),
-                     [[-c for c in func] for func in reversed(adjoint_funcs)])
+    carried = solve(RationalMatrix._adopt(n, n, list(map(_nonzeros, acting))),
+                    [[-c for c in func] for func in reversed(adjoint_funcs)])
     weights = [OneForm.zero(n)] * k + [OneForm(w) for w in carried]
     for w in weights:
         if any(w.evaluate(v) != 0 for v in der.basis):

@@ -374,6 +374,14 @@ OTHER_WRONG_CALLS = {
     "basis-indices=None": (ExteriorForm.basis, [3, None]),
     "basis-indices=int": (ExteriorForm.basis, [3, 5]),
     "Subspace.span-vectors=None": (Subspace.span, [3, None]),
+    # a mapping iterates over its keys only
+    "RationalMatrix-entries=dict": (RationalMatrix, [1, 2, {(1, 2): 0}]),
+    "from_rows-entries=dict": (RationalMatrix.from_rows, [{(3, 4): 1}]),
+    "span_basis-vectors=dict": (span_basis, [{(1, 0): "x"}, 2]),
+    "OneForm-coeffs=dict": (OneForm, [{1: 2, 3: 4}]),
+    "basis-indices=dict": (ExteriorForm.basis, [3, {1: 0, 2: 0}]),
+    "coefficient-index=float": (ExteriorForm(3, 1, {(2,): 1}).coefficient, [(2.0,)]),
+    "coefficient-index=True": (ExteriorForm(3, 1, {(1,): 1}).coefficient, [(True,)]),
 }
 
 
@@ -407,6 +415,10 @@ SHAPE_MISMATCHES = {
     "ExteriorForm-term of degree 1 in degree 2": (ExteriorForm, [3, 2, {(1,): 1}]),
     "ExteriorForm-index 4 in dimension 3": (ExteriorForm, [3, 1, {(4,): 1}]),
     "ExteriorForm-indices not increasing": (ExteriorForm, [3, 2, {(2, 1): 1}]),
+    "ExteriorForm-index 7 in dimension 3 at coefficient 0": (ExteriorForm, [3, 1, {(7,): 0}]),
+    "coefficient-index 7 in dimension 3": (e(3, 1).coefficient, [(7,)]),
+    "coefficient-degree 2 on a form of degree 1": (e(3, 1).coefficient, [(1, 2)]),
+    "coefficient-indices not increasing": (e(3, 1, 2).coefficient, [(2, 1)]),
     "ExteriorForm-add degrees 1 and 2": (ExteriorForm.__add__, [e(3, 1), e(3, 1, 2)]),
     "RationalMatrix-1 row of 2": (RationalMatrix, [2, 2, [[1, 2]]]),
     "apply-vector of length 1": (IDENTITY3.apply, [(1,)]),

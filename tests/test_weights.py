@@ -65,18 +65,18 @@ def companion(coeffs):
 def test_char_poly_and_rational_roots():
     a = RationalMatrix.from_rows([[1, 0], [0, -1]])
     assert char_poly(a) == [Fraction(-1), Fraction(0), Fraction(1)]
-    assert _eigenvalues(a) == [Fraction(-1), Fraction(1)]
+    assert _eigenvalues(a._rows) == [Fraction(-1), Fraction(1)]
 
     rot = RationalMatrix.from_rows([[0, 1], [-1, 0]])
     assert char_poly(rot) == [Fraction(1), Fraction(0), Fraction(1)]
-    assert _eigenvalues(rot) == []
+    assert _eigenvalues(rot._rows) == []
 
     # x^3 - x^2: roots 0 and 1
-    assert _eigenvalues(companion([0, 0, -1, 1])) == [Fraction(0), Fraction(1)]
+    assert _eigenvalues(companion([0, 0, -1, 1])._rows) == [Fraction(0), Fraction(1)]
     # 2x^2 - 3x + 1: roots 1/2 and 1
-    assert _eigenvalues(companion([1, -3, 2])) == [Fraction(1, 2), Fraction(1)]
+    assert _eigenvalues(companion([1, -3, 2])._rows) == [Fraction(1, 2), Fraction(1)]
     # x^2 - 2 has no rational roots
-    assert _eigenvalues(companion([-2, 0, 1])) == []
+    assert _eigenvalues(companion([-2, 0, 1])._rows) == []
 
 
 def _times(p, q):
@@ -113,7 +113,7 @@ def test_rational_roots_match_the_divisor_oracle(factors, lead):
     for factor, multiplicity in factors:
         for _ in range(multiplicity):
             poly = _times(poly, factor)
-    assert _eigenvalues(companion(poly)) == divisor_rational_roots(poly)
+    assert _eigenvalues(companion(poly)._rows) == divisor_rational_roots(poly)
 
 
 @st.composite
@@ -141,7 +141,7 @@ def known_spectra(draw):
 @given(known_spectra())
 def test_eigenvalues_of_conjugated_triangular_matrices(case):
     m, diagonal = case
-    assert _eigenvalues(m) == sorted(set(diagonal)) == divisor_rational_roots(char_poly(m))
+    assert _eigenvalues(m._rows) == sorted(set(diagonal)) == divisor_rational_roots(char_poly(m))
 
 
 def test_derived_algebra_acts_nilpotently(heisenberg3, sol3, euclid3, abelian2, affine2):
@@ -599,6 +599,9 @@ ORACLE_ALGEBRAS = {
     # several steps whose deflations meet off-diagonal entries
     "jordan4": jordan4,
     "borel4": borel4,
+    # [e1, ej] = 2^(j-2) ej: the flag meets five distinct power-of-two candidates
+    "pow2_6": lambda: LieAlgebra.from_brackets(6, {
+        (1, j): tuple(2 ** (j - 2) if m == j - 1 else 0 for m in range(6)) for j in range(2, 7)}),
 }
 
 
