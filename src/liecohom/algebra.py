@@ -29,6 +29,7 @@ from .linalg import (
     _echelon,
     _exact,
     _integer_rows,
+    _iterable,
     _kernel,
     in_image,
     kernel_basis,
@@ -155,7 +156,7 @@ def _normalize_brackets(dim: int, brackets: Mapping) -> dict[tuple[int, int], Ve
     Raises StructureError for anything malformed; this is deliberately
     separate from the Jacobi check so callers can tell the two apart.
     """
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise StructureError(f"dimension must be an integer >= 1, got {dim!r}")
     if not isinstance(brackets, Mapping):
         raise StructureError(f"brackets must be a mapping, got a {type(brackets).__name__}")
@@ -222,11 +223,7 @@ class LieAlgebra:
         if names is None:
             names = tuple(f"e{i}" for i in range(1, dim + 1))
         else:
-            # a string or a mapping iterates, but not over basis names
-            if isinstance(names, (str, bytes, Mapping)) or not hasattr(names, "__iter__"):
-                raise StructureError(f"expected a sequence of basis names, got a "
-                                     f"{type(names).__name__}")
-            names = tuple(names)
+            names = tuple(_iterable(names, "basis names"))
             if not all(isinstance(s, str) for s in names):
                 raise StructureError(f"basis names must be strings, got {names!r}")
             if len(names) != dim:
@@ -274,7 +271,7 @@ def _inner_diagonal(g: LieAlgebra) -> list:
     scale L. Returns a basis of them as pairs (a, x) of 0-based sparse int
     rows, a = L * (a_1(x) .. a_n(x)): the nonzero a are independent, and the
     x with a = {} (ad x = 0) are a basis of the center. Each row lies in one
-    direct factor of the given basis. Computed once per algebra (``_memo``).
+    direct factor of the given basis, as ``cohomology._live`` needs. Built once (``_memo``).
     """
     return _memo(g, "_inner_diagonal", _diagonal_elements)
 
@@ -361,11 +358,6 @@ def closed_one_forms(g: LieAlgebra) -> Subspace:
     return Subspace.span(g.dim, kernel_basis(RationalMatrix(der.dim, g.dim, der.basis)))
 
 
-def _bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    vecs = [g.bracket(x, y) for x in a.basis for y in b.basis]
-    return Subspace.span(g.dim, [list(v) for v in vecs])
-
-
 def derived_series(g: LieAlgebra) -> list[Subspace]:
     """g, [g, g], [[g, g], [g, g]], ... up to the first term that does not shrink.
 
@@ -390,11 +382,10 @@ def classify(g: LieAlgebra) -> AlgebraClass:
     _require_types((g, LieAlgebra))
     if not g.brackets:
         return AlgebraClass.ABELIAN
-    full = Subspace.span(g.dim, [unit_vector(g.dim, j) for j in range(g.dim)])
-
+    units = [unit_vector(g.dim, j) for j in range(g.dim)]
     term = derived_subalgebra(g)
     while True:
-        nxt = _bracket_span(g, full, term)
+        nxt = Subspace.span(g.dim, [g.bracket(x, y) for x in units for y in term.basis])
         if nxt.dim == term.dim:
             break
         term = nxt

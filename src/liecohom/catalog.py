@@ -39,7 +39,7 @@ class CatalogEntry:
 
 
 def _abelian(n: int) -> CatalogEntry:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if type(n) is not int or n < 1:
         raise StructureError("abelian requires an integer parameter n >= 1")
     g = LieAlgebra.from_brackets(n, {})
     # C(n, p+1) = C(n, p) (n - p) / (p + 1): one product per entry, where a

@@ -43,11 +43,12 @@ with coefficients in the line of w is the graded tensor product of the
 complexes of the a_s, each twisted by the restriction of w, which is closed
 on it. Over Q the cohomology of a tensor product of complexes is the tensor
 product of their cohomologies, so the Betti list of g is the convolution of
-the factors' lists, and one acyclic factor makes every Betti number zero. An
-untwisted one-index component is Q with d_w = 0: its Betti list is (1, 1).
-A larger one is walked in its own indices with the terms of w on them (d e^k
-names only indices of k's component). Representatives are not split:
-``cohomology`` walks the live monomials (below) of the whole algebra.
+the factors' lists, and one acyclic factor makes every Betti number zero. A
+one-index component {m} is Q with d_w 1 = w_m e^m: (1, 1) if w_m = 0, else
+acyclic, which ends the query before any walk. A larger one is walked in its
+own indices with the terms of w on them (d e^k names only indices of k's
+component). Representatives are not split: ``cohomology`` walks the live
+monomials (below) of the whole algebra.
 
 Each factor is walked on its live monomials only (Hattori 1960; as a Morse
 matching, Skoldberg 2006). Let x act diagonally in the given basis,
@@ -61,9 +62,9 @@ ad x is a derivation, and w_m != 0 forces a_m = 0, since w kills [g, g]:
 d_w sends each live monomial to live monomials only. So the live monomials
 of every degree, in lexicographic order, form a complex of the same kind as
 the full one, and the clearing argument above holds on it word for word.
-The x with ad x = 0 are the center: one with w(x) != 0 makes everything
-acyclic (a_I = 0 for every I). A factor on which no x acts by nonzero a_i
-is walked whole. The live walk gives the representatives of the full one:
+The x with ad x = 0 are the center: one with w(x) != 0 leaves its factor no
+live monomial (a_I = 0 for every I). A factor on which no x acts by nonzero
+a_i is walked whole. The live walk gives the representatives of the full one:
 d_w is block diagonal over the weight blocks (one per value of the a_I),
 ``_echelon`` and ``_reduce`` only combine rows with a common leading column,
 hence rows of one block, and an acyclic block B keeps |B_p| - rk d_(p-1)|B
@@ -197,7 +198,8 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
 def _live(g: LieAlgebra, tables, indices) -> list:
     """The live monomials I of the factor on the ascending ``indices``, subsets
     of them: sum_(i in I) (S / L) * L * a_i(x) = S * w(x) at the scale S of ``tables``
-    for each acting x and each twisted central x (a = 0: no subset meets it)."""
+    for each acting x and each twisted central x (a = 0: no subset meets it); an
+    x is the factor's by its first entry, as it lies in one (``_inner_diagonal``)."""
     up = tables[2] // g._scale
     # (a, S * w(x)) for the x of this factor
     pairs = [(a, sum(c * x.get(m - 1, 0) for m, c in tables[1]))
@@ -207,18 +209,16 @@ def _live(g: LieAlgebra, tables, indices) -> list:
 
 
 def betti_numbers(g: LieAlgebra, omega: OneForm) -> list[int]:
-    """Exact dimensions of the twisted cohomology in degrees 0..n: the
-    convolution of the Betti lists of the direct factors, each walked on its
-    live monomials only (module docstring)."""
+    """Exact dimensions of the twisted cohomology in degrees 0..n: the convolution of the
+    factors' Betti lists, each walked on its live monomials (module docstring). A twisted
+    singleton, or a twisted center (no live monomial in its factor), gives zeros unwalked."""
     tables = _differential_tables(g, omega)
     zero = [0] * (g.dim + 1)
-    # x with ad x = 0 and w(x) != 0 makes the whole complex acyclic
-    if any(not a and sum(c * x.get(m - 1, 0) for m, c in tables[1])
-           for a, x in _inner_diagonal(g)):
-        return zero
     components = _components(g)
-    # s untwisted singletons give (1, 1) each: C(s, p)
+    # s singletons {m}: d_w 1 = w_m e^m, acyclic if w_m != 0, else (1, 1) each: C(s, p)
     s = sum(len(c) == 1 for c in components)
+    if {m for m, _ in tables[1]} & {c[0] for c in components[:s]}:
+        return zero
     betti = [comb(s, p) for p in range(s + 1)]
     for indices in components[s:]:
         live = _live(g, tables, indices)

@@ -164,7 +164,7 @@ class RationalMatrix:
             data = []
             for r in entries:
                 if len(r) != cols:
-                    raise ValueError(f"expected {cols} columns, got {len(r)}")
+                    raise ValueError(f"expected vectors of length {cols}, got length {len(r)}")
                 data.append(_nonzeros(r))
         self.rows, self.cols, self._rows = rows, cols, data
 
@@ -185,17 +185,7 @@ class RationalMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "RationalMatrix":
-        columns = _vectors(columns)
-        cols = len(columns)
-        rows = len(columns[0]) if cols else 0
-        data: list[SparseRow] = [{} for _ in range(rows)]
-        for j, c in enumerate(columns):
-            if len(c) != rows:
-                raise ValueError(f"expected columns of length {rows}, got {len(c)}")
-            for i, x in enumerate(c):
-                if x:
-                    data[i][j] = x
-        return cls._adopt(rows, cols, data)
+        return cls.from_rows(columns).transpose()
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         if type(key) is not tuple or len(key) != 2:

@@ -27,11 +27,6 @@ from .exterior import ExteriorForm
 from .linalg import _exact, _int
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; JSON booleans are Python ints too and do not count."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def parse_decimal(text, message: str) -> int:
     """A plain ASCII decimal string as an int, else a StructureError that
     reads ``message`` and the repr of ``text``. int() alone would also take
@@ -53,7 +48,7 @@ def algebra_from_dict(doc: Mapping) -> LieAlgebra:
     if "dim" not in doc:
         raise StructureError("algebra document is missing \"dim\"")
     dim = doc["dim"]
-    if not _is_int(dim) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise StructureError(f"\"dim\" must be an integer >= 1, got {dim!r}")
     brackets = {}
     raw = doc.get("brackets", [])
@@ -64,7 +59,7 @@ def algebra_from_dict(doc: Mapping) -> LieAlgebra:
             raise StructureError(
                 "each bracket needs \"i\", \"j\" and \"coeffs\" fields")
         i, j = item["i"], item["j"]
-        if not (_is_int(i) and _is_int(j) and 1 <= i < j <= dim):
+        if not (type(i) is int and type(j) is int and 1 <= i < j <= dim):
             raise StructureError(
                 f"bracket indices ({i!r},{j!r}) must satisfy 1 <= i < j <= {dim}")
         if (i, j) in brackets:

@@ -91,8 +91,8 @@ class WeightData:
         _require_types((self.adapted_change, RationalMatrix), (self.weights, tuple), (self.k, int))
         _require_types(*((w, OneForm) for w in self.weights))
         to_adapted = self.adapted_change.transpose()
-        object.__setattr__(self, "_adapted_weights",
-                           tuple(to_adapted.apply(w.coeffs) for w in self.weights))
+        object.__setattr__(self, "_adapted_weights", tuple(
+            w.coeffs if w.is_zero() else to_adapted.apply(w.coeffs) for w in self.weights))
 
     @property
     def dim(self) -> int:

@@ -44,6 +44,7 @@ def test_validate_heisenberg_ok():
     report = validate_lie_algebra(3, {(1, 2): (0, 0, 1)})
     assert report.ok
     assert report.defects == ()
+    assert str(report) == "OK"
 
 
 def test_validate_abelian_ok():

@@ -25,6 +25,16 @@ SOL3_DOC = {
     ],
 }
 
+# [e1, e3] = e3, [e1, e4] = 2 e4, [e2, e4] = -e4: a complement of dimension 2
+K2_DOC = {
+    "dim": 4,
+    "brackets": [
+        {"i": 1, "j": 3, "coeffs": {"3": "1"}},
+        {"i": 1, "j": 4, "coeffs": {"4": "2"}},
+        {"i": 2, "j": 4, "coeffs": {"4": "-1"}},
+    ],
+}
+
 BROKEN_DOC = {
     "dim": 3,
     "brackets": [
@@ -192,6 +202,26 @@ def test_scan_command(sol3_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["critical"] == ["-1", "0", "1"]
     assert doc["generic"]["betti"] == [0, 0, 0, 0]
+
+
+def test_weights_and_scan_print_text(tmp_path, capsys):
+    path = tmp_path / "k2.json"
+    path.write_text(json.dumps(K2_DOC))
+    assert main(["weights", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "closed block size k = 2",
+        "alpha_1 = (0,0,0,0)",
+        "alpha_2 = (0,0,0,0)",
+        "alpha_3 = (-1,0,0,0)",
+        "alpha_4 = (-2,1,0,0)",
+        "weight sum zero: False",
+    ]
+    assert main(["scan", str(path), "--direction", "1,0,0,0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "lambda =        0  betti = [1, 2, 1, 0, 0]",
+        "lambda =        1  betti = [0, 1, 2, 1, 0]",
+        "generic =        2  betti = [0, 0, 0, 0, 0]",
+    ]
 
 
 def test_novikov_command(sol3_file, capsys):

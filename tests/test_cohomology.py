@@ -2,6 +2,7 @@ import importlib
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -322,6 +323,12 @@ WEIGHT_QUERIES = {
 }
 
 IDENTITY3 = identity(3)
+
+
+class MyInt(int):
+    """An int subclass: refused where an int is read, as bool is."""
+
+
 # the other public functions that read attributes of their arguments
 OTHER_WRONG_CALLS = {
     "ce_differential-g=None": (ce_differential, [None, e(3, 2)]),
@@ -348,6 +355,9 @@ OTHER_WRONG_CALLS = {
     "from_brackets-names=int": (LieAlgebra.from_brackets, [2, {}, 2]),
     "from_brackets-names=ints": (LieAlgebra.from_brackets, [2, {}, [1, 2]]),
     "from_brackets-names=dict": (LieAlgebra.from_brackets, [2, {}, {"a": 1, "b": 2}]),
+    "from_brackets-names=bytearray": (LieAlgebra.from_brackets, [2, {}, bytearray(b"ab")]),
+    "from_brackets-dim=int subclass": (LieAlgebra.from_brackets, [MyInt(2), {}]),
+    "load_example-n=int subclass": (partial(load_example, n=MyInt(3)), ["abelian"]),
     "getitem-i=True": (IDENTITY3.__getitem__, [(True, 0)]),
     "getitem-j=True": (IDENTITY3.__getitem__, [(0, True)]),
     "getitem-i=float": (IDENTITY3.__getitem__, [(0.5, 0)]),
@@ -421,6 +431,7 @@ SHAPE_MISMATCHES = {
     "coefficient-indices not increasing": (e(3, 1, 2).coefficient, [(2, 1)]),
     "ExteriorForm-add degrees 1 and 2": (ExteriorForm.__add__, [e(3, 1), e(3, 1, 2)]),
     "RationalMatrix-1 row of 2": (RationalMatrix, [2, 2, [[1, 2]]]),
+    "from_columns-ragged columns": (RationalMatrix.from_columns, [[(1, 2), (1,)]]),
     "apply-vector of length 1": (IDENTITY3.apply, [(1,)]),
     "invert-2x3": (invert, [RationalMatrix(2, 3)]),
     "span_basis-vector of length 2 in 3": (span_basis, [[(1, 2)], 3]),
@@ -1073,3 +1084,14 @@ def test_a_twisted_center_off_the_basis_kills_everything_without_a_walk(w1, monk
     assert betti_numbers(h, omega) == [0] * 5
     assert calls == []
     assert list(cohomology(h, omega).betti) == [0] * 5
+    # a twisted singleton, sol3 + Q at e^4, ends the query before any walk
+    calls.clear()
+    assert betti_numbers(g, one_form(w1, 0, 0, 1)) == [0] * 5
+    assert calls == []
+    # h3 + h: the smaller factor h3 is walked first, then h ends the query unwalked
+    calls.clear()
+    big = direct_sum(load_example("heisenberg3").algebra, h)
+    twisted = one_form(0, 0, 0, *omega.coeffs)
+    assert betti_numbers(big, twisted) == [0] * 8
+    assert calls and all(set(idx) <= {1, 2, 3} for call in calls for idx in call)
+    assert list(cohomology(big, twisted).betti) == [0] * 8

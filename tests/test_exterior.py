@@ -72,6 +72,22 @@ def test_terms_must_map_tuples_of_ints():
     assert ExteriorForm(3, 1, None) == ExteriorForm(3, 1, {}) == ExteriorForm.zero(3, 1)
 
 
+def test_coefficient_reads_stored_and_absent_terms():
+    xi = ExteriorForm(3, 2, {(1, 3): "1/2", (2, 3): -1})
+    assert xi.coefficient((1, 3)) == Fraction(1, 2)
+    assert xi.coefficient([2, 3]) == -1
+    # a valid index with no stored term
+    assert xi.coefficient((1, 2)) == 0
+    assert ExteriorForm.zero(3, 2).coefficient((1, 2)) == 0
+
+
+def test_repr_lists_the_terms_in_order():
+    assert repr(ExteriorForm.zero(3, 2)) == "ExteriorForm(3, 2, 0)"
+    assert repr(ExteriorForm(3, 2, {(2, 3): -1, (1, 3): "1/2"})) == (
+        "ExteriorForm(1/2*e1^e3 + -1*e2^e3)")
+    assert repr(ExteriorForm.scalar(3, 5)) == "ExteriorForm(5*1)"
+
+
 def test_sort_sign():
     assert sort_sign((1, 2)) == ((1, 2), 1)
     assert sort_sign((2, 1)) == ((1, 2), -1)

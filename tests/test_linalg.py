@@ -412,6 +412,9 @@ def test_ragged_input_is_refused():
             RationalMatrix.from_rows(ragged)
         with pytest.raises(ValueError):
             RationalMatrix.from_columns(ragged)
+    # one message, right for rows and for columns alike
+    with pytest.raises(ValueError, match="^expected vectors of length 2, got length 1$"):
+        RationalMatrix.from_columns([(1, 2), (1,)])
 
 
 def test_dense_views_check_column_bounds():

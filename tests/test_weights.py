@@ -182,6 +182,14 @@ def test_heisenberg_weights_all_trivial(heisenberg3):
     assert coeff_sets(omega_set(data).elements) == {(0, 0, 0)}
 
 
+def test_omega_set_length_counts_distinct_subset_sums():
+    # k2's weights 0, 0, -e^1, -2e^1 + e^2 sum to four distinct forms
+    omega = omega_set(adapted_basis(k2()))
+    assert [w.coeffs for w in omega.sorted_elements()] == [
+        (-3, 1, 0, 0), (-2, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 0)]
+    assert len(omega) == 4
+
+
 def test_abelian_weights(abelian2):
     data = adapted_basis(abelian2)
     assert data.k == 2
