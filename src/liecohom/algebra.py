@@ -16,7 +16,6 @@ function; the one exception is ``_memo``, which caches a fact of an object on it
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -47,8 +46,8 @@ from .linalg import invert  # noqa: F401
 
 def _memo(obj, name: str, build):
     """``build(obj)``, built on the first call and then the same object on every
-    call: kept in ``obj.__dict__`` under ``name``, outside the dataclass fields
-    that ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` read. A failure
+    call: kept in ``obj.__dict__`` under ``name``, outside the ``_record`` fields
+    that ``==``, ``hash`` and ``repr`` read and the constructor takes. A failure
     is not kept; threads racing on a first call return the first value stored."""
     try:
         return obj.__dict__[name]
@@ -56,7 +55,44 @@ def _memo(obj, name: str, build):
         return obj.__dict__.setdefault(name, build(obj))
 
 
-@dataclass(frozen=True)
+def _record(cls):
+    """Make ``cls`` a frozen value class. Its own annotations, in order, are its
+    fields, and a class attribute is a field's default. Adds, unless ``cls``
+    defines them: ``__init__`` by position or keyword, then ``__post_init__``
+    if defined; ``__eq__`` on fields for the same class; ``hash`` of the field
+    tuple; a ``Name(field=value, ...)`` repr; assignment and deletion raising
+    AttributeError. ``__post_init__`` sets derived attributes with
+    ``object.__setattr__``."""
+    names, own = tuple(cls.__annotations__), cls.__dict__
+    params = ", ".join(f"{n}=_d_{n}" if n in own else n for n in names)
+    space = {"_set": object.__setattr__, **{f"_d_{n}": own[n] for n in names if n in own}}
+    mine = "(" + "".join(f"self.{n}, " for n in names) + ")"
+    exec(f"def __init__(self, {params}):\n"
+         + "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+         + ("    self.__post_init__()\n" if "__post_init__" in own else "")
+         + "def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
+         f"        return {mine} == {mine.replace('self.', 'other.')}\n"
+         "    return NotImplemented\n"
+         f"def __hash__(self):\n    return hash({mine})\n", space)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for fn in (space["__init__"], space["__eq__"], space["__hash__"], __repr__, __setattr__,
+               __delattr__):
+        if fn.__name__ not in own:
+            setattr(cls, fn.__name__, fn)
+    return cls
+
+
+@_record
 class OneForm:
     """Element of the dual space, as coefficients in the dual basis e^1..e^n."""
 
@@ -101,7 +137,7 @@ class OneForm:
         return OneForm(tuple(c * a for a in self.coeffs))
 
 
-@dataclass(frozen=True)
+@_record
 class Subspace:
     """Subspace of Q^n with a canonical (reduced echelon) basis.
 
@@ -127,7 +163,7 @@ class Subspace:
         return self.dim == 0
 
 
-@dataclass(frozen=True)
+@_record
 class JacobiDefect:
     """One failing Jacobi triple: the cyclic sum over (i, j, k) is ``defect``."""
 
@@ -139,7 +175,7 @@ class JacobiDefect:
         return f"jacobi defect on {self.triple}: " + " + ".join(parts)
 
 
-@dataclass(frozen=True)
+@_record
 class ValidationReport:
     ok: bool
     defects: tuple[JacobiDefect, ...] = ()
@@ -190,20 +226,19 @@ class AlgebraClass(enum.Enum):
     NON_SOLVABLE = "non_solvable"
 
 
-@dataclass(frozen=True, eq=True)
+@_record
 class LieAlgebra:
     """Validated Lie algebra; construct through :meth:`from_brackets`."""
 
     dim: int
     basis_names: tuple[str, ...]
     brackets: tuple[tuple[tuple[int, int], Vector], ...]
-    # built per instance, never passed in, so a ``dataclasses.replace`` copy
-    # builds its own: the lcm L of all coefficient denominators, and each
-    # stored bracket as ((m, L * C_ij^m), ...) over its nonzero 0-based m
-    _scale: int = field(init=False, compare=False, repr=False)
-    _int_table: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # built per instance, never passed in, so a copy through the constructor
+        # builds its own: ``_scale``, the lcm L of all coefficient denominators,
+        # and ``_int_table``, each stored bracket as ((m, L * C_ij^m), ...) over
+        # its nonzero 0-based m
         scale = lcm(*(c.denominator for _, v in self.brackets for c in v if c))
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_int_table", {

@@ -15,15 +15,13 @@ is unrestricted here and the condition is only documented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import LieAlgebra, OneForm
+from .algebra import LieAlgebra, OneForm, _record
 from .errors import StructureError
 from .linalg import _exact
 from .serialization import parse_decimal
 
 
-@dataclass(frozen=True)
+@_record
 class CatalogEntry:
     """A named algebra, its parameters, provenance and expected Betti tables.
 

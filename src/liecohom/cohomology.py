@@ -74,12 +74,11 @@ rows of rank rk d_p|B in degree p, which leave no relation.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from math import comb, gcd, lcm
 
-from .algebra import LieAlgebra, OneForm, _inner_diagonal
+from .algebra import LieAlgebra, OneForm, _inner_diagonal, _record
 from .errors import _require_types
 from .exterior import (
     ExteriorForm,
@@ -97,7 +96,7 @@ from .exterior import differential_matrices  # noqa: F401
 from .linalg import in_image, kernel_basis, rank  # noqa: F401
 
 
-@dataclass(frozen=True)
+@_record
 class CohomologyResult:
     """Betti numbers b^0..b^n and a basis of cocycle representatives per degree."""
 
@@ -220,11 +219,14 @@ def betti_numbers(g: LieAlgebra, omega: OneForm) -> list[int]:
     if {m for m, _ in tables[1]} & {c[0] for c in components[:s]}:
         return zero
     betti = [comb(s, p) for p in range(s + 1)]
-    for indices in components[s:]:
-        live = _live(g, tables, indices)
-        # no live monomial: acyclic, no walk; w ^ . on the factor: its own wedge terms
+    lives = [_live(g, tables, indices) for indices in components[s:]]
+    # a factor with no live monomial is acyclic: zeros before any walk
+    if not all(map(any, lives)):
+        return zero
+    for indices, live in zip(components[s:], lives):
+        # w ^ . on the factor: its own wedge terms
         walk = _cleared_walk(live, (tables[0], [(m, c) for m, c in tables[1] if m in indices],
-                                    tables[2])) if any(live) else ()
+                                    tables[2]))
         factor = [len(kept) - r for kept, _, r in walk]
         if not any(factor):
             return zero

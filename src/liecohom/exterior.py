@@ -29,12 +29,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .algebra import LieAlgebra, OneForm
+from .algebra import LieAlgebra, OneForm, _record
 from .errors import NonClosedFormError, StructureError, _require_types
 from .linalg import RationalMatrix, _exact, _integer_rows, _iterable, _nonzeros
 
@@ -226,7 +225,7 @@ def form_basis(n: int, p: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, n + 1), p))
 
 
-@dataclass(frozen=True)
+@_record
 class DifferentialMatrices:
     """Degree-by-degree matrices of d_w in the lexicographic bases.
 

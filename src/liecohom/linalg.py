@@ -89,7 +89,10 @@ def _exact(x) -> Fraction:
 
 def _iterable(values, what: str) -> Iterable:
     """``values``, unless it is a string, bytes, a mapping (whose iteration
-    yields only its keys) or not iterable: a StructureError."""
+    yields only its keys) or not iterable: a StructureError. A tuple or list,
+    never one of those, is returned before the ``Mapping`` ABC test."""
+    if type(values) is tuple or type(values) is list:
+        return values
     if isinstance(values, (str, bytes, bytearray, Mapping)) or not hasattr(values, "__iter__"):
         raise StructureError(f"expected a sequence of {what}, got a {type(values).__name__}")
     return values
@@ -138,6 +141,16 @@ def _position(i, n: int) -> int:
     return range(n)[i]
 
 
+def _sparse_rows(entries: list[Vector], rows: int, cols: int) -> list[SparseRow]:
+    """The sparse rows of checked vectors, which must be ``rows`` of length ``cols``."""
+    if len(entries) != rows:
+        raise ValueError(f"expected {rows} rows, got {len(entries)}")
+    for r in entries:
+        if len(r) != cols:
+            raise ValueError(f"expected vectors of length {cols}, got length {len(r)}")
+    return [_nonzeros(r) for r in entries]
+
+
 class RationalMatrix:
     """Matrix of exact rationals stored as sparse rows.
 
@@ -155,17 +168,8 @@ class RationalMatrix:
             raise StructureError(f"matrix dimensions must be integers, got {rows!r}, {cols!r}")
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if entries is None:
-            data = [{} for _ in range(rows)]
-        else:
-            entries = _vectors(entries)
-            if len(entries) != rows:
-                raise ValueError(f"expected {rows} rows, got {len(entries)}")
-            data = []
-            for r in entries:
-                if len(r) != cols:
-                    raise ValueError(f"expected vectors of length {cols}, got length {len(r)}")
-                data.append(_nonzeros(r))
+        data = [{} for _ in range(rows)] if entries is None else _sparse_rows(
+            _vectors(entries), rows, cols)
         self.rows, self.cols, self._rows = rows, cols, data
 
     @classmethod
@@ -181,7 +185,8 @@ class RationalMatrix:
     @classmethod
     def from_rows(cls, entries: Sequence[Sequence]) -> "RationalMatrix":
         entries = _vectors(entries)
-        return cls(len(entries), len(entries[0]) if entries else 0, entries)
+        rows, cols = len(entries), len(entries[0]) if entries else 0
+        return cls._adopt(rows, cols, _sparse_rows(entries, rows, cols))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "RationalMatrix":

@@ -14,10 +14,9 @@ than pretending the bound applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LieAlgebra, OneForm
+from .algebra import LieAlgebra, OneForm, _record
 from .cohomology import betti_numbers
 from .errors import ComputationDomainError, NonClosedFormError, StructureError, _require_types
 from .exterior import is_closed
@@ -25,13 +24,13 @@ from .linalg import _exact, vector
 from .weights import WeightData, adapted_basis, omega_set
 
 
-@dataclass(frozen=True)
+@_record
 class ScanRow:
     lam: Fraction
     betti: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@_record
 class ScanTable:
     """Betti numbers along the line lambda * direction.
 
@@ -81,7 +80,7 @@ def scan_line(g: LieAlgebra, direction: OneForm) -> ScanTable:
                      generic=generic)
 
 
-@dataclass(frozen=True)
+@_record
 class NovikovReport:
     """Degree-by-degree comparison of Morse counts against Betti numbers.
 

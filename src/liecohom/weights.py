@@ -42,12 +42,11 @@ reported as NotTriangularizableError instead of being approximated.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .algebra import LieAlgebra, OneForm, _memo, derived_series, pullback_one_form
+from .algebra import LieAlgebra, OneForm, _memo, _record, derived_series, pullback_one_form
 from .errors import (NonClosedFormError, NotSolvableError, NotTriangularizableError,
                      _require_types)
 from .exterior import _check_degree
@@ -70,7 +69,7 @@ from .algebra import classify, derived_subalgebra  # noqa: F401
 from .linalg import in_image  # noqa: F401
 
 
-@dataclass(frozen=True)
+@_record
 class WeightData:
     """Change of basis to the adapted flag basis plus the weight one-forms.
 
@@ -83,13 +82,12 @@ class WeightData:
     adapted_change: RationalMatrix
     weights: tuple[OneForm, ...]
     k: int
-    # each weight's coefficients in the adapted dual basis, pulled back once
-    # per instance so that ``r0_spectrum`` need not
-    _adapted_weights: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _require_types((self.adapted_change, RationalMatrix), (self.weights, tuple), (self.k, int))
         _require_types(*((w, OneForm) for w in self.weights))
+        # ``_adapted_weights``: each weight's coefficients in the adapted dual
+        # basis, pulled back once per instance so that ``r0_spectrum`` need not
         to_adapted = self.adapted_change.transpose()
         object.__setattr__(self, "_adapted_weights", tuple(
             w.coeffs if w.is_zero() else to_adapted.apply(w.coeffs) for w in self.weights))
@@ -99,7 +97,7 @@ class WeightData:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
+@_record
 class OmegaSet:
     """Finite set of one-forms: all nonempty subset sums of the weights."""
 

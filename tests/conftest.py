@@ -101,8 +101,8 @@ def diag(n):
 
 
 def unchecked_algebra(dim, brackets):
-    """Algebra built by the dataclass constructor, which skips the Jacobi
-    check; only for tests that need a deliberately broken table."""
+    """Algebra built by the plain ``LieAlgebra`` constructor, which skips the
+    Jacobi check; only for tests that need a deliberately broken table."""
     return LieAlgebra(dim, tuple(f"e{i}" for i in range(1, dim + 1)),
                       tuple((key, vector(v)) for key, v in sorted(brackets.items())))
 

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import random
 from fractions import Fraction
@@ -24,7 +23,7 @@ from liecohom import (
     pullback_one_form,
     validate_lie_algebra,
 )
-from liecohom.algebra import Subspace, derived_series, random_invertible
+from liecohom.algebra import Subspace, _record, derived_series, random_invertible
 from liecohom.linalg import RationalMatrix
 
 from conftest import diag, heisenberg5, identity, one_form
@@ -395,10 +394,13 @@ def test_bracket_antisymmetry_and_linearity(sol3):
 
 def test_replace_builds_its_own_table_and_weight_memo():
     # the integer table and the weight memo are built per instance, so a copy
-    # made by dataclasses.replace shares neither with the algebra it copies
+    # through the constructor with the brackets replaced shares neither with
+    # the algebra it copies
     g = LieAlgebra.from_brackets(3, {(1, 2): (0, 1, 0), (1, 3): (0, 0, 2)})
     weights_of_g = adapted_basis(g)
-    h = dataclasses.replace(g, brackets=(((2, 3), (1, 0, 0)),))
+    h = LieAlgebra(g.dim, g.basis_names, (((2, 3), (1, 0, 0)),))
+    assert h._int_table is not g._int_table
+    assert "_weight_data" in vars(g) and "_weight_data" not in vars(h)
     assert g.bracket_basis(2, 3) == (0, 0, 0)
     assert g.bracket_basis(1, 3) == (0, 0, 2)
     assert h.bracket_basis(2, 3) == (1, 0, 0)
@@ -406,6 +408,41 @@ def test_replace_builds_its_own_table_and_weight_memo():
     assert adapted_basis(g) is weights_of_g
     assert adapted_basis(h) == adapted_basis(LieAlgebra.from_brackets(3, {(2, 3): (1, 0, 0)}))
     assert adapted_basis(h) != weights_of_g
+
+
+def test_record_value_class():
+    seen = []
+
+    @_record
+    class Point:
+        x: int
+        y: tuple = ()
+
+        def __post_init__(self):
+            seen.append((self.x, self.y))
+            object.__setattr__(self, "_derived", self.x + 1)
+
+    @_record
+    class Other:
+        x: int
+        y: tuple = ()
+
+    p, q, r = Point(1, (2,)), Point(y=(2,), x=1), Point(3)
+    assert (p.x, p.y, r.x, r.y) == (1, (2,), 3, ())
+    assert seen == [(1, (2,)), (1, (2,)), (3, ())] and (p._derived, r._derived) == (2, 4)
+    assert p == q and p != r and p != Other(1, (2,)) and p.__eq__((1, (2,))) is NotImplemented
+    assert hash(p) == hash(q) == hash((1, (2,))) and hash(r) == hash((3, ()))
+    assert repr(p) == f"{Point.__qualname__}(x=1, y=(2,))"
+    assert repr(OneForm((1, "1/2"))) == "OneForm(coeffs=(Fraction(1, 1), Fraction(1, 2)))"
+    for bad in (lambda: Point(), lambda: Point(1, (), 2), lambda: Point(1, z=2),
+                lambda: Point(1, x=1)):
+        with pytest.raises(TypeError):
+            bad()
+    for change in (lambda: setattr(p, "x", 2), lambda: setattr(p, "z", 2),
+                   lambda: delattr(p, "y"), lambda: delattr(p, "_derived")):
+        with pytest.raises(AttributeError):
+            change()
+    assert (p.x, p.y, p._derived) == (1, (2,), 2)
 
 
 def test_pullback_pairs_with_new_basis(sol3):

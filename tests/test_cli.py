@@ -1,5 +1,7 @@
 import importlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -425,3 +427,15 @@ def test_usage_errors_exit_1_and_help_exits_0(sol3_file, capsys, argv, code):
         assert "usage: liecohom" in captured.err and "error:" in captured.err
     else:
         assert captured.out
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # each CLI query is a new process, so every module the import pulls in
+    # is paid per query
+    import liecohom
+    src = os.path.dirname(os.path.dirname(liecohom.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    code = "import sys, liecohom.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

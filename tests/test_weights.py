@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import sys
 import threading
@@ -518,10 +517,14 @@ def test_replace_pulls_the_new_weights_back(make, seed):
     omega = OneForm.zero(g.dim)
     for changes in ({"weights": tuple(permuted)}, {"weights": tuple(doubled)},
                     {"adapted_change": halved}):
-        replaced = dataclasses.replace(data, **changes)
-        fresh = WeightData(**{"adapted_change": data.adapted_change, "weights": data.weights,
-                              "k": data.k, **changes})
-        assert replaced._adapted_weights == fresh._adapted_weights
+        fields = {"adapted_change": data.adapted_change, "weights": data.weights,
+                  "k": data.k, **changes}
+        # a copy of data through the constructor, one field replaced
+        replaced = WeightData(*fields.values())
+        fresh = WeightData(**fields)
+        change = fields["adapted_change"]
+        assert replaced._adapted_weights == fresh._adapted_weights \
+            == tuple(pullback_one_form(w, change).coeffs for w in fields["weights"])
         assert [r0_spectrum(replaced, omega, p) for p in range(g.dim + 1)] \
             == [r0_spectrum(fresh, omega, p) for p in range(g.dim + 1)]
 
