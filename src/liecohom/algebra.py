@@ -67,10 +67,10 @@ def _record(cls):
     params = ", ".join(f"{n}=_d_{n}" if n in own else n for n in names)
     space = {"_set": object.__setattr__, **{f"_d_{n}": own[n] for n in names if n in own}}
     mine = "(" + "".join(f"self.{n}, " for n in names) + ")"
-    exec(f"def __init__(self, {params}):\n"
-         + "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
-         + ("    self.__post_init__()\n" if "__post_init__" in own else "")
-         + "def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
+    body = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+    post = "    self.__post_init__()\n" if "__post_init__" in own else ""
+    init = "" if "__init__" in own else f"def __init__(self, {params}):\n{body}{post}"
+    exec(init + "def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
          f"        return {mine} == {mine.replace('self.', 'other.')}\n"
          "    return NotImplemented\n"
          f"def __hash__(self):\n    return hash({mine})\n", space)
@@ -85,9 +85,9 @@ def _record(cls):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    for fn in (space["__init__"], space["__eq__"], space["__hash__"], __repr__, __setattr__,
+    for fn in (space.get("__init__"), space["__eq__"], space["__hash__"], __repr__, __setattr__,
                __delattr__):
-        if fn.__name__ not in own:
+        if fn and fn.__name__ not in own:
             setattr(cls, fn.__name__, fn)
     return cls
 
@@ -282,10 +282,11 @@ class LieAlgebra:
         x, y = vector(x), vector(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise StructureError(f"bracket needs two vectors of length {self.dim}")
-        # x and y with their denominators cleared, against the table at scale L
-        dx, dy = lcm(*(q.denominator for q in x)), lcm(*(q.denominator for q in y))
-        x = [q.numerator * (dx // q.denominator) for q in x]
-        y = [q.numerator * (dy // q.denominator) for q in y]
+        (x, dx), (y, dy) = _cleared(x), _cleared(y)
+        return tuple(Fraction(v, self._scale * dx * dy) for v in self._int_bracket(x, y))
+
+    def _int_bracket(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
+        """L [x, y] for integer coordinate lists, summed over the table at scale L."""
         out = [0] * self.dim
         for (i, j), terms in self._int_table.items():
             xi, xj = x[i - 1], x[j - 1]
@@ -295,7 +296,13 @@ class LieAlgebra:
             if c:
                 for m, a in terms:
                     out[m] += c * a
-        return tuple(Fraction(v, self._scale * dx * dy) for v in out)
+        return out
+
+
+def _cleared(v: Vector) -> tuple[list[int], int]:
+    """``(D v, D)`` for the lcm D of the denominators of ``v``."""
+    d = lcm(*(q.denominator for q in v))
+    return [q.numerator * (d // q.denominator) for q in v], d
 
 
 def _inner_diagonal(g: LieAlgebra) -> list:
@@ -396,14 +403,16 @@ def closed_one_forms(g: LieAlgebra) -> Subspace:
 def derived_series(g: LieAlgebra) -> list[Subspace]:
     """g, [g, g], [[g, g], [g, g]], ... up to the first term that does not shrink.
 
-    The last term is 0 exactly when g is solvable.
+    The last term is 0 exactly when g is solvable. Each term spans the int
+    brackets (``LieAlgebra._int_bracket``) of the last one's cleared basis.
     """
     series = [Subspace.span(g.dim, [unit_vector(g.dim, j) for j in range(g.dim)])]
     term = derived_subalgebra(g)
     while term.dim < series[-1].dim:
         series.append(term)
         # [x, x] = 0 and [y, x] = -[x, y], so each unordered pair spans enough
-        term = Subspace.span(g.dim, [g.bracket(x, y) for x, y in combinations(term.basis, 2)])
+        cleared = [_cleared(b)[0] for b in term.basis]
+        term = Subspace.span(g.dim, [g._int_bracket(x, y) for x, y in combinations(cleared, 2)])
     return series
 
 

@@ -14,19 +14,19 @@ Only those k need eigenvalues. A candidate is tested by one elimination of
 an integer echelon of the joint eigenspace found so far plus the candidate's
 shifted rows: rank below the quotient's dimension means it leaves a nonzero
 joint kernel, and that echelon is the one the next action is tested on. The
-actions on [g, g] are read off the brackets with no solve: in the reduced
-echelon basis of [g, g] a vector's coordinates are its entries at the
-pivots. The step that finds the eigenvector v deflates them by one
-elimination step, row_i -= (v_i / v_s) row_s with row and column s dropped,
-for the last nonzero coordinate s of v: a greedy pick of unit vectors modulo
-the enlarged flag keeps every other coordinate, as v puts e_s, and no other,
-in the span of those before it. An action on an invariant subspace of a
-quotient of [g, g] has a characteristic polynomial dividing the one on
-[g, g], so one characteristic polynomial per complement element on [g, g]
-holds every eigenvalue a step can meet. Those eigenvalues are the integer
-roots of the characteristic polynomial of the action scaled by the lcm D of
-its denominators, divided by D; Sturm sequences isolate them exactly, at a
-cost polynomial in the bit size of the coefficients.
+actions on [g, g] are int rows with per-row scales, row i = R_i / s_i, read
+off the integer brackets with no solve: in the reduced echelon basis of
+[g, g] a vector's coordinates are its entries at the pivots. The step that
+finds the eigenvector v deflates them by one elimination step, row_i -=
+(v_i / v_s) row_s with row and column s dropped, for the last nonzero
+coordinate s of v: a greedy pick of unit vectors modulo the enlarged flag
+keeps every other coordinate, as v puts e_s, and no other, in the span of
+those before it. An action on an invariant subspace of a quotient of [g, g]
+has a characteristic polynomial dividing the one on [g, g], so the spectrum
+of each complement element on [g, g] holds every eigenvalue a step can meet.
+A triangular action yields its diagonal; any other, the integer roots of the
+characteristic polynomial of D * action, D = lcm(s_i), divided by D, which
+Sturm sequences isolate exactly at a cost polynomial in the coefficients' bits.
 
 The recorded weight alpha_i is the coefficient form of the dual relation
 
@@ -45,8 +45,10 @@ import enum
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
-from .algebra import LieAlgebra, OneForm, _memo, _record, derived_series, pullback_one_form
+from .algebra import (LieAlgebra, OneForm, _cleared, _memo, _record, derived_series,
+                      pullback_one_form)
 from .errors import (NonClosedFormError, NotSolvableError, NotTriangularizableError,
                      _require_types)
 from .exterior import _check_degree
@@ -54,7 +56,6 @@ from .linalg import (
     RationalMatrix,
     Vector,
     _echelon,
-    _integer_rows,
     _nonzeros,
     extend_independent,
     kernel_basis,
@@ -118,28 +119,25 @@ class Vanishing(enum.Enum):
     POSSIBLY_NONTRIVIAL = "possibly_nontrivial"
 
 
-def _plus_diagonal(rows: list[dict], c) -> list[dict]:
-    """Sparse rows of M + c I, for the square M whose sparse rows are given."""
-    return [{j: x for j, x in (r | {i: r.get(i, 0) + c}).items() if x}
-            for i, r in enumerate(rows)]
+def _eigenvalues(a: list[tuple[dict, int]]) -> list[Fraction]:
+    """Distinct rational eigenvalues of a square action's rows, ascending.
 
-
-def _eigenvalues(a: list[dict]) -> list[Fraction]:
-    """Distinct rational eigenvalues of a square matrix's sparse rows, ascending.
-
-    B = D a is an integer matrix for the lcm D of the denominators. The trace
+    Row i is R_i / s_i for a sparse int row R_i and an int s_i > 0. A
+    triangular action (row i's keys all >= i for every i, or all <= i) yields
+    its diagonal. Otherwise B = D a is an int matrix, D = lcm(s_i). The trace
     recursion M_k = B M_(k-1) + c_(m-k+1) I, c_(m-k) = -tr(B M_k) / k gives
     its characteristic polynomial x^m + c_(m-1) x^(m-1) + ... + c_0 over
     sparse int rows; it is monic over Z, so each division by k is exact and
     every rational eigenvalue of ``a`` is an integer root of it divided by D.
     """
-    if not a:
-        return []
-    scale = lcm(*(x.denominator for r in a for x in r.values()))
-    b = [{j: x.numerator * (scale // x.denominator) for j, x in r.items()} for r in a]
+    if (all(min(r, default=i) >= i for i, (r, _) in enumerate(a))
+            or all(max(r, default=i) <= i for i, (r, _) in enumerate(a))):
+        return sorted({Fraction(r.get(i, 0), s) for i, (r, s) in enumerate(a)})
+    scale = lcm(*(s for _, s in a))
+    b = [{j: x * (scale // s) for j, x in r.items()} for r, s in a]
     poly, prod = [1], [{} for _ in b]
     for k in range(1, len(b) + 1):
-        mk, prod = _plus_diagonal(prod, poly[-1]), []
+        mk, prod = [r | {i: r.get(i, 0) + poly[-1]} for i, r in enumerate(prod)], []
         # B M_k = M_k B: row i combines the rows of B that row i of M_k names
         for r in mk:
             acc: dict[int, int] = {}
@@ -228,15 +226,32 @@ def _integer_roots(g: list[int]) -> list[int]:
     return roots
 
 
-def _deflate(action: list[dict], v: Vector, s: int) -> list[dict]:
-    """The action's rows modulo its eigenvector ``v``, on the coordinates
-    less ``s``: row_i -= (v_i / v_s) row_s, then row and column s go."""
-    pivot, rows = action[s], []
-    for i, r in enumerate(action):
-        r = r | {j: r.get(j, 0) - v[i] / v[s] * x for j, x in pivot.items()}
-        rows.append({j - (j > s): x for j, x in r.items() if x and j != s})
-    del rows[s]
+def _primitive(row: dict[int, int], scale: int) -> tuple[dict[int, int], int]:
+    """``(R, s)`` for the row ``row / scale``, both divided by their gcd."""
+    c = gcd(scale, *row.values())
+    return {j: x // c for j, x in row.items()}, scale // c
+
+
+def _shift(a: list[tuple[dict, int]], lam: Fraction) -> list[dict[int, int]]:
+    """Int rows of the action less lam = p/q: row i is q R_i - p s_i e_i."""
+    p, q, rows = lam.numerator, lam.denominator, []
+    for i, (r, s) in enumerate(a):
+        rows.append({j: q * x for j, x in r.items()})
+        if d := rows[-1].pop(i, 0) - p * s:
+            rows[-1][i] = d
     return rows
+
+
+def _deflate(a: list[tuple[dict, int]], v: list[int], s: int) -> list[tuple[dict, int]]:
+    """The action modulo its eigenvector ``v`` (ints), on the coordinates less ``s``:
+    row_i - (v_i / v_s) row_s = (v_s s_s R_i - v_i s_i R_s) / (v_s s_s s_i)."""
+    (pivot, s_s), rows = a[s], []
+    for i, (r, s_i) in enumerate(a):
+        if v[i] and i != s:
+            f, h = abs(v[s]) * s_s, (v[i] if v[s] > 0 else -v[i]) * s_i
+            r, s_i = {j: f * r.get(j, 0) - h * pivot.get(j, 0) for j in r.keys() | pivot}, f * s_i
+        rows.append(_primitive({j - (j > s): x for j, x in r.items() if x and j != s}, s_i))
+    return rows[:s] + rows[s + 1:]
 
 
 def adapted_basis(g: LieAlgebra) -> WeightData:
@@ -262,18 +277,22 @@ def _flag(g: LieAlgebra) -> WeightData:
     k = n - der.dim
     complement = extend_independent(der.basis, [unit_vector(n, j) for j in range(n)], n)
     acting = complement + list(der.basis)
-    # ad(x) on [g, g] in der.basis coordinates, for every acting x: row r
-    # reads the brackets at pivot r of the reduced echelon der.basis
-    pivots = [next(j for j, c in enumerate(b) if c) for b in der.basis]
+    # ad(x) on [g, g] in der.basis coordinates as int rows, for every acting x:
+    # row r reads the brackets at pivot r of the reduced echelon der.basis, at
+    # scale L * D * (x's lcm), D = lcm of der.basis; no actions when [g, g] = 0
+    d = lcm(*(c.denominator for b in der.basis for c in b))
+    cleared = [[c.numerator * (d // c.denominator) for c in b] for b in der.basis]
+    pivots = [next(j for j, c in enumerate(b) if c) for b in cleared]
     actions = []
-    for x in acting:
-        images = [g.bracket(x, b) for b in der.basis]
-        actions.append([_nonzeros([y[p] for y in images]) for p in pivots])
+    for x, dx in map(_cleared, acting if der.dim else ()):
+        images = [g._int_bracket(x, b) for b in cleared]
+        actions.append([_primitive({c: y[p] for c, y in enumerate(images) if y[p]},
+                                   g._scale * d * dx) for p in pivots])
     # every rational eigenvalue a flag step can meet (see the module docstring)
     candidates = [_eigenvalues(a) for a in actions[:k]]
-    # the der.basis vectors whose images are the basis of the quotient of
-    # [g, g] by the flag that ``actions`` act on
-    quot = list(der.basis)
+    # the der.basis vectors, cleared, whose images are the basis of the
+    # quotient of [g, g] by the flag that ``actions`` act on
+    quot = list(cleared)
     flag: list[Vector] = []
     adjoint_funcs: list[list[Fraction]] = []
 
@@ -287,11 +306,11 @@ def _flag(g: LieAlgebra) -> WeightData:
         # shifted rows, eliminated once with ``cut``, give rank below q_dim (a
         # nonzero joint kernel) is the smallest rational eigenvalue of the next
         # action on it, and that echelon is the new ``cut``.
-        cut, _ = _echelon(_integer_rows(r for action in actions[k:] for r in action))
+        cut, _ = _echelon([r for action in actions[k:] for r, _ in action])
         lams = [Fraction(0)] * n
         for i in reversed(range(k)):
             for lam in candidates[i]:
-                echelon, leads = _echelon(cut + _integer_rows(_plus_diagonal(actions[i], -lam)))
+                echelon, leads = _echelon(cut + _shift(actions[i], lam))
                 if len(leads) < q_dim:
                     cut, lams[i] = echelon, lam
                     break
@@ -301,15 +320,17 @@ def _flag(g: LieAlgebra) -> WeightData:
                     "invariant subspace; the algebra is not rationally "
                     "triangularizable")
         vq = span_basis(kernel_basis(RationalMatrix._adopt(len(cut), q_dim, cut)), q_dim)[0]
-        if any(sum(x * vq[j] for j, x in r.items()) for a, lam in zip(actions, lams)
-               for r in _plus_diagonal(a, -lam)):
+        v, dv = _cleared(vq)  # (R_i / s_i - p / q) v = 0 for each action's lam = p / q
+        if any(lam.denominator * sum(x * v[j] for j, x in r.items()) != lam.numerator * s_i * v[i]
+               for a, lam in zip(actions, lams) for i, (r, s_i) in enumerate(a)):
             raise AssertionError("flag vector is not a joint eigenvector")
         adjoint_funcs.append(lams)
-        flag.append(tuple(sum(c * x for c, x in zip(vq, col)) for col in zip(*quot)))
+        column = (sum(c * b[j] for c, b in zip(v, quot) if c) for j in range(n))
+        flag.append(tuple(Fraction(x, d * dv) for x in column))
         # a greedy pick of unit vectors modulo the enlarged flag keeps every
         # quotient coordinate but the last one vq uses (module docstring)
-        s = max(c for c, x in enumerate(vq) if x)
-        actions = [_deflate(a, vq, s) for a in actions]
+        s = max(c for c, x in enumerate(v) if x)
+        actions = [_deflate(a, v, s) for a in actions]
         del quot[s]
 
     columns = complement + flag[::-1]
@@ -320,10 +341,9 @@ def _flag(g: LieAlgebra) -> WeightData:
     # functional f, so <w, x> = -f(x) for every x in ``acting``: one solve
     carried = solve(RationalMatrix._adopt(n, n, list(map(_nonzeros, acting))),
                     [[-c for c in func] for func in reversed(adjoint_funcs)])
+    if any(sum(map(mul, _cleared(w)[0], b)) for w in carried for b in cleared):
+        raise AssertionError("weights must vanish on the derived subalgebra")
     weights = [OneForm.zero(n)] * k + [OneForm(w) for w in carried]
-    for w in weights:
-        if any(w.evaluate(v) != 0 for v in der.basis):
-            raise AssertionError("weights must vanish on the derived subalgebra")
     return WeightData(adapted_change=change, weights=tuple(weights), k=k)
 
 

@@ -23,6 +23,7 @@ from liecohom import (
     pullback_one_form,
     validate_lie_algebra,
 )
+from liecohom import algebra as algebra_module
 from liecohom.algebra import Subspace, _record, derived_series, random_invertible
 from liecohom.linalg import RationalMatrix
 
@@ -443,6 +444,26 @@ def test_record_value_class():
         with pytest.raises(AttributeError):
             change()
     assert (p.x, p.y, p._derived) == (1, (2,), 2)
+
+
+def test_record_compiles_an_init_only_for_a_class_without_one(monkeypatch):
+    sources = []
+    monkeypatch.setattr(algebra_module, "exec", lambda src, space: sources.append(src)
+                        or exec(src, space), raising=False)
+
+    @_record
+    class Own:
+        x: int
+
+        def __init__(self, x):
+            object.__setattr__(self, "x", 2 * x)
+
+    @_record
+    class Plain:
+        x: int
+
+    assert "__init__" not in sources[0] and "def __init__(self, x):" in sources[1]
+    assert Own(3).x == 6 and Plain(3).x == 3 and Own(3) == Own(3) != Plain(6)
 
 
 def test_pullback_pairs_with_new_basis(sol3):

@@ -3,6 +3,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -61,21 +62,31 @@ def companion(coeffs):
                                  + [-Fraction(coeffs[i]) / coeffs[m]] for i in range(m)])
 
 
+def int_rows(m):
+    """The rows of a matrix as ``_eigenvalues`` takes them: pairs (R_i, s_i)
+    of a sparse int row and a positive int, row i being R_i / s_i."""
+    rows = []
+    for r in m._rows:
+        s = lcm(*(x.denominator for x in r.values()))
+        rows.append(({j: x.numerator * (s // x.denominator) for j, x in r.items()}, s))
+    return rows
+
+
 def test_char_poly_and_rational_roots():
     a = RationalMatrix.from_rows([[1, 0], [0, -1]])
     assert char_poly(a) == [Fraction(-1), Fraction(0), Fraction(1)]
-    assert _eigenvalues(a._rows) == [Fraction(-1), Fraction(1)]
+    assert _eigenvalues(int_rows(a)) == [Fraction(-1), Fraction(1)]
 
     rot = RationalMatrix.from_rows([[0, 1], [-1, 0]])
     assert char_poly(rot) == [Fraction(1), Fraction(0), Fraction(1)]
-    assert _eigenvalues(rot._rows) == []
+    assert _eigenvalues(int_rows(rot)) == []
 
     # x^3 - x^2: roots 0 and 1
-    assert _eigenvalues(companion([0, 0, -1, 1])._rows) == [Fraction(0), Fraction(1)]
+    assert _eigenvalues(int_rows(companion([0, 0, -1, 1]))) == [Fraction(0), Fraction(1)]
     # 2x^2 - 3x + 1: roots 1/2 and 1
-    assert _eigenvalues(companion([1, -3, 2])._rows) == [Fraction(1, 2), Fraction(1)]
+    assert _eigenvalues(int_rows(companion([1, -3, 2]))) == [Fraction(1, 2), Fraction(1)]
     # x^2 - 2 has no rational roots
-    assert _eigenvalues(companion([-2, 0, 1])._rows) == []
+    assert _eigenvalues(int_rows(companion([-2, 0, 1]))) == []
 
 
 def _times(p, q):
@@ -112,7 +123,7 @@ def test_rational_roots_match_the_divisor_oracle(factors, lead):
     for factor, multiplicity in factors:
         for _ in range(multiplicity):
             poly = _times(poly, factor)
-    assert _eigenvalues(companion(poly)._rows) == divisor_rational_roots(poly)
+    assert _eigenvalues(int_rows(companion(poly))) == divisor_rational_roots(poly)
 
 
 @st.composite
@@ -140,7 +151,73 @@ def known_spectra(draw):
 @given(known_spectra())
 def test_eigenvalues_of_conjugated_triangular_matrices(case):
     m, diagonal = case
-    assert _eigenvalues(m._rows) == sorted(set(diagonal)) == divisor_rational_roots(char_poly(m))
+    assert (_eigenvalues(int_rows(m)) == sorted(set(diagonal))
+            == divisor_rational_roots(char_poly(m)))
+
+
+def _counting_roots(monkeypatch):
+    """The polynomials ``_integer_roots`` is called on, from now on."""
+    calls, real = [], weights_module._integer_roots
+    monkeypatch.setattr(weights_module, "_integer_roots", lambda p: calls.append(p) or real(p))
+    return calls
+
+
+@st.composite
+def triangular_actions(draw):
+    """Rows (R_i, s_i) of an upper or lower triangular rational action whose
+    diagonal repeats values, each scale a random multiple of its row's
+    denominators, and that diagonal."""
+    n = draw(st.integers(1, 6))
+    diagonal = draw(st.lists(st.sampled_from([Fraction(-3, 2), Fraction(0), Fraction(1),
+                                              Fraction(7, 3)]), min_size=n, max_size=n))
+    upper, cell = draw(st.booleans()), st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    rows = []
+    for i, d in enumerate(diagonal):
+        entries = {i: d} | {j: draw(cell) for j in (range(i + 1, n) if upper else range(i))}
+        s = lcm(*(x.denominator for x in entries.values())) * draw(st.integers(1, 3))
+        rows.append(({j: int(x * s) for j, x in entries.items() if x}, s))
+    return rows, diagonal
+
+
+@settings(max_examples=100, deadline=None)
+@given(triangular_actions())
+# Jordan blocks: [[2, 1], [0, 2]], and [[2, 0], [5, 2]] with its first row at scale 3
+@example(([({0: 2, 1: 1}, 1), ({1: 2}, 1)], [2, 2]))
+@example(([({0: 6}, 3), ({0: 5, 1: 2}, 1)], [2, 2]))
+def test_triangular_actions_read_their_diagonal(case):
+    rows, diagonal = case
+    n = len(rows)
+    # the block [[0, 2], [1, 0]] (x^2 - 2, no rational root) leaves the action
+    # triangular in neither direction, so it takes the characteristic polynomial
+    mixed = rows + [({n + 1: 2}, 1), ({n: 1}, 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_roots(mp)
+        read = _eigenvalues(rows)
+        assert calls == []
+        assert _eigenvalues(mixed) == read == sorted(set(diagonal))
+        assert len(calls) == 1
+
+
+def test_a_non_triangular_action_takes_the_characteristic_polynomial(monkeypatch):
+    calls = _counting_roots(monkeypatch)
+    with pytest.raises(NotTriangularizableError):
+        adapted_basis(_partly_rational())
+    assert len(calls) == 1
+    adapted_basis(change_basis(diag(6), random_invertible(6, random.Random(1))))
+    assert len(calls) == 2
+
+
+def test_diagonal_actions_build_no_polynomial(monkeypatch):
+    calls = _counting_roots(monkeypatch)
+    pow2 = LieAlgebra.from_brackets(12, {
+        (1, j): tuple(2 ** (j - 2) if m == j - 1 else 0 for m in range(12)) for j in range(2, 13)})
+    k = 10**6 + 7
+    for g, expected in ((pow2, [-(2 ** j) for j in range(10, -1, -1)]),
+                        (load_example("sol3", k=k).algebra, [-k, k])):
+        data = adapted_basis(g)
+        assert sorted(w.coeffs[0] for w in data.weights[data.k:]) == expected
+        assert not any(any(w.coeffs[1:]) for w in data.weights)
+    assert calls == []
 
 
 def test_derived_algebra_acts_nilpotently(heisenberg3, sol3, euclid3, abelian2, affine2):
