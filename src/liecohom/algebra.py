@@ -406,7 +406,8 @@ def derived_series(g: LieAlgebra) -> list[Subspace]:
     The last term is 0 exactly when g is solvable. Each term spans the int
     brackets (``LieAlgebra._int_bracket``) of the last one's cleared basis.
     """
-    series = [Subspace.span(g.dim, [unit_vector(g.dim, j) for j in range(g.dim)])]
+    # the unit vectors are their own reduced echelon basis
+    series = [Subspace(g.dim, tuple(unit_vector(g.dim, j) for j in range(g.dim)))]
     term = derived_subalgebra(g)
     while term.dim < series[-1].dim:
         series.append(term)

@@ -25,8 +25,9 @@ those before it. An action on an invariant subspace of a quotient of [g, g]
 has a characteristic polynomial dividing the one on [g, g], so the spectrum
 of each complement element on [g, g] holds every eigenvalue a step can meet.
 A triangular action yields its diagonal; any other, the integer roots of the
-characteristic polynomial of D * action, D = lcm(s_i), divided by D, which
-Sturm sequences isolate exactly at a cost polynomial in the coefficients' bits.
+characteristic polynomial of D * action, D = lcm(s_i), divided by D, found
+exactly by bisection between integer cuts of its derivatives' roots inside
+Fujiwara's root bound, at a cost polynomial in the degree and the bits.
 
 The recorded weight alpha_i is the coefficient form of the dual relation
 
@@ -149,36 +150,6 @@ def _eigenvalues(a: list[tuple[dict, int]]) -> list[Fraction]:
     return sorted(Fraction(y, scale) for y in _integer_roots(poly))
 
 
-def _remainder(a: list[int], b: list[int]) -> list[int]:
-    """Primitive positive multiple of the remainder of ``a`` by ``b``.
-
-    Integer pseudo-division on coefficient lists written leading term first:
-    every step scales the running remainder by |lc(b)| > 0, so the result
-    has the signs of the true remainder and no fraction appears.
-    """
-    lead, sign = abs(b[0]), (1 if b[0] > 0 else -1)
-    r = list(a)
-    while len(r) >= len(b):
-        q = sign * r[0]
-        r = [lead * x - q * y for x, y in zip(r, b + [0] * (len(r) - len(b)))]
-        while r and r[0] == 0:
-            r.pop(0)
-    content = gcd(*r) if r else 1
-    return [x // content for x in r]
-
-
-def _sturm(p: list[int]) -> list[list[int]]:
-    """Sturm sequence p, p', -rem(p, p'), ... down to gcd(p, p')."""
-    m = len(p) - 1
-    seq = [p, [(m - i) * c for i, c in enumerate(p[:-1])]]
-    while len(seq[-1]) > 1:
-        r = _remainder(seq[-2], seq[-1])
-        if not r:
-            break
-        seq.append([-x for x in r])
-    return seq
-
-
 def _evaluate(p: list[int], x: int) -> int:
     v = 0
     for c in p:
@@ -186,44 +157,39 @@ def _evaluate(p: list[int], x: int) -> int:
     return v
 
 
-def _variations(seq: list[list[int]], x: int) -> int:
-    """Sign changes along the sequence evaluated at x, zeros skipped."""
-    signs = [v > 0 for v in (_evaluate(p, x) for p in seq) if v]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
+def _integer_roots(p: list[int]) -> list[int]:
+    """Distinct integer roots of an integer polynomial, leading coefficient
+    first, in ascending order.
 
-
-def _integer_roots(g: list[int]) -> list[int]:
-    """Integer roots of a monic integer polynomial, leading coefficient first.
-
-    The square-free part h = g / gcd(g, g') has the same roots, all simple,
-    so V(a) - V(b) over its Sturm sequence counts its real roots in (a, b].
-    Integer bisection inside the Cauchy bound 1 + max |h_i| shrinks every
-    interval that holds a root to (y - 1, y], and then y is tested exactly.
+    Between adjacent real roots of q', q is strictly monotone (Rolle), so a
+    sign change there marks its one root. The walk goes up the derivatives
+    from the linear one to p and keeps integer cuts: every real root of the
+    polynomial reached so far is a cut or lies strictly between two cuts at
+    distance 1. At q, adjacent cuts at distance 2 or more hold no root of q',
+    and integer bisection shrinks a sign change between them to distance 1;
+    the outer ends are +-b, b / 2 >= Fujiwara's bound on |z|. A multiple root
+    of q is a root of q', so every integer root of p ends as a cut.
     """
-    d = _sturm(g)[-1]
-    content = gcd(*d) if d[0] > 0 else -gcd(*d)
-    d = [x // content for x in d]
-    # the primitive gcd divides the monic g, so it is monic and g / d is exact
-    h, r = [], list(g)
-    while len(r) >= len(d):
-        h.append(r[0])
-        r = [x - r[0] * y for x, y in zip(r[1:], d[1:] + [0] * (len(r) - len(d)))]
-    seq = _sturm(h)
-    bound = 1 + max(abs(c) for c in h[1:])
-    roots = []
-    todo = [(-bound, _variations(seq, -bound), bound, _variations(seq, bound))]
-    while todo:
-        lo, v_lo, hi, v_hi = todo.pop()
-        if v_lo == v_hi:
-            continue
-        if hi - lo == 1:
-            if _evaluate(h, hi) == 0:
-                roots.append(hi)
-            continue
-        mid = (lo + hi) // 2
-        v_mid = _variations(seq, mid)
-        todo += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
-    return roots
+    chain = [p]
+    while len(chain[-1]) > 2:
+        m = len(chain[-1]) - 1
+        chain.append([(m - i) * c for i, c in enumerate(chain[-1][:-1])])
+    cuts: set[int] = set()
+    for q in reversed(chain):
+        b = 4 << max(((abs(c).bit_length() + k - 1) // k for k, c in enumerate(q[1:], 1)),
+                     default=0)
+        ends = sorted(cuts | {-b, b})
+        values = [_evaluate(q, x) for x in ends]
+        for u, v, fu, fv in zip(ends, ends[1:], values, values[1:]):
+            if fu * fv < 0:
+                while v - u > 1:
+                    mid = (u + v) // 2
+                    if _evaluate(q, mid) * fu > 0:
+                        u = mid
+                    else:
+                        v = mid
+                cuts |= {u, v}
+    return sorted(x for x in cuts if _evaluate(p, x) == 0)
 
 
 def _primitive(row: dict[int, int], scale: int) -> tuple[dict[int, int], int]:
@@ -288,6 +254,9 @@ def _flag(g: LieAlgebra) -> WeightData:
         images = [g._int_bracket(x, b) for b in cleared]
         actions.append([_primitive({c: y[p] for c, y in enumerate(images) if y[p]},
                                    g._scale * d * dx) for p in pivots])
+    # a zero der.basis action stays zero under ``_deflate``, adds no row to
+    # ``cut`` and meets its eigenvalue 0 in the joint-eigenvector check
+    actions = actions[:k] + [a for a in actions[k:] if any(r for r, _ in a)]
     # every rational eigenvalue a flag step can meet (see the module docstring)
     candidates = [_eigenvalues(a) for a in actions[:k]]
     # the der.basis vectors, cleared, whose images are the basis of the

@@ -90,7 +90,7 @@ def test_char_poly_and_rational_roots():
 
 
 def _times(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
@@ -112,8 +112,8 @@ _factor = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(_factor, st.integers(1, 2)), min_size=1, max_size=3),
        st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
-# -3 (3x + 4)(x - 4)(x^2 + 8): its Sturm sequence has negative leading
-# coefficients, which the pseudo-remainders must not flip
+# -3 (3x + 4)(x - 4)(x^2 + 8): a negative leading coefficient, a root that is
+# an integer only after the scaling by D, and a factor with no real root
 @example([([Fraction(4), Fraction(3)], 1), ([Fraction(-4), Fraction(1)], 1),
           ([Fraction(8), Fraction(0), Fraction(1)], 1)], Fraction(-3))
 # x^3 (x - 2/3): the zero root survives the monic transform
@@ -124,6 +124,38 @@ def test_rational_roots_match_the_divisor_oracle(factors, lead):
         for _ in range(multiplicity):
             poly = _times(poly, factor)
     assert _eigenvalues(int_rows(companion(poly))) == divisor_rational_roots(poly)
+
+
+# monic factors as (coefficients leading first, integer roots): x - r with
+# |r| up to 2^80 or exactly +-2^m, x, x^2 + c and x^2 - p for a prime p
+_int_factor = st.one_of(
+    st.one_of(st.integers(-2**80, 2**80),
+              st.tuples(st.sampled_from([1, -1]), st.integers(0, 80)).map(lambda sm: sm[0] << sm[1]))
+    .map(lambda r: ([1, -r], {r})),
+    st.just(([1, 0], {0})),
+    st.integers(1, 10**9).map(lambda c: ([1, 0, c], set())),
+    st.sampled_from([2, 3, 5, 7, 2**61 - 1]).map(lambda p: ([1, 0, -p], set())),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_int_factor, st.integers(1, 3)), max_size=5), st.sampled_from([1, -1, 3]))
+# (x - 2^40)(x + 2^40 - 1): its root 2^40 is b / 4, where a bound without the
+# factor 4 would end the walk
+@example([(([1, -2**40], {2**40}), 1), (([1, 2**40 - 1], {1 - 2**40}), 1)], 1)
+def test_integer_roots_of_products_of_factors(factors, lead):
+    poly, roots = [lead], set()
+    for (factor, rs), multiplicity in factors:
+        for _ in range(multiplicity):
+            poly = _times(poly, factor)
+        roots |= rs
+    assert weights_module._integer_roots(poly) == sorted(roots)
+
+
+def test_integer_roots_examples():
+    assert weights_module._integer_roots([3, -6]) == [2]
+    assert weights_module._integer_roots([2, -3]) == []
+    assert weights_module._integer_roots([5]) == []
 
 
 @st.composite
