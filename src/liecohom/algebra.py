@@ -484,14 +484,19 @@ def change_basis(g: LieAlgebra, m: RationalMatrix) -> LieAlgebra:
 def pullback_one_form(omega: OneForm, m: RationalMatrix) -> OneForm:
     """Coefficients of a one-form in the new basis given by the columns of ``m``.
 
-    The j-th new coefficient is omega evaluated on the j-th new basis vector,
-    i.e. the transpose of ``m`` applied to the old coefficients.
+    The j-th new coefficient is omega evaluated on the j-th new basis vector:
+    one pass over the sparse rows of ``m`` adds omega_i times row i if omega_i != 0.
     """
     _require_types((omega, OneForm), (m, RationalMatrix))
     if omega.dim != m.rows:
         raise ValueError(f"cannot pull back a one-form of dimension {omega.dim} "
                          f"along a change of basis of dimension {m.rows}")
-    return OneForm(m.transpose().apply(omega.coeffs))
+    out = [Fraction(0)] * m.cols
+    for w, row in zip(omega.coeffs, m._rows):
+        if w:
+            for j, x in row.items():
+                out[j] += w * x
+    return OneForm(out)
 
 
 def random_invertible(n: int, rng) -> RationalMatrix:

@@ -16,6 +16,7 @@ is unrestricted here and the condition is only documented.
 from __future__ import annotations
 
 from .algebra import LieAlgebra, OneForm, _record
+from .cohomology import _binomials
 from .errors import StructureError
 from .linalg import _exact
 from .serialization import parse_decimal
@@ -40,12 +41,7 @@ def _abelian(n: int) -> CatalogEntry:
     if type(n) is not int or n < 1:
         raise StructureError("abelian requires an integer parameter n >= 1")
     g = LieAlgebra.from_brackets(n, {})
-    # C(n, p+1) = C(n, p) (n - p) / (p + 1): one product per entry, where a
-    # separate binomial per entry costs a minute at n = 15000
-    binomials = [1]
-    for p in range(n):
-        binomials.append(binomials[-1] * (n - p) // (p + 1))
-    expected = ((OneForm.zero(n), tuple(binomials)),)
+    expected = ((OneForm.zero(n), tuple(_binomials(n))),)
     return CatalogEntry(
         name="abelian",
         parameters={"n": n},

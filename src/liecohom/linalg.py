@@ -36,6 +36,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, lcm
 from numbers import Rational
 
@@ -289,10 +290,11 @@ def _eliminate(row: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[i
 def _echelon(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], list[int]]:
     """Fraction-free forward elimination over sparse integer rows.
 
-    Rows are grouped by leading column and the columns are visited in
-    ascending order, so the pivot columns are the greedy independent column
-    set. In each group the shortest row (first on ties) becomes the pivot row
-    and the others are reduced against it; rows leading further right are not
+    Rows are grouped by leading column, and the columns that lead a group are
+    popped off a heap in ascending order: the pivot columns are the greedy
+    independent column set, at a cost that follows the rows, not the width.
+    In each group the shortest row (first on ties) becomes the pivot row and
+    the others are reduced against it; rows leading further right are not
     touched. Empty rows are skipped and no input row is changed. Returns the
     pivot rows and their pivot columns, ascending.
     """
@@ -302,17 +304,18 @@ def _echelon(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], list[int
         groups.setdefault(min(r), []).append(r)
     echelon: list[dict[int, int]] = []
     pivots: list[int] = []
-    # a reduced row only leads further right, so one left-to-right sweep suffices
-    for c in range(max((max(r) for r in rows), default=-1) + 1):
-        group = groups.pop(c, None)
-        if group is None:
-            continue
+    # a reduced row only opens a group right of c: the heap's columns ascend
+    heap = sorted(groups)
+    while heap:
+        group = groups.pop(c := heappop(heap))
         pivot_row = min(group, key=len)
         for r in group:
             if r is not pivot_row:
                 r = _eliminate(r, pivot_row, c)
                 if r:
-                    groups.setdefault(min(r), []).append(r)
+                    if (lead := min(r)) not in groups:
+                        heappush(heap, lead)
+                    groups.setdefault(lead, []).append(r)
         echelon.append(pivot_row)
         pivots.append(c)
     return echelon, pivots

@@ -21,7 +21,7 @@ from .cohomology import betti_numbers
 from .errors import ComputationDomainError, NonClosedFormError, StructureError, _require_types
 from .exterior import is_closed
 from .linalg import _exact, vector
-from .weights import WeightData, adapted_basis, omega_set
+from .weights import Vanishing, WeightData, adapted_basis, omega_set, vanishing_predicate
 
 
 @_record
@@ -51,7 +51,7 @@ def _critical_multipliers(data: WeightData, direction: OneForm) -> list[Fraction
     found = {Fraction(0)}
     for sigma in omega_set(data).elements:
         lam = -sigma.coeffs[pivot] / direction.coeffs[pivot]
-        if direction.scale(-lam) == sigma:
+        if all(s == -lam * c for s, c in zip(sigma.coeffs, direction.coeffs)):
             found.add(lam)
     return sorted(found)
 
@@ -69,15 +69,10 @@ def scan_line(g: LieAlgebra, direction: OneForm) -> ScanTable:
         raise NonClosedFormError("scan direction must be a closed one-form")
     data = adapted_basis(g)
     criticals = _critical_multipliers(data, direction)
-    rows = tuple(ScanRow(lam, tuple(betti_numbers(g, direction.scale(lam))))
-                 for lam in criticals)
-    generic_lam = 1 + max(abs(lam) for lam in criticals)
-    generic = ScanRow(generic_lam,
-                      tuple(betti_numbers(g, direction.scale(generic_lam))))
-    return ScanTable(direction=direction,
-                     critical_lambdas=tuple(criticals),
-                     rows=rows,
-                     generic=generic)
+    rows = [ScanRow(lam, tuple(betti_numbers(g, direction.scale(lam))))
+            for lam in criticals + [1 + max(abs(lam) for lam in criticals)]]
+    return ScanTable(direction=direction, critical_lambdas=tuple(criticals),
+                     rows=tuple(rows[:-1]), generic=rows[-1])
 
 
 @_record
@@ -125,8 +120,8 @@ def novikov_report(g: LieAlgebra, omega: OneForm, lam,
     holds = tuple(m >= b for m, b in zip(counts, betti))
     critical: bool | None
     try:
-        data = adapted_basis(g)
-        critical = -omega.scale(lam) in omega_set(data)
+        critical = vanishing_predicate(adapted_basis(g), omega.scale(lam)) \
+            is Vanishing.POSSIBLY_NONTRIVIAL
     except ComputationDomainError:
         critical = None
     return NovikovReport(omega=omega, lam=lam, betti=betti,

@@ -90,9 +90,8 @@ class WeightData:
         _require_types(*((w, OneForm) for w in self.weights))
         # ``_adapted_weights``: each weight's coefficients in the adapted dual
         # basis, pulled back once per instance so that ``r0_spectrum`` need not
-        to_adapted = self.adapted_change.transpose()
         object.__setattr__(self, "_adapted_weights", tuple(
-            w.coeffs if w.is_zero() else to_adapted.apply(w.coeffs) for w in self.weights))
+            pullback_one_form(w, self.adapted_change).coeffs for w in self.weights))
 
     @property
     def dim(self) -> int:

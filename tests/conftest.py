@@ -400,3 +400,26 @@ def loop_reduce(echelon, pivots):
         for i in range(k):
             if c in echelon[i]:
                 echelon[i] = _eliminate(echelon[i], pivot_row, c)
+
+
+def sweep_echelon(rows):
+    """Reference for ``linalg._echelon``: the same groups and pivot rule, with
+    the columns visited by one sweep over 0 .. the largest column."""
+    rows = [r for r in rows if r]
+    groups = {}
+    for r in rows:
+        groups.setdefault(min(r), []).append(r)
+    echelon, pivots = [], []
+    for c in range(max((max(r) for r in rows), default=-1) + 1):
+        group = groups.pop(c, None)
+        if group is None:
+            continue
+        pivot_row = min(group, key=len)
+        for r in group:
+            if r is not pivot_row:
+                r = _eliminate(r, pivot_row, c)
+                if r:
+                    groups.setdefault(min(r), []).append(r)
+        echelon.append(pivot_row)
+        pivots.append(c)
+    return echelon, pivots

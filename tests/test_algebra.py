@@ -483,3 +483,15 @@ def test_basis_names_default_and_custom():
         LieAlgebra.from_brackets(2, {}, names=["x"])
     # any iterable of strings names the basis, in order
     assert LieAlgebra.from_brackets(2, {}, names=iter(("x", "y"))).basis_names == ("x", "y")
+
+
+_entries = st.sampled_from([0] * 6 + [1, -2]) | st.fractions(-9, 9, max_denominator=7)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_pullback_is_the_transpose_applied(rows, cols, data):
+    m = RationalMatrix(rows, cols, data.draw(st.lists(
+        st.lists(_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+    omega = OneForm(data.draw(st.lists(_entries, min_size=rows, max_size=rows)))
+    assert pullback_one_form(omega, m) == OneForm(m.transpose().apply(omega.coeffs))

@@ -45,7 +45,7 @@ from liecohom import (
     weight_sum_check,
 )
 from liecohom.algebra import _inner_diagonal, random_invertible
-from liecohom.cohomology import _cleared_walk, _components, _live_monomials
+from liecohom.cohomology import _binomials, _cleared_walk, _components, _live_monomials
 from liecohom.exterior import _differential_tables, form_basis
 from liecohom.linalg import (RationalMatrix, extend_independent, in_image, invert, kernel_basis,
                              rank, solve, span_basis, unit_vector)
@@ -1119,3 +1119,23 @@ def test_a_twisted_center_off_the_basis_kills_everything_without_a_walk(w1, monk
     assert betti_numbers(big, twisted) == [0] * 8
     assert calls == []
     assert list(cohomology(big, twisted).betti) == [0] * 8
+
+
+def test_betti_numbers_split_an_algebra_once(monkeypatch):
+    """The direct factors are a fact of the algebra, kept by ``_memo``: two
+    queries split it once, and a copy through the constructor splits anew."""
+    module = importlib.import_module("liecohom.cohomology")
+    calls = []
+    monkeypatch.setattr(module, "_components", lambda g: calls.append(g) or _components(g))
+    g = LieAlgebra.from_brackets(5, {(1, 2): (0, 0, 1, 0, 0)})
+    assert betti_numbers(g, OneForm.zero(5)) == [1, 4, 7, 7, 4, 1]
+    assert betti_numbers(g, one_form(0, 0, 0, 1, 0)) == [0] * 6
+    assert len(calls) == 1
+    assert betti_numbers(LieAlgebra(g.dim, g.basis_names, g.brackets), OneForm.zero(5)) \
+        == [1, 4, 7, 7, 4, 1]
+    assert len(calls) == 2
+
+
+def test_binomials_are_a_row_of_pascals_triangle():
+    for n in range(61):
+        assert _binomials(n) == [comb(n, p) for p in range(n + 1)]

@@ -23,7 +23,8 @@ from liecohom.linalg import (
     zero_vector,
 )
 
-from conftest import coords_to_form, identity, loop_reduce, matrix_product, sequential_extend
+from conftest import (coords_to_form, identity, loop_reduce, matrix_product, sequential_extend,
+                      sweep_echelon)
 
 
 def naive_rank(m: RationalMatrix) -> int:
@@ -442,3 +443,19 @@ def test_reduce_matches_the_pivot_by_pivot_loop(rows):
     _reduce(echelon, pivots)
     assert echelon == expected
     assert all(c not in r for i, r in enumerate(echelon) for c in pivots if c != pivots[i])
+
+
+far_apart_rows = st.lists(st.integers(0, 10**6), min_size=1, max_size=6, unique=True).flatmap(
+    lambda cols: st.lists(st.dictionaries(st.sampled_from(cols), st.integers(-9, 9).filter(bool),
+                                          max_size=4), max_size=8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(far_apart_rows)
+def test_echelon_matches_the_column_sweep(rows):
+    """The heap yields the leading columns in the sweep's order: the same
+    echelon rows, entry for entry and in order, and the same pivots."""
+    echelon, pivots = _echelon(rows)
+    expected, expected_pivots = sweep_echelon(rows)
+    assert pivots == expected_pivots
+    assert [list(r.items()) for r in echelon] == [list(r.items()) for r in expected]

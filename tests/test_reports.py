@@ -15,10 +15,12 @@ from liecohom import (
     omega_set,
     r0_spectrum,
     scan_line,
+    vanishing_predicate,
 )
 from liecohom import weights
+from liecohom.weights import Vanishing
 
-from conftest import diag, one_form
+from conftest import closed_grid, diag, k2, one_form
 
 
 def test_scan_sol3(sol3):
@@ -167,3 +169,17 @@ def test_novikov_input_validation(sol3):
         with pytest.raises(StructureError):
             novikov_report(sol3, one_form(1, 0, 0), lam, counts)
 
+
+
+def test_novikov_flags_a_critical_lambda_as_the_vanishing_predicate_does(sol3, heisenberg3,
+                                                                          euclid3):
+    for g in (sol3, heisenberg3, k2(), diag(4)):
+        data = adapted_basis(g)
+        for omega in closed_grid(g):
+            for lam in (-1, Fraction(1, 2), 2):
+                report = novikov_report(g, omega, lam, [0] * (g.dim + 1))
+                assert report.lambda_critical is (vanishing_predicate(data, omega.scale(lam))
+                                                  is Vanishing.POSSIBLY_NONTRIVIAL)
+    # no rational flag: the flag is unknown, not False
+    for omega in closed_grid(euclid3):
+        assert novikov_report(euclid3, omega, 2, [0] * 4).lambda_critical is None
