@@ -7,7 +7,8 @@ indices facing the user are 1-based (matching the e_1 ... e_n notation),
 coordinates are plain tuples of Fractions. Each algebra's one private copy
 of its table is an integer image: the lcm ``L`` of all coefficient denominators
 and, per stored pair, the nonzero ``(m, L * C_ij^m)`` as ints. Brackets, the
-Jacobi check, closedness and ``d_w`` sum over it; a change of basis is one solve.
+Jacobi check (on packed ints), closedness, ``d_w`` and a change of basis (one
+int elimination) sum over it.
 
 Every value is immutable after construction and every operation is a pure
 function; the one exception is ``_memo``, which caches a fact of an object on it.
@@ -25,15 +26,16 @@ from .errors import JacobiError, StructureError, _require_types
 from .linalg import (
     RationalMatrix,
     Vector,
+    _augment,
     _echelon,
     _exact,
     _integer_rows,
     _iterable,
     _kernel,
+    _reduce,
     in_image,
     kernel_basis,
     rank,
-    solve,
     span_basis,
     unit_vector,
     vector,
@@ -186,14 +188,24 @@ class ValidationReport:
         return "; ".join(str(d) for d in self.defects)
 
 
+MAX_DIM = 100_000  # the largest dimension taken; it admits the catalog's abelian 15000
+
+
+def _dimension(dim) -> int:
+    """``dim`` if it is an int in 1..MAX_DIM, else a StructureError, raised before
+    anything of that size is built."""
+    if type(dim) is not int or not 1 <= dim <= MAX_DIM:
+        raise StructureError(f"dimension must be an integer in 1..{MAX_DIM}, got {dim!r}")
+    return dim
+
+
 def _normalize_brackets(dim: int, brackets: Mapping) -> dict[tuple[int, int], Vector]:
     """Shape-check a raw bracket table and coerce coefficients to Fractions.
 
     Raises StructureError for anything malformed; this is deliberately
     separate from the Jacobi check so callers can tell the two apart.
     """
-    if type(dim) is not int or dim < 1:
-        raise StructureError(f"dimension must be an integer >= 1, got {dim!r}")
+    _dimension(dim)
     if not isinstance(brackets, Mapping):
         raise StructureError(f"brackets must be a mapping, got a {type(brackets).__name__}")
     table: dict[tuple[int, int], Vector] = {}
@@ -329,6 +341,9 @@ def _diagonal_elements(g: LieAlgebra) -> list:
             for src, dst, v in ((i - 1, j - 1, c), (j - 1, i - 1, -c)):
                 row = diag.setdefault(dst, {}) if m == dst else off.setdefault((dst, m), {})
                 row[src] = v
+    # in a random basis the rows of [x, e_1] and [x, e_2] often leave x = 0 alone
+    if len(_echelon([r for (i, _), r in off.items() if i < 2])[1]) == n:
+        return []
     # [a | x] per kernel vector: in echelon form the rows that lead inside a
     # have independent a, and the rows that lead inside x span a = 0
     rows = []
@@ -342,30 +357,51 @@ def _diagonal_elements(g: LieAlgebra) -> list:
 def _jacobi_report(g: LieAlgebra) -> ValidationReport:
     """Every triple i < j < k whose cyclic sum [[e_i, e_j], e_k] + ... is nonzero.
 
-    A triple none of whose three pairs has a stored bracket sums to zero, so
-    only the triples that contain a stored pair are visited, in sorted order.
-    The sums run over the integer table, at scale L^2; only a nonzero sum is
-    divided back into the exact defect.
+    Visits, in sorted order, the triples with a term [[e_a, e_b], e_c] whose [e_a, e_b]
+    holds an e_m with a stored [e_m, e_c]. Sums run over the int table at scale L^2 on
+    packed ints, [e_m, e_c] as sum_out L C_mc^out 2^(out s), s the bit length of 3 W M^2
+    (W the most terms of a bracket, M the largest |L C|). Each entry of a triple's sum
+    adds at most 3 W products of size <= M^2, so it is below 2^s in size: the lowest
+    nonzero entry would leave a nonzero remainder mod 2^s, and the packed sum is zero
+    exactly when every entry is. A nonzero triple is summed again entry by entry.
     """
-    # [e_a, e_b] for a != b in either order, as (0-based m, L * C_ab^m)
-    signed = {}
-    for (i, j), terms in g._int_table.items():
-        signed[i, j] = terms
-        signed[j, i] = tuple((m, -x) for m, x in terms)
-
+    table, n = g._int_table, g.dim
+    # [e_a, e_b] for a != b in either order, as (0-based m, L * C_ab^m), and the
+    # indices that share a stored bracket with each index
+    signed, partners = {}, {}
+    for (i, j), terms in table.items():
+        signed[i, j], signed[j, i] = terms, tuple((m, -x) for m, x in terms)
+        partners.setdefault(i, []).append(j)
+        partners.setdefault(j, []).append(i)
+    triples = set()
+    for (a, b), terms in table.items():
+        for c in set().union(*(partners.get(m + 1, ()) for m, _ in terms)) - {a, b}:
+            triples.add((c, a, b) if c < a else (a, c, b) if c < b else (a, b, c))
+    if not triples:
+        return ValidationReport(ok=True)
+    heads = {m + 1 for terms in table.values() for m, _ in terms}
+    top = max(abs(x) for terms in table.values() for _, x in terms)
+    s = (3 * max(map(len, table.values())) * top * top).bit_length()
+    packed = {}  # packed[c][m - 1]: [e_m, e_c] as one int, for the e_m a bracket holds
+    for (i, j), terms in table.items():
+        if i in heads or j in heads:
+            p = sum([y << out * s for out, y in terms])
+            packed.setdefault(j, [0] * n)[i - 1], packed.setdefault(i, [0] * n)[j - 1] = p, -p
     defects = []
-    triples = {tuple(sorted((i, j, k))) for (i, j), _ in g.brackets
-               for k in range(1, g.dim + 1) if k != i and k != j}
     for i, j, k in sorted(triples):
-        acc: dict[int, int] = {}
         # [[e_a, e_b], e_c] summed over the three cyclic orders
+        total = 0
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, x in signed.get((a, b), ()):
-                for out, y in signed.get((m + 1, c), ()):
-                    acc[out] = acc.get(out, 0) + x * y
-        if any(acc.values()):
-            square = g._scale * g._scale
-            defect = tuple(Fraction(acc.get(m, 0), square) for m in range(g.dim))
+            if col := packed.get(c):
+                for m, x in signed.get((a, b), ()):
+                    total += x * col[m]
+        if total:
+            acc: dict[int, int] = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, x in signed.get((a, b), ()):
+                    for out, y in signed.get((m + 1, c), ()):
+                        acc[out] = acc.get(out, 0) + x * y
+            defect = tuple(Fraction(acc.get(m, 0), g._scale * g._scale) for m in range(n))
             defects.append(JacobiDefect((i, j, k), defect))
     return ValidationReport(ok=not defects, defects=tuple(defects))
 
@@ -462,23 +498,28 @@ def is_unimodular(g: LieAlgebra) -> bool:
 def change_basis(g: LieAlgebra, m: RationalMatrix) -> LieAlgebra:
     """Rewrite the algebra in the basis whose vectors are the columns of ``m``.
 
-    One solve of ``m u = [m e_a, m e_b]`` gives every new bracket u. Its first
-    targets, the unit vectors, make a singular ``m`` raise ValueError even when
-    every bracket is zero. The result is re-validated, although Jacobi holds
-    automatically (it is basis-independent).
+    In ints: with D the lcm of the denominators of ``m``, one elimination of
+    ``[D m | L D^2 [m e_a, m e_b]]`` (targets from ``_int_bracket`` on the columns of
+    D m) gives every new bracket times L D. ``m`` is singular, a ValueError, exactly
+    when a column of D m is no pivot. The result is re-validated, although Jacobi
+    holds automatically (it is basis-independent).
     """
     _require_types((g, LieAlgebra), (m, RationalMatrix))
     n = g.dim
     if (m.rows, m.cols) != (n, n):
         raise ValueError(f"change of basis must be {n}x{n}")
-    pairs = list(combinations(range(n), 2))
-    solved = solve(m, [unit_vector(n, j) for j in range(n)]
-                  + [g.bracket(m.column(a), m.column(b)) for a, b in pairs])
-    if solved is None:
+    d = lcm(*(q.denominator for r in m._rows for q in r.values()))
+    dm = [{j: q.numerator * (d // q.denominator) for j, q in r.items()} for r in m._rows]
+    cols, pairs = [[r.get(j, 0) for r in dm] for j in range(n)], list(combinations(range(n), 2))
+    echelon, pivots = _echelon(_augment(RationalMatrix._adopt(n, n, dm), (
+        {i: x for i, x in enumerate(g._int_bracket(cols[a], cols[b])) if x} for a, b in pairs)))
+    if pivots != list(range(n)):
         raise ValueError("singular matrix")
-    brackets = {(a + 1, b + 1): v for (a, b), v in zip(pairs, solved[n:])
-                if any(v)}
-    return LieAlgebra.from_brackets(n, brackets, names=g.basis_names)
+    _reduce(echelon, pivots)
+    scales = [row[i] * g._scale * d for i, row in enumerate(echelon)]
+    return LieAlgebra.from_brackets(n, {
+        (a + 1, b + 1): [Fraction(row.get(k, 0), q) for row, q in zip(echelon, scales)]
+        for k, (a, b) in enumerate(pairs, n)}, names=g.basis_names)
 
 
 def pullback_one_form(omega: OneForm, m: RationalMatrix) -> OneForm:

@@ -16,9 +16,10 @@ a ``{column: int}`` map, a row with no entry in the pivot column is left
 untouched, and every updated row is divided by its content. Each row then
 stays the primitive multiple of the row Bareiss elimination would hold, so
 intermediate entries are bounded by minors of the input instead of letting
-numerators explode. ``solve`` is the one solve: a single preimage
-(``in_image``), an inverse (``invert``), a change of basis and the weights
-of the adapted basis all call it, and it coerces the targets once.
+numerators explode. ``solve`` is the one Fraction solve: a single preimage
+(``in_image``), an inverse (``invert``) and the weights of the adapted basis
+call it, and it coerces the targets once; a change of basis builds its int
+rows itself and calls ``_echelon`` and ``_reduce``.
 
 The public functions clear each rational row's denominators first
 (``_integer_rows``). The cohomology path does not need to: the exterior

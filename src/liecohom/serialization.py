@@ -21,7 +21,7 @@ import json
 from fractions import Fraction
 from typing import Mapping
 
-from .algebra import LieAlgebra, OneForm
+from .algebra import LieAlgebra, OneForm, _dimension
 from .errors import StructureError
 from .exterior import ExteriorForm
 from .linalg import _exact, _int
@@ -47,9 +47,7 @@ def algebra_from_dict(doc: Mapping) -> LieAlgebra:
         raise StructureError("algebra document must be a JSON object")
     if "dim" not in doc:
         raise StructureError("algebra document is missing \"dim\"")
-    dim = doc["dim"]
-    if type(dim) is not int or dim < 1:
-        raise StructureError(f"\"dim\" must be an integer >= 1, got {dim!r}")
+    dim = _dimension(doc["dim"])
     brackets = {}
     raw = doc.get("brackets", [])
     if not isinstance(raw, list):
@@ -112,8 +110,9 @@ def parse_algebra(text: str) -> LieAlgebra:
         raise StructureError(f"expected a JSON document as text, got a {type(text).__name__}")
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:
-        # a JSONDecodeError, or an integer past the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer past the interpreter's digit limit, or
+        # nesting deeper than the interpreter's recursion limit
         raise StructureError(f"invalid JSON: {exc}") from None
     return algebra_from_dict(doc)
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,7 +13,7 @@ from liecohom import (
     differential_matrices,
     load_example,
 )
-from liecohom.algebra import derived_series
+from liecohom.algebra import JacobiDefect, ValidationReport, derived_series
 from liecohom.exterior import form_basis, sort_sign
 from liecohom.linalg import (
     RationalMatrix,
@@ -20,6 +21,7 @@ from liecohom.linalg import (
     extend_independent,
     kernel_basis,
     rank,
+    solve,
     span_basis,
     unit_vector,
     vector,
@@ -423,3 +425,42 @@ def sweep_echelon(rows):
         echelon.append(pivot_row)
         pivots.append(c)
     return echelon, pivots
+
+
+def fraction_change_basis(g, m):
+    """Reference for ``algebra.change_basis``: one Fraction solve of
+    ``m u = [m e_a, m e_b]`` with the brackets taken by ``g.bracket``, and the
+    unit vectors as extra targets so that a singular ``m`` is refused."""
+    n = g.dim
+    if (m.rows, m.cols) != (n, n):
+        raise ValueError(f"change of basis must be {n}x{n}")
+    pairs = list(combinations(range(n), 2))
+    solved = solve(m, [unit_vector(n, j) for j in range(n)]
+                   + [g.bracket(m.column(a), m.column(b)) for a, b in pairs])
+    if solved is None:
+        raise ValueError("singular matrix")
+    brackets = {(a + 1, b + 1): v for (a, b), v in zip(pairs, solved[n:]) if any(v)}
+    return LieAlgebra.from_brackets(n, brackets, names=g.basis_names)
+
+
+def entry_jacobi_report(g):
+    """Reference for ``algebra._jacobi_report``: every triple that contains a
+    stored pair, its cyclic sum added entry by entry over the int table."""
+    signed = {}
+    for (i, j), terms in g._int_table.items():
+        signed[i, j] = terms
+        signed[j, i] = tuple((m, -x) for m, x in terms)
+    defects = []
+    triples = {tuple(sorted((i, j, k))) for (i, j), _ in g.brackets
+               for k in range(1, g.dim + 1) if k != i and k != j}
+    for i, j, k in sorted(triples):
+        acc = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in signed.get((a, b), ()):
+                for out, y in signed.get((m + 1, c), ()):
+                    acc[out] = acc.get(out, 0) + x * y
+        if any(acc.values()):
+            square = g._scale * g._scale
+            defect = tuple(Fraction(acc.get(m, 0), square) for m in range(g.dim))
+            defects.append(JacobiDefect((i, j, k), defect))
+    return ValidationReport(ok=not defects, defects=tuple(defects))

@@ -24,10 +24,25 @@ from liecohom import (
     validate_lie_algebra,
 )
 from liecohom import algebra as algebra_module
-from liecohom.algebra import Subspace, _record, derived_series, random_invertible
-from liecohom.linalg import RationalMatrix
+from liecohom.algebra import (
+    MAX_DIM,
+    Subspace,
+    _inner_diagonal,
+    _record,
+    derived_series,
+    random_invertible,
+)
+from liecohom.linalg import RationalMatrix, kernel_basis
 
-from conftest import diag, heisenberg5, identity, one_form
+from conftest import (
+    diag,
+    entry_jacobi_report,
+    fraction_change_basis,
+    heisenberg5,
+    identity,
+    one_form,
+    unchecked_algebra,
+)
 
 
 # {[e1,e2]=e1, [e1,e3]=e3, [e2,e3]=0}: the cyclic sum over (1,2,3) is
@@ -367,6 +382,120 @@ def test_change_basis_runs_the_jacobi_check(monkeypatch, sol3):
     for seed in range(3):
         change_basis(sol3, random_invertible(3, random.Random(seed)))
     assert calls == [3, 3, 3]
+
+
+@st.composite
+def _small_algebras(draw):
+    """A Lie algebra of dimension 1..7 with rational constants: almost abelian
+    (e1 acting on the abelian ideal e2..en by any matrix), a scaled Heisenberg
+    algebra, or a scaled sl2 plus an abelian summand."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["almost abelian", "heisenberg", "sl2"]))
+    if kind == "sl2" and n >= 3:
+        c, pad = draw(_RATIONALS.filter(bool)), (0,) * (n - 3)
+        table = {(1, 2): (0, 2 * c, 0) + pad, (1, 3): (0, 0, -2 * c) + pad,
+                 (2, 3): (c, 0, 0) + pad}
+    elif kind == "heisenberg" and n >= 3:
+        table = {(i, i + 1): [0] * (n - 1) + [draw(_RATIONALS)] for i in range(1, n - 1, 2)}
+    else:
+        table = {(1, j): [0] + draw(st.lists(_RATIONALS, min_size=n - 1, max_size=n - 1))
+                 for j in range(2, n + 1)}
+    return LieAlgebra.from_brackets(n, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_algebras(), st.data())
+def test_change_basis_matches_the_fraction_reference(g, data):
+    # two changes in a row, so that the second starts from a dense rational table
+    for _ in range(2):
+        n = g.dim
+        rows = data.draw(st.lists(st.lists(_RATIONALS, min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+        if n > 1 and data.draw(st.booleans()):
+            # the last column a multiple of the first: singular
+            q = data.draw(_RATIONALS)
+            for r in rows:
+                r[-1] = q * r[0]
+        m = RationalMatrix.from_rows(rows)
+        try:
+            expected = fraction_change_basis(g, m)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular matrix"):
+                change_basis(g, m)
+            return
+        g = change_basis(g, m)
+        assert repr(g) == repr(expected)
+
+
+_M = 2 ** 100
+_NUMERATORS = st.one_of(st.sampled_from([0, 0, 0, 1, -1, 2]), st.integers(_M - 8, _M + 8),
+                        st.integers(-_M - 8, -_M + 8))
+
+# Two tables whose triple (1, 2, 3) sums to M^2 e1 - e2 and to 2 M^2 e1 - e2,
+# with every bracket one term of size at most M = 2^100: the packed sum would
+# read zero if its entries were 200 or 201 bits apart instead of the bit
+# length of 3 M^2, 202.
+_CARRY_AT_M2 = (5, {(1, 2): (0, 0, 0, _M, 0), (3, 4): (-_M, 0, 0, 0, 0),
+                    (2, 3): (0, 0, 0, 0, 1), (1, 5): (0, 1, 0, 0, 0)})
+_CARRY_AT_2M2 = (6, {(1, 2): (0, 0, 0, _M, 0, 0), (3, 4): (-_M, 0, 0, 0, 0, 0),
+                     (2, 3): (0, 0, 0, 0, 1, 0), (1, 5): (0, 1, 0, 0, 0, 0),
+                     (1, 3): (0, 0, 0, 0, 0, -_M), (2, 6): (-_M, 0, 0, 0, 0, 0)})
+
+
+@st.composite
+def _broken_tables(draw):
+    """A random bracket table of dimension 3..6, which mostly fails Jacobi, with
+    numerators near +-2^100 among small ones and denominators up to 97."""
+    n = draw(st.integers(3, 6))
+    entry = st.builds(Fraction, _NUMERATORS, st.integers(1, 97))
+    return n, {(i, j): draw(st.lists(entry, min_size=n, max_size=n))
+               for i, j in combinations(range(1, n + 1), 2) if draw(st.booleans())}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_broken_tables())
+@example(_CARRY_AT_M2)
+@example(_CARRY_AT_2M2)
+@example((3, BROKEN_TABLE))
+@example((3, RATIONAL_BROKEN_TABLE))
+def test_jacobi_report_matches_the_per_entry_reference(case):
+    n, table = case
+    expected = entry_jacobi_report(unchecked_algebra(n, table))
+    assert validate_lie_algebra(n, table) == expected
+    if table in (_CARRY_AT_M2[1], _CARRY_AT_2M2[1]):
+        assert expected.defects[0].triple == (1, 2, 3)
+
+
+def _diagonal_dimension(g):
+    """Dimension of the x with [x, e_i] in Q e_i for every i, in Fractions."""
+    n = g.dim
+    rows = [[g.bracket_basis(j + 1, i + 1)[m] for j in range(n)]
+            for i in range(n) for m in range(n) if m != i]
+    return len(kernel_basis(RationalMatrix(len(rows), n, rows)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inner_diagonal_stops_early_only_when_nothing_acts(seed, monkeypatch):
+    rng = random.Random(seed)
+    cases = [diag(6), heisenberg5(), LieAlgebra.from_brackets(2, {(1, 2): (0, 1)}),
+             LieAlgebra.from_brackets(1, {}), load_example("sol3", k=3).algebra]
+    cases += [change_basis(g, random_invertible(g.dim, rng)) for g in list(cases)]
+    for g in cases:
+        assert len(_inner_diagonal(g)) == _diagonal_dimension(g)
+    # diag 6 in a random basis: the rows of [x, e_1] and [x, e_2] settle x = 0
+    calls = []
+    real = algebra_module._kernel
+    monkeypatch.setattr(algebra_module, "_kernel", lambda *a: calls.append(a) or real(*a))
+    assert _inner_diagonal(change_basis(diag(6), random_invertible(6, rng))) == []
+    assert calls == []
+
+
+def test_dimension_limit():
+    assert LieAlgebra.from_brackets(6000, {}).dim == 6000
+    assert LieAlgebra.from_brackets(MAX_DIM, {}).dim == MAX_DIM
+    for dim in (MAX_DIM + 1, 2 ** 63, 10 ** 30):
+        with pytest.raises(StructureError, match="dimension must be an integer in 1.."):
+            LieAlgebra.from_brackets(dim, {})
 
 
 def test_bracket_antisymmetry_and_linearity(sol3):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -317,6 +318,22 @@ def test_example_value_over_the_digit_limit_exits_1(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "--emit" in captured.err
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 1000000000000000000000000000000, "brackets": []}',
+    '{"dim": 9223372036854775808}',
+    "[" * 100_000 + "]" * 100_000,
+    '{"dim": 200000, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]}',
+], ids=["dim 10^30", "dim 2^63", "nested 100000 deep", "dim over the limit"])
+def test_documents_no_answer_can_follow_exit_1(text, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main(["validate", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_novikov_rejects_fractional_morse_counts(sol3_file, capsys):
