@@ -69,6 +69,12 @@ d_w is block diagonal over the weight blocks (one per value of the a_I),
 ``_echelon`` and ``_reduce`` only combine rows with a common leading column,
 hence rows of one block, and an acyclic block B keeps |B_p| - rk d_(p-1)|B
 rows of rank rk d_p|B in degree p, which leave no relation.
+
+A scan asks for many lam * w at once. An x with w(x) != 0 makes a_I(x) = lam w(x)
+hold for lam = a_I(x) / w(x) alone, and one with w(x) = 0 asks a_I(x) = 0 at every
+lam: a monomial of a factor that some x sees is live for at most one lam, and one
+search, a target per lam, sorts them into buckets; a factor no x sees has one live set
+for all. At lam = p / q, q gens and p wedge terms of w's tables give q S d_(lam w).
 """
 
 from __future__ import annotations
@@ -124,47 +130,51 @@ def _cleared_walk(monomials: list, tables, relations: bool = False):
         sources, cleared = targets, {targets[c] for c in pivots[:r]}
 
 
-def _live_monomials(indices, constraints: list) -> list:
-    """Per degree p = 0 .. k, in lexicographic order, the p-subsets I of the k
-    ascending ``indices`` with sum_(i in I) c_i = t for every constraint (c, t),
-    c_s the coefficient of the s-th index; all of them if there is none.
+def _live_monomials(indices, rows: list, targets: list) -> list:
+    """For each target t of ``targets``: per degree p = 0 .. k, in lexicographic
+    order, the p-subsets I of the k ascending ``indices`` with sum_(i in I) c_i = t_s
+    for the s-th row c of ``rows`` (c_j the coefficient of the j-th index) and
+    every s; all of them if there is no row. Equal targets share one list.
 
-    The constraints are packed into one: with B above twice every
-    |sum_(i in I) c_i - t|, the sum of those differences times B^s (for the
-    s-th constraint) is zero only when each difference is. A depth-first walk
-    adds indices in ascending order, so each degree comes out in
-    lexicographic order; it leaves a branch as soon as the remaining target
-    lies outside the sums still reachable from the indices left.
+    The rows are packed into one: with B above twice every |sum_(i in I) c_i - t_s|,
+    the sum of those differences times B^s is zero only when each difference is.
+    One depth-first walk serves every target: it adds indices in ascending order,
+    so each degree comes out in lexicographic order, and it leaves a branch as soon
+    as the sums still reachable from the indices left miss the packed targets' range.
     """
     k = len(indices)
-    if not constraints:
-        return [list(combinations(indices, p)) for p in range(k + 1)]
-    out: list[list] = [[] for _ in range(k + 1)]
-    # a sum over I is a multiple of gcd(c), 0 if c = 0: no I meets a t off those
-    if any(t % d if (d := gcd(*c)) else t for c, t in constraints):
-        return out
-    base = 2 * max(sum(map(abs, c)) + abs(t) for c, t in constraints) + 1
-    coeffs = [sum(c[i] * base ** s for s, (c, _) in enumerate(constraints)) for i in range(k)]
-    # low[i], high[i]: the least and greatest sums over subsets of i .. k-1
-    low, high = [0], [0]
+    if not rows:
+        return [[list(combinations(indices, p)) for p in range(k + 1)]] * len(targets)
+    span, divisors = [sum(map(abs, c)) for c in rows], [gcd(*c) or 1 for c in rows]
+    base = 4 * max(span) + 1
+    # a sum over I is an int multiple of gcd(c) of size at most sum |c|: no I meets a t off those
+    keys = [None if any(abs(x) > m or x % d for x, m, d in zip(t, span, divisors))
+            else sum(int(x) * base ** s for s, x in enumerate(t)) for t in targets]
+    empty = [[] for _ in range(k + 1)]
+    out = {key: [[] for _ in range(k + 1)] for key in keys if key is not None}
+    if not out:
+        return [empty] * len(targets)
+    coeffs = [sum(c[i] * base ** s for s, c in enumerate(rows)) for i in range(k)]
+    # a branch at index i can end on a packed target only if its sum lies in floor[i]
+    # .. ceil[i]: the targets' range less the range of sums over subsets of i .. k-1
+    floor, ceil = [min(out)], [max(out)]
     for v in reversed(coeffs):
-        low.append(low[-1] + min(v, 0))
-        high.append(high[-1] + max(v, 0))
-    low.reverse()
-    high.reverse()
+        floor.append(floor[-1] - max(v, 0))
+        ceil.append(ceil[-1] - min(v, 0))
+    floor.reverse()
+    ceil.reverse()
 
-    def walk(start: int, chosen: tuple, need: int) -> None:
-        if not need:
-            out[len(chosen)].append(chosen)
+    def walk(start: int, chosen: tuple, acc: int) -> None:
+        if (found := out.get(acc)) is not None:
+            found[len(chosen)].append(chosen)
         for i in range(start, k):
-            rest = need - coeffs[i]
-            if low[i + 1] <= rest <= high[i + 1]:
-                walk(i + 1, chosen + (indices[i],), rest)
+            now = acc + coeffs[i]
+            if floor[i + 1] <= now <= ceil[i + 1]:
+                walk(i + 1, chosen + (indices[i],), now)
 
-    need = sum(t * base ** s for s, (_, t) in enumerate(constraints))
-    if low[0] <= need <= high[0]:
-        walk(0, (), need)
-    return out
+    if floor[0] <= 0 <= ceil[0]:
+        walk(0, (), 0)
+    return [out.get(key, empty) for key in keys]
 
 
 def _components(g: LieAlgebra) -> list[list[int]]:
@@ -199,44 +209,61 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _live(g: LieAlgebra, tables, indices) -> list:
-    """The live monomials I of the factor on the ascending ``indices``, subsets
-    of them: sum_(i in I) (S / L) * L * a_i(x) = S * w(x) at the scale S of ``tables``
-    for each acting x and each twisted central x (a = 0: no subset meets it); an
-    x is the factor's by its first entry, as it lies in one (``_inner_diagonal``)."""
+def _live(g: LieAlgebra, tables, indices, lams: list) -> list:
+    """Per multiplier lam of ``lams``, the live monomials I at lam * w of the factor
+    on the ascending ``indices``, subsets of them: sum_(i in I) (S / L) * L * a_i(x) =
+    lam * S * w(x) at the scale S of ``tables`` (those of w) for each acting x and
+    each twisted central x (a = 0: no subset meets it); an x is the factor's by its
+    first entry, as it lies in one (``_inner_diagonal``). One search serves every lam."""
     up = tables[2] // g._scale
     # (a, S * w(x)) for the x of this factor
-    pairs = [(a, sum(c * x.get(m - 1, 0) for m, c in tables[1]))
-             for a, x in _inner_diagonal(g) if next(iter(x)) + 1 in indices]
-    return _live_monomials(indices, [([up * a.get(i - 1, 0) for i in indices], t)
-                                     for a, t in pairs if a or t])
+    pairs = [(a, t) for a, x in _inner_diagonal(g) if next(iter(x)) + 1 in indices
+             if (t := sum(c * x.get(m - 1, 0) for m, c in tables[1])) or a]
+    return _live_monomials(indices, [[up * a.get(i - 1, 0) for i in indices] for a, _ in pairs],
+                           [[lam * t for _, t in pairs] for lam in lams])
 
 
-def betti_numbers(g: LieAlgebra, omega: OneForm) -> list[int]:
-    """Exact dimensions of the twisted cohomology in degrees 0..n: the convolution of the
-    factors' Betti lists, each walked on its live monomials (module docstring). A twisted
-    singleton, or a twisted center (no live monomial in its factor), gives zeros unwalked."""
+def _betti_along(g: LieAlgebra, omega: OneForm, lams: list) -> list[list[int]]:
+    """Exact dimensions of the twisted cohomology of each lam * w in degrees 0..n, in one
+    pass: the convolution of the factors' Betti lists, each walked on its bucket (module
+    docstring). A twisted singleton, or a twisted center in a factor, gives zeros unwalked."""
     tables = _differential_tables(g, omega)
     zero = [0] * (g.dim + 1)
     components = _memo(g, "_components", _components)
-    # s singletons {m}: d_w 1 = w_m e^m, acyclic if w_m != 0, else (1, 1) each: C(s, p)
+    # s singletons {m}: d 1 = lam w_m e^m, acyclic if lam w_m != 0, else (1, 1) each: C(s, p)
     s = sum(len(c) == 1 for c in components)
-    if {m for m, _ in tables[1]} & {c[0] for c in components[:s]}:
-        return zero
-    betti = _binomials(s)
-    lives = [_live(g, tables, indices) for indices in components[s:]]
-    # a factor with no live monomial is acyclic: zeros before any walk
-    if not all(map(any, lives)):
-        return zero
-    for indices, live in zip(components[s:], lives):
-        # w ^ . on the factor: its own wedge terms
-        walk = _cleared_walk(live, (tables[0], [(m, c) for m, c in tables[1] if m in indices],
-                                    tables[2]))
-        factor = [len(kept) - r for kept, _, r in walk]
-        if not any(factor):
-            return zero
-        betti = _convolve(betti, factor)
-    return betti
+    twisted = {m for m, _ in tables[1]} & {c[0] for c in components[:s]}
+    factors = components[s:]
+    # twisted singletons leave only lam = 0: no search unless it is asked for
+    lives = [_live(g, tables, indices, lams) for indices in factors if not twisted or 0 in lams]
+    rows = [zero] * len(lams)
+    for k, lam in enumerate(lams):
+        # a factor with no live monomial is acyclic: zeros before any walk
+        if lam and twisted or not all(any(live[k]) for live in lives):
+            continue
+        p, q = lam.numerator, lam.denominator
+        gens = tables[0] if q == 1 else [[(i, j, q * c) for i, j, c in t] for t in tables[0]]
+        betti = _binomials(s)
+        for f, indices in enumerate(factors):
+            # lam w ^ . on the factor: its own wedge terms
+            wedge = [(m, p * c) for m, c in tables[1] if p and m in indices]
+            # its nonempty degrees lo .. hi - 1 alone: an empty degree clears nothing above it
+            live = lives[f][k]
+            lo = next(d for d, m in enumerate(live) if m)
+            hi = len(live) - next(d for d, m in enumerate(reversed(live)) if m)
+            walk = _cleared_walk(live[lo:hi], (gens, wedge, q * tables[2]))
+            factor = [0] * lo + [len(kept) - r for kept, _, r in walk] + [0] * (len(live) - hi)
+            if not any(factor):
+                betti = zero
+                break
+            betti = _convolve(betti, factor)
+        rows[k] = betti
+    return rows
+
+
+def betti_numbers(g: LieAlgebra, omega: OneForm) -> list[int]:
+    """Exact dimensions of the twisted cohomology in degrees 0..n (``_betti_along``)."""
+    return _betti_along(g, omega, [1])[0]
 
 
 def _representatives_from(n: int, p: int, kept: list, relations: list) -> list[ExteriorForm]:
@@ -253,7 +280,7 @@ def representatives(g: LieAlgebra, omega: OneForm, p: int) -> list[ExteriorForm]
     # the types first: a degree is only checked against an algebra
     tables = _differential_tables(g, omega)
     _check_degree(p, g.dim)
-    walk = _cleared_walk(_live(g, tables, range(1, g.dim + 1)), tables, True)
+    walk = _cleared_walk(_live(g, tables, range(1, g.dim + 1), [1])[0], tables, True)
     # the walk is lazy: stopping at degree p assembles no monomial above it
     kept, relations, _ = next(islice(walk, p, None))
     return _representatives_from(g.dim, p, kept, relations)
@@ -263,7 +290,7 @@ def cohomology(g: LieAlgebra, omega: OneForm) -> CohomologyResult:
     """Betti numbers plus representatives for every degree in one pass."""
     tables = _differential_tables(g, omega)
     betti, reps = [], []
-    walk = _cleared_walk(_live(g, tables, range(1, g.dim + 1)), tables, True)
+    walk = _cleared_walk(_live(g, tables, range(1, g.dim + 1), [1])[0], tables, True)
     for p, (kept, relations, r) in enumerate(walk):
         betti.append(len(kept) - r)
         reps.append(tuple(_representatives_from(g.dim, p, kept, relations)) if betti[-1] else ())

@@ -294,7 +294,8 @@ def _differential_tables(g: LieAlgebra, omega: OneForm):
     for (i, j), terms in sorted(g._int_table.items()):
         for m, x in terms:
             gens[m].append((i, j, -up * x))
-    return gens, [(m + 1, int(c * scale)) for m, c in enumerate(omega.coeffs) if c], scale
+    return gens, [(m + 1, c.numerator * (scale // c.denominator))
+                  for m, c in enumerate(omega.coeffs) if c], scale
 
 
 def _image_rows(sources: Sequence, targets: Sequence, tables) -> list[dict[int, int]]:

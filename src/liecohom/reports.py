@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import LieAlgebra, OneForm, _record
-from .cohomology import betti_numbers
+from .cohomology import _betti_along, betti_numbers
 from .errors import ComputationDomainError, NonClosedFormError, StructureError, _require_types
 from .exterior import is_closed
 from .linalg import _exact, vector
@@ -47,12 +47,14 @@ class ScanTable:
 
 def _critical_multipliers(data: WeightData, direction: OneForm) -> list[Fraction]:
     """Solutions of -lambda * direction in the exceptional set, plus zero."""
-    pivot = next(i for i, c in enumerate(direction.coeffs) if c != 0)
+    d = direction.coeffs
+    p, *support = (i for i, c in enumerate(d) if c)
+    off = [i for i, c in enumerate(d) if not c]
     found = {Fraction(0)}
-    for sigma in omega_set(data).elements:
-        lam = -sigma.coeffs[pivot] / direction.coeffs[pivot]
-        if all(s == -lam * c for s, c in zip(sigma.coeffs, direction.coeffs)):
-            found.add(lam)
+    for s in (sigma.coeffs for sigma in omega_set(data).elements):
+        # a term off the direction's support rules sigma out before any division
+        if not any(s[i] for i in off) and all(s[i] == s[p] / d[p] * d[i] for i in support):
+            found.add(-s[p] / d[p])
     return sorted(found)
 
 
@@ -69,8 +71,8 @@ def scan_line(g: LieAlgebra, direction: OneForm) -> ScanTable:
         raise NonClosedFormError("scan direction must be a closed one-form")
     data = adapted_basis(g)
     criticals = _critical_multipliers(data, direction)
-    rows = [ScanRow(lam, tuple(betti_numbers(g, direction.scale(lam))))
-            for lam in criticals + [1 + max(abs(lam) for lam in criticals)]]
+    lams = criticals + [1 + max(abs(lam) for lam in criticals)]
+    rows = [ScanRow(lam, tuple(b)) for lam, b in zip(lams, _betti_along(g, direction, lams))]
     return ScanTable(direction=direction, critical_lambdas=tuple(criticals),
                      rows=tuple(rows[:-1]), generic=rows[-1])
 

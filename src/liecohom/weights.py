@@ -43,8 +43,9 @@ reported as NotTriangularizableError instead of being approximated.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd, lcm
 from operator import mul
 
@@ -327,10 +328,17 @@ def omega_set(data: WeightData) -> OmegaSet:
 
 
 def _subset_sums(data: WeightData) -> OmegaSet:
+    # each weight w with its multiplicity m; a run of one object (the k zero
+    # weights of ``adapted_basis``) is counted before any hashing
+    groups: Counter[OneForm] = Counter()
+    for w, run in groupby(data.weights):
+        groups[w] += len(list(run))
     sums: set[OneForm] = set()
-    # after j weights, sums holds the nonempty subset sums of the first j
-    for w in data.weights:
-        sums |= {s + w for s in sums} | {w}
+    # after each w, sums holds the nonempty subset sums of the weights so far: a
+    # choice of j of the m copies adds jw, and every jw of a zero w is w
+    for w, m in groups.items():
+        multiples = [w.scale(j) for j in range(1, m + 1)] if any(w.coeffs) else [w]
+        sums |= {s + x for s in sums for x in multiples} | set(multiples)
     return OmegaSet(frozenset(sums))
 
 
@@ -365,10 +373,12 @@ def r0_spectrum(data: WeightData, omega: OneForm, p: int) -> list[Fraction]:
     """
     _require_types((data, WeightData), (omega, OneForm))
     _check_degree(p, data.dim)
-    base = _require_closed_weightwise(data, omega)
-    values = [sum((sum(col) ** 2 for col in zip(base, *subset)), Fraction(0))
-              for subset in combinations(data._adapted_weights, p)]
-    return sorted(values)
+    vectors = (_require_closed_weightwise(data, omega), *data._adapted_weights)
+    # on ints: every vector times one lcm D of their denominators, each value times D^2
+    d = lcm(*(c.denominator for v in vectors for c in v))
+    base, *weights = ([c.numerator * (d // c.denominator) for c in v] for v in vectors)
+    return [Fraction(v, d * d) for v in sorted(sum(sum(col) ** 2 for col in zip(base, *subset))
+                                               for subset in combinations(weights, p))]
 
 
 def weight_sum_check(data: WeightData) -> bool:

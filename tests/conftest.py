@@ -126,6 +126,31 @@ def rational_sol3_plane():
     return change_basis(g, random_invertible(5, Random(2)))
 
 
+def pow2(n):
+    # [e1, ej] = 2^(j-2) ej: its 2^(n-1) weight subset sums are all distinct
+    return LieAlgebra.from_brackets(n, {
+        (1, j): tuple(2 ** (j - 2) if m == j - 1 else 0 for m in range(n))
+        for j in range(2, n + 1)})
+
+
+def sol3_plus(k, m):
+    # sol3(k) + Q^m: [e1, e2] = k e2, [e1, e3] = -k e3 and m central singletons
+    n = 3 + m
+    return LieAlgebra.from_brackets(n, {(1, 2): (0, k) + (0,) * (n - 2),
+                                        (1, 3): (0, 0, -k) + (0,) * (n - 3)})
+
+
+def sequential_subset_sums(data):
+    """Reference for ``omega_set``: every weight, one at a time, added to every
+    sum found so far, with no grouping of equal weights."""
+    from liecohom import OmegaSet
+
+    sums = set()
+    for w in data.weights:
+        sums |= {s + w for s in sums} | {w}
+    return OmegaSet(frozenset(sums))
+
+
 def k2():
     # [e1, e3] = e3, [e1, e4] = 2 e4, [e2, e4] = -e4: a complement of dimension 2
     return LieAlgebra.from_brackets(4, {(1, 3): (0, 0, 1, 0), (1, 4): (0, 0, 0, 2),

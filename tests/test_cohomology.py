@@ -584,7 +584,7 @@ def test_cleared_ranks_equal_plain_ranks(name, kind, seed):
     g, omega = rebased_case(name, kind, seed)
     mats = differential_matrices(g, omega)
     plain = [rank(mats.matrix(p)) for p in range(g.dim + 1)]
-    walk = _cleared_walk(_live_monomials(range(1, g.dim + 1), []),
+    walk = _cleared_walk(_live_monomials(range(1, g.dim + 1), [], [[]])[0],
                          _differential_tables(g, omega))
     assert [r for _, _, r in walk] == plain
 
@@ -1045,12 +1045,21 @@ def test_live_monomials_are_the_subsets_with_the_given_sums(k, count, gaps, seed
     # 1 .. k, or k ascending indices with gaps between them
     indices = sorted(rng.sample(range(1, 3 * k + 1), k)) if gaps else list(range(1, k + 1))
     position = {i: s for s, i in enumerate(indices)}
-    constraints = [([rng.randint(-3, 3) for _ in range(k)], rng.randint(-4, 4))
-                   for _ in range(count)]
-    assert _live_monomials(indices, constraints) == [
+    rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(count)]
+    # several target vectors, repeats and non-integers among them, in one walk
+    targets = [[rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-9, 9), 2)]) for _ in rows]
+               for _ in range(rng.randint(1, 4))]
+    targets += rng.sample(targets, rng.randint(0, len(targets)))
+    assert _live_monomials(indices, rows, targets) == [[
         [idx for idx in combinations(indices, p)
-         if all(sum(c[position[i]] for i in idx) == t for c, t in constraints)]
-        for p in range(k + 1)]
+         if all(sum(c[position[i]] for i in idx) == x for c, x in zip(rows, t))]
+        for p in range(k + 1)] for t in targets]
+
+
+def test_live_monomials_packing_keeps_each_row_apart():
+    # at base 4 the sums (-1, 2) over {2} and the target (3, 1) would pack alike: -1 + 8 = 3 + 4
+    assert _live_monomials([1, 2, 3], [[2, -1, 0], [0, 2, 1]], [[3, 1], [-1, 2]]) == [
+        [[], [], [], []], [[], [(2,)], [], []]]
 
 
 @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(-1), Fraction(29), Fraction(5),
@@ -1076,7 +1085,7 @@ def test_a_random_basis_walks_every_monomial(monkeypatch):
     calls = counted_image_rows(monkeypatch)
     assert betti_numbers(h, OneForm.zero(6)) == [1, 1, 0, 0, 0, 0, 0]
     assert sum(map(len, calls)) == sum(len(kept) for kept, _, _ in _cleared_walk(
-        _live_monomials(range(1, 7), []), _differential_tables(h, OneForm.zero(6))))
+        _live_monomials(range(1, 7), [], [[]])[0], _differential_tables(h, OneForm.zero(6))))
 
 
 def test_interleaved_factors_are_walked_in_the_algebra_s_own_indices(monkeypatch):

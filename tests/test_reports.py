@@ -1,15 +1,23 @@
+import importlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecohom import (
+    LieAlgebra,
     ComputationDomainError,
     NonClosedFormError,
     NotTriangularizableError,
     OneForm,
     StructureError,
     adapted_basis,
+    betti_numbers,
+    change_basis,
+    closed_one_forms,
     load_example,
     novikov_report,
     omega_set,
@@ -18,9 +26,13 @@ from liecohom import (
     vanishing_predicate,
 )
 from liecohom import weights
+from liecohom.algebra import random_invertible
 from liecohom.weights import Vanishing
 
-from conftest import closed_grid, diag, k2, one_form
+from conftest import closed_grid, diag, k2, one_form, pow2, sol3_plus
+
+# the module, not the function of the same name the package exports
+cohomology_module = importlib.import_module("liecohom.cohomology")
 
 
 def test_scan_sol3(sol3):
@@ -183,3 +195,77 @@ def test_novikov_flags_a_critical_lambda_as_the_vanishing_predicate_does(sol3, h
     # no rational flag: the flag is unknown, not False
     for omega in closed_grid(euclid3):
         assert novikov_report(euclid3, omega, 2, [0] * 4).lambda_critical is None
+
+
+SCAN_FAMILIES = {
+    "diag 5": lambda: diag(5),
+    "pow2 5": lambda: pow2(5),
+    "sol3(3) + Q^2": lambda: sol3_plus(3, 2),
+    "sol3(1/2) + Q": lambda: sol3_plus(Fraction(1, 2), 1),
+    "k2": k2,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SCAN_FAMILIES)), st.booleans(), st.integers(0, 2**32 - 1))
+def test_every_scan_row_is_the_betti_numbers_of_its_multiple(name, rebased, seed):
+    """One pass serves every row: each equals betti_numbers at its own multiple,
+    in the given basis (buckets) and in a random one (no x acts diagonally)."""
+    rng = random.Random(seed)
+    g = SCAN_FAMILIES[name]()
+    if rebased:
+        g = change_basis(g, random_invertible(g.dim, rng))
+    basis = closed_one_forms(g).basis
+    for _ in range(3):
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        if not any(coeffs):
+            continue
+        scale = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2, 3]))
+        direction = OneForm([scale * sum(c * b[i] for c, b in zip(coeffs, basis))
+                             for i in range(g.dim)])
+        table = scan_line(g, direction)
+        for row in table.rows + (table.generic,):
+            assert row.betti == tuple(betti_numbers(g, direction.scale(row.lam)))
+        # the critical multipliers: lam with -lam * direction in the exceptional set, and 0
+        omega = omega_set(adapted_basis(g)).elements
+        i = next(i for i, c in enumerate(direction.coeffs) if c)
+        found = {-s.coeffs[i] / direction.coeffs[i] for s in omega} | {Fraction(0)}
+        assert table.critical_lambdas == tuple(sorted(
+            lam for lam in found if not lam or direction.scale(-lam) in omega))
+
+
+def test_a_bucket_need_not_hold_a_critical_multiplier(monkeypatch):
+    """x = e1 alone acts diagonally, a = (0, 0, 1, 1), so along e^1 + e^2 the
+    buckets are lam = |I & {3, 4}| in {0, 1, 2}; the exceptional set holds no
+    multiple of the direction but zero, and the control row at lam = 1 walks
+    its nonempty bucket to zeros."""
+    g = LieAlgebra.from_brackets(4, {(1, 3): (0, 0, 1, 0), (1, 4): (0, 0, 0, 1),
+                                     (2, 4): (0, 0, 1, 0)})
+    direction = one_form(1, 1, 0, 0)
+    walked = []
+    real = cohomology_module._cleared_walk
+    monkeypatch.setattr(cohomology_module, "_cleared_walk",
+                        lambda live, *args: walked.append(live) or real(live, *args))
+    table = scan_line(g, direction)
+    assert table.critical_lambdas == (Fraction(0),)
+    assert table.rows[0].betti == (1, 2, 1, 0, 0)
+    assert (table.generic.lam, table.generic.betti) == (Fraction(1), (0, 0, 0, 0, 0))
+    bucket = [{idx for p in range(5) for idx in combinations(range(1, 5), p)
+               if len({3, 4} & set(idx)) == lam} for lam in range(3)]
+    assert [{idx for degree in live for idx in degree} for live in walked] == bucket[:2]
+    assert all(bucket) and betti_numbers(g, direction.scale(2)) == [0] * 5
+
+
+def test_one_scan_builds_the_tables_once_and_searches_each_factor_once(monkeypatch):
+    # sol3(2) on e1, e3, e5 and diag 3 on e2, e4, e6, plus the singleton e7
+    g = LieAlgebra.from_brackets(7, {(1, 3): (0, 0, 2, 0, 0, 0, 0), (1, 5): (0, 0, 0, 0, -2, 0, 0),
+                                     (2, 4): (0, 0, 0, 1, 0, 0, 0), (2, 6): (0, 0, 0, 0, 0, 2, 0)})
+    calls = []
+    for name in ("_differential_tables", "_live_monomials"):
+        real = getattr(cohomology_module, name)
+        monkeypatch.setattr(cohomology_module, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    table = scan_line(g, one_form(1, 1, 0, 0, 0, 0, 0))
+    assert len(table.rows) > 1
+    # one table for the direction, one search per factor of two or more indices
+    assert sorted(calls) == ["_differential_tables", "_live_monomials", "_live_monomials"]

@@ -47,6 +47,8 @@ from conftest import (
     matrix_product,
     one_form,
     restricted_adapted_basis,
+    sequential_subset_sums,
+    sol3_plus,
 )
 
 
@@ -528,6 +530,36 @@ def test_triangularity_in_four_dimensions():
                 diff = ce_differential(adapted, ExteriorForm.basis(4, (i,)))
                 residual = diff - _wedge_one(alpha, 4, i)
                 assert all(max(idx) <= i - 1 for idx in residual.terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_grouped_subset_sums_equal_the_sequential_reference(n, seed):
+    """Weights drawn with repeats from a few forms, zero among them: a repeat is
+    the same object or an equal copy, next to its equals or apart from them."""
+    rng = random.Random(seed)
+    pool = [OneForm.zero(n)] + [OneForm([rng.randint(-2, 2) for _ in range(n)])
+                                for _ in range(rng.randint(1, 3))]
+    weights = []
+    for _ in range(n):
+        w = rng.choice(pool)
+        weights.append(w if rng.random() < 0.5 else OneForm(w.coeffs))
+    if rng.random() < 0.5:
+        weights.sort(key=lambda w: w.coeffs)
+    identity = RationalMatrix(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
+    data = WeightData(adapted_change=identity, weights=tuple(weights), k=rng.randint(0, n))
+    assert omega_set(data) == sequential_subset_sums(data)
+
+
+def test_grouped_subset_sums_on_repeated_weights_of_algebras():
+    # [e1, ej] = c_j ej with repeated c_j, and central summands: weights with multiplicity
+    repeated = LieAlgebra.from_brackets(7, {(1, j): tuple(c if m == j - 1 else 0 for m in range(7))
+                                            for j, c in zip(range(2, 8), (1, 1, 1, 2, 2, -1))})
+    for g in (repeated, sol3_plus(5, 4), load_example("abelian", n=9).algebra, heisenberg5(),
+              change_basis(repeated, random_invertible(7, random.Random(5)))):
+        data = adapted_basis(g)
+        assert len(set(data.weights)) < len(data.weights)
+        assert omega_set(data) == sequential_subset_sums(data)
 
 
 def test_omega_set_matches_subset_enumeration(sol3):
