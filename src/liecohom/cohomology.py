@@ -10,7 +10,8 @@ order, so the pivots are the last entries of a basis of im d_p: the cleared
 monomials of degree p+1. Each ends some z in im d_p, inside ker d_(p+1), so
 its row in degree p+1 depends on earlier rows; skipping it keeps the rank.
 One walk over the degrees assembles only the monomials that are not
-cleared, and b^p is their number minus rank d_p.
+cleared, and b^p is their number minus rank d_p. The walk carries each e^I as
+its int mask (``exterior``), in the order generated; only returned forms get tuples.
 
 Representatives come out of the same elimination: kept row i also carries
 a 1 in column t + i, past the t targets. The echelon rows that lead at t or
@@ -81,7 +82,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, islice
 from math import gcd, lcm
 
 from .algebra import LieAlgebra, OneForm, _inner_diagonal, _memo, _record
@@ -91,9 +92,12 @@ from .exterior import (
     _check_degree,
     _check_form,
     _differential_tables,
+    _gens_at,
     _image_rows,
+    _indices,
+    _masks,
+    _wedge_terms,
     deformed_differential,
-    form_basis,
 )
 from .linalg import _echelon, _reduce
 
@@ -144,7 +148,7 @@ def _live_monomials(indices, rows: list, targets: list) -> list:
     """
     k = len(indices)
     if not rows:
-        return [[list(combinations(indices, p)) for p in range(k + 1)]] * len(targets)
+        return [[_masks(indices, p) for p in range(k + 1)]] * len(targets)
     span, divisors = [sum(map(abs, c)) for c in rows], [gcd(*c) or 1 for c in rows]
     base = 4 * max(span) + 1
     # a sum over I is an int multiple of gcd(c) of size at most sum |c|: no I meets a t off those
@@ -164,16 +168,16 @@ def _live_monomials(indices, rows: list, targets: list) -> list:
     floor.reverse()
     ceil.reverse()
 
-    def walk(start: int, chosen: tuple, acc: int) -> None:
+    def walk(start: int, chosen: int, acc: int) -> None:
         if (found := out.get(acc)) is not None:
-            found[len(chosen)].append(chosen)
+            found[chosen.bit_count()].append(chosen)
         for i in range(start, k):
             now = acc + coeffs[i]
             if floor[i + 1] <= now <= ceil[i + 1]:
-                walk(i + 1, chosen + (indices[i],), now)
+                walk(i + 1, chosen | 1 << indices[i], now)
 
     if floor[0] <= 0 <= ceil[0]:
-        walk(0, (), 0)
+        walk(0, 0, 0)
     return [out.get(key, empty) for key in keys]
 
 
@@ -209,16 +213,16 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _live(g: LieAlgebra, tables, indices, lams: list) -> list:
+def _live(g: LieAlgebra, twist, indices, lams: list) -> list:
     """Per multiplier lam of ``lams``, the live monomials I at lam * w of the factor
     on the ascending ``indices``, subsets of them: sum_(i in I) (S / L) * L * a_i(x) =
-    lam * S * w(x) at the scale S of ``tables`` (those of w) for each acting x and
+    lam * S * w(x) at the scale S of ``twist`` (``_wedge_terms`` of w) for each acting x and
     each twisted central x (a = 0: no subset meets it); an x is the factor's by its
     first entry, as it lies in one (``_inner_diagonal``). One search serves every lam."""
-    up = tables[2] // g._scale
+    up = twist[1] // g._scale
     # (a, S * w(x)) for the x of this factor
     pairs = [(a, t) for a, x in _inner_diagonal(g) if next(iter(x)) + 1 in indices
-             if (t := sum(c * x.get(m - 1, 0) for m, c in tables[1])) or a]
+             if (t := sum(c * x.get(m.bit_length() - 2, 0) for m, _, c in twist[0])) or a]
     return _live_monomials(indices, [[up * a.get(i - 1, 0) for i in indices] for a, _ in pairs],
                            [[lam * t for _, t in pairs] for lam in lams])
 
@@ -227,31 +231,32 @@ def _betti_along(g: LieAlgebra, omega: OneForm, lams: list) -> list[list[int]]:
     """Exact dimensions of the twisted cohomology of each lam * w in degrees 0..n, in one
     pass: the convolution of the factors' Betti lists, each walked on its bucket (module
     docstring). A twisted singleton, or a twisted center in a factor, gives zeros unwalked."""
-    tables = _differential_tables(g, omega)
+    # the gens table only for a multiplier that is walked
+    twist = _wedge_terms(g, omega)
     zero = [0] * (g.dim + 1)
     components = _memo(g, "_components", _components)
     # s singletons {m}: d 1 = lam w_m e^m, acyclic if lam w_m != 0, else (1, 1) each: C(s, p)
     s = sum(len(c) == 1 for c in components)
-    twisted = {m for m, _ in tables[1]} & {c[0] for c in components[:s]}
+    twisted = {m.bit_length() - 1 for m, _, _ in twist[0]} & {c[0] for c in components[:s]}
     factors = components[s:]
     # twisted singletons leave only lam = 0: no search unless it is asked for
-    lives = [_live(g, tables, indices, lams) for indices in factors if not twisted or 0 in lams]
+    lives = [_live(g, twist, indices, lams) for indices in factors if not twisted or 0 in lams]
     rows = [zero] * len(lams)
     for k, lam in enumerate(lams):
         # a factor with no live monomial is acyclic: zeros before any walk
         if lam and twisted or not all(any(live[k]) for live in lives):
             continue
         p, q = lam.numerator, lam.denominator
-        gens = tables[0] if q == 1 else [[(i, j, q * c) for i, j, c in t] for t in tables[0]]
+        gens = _gens_at(g, q * twist[1])
         betti = _binomials(s)
         for f, indices in enumerate(factors):
             # lam w ^ . on the factor: its own wedge terms
-            wedge = [(m, p * c) for m, c in tables[1] if p and m in indices]
+            wedge = [(m, b, p * c) for m, b, c in twist[0] if p and m.bit_length() - 1 in indices]
             # its nonempty degrees lo .. hi - 1 alone: an empty degree clears nothing above it
             live = lives[f][k]
             lo = next(d for d, m in enumerate(live) if m)
             hi = len(live) - next(d for d, m in enumerate(reversed(live)) if m)
-            walk = _cleared_walk(live[lo:hi], (gens, wedge, q * tables[2]))
+            walk = _cleared_walk(live[lo:hi], (gens, wedge, q * twist[1]))
             factor = [0] * lo + [len(kept) - r for kept, _, r in walk] + [0] * (len(live) - hi)
             if not any(factor):
                 betti = zero
@@ -271,7 +276,8 @@ def _representatives_from(n: int, p: int, kept: list, relations: list) -> list[E
     each relation of ``_cleared_walk``, reduced and divided by its pivot entry."""
     pivots = [min(row) for row in relations]
     _reduce(relations, pivots)
-    return [ExteriorForm(n, p, {kept[i]: Fraction(row[i], row[c]) for i in sorted(row)[::-1]})
+    return [ExteriorForm._adopt(n, p, {_indices(kept[i]): Fraction(row[i], row[c])
+                                       for i in sorted(row)[::-1]})
             for row, c in zip(relations[::-1], pivots[::-1])]
 
 
@@ -280,7 +286,7 @@ def representatives(g: LieAlgebra, omega: OneForm, p: int) -> list[ExteriorForm]
     # the types first: a degree is only checked against an algebra
     tables = _differential_tables(g, omega)
     _check_degree(p, g.dim)
-    walk = _cleared_walk(_live(g, tables, range(1, g.dim + 1), [1])[0], tables, True)
+    walk = _cleared_walk(_live(g, tables[1:], range(1, g.dim + 1), [1])[0], tables, True)
     # the walk is lazy: stopping at degree p assembles no monomial above it
     kept, relations, _ = next(islice(walk, p, None))
     return _representatives_from(g.dim, p, kept, relations)
@@ -290,7 +296,7 @@ def cohomology(g: LieAlgebra, omega: OneForm) -> CohomologyResult:
     """Betti numbers plus representatives for every degree in one pass."""
     tables = _differential_tables(g, omega)
     betti, reps = [], []
-    walk = _cleared_walk(_live(g, tables, range(1, g.dim + 1), [1])[0], tables, True)
+    walk = _cleared_walk(_live(g, tables[1:], range(1, g.dim + 1), [1])[0], tables, True)
     for p, (kept, relations, r) in enumerate(walk):
         betti.append(len(kept) - r)
         reps.append(tuple(_representatives_from(g.dim, p, kept, relations)) if betti[-1] else ())
@@ -316,10 +322,10 @@ def is_coboundary(g: LieAlgebra, omega: OneForm, xi: ExteriorForm) -> ExteriorFo
     if p == 0:
         # nothing maps into degree 0, so no primitive ever exists
         return None
-    sources, targets = form_basis(g.dim, p - 1)[::-1], form_basis(g.dim, p)
-    col_of, t = {idx: c for c, idx in enumerate(targets)}, len(targets)
+    sources, targets = _masks(range(1, g.dim + 1), p - 1)[::-1], _masks(range(1, g.dim + 1), p)
+    col_of, t = {mask: c for c, mask in enumerate(targets)}, len(targets)
     d = lcm(*(c.denominator for c in xi.terms.values()))
-    rows = [{col_of[idx]: int(d * c) for idx, c in xi.terms.items()}]
+    rows = [{col_of[sum(1 << i for i in idx)]: int(d * c) for idx, c in xi.terms.items()}]
     rows += _image_rows(sources, targets, tables)
     echelon, pivots = _echelon([row | {t + i: 1} for i, row in enumerate(rows)])
     r = bisect_left(pivots, t)
@@ -330,8 +336,8 @@ def is_coboundary(g: LieAlgebra, omega: OneForm, xi: ExteriorForm) -> ExteriorFo
     _reduce(relations, pivots[r:])
     row = relations[0]
     unscale = Fraction(-tables[2], d * row[t])
-    return ExteriorForm(g.dim, p - 1, {sources[j - t - 1]: unscale * row[j]
-                                       for j in sorted(row, reverse=True)[:-1]})
+    return ExteriorForm._adopt(g.dim, p - 1, {_indices(sources[j - t - 1]): unscale * row[j]
+                                              for j in sorted(row, reverse=True)[:-1]})
 
 
 def euler_characteristic(result: CohomologyResult) -> int:

@@ -3,6 +3,10 @@
 Forms are stored sparsely: a map from strictly increasing 1-based index
 tuples to nonzero rational coefficients. The basis of each graded piece is
 ordered lexicographically, which fixes every matrix layout once and for all.
+Inside the package a monomial e^I is one int, the mask with bit i set for each
+i in I (bit 0 unused), and a sign is a popcount parity: e^m ^ e^I moves e^m past
+the (I & (2^m - 1)).bit_count() factors below it. Only a form leaving the package
+gets its index tuples back (``_indices``).
 
 One differential lives here, d_w = d + w ^ . for a closed one-form w. Its
 plain part acts on generators by
@@ -27,13 +31,12 @@ rational matrices of d_w itself.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .algebra import LieAlgebra, OneForm, _record
+from .algebra import LieAlgebra, OneForm, _memo, _record
 from .errors import NonClosedFormError, StructureError, _require_types
 from .linalg import RationalMatrix, _exact, _integer_rows, _iterable, _nonzeros
 
@@ -88,6 +91,13 @@ class ExteriorForm:
             raise ValueError(f"index out of range in {idx}")
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError(f"index tuple {idx} is not strictly increasing")
+
+    @classmethod
+    def _adopt(cls, dim: int, degree: int, terms: dict) -> "ExteriorForm":
+        """Adopt terms the package built (sorted tuples, nonzero Fractions) unchecked."""
+        form = cls.__new__(cls)
+        form.dim, form.degree, form.terms = dim, degree, terms
+        return form
 
     @classmethod
     def zero(cls, dim: int, degree: int) -> "ExteriorForm":
@@ -205,11 +215,12 @@ def deformed_differential(g: LieAlgebra, omega: OneForm, xi: ExteriorForm) -> Ex
     monomial images of xi and divided by their scale S."""
     gens, wedge_terms, scale = _differential_tables(g, omega)
     _check_form(g, xi)
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[int, Fraction] = {}
     for idx, c in xi.terms.items():
-        for new, x in _monomial_image(idx, gens, wedge_terms).items():
+        for new, x in _monomial_image(sum(1 << i for i in idx), gens, wedge_terms).items():
             out[new] = out.get(new, 0) + c * x
-    return ExteriorForm(g.dim, xi.degree + 1, {t: v / scale for t, v in out.items()})
+    return ExteriorForm._adopt(g.dim, xi.degree + 1,
+                               {_indices(t): v / scale for t, v in out.items() if v})
 
 
 def _check_degree(p, n: int) -> None:
@@ -246,66 +257,87 @@ class DifferentialMatrices:
         return self.matrices[p]
 
 
-def _monomial_image(idx: tuple[int, ...], gens, wedge_terms) -> dict[tuple[int, ...], int]:
-    """S * d_w e^idx by index arithmetic, as {target index tuple: int}, where
-    S is the scale of the tables (``_differential_tables``).
+def _indices(mask: int) -> tuple[int, ...]:
+    """The increasing index tuple of the monomial ``mask``."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
-    Replacing e^k at position t by the 2-form e^i ^ e^j and sorting gives the
-    sign (-1)^(t + a + b), where a and b count the remaining indices below i
-    and below j; w_m e^m ^ e^idx gets (-1)^a for the a indices below m.
+
+def _masks(indices, p: int) -> list[int]:
+    """The monomials of the p-subsets of the ascending ``indices``, in lexicographic order."""
+    return list(map(sum, combinations([1 << i for i in indices], p)))
+
+
+def _monomial_image(mask: int, gens, wedge_terms) -> dict[int, int]:
+    """S * d_w e^I as {target mask: int}, S the scale of the tables.
+
+    Replacing e^k in e^I by e^i ^ e^j and sorting gives the sign (-1)^(t + a + b),
+    t, a and b the other indices of I below k, i and j; a + b has the parity of
+    those strictly between i and j. w_m e^m ^ e^I gets (-1)^a for the a indices
+    below m. Each table entry holds the mask of the indices its sign counts.
     Contributions may cancel to zero.
     """
-    out: dict[tuple[int, ...], int] = {}
-    for t, k in enumerate(idx):
-        rest = idx[:t] + idx[t + 1:]
-        for i, j, c in gens[k - 1]:
-            if i in rest or j in rest:
-                continue
-            a, b = bisect_left(rest, i), bisect_left(rest, j)
-            new = rest[:a] + (i,) + rest[a:b] + (j,) + rest[b:]
-            out[new] = out.get(new, 0) + (-c if (t + a + b) % 2 else c)
-    for m, c in wedge_terms:
-        if m in idx:
-            continue
-        a = bisect_left(idx, m)
-        new = idx[:a] + (m,) + idx[a:]
-        out[new] = out.get(new, 0) + (-c if a % 2 else c)
+    out: dict[int, int] = {}
+    left = mask
+    while left:
+        low = left & -left
+        left ^= low
+        rest = mask ^ low
+        for ij, odd, c in gens[low]:
+            if not rest & ij:
+                out[rest | ij] = out.get(rest | ij, 0) + (-c if (rest & odd).bit_count() & 1 else c)
+    for m, odd, c in wedge_terms:
+        if not mask & m:
+            out[mask | m] = out.get(mask | m, 0) + (-c if (mask & odd).bit_count() & 1 else c)
     return out
 
 
-def _differential_tables(g: LieAlgebra, omega: OneForm):
-    """The ``gens`` and ``wedge_terms`` tables ``_monomial_image`` reads and
-    their scale S; raises NonClosedFormError unless d omega = 0.
+def _gens(g: LieAlgebra) -> dict[int, list]:
+    """The ``gens`` table at the algebra's scale L; each sign mask holds the
+    indices below k and those strictly between i and j."""
+    gens = {1 << k: [] for k in range(1, g.dim + 1)}
+    for (i, j), terms in sorted(g._int_table.items()):
+        for m, x in terms:
+            gens[2 << m].append((1 << i | 1 << j, (2 << m) - 1 ^ (1 << j) - (2 << i), -x))
+    return gens
 
-    S is the lcm of the algebra's scale L and the denominators of w, and
-    every entry is S times a coefficient of d_w, as an int. ``gens[k - 1]``
-    lists d e^k as (i, j, c) for its nonzero coefficients c = -S C_ij^k at
-    e^i ^ e^j, in sorted order; ``wedge_terms`` lists (m, c) for c = S w_m at
-    the nonzero coefficients of w. Indices are the algebra's own, from 1.
-    """
+
+def _gens_at(g: LieAlgebra, scale: int) -> dict:
+    """The ``gens`` table at scale S, a multiple of L: built at L once per algebra."""
+    gens, q = _memo(g, "_gens", _gens), scale // g._scale
+    return gens if q == 1 else {k: [(ij, b, q * c) for ij, b, c in t] for k, t in gens.items()}
+
+
+def _wedge_terms(g: LieAlgebra, omega: OneForm):
+    """``wedge_terms`` of the tables (``_differential_tables``) and their scale S =
+    lcm(L, denominators of w); raises NonClosedFormError unless d omega = 0."""
     # every twisted-complex query passes here first; is_closed checks the types
     if not is_closed(g, omega):
         raise NonClosedFormError(
             "twisting one-form is not closed; the deformed differential would "
             "not square to zero")
     scale = lcm(g._scale, *(c.denominator for c in omega.coeffs))
-    up = scale // g._scale
-    gens = [[] for _ in range(g.dim)]
-    for (i, j), terms in sorted(g._int_table.items()):
-        for m, x in terms:
-            gens[m].append((i, j, -up * x))
-    return gens, [(m + 1, c.numerator * (scale // c.denominator))
-                  for m, c in enumerate(omega.coeffs) if c], scale
+    return [(2 << m, (2 << m) - 1, c.numerator * (scale // c.denominator))
+            for m, c in enumerate(omega.coeffs) if c], scale
+
+
+def _differential_tables(g: LieAlgebra, omega: OneForm):
+    """The ``gens`` and ``wedge_terms`` tables ``_monomial_image`` reads and their
+    scale S (``_wedge_terms``). ``gens[1 << k]`` lists d e^k as (1 << i | 1 << j,
+    sign mask, c) for its nonzero c = -S C_ij^k, in sorted order (``_gens_at``);
+    ``wedge_terms`` lists (1 << m, sign mask, S w_m) at the nonzero coefficients
+    of w."""
+    wedge_terms, scale = _wedge_terms(g, omega)
+    return _gens_at(g, scale), wedge_terms, scale
 
 
 def _image_rows(sources: Sequence, targets: Sequence, tables) -> list[dict[int, int]]:
-    """S * d_w of each source monomial as one sparse int row keyed by target
+    """S * d_w of each source mask as one sparse int row keyed by target
     position, with no zero stored; ``tables`` is what ``_differential_tables``
     returns."""
     gens, wedge_terms, _ = tables
-    col_of = {idx: c for c, idx in enumerate(targets)}
-    return [{col_of[t]: x for t, x in _monomial_image(idx, gens, wedge_terms).items() if x}
-            for idx in sources]
+    col_of = {mask: c for c, mask in enumerate(targets)}
+    return [{col_of[t]: x for t, x in _monomial_image(mask, gens, wedge_terms).items() if x}
+            for mask in sources]
 
 
 def differential_matrices(g: LieAlgebra, omega: OneForm) -> DifferentialMatrices:
@@ -314,7 +346,7 @@ def differential_matrices(g: LieAlgebra, omega: OneForm) -> DifferentialMatrices
     dense grid is ever built."""
     tables = _differential_tables(g, omega)
     unscale = Fraction(1, tables[2])
-    bases = [form_basis(g.dim, p) for p in range(g.dim + 1)]
+    bases = [_masks(range(1, g.dim + 1), p) for p in range(g.dim + 1)]
     return DifferentialMatrices(g, omega, tuple(
         RationalMatrix._adopt(len(s), len(t), _image_rows(s, t, tables)).transpose().scale(unscale)
         for s, t in zip(bases, bases[1:])))

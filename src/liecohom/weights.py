@@ -89,10 +89,11 @@ class WeightData:
     def __post_init__(self):
         _require_types((self.adapted_change, RationalMatrix), (self.weights, tuple), (self.k, int))
         _require_types(*((w, OneForm) for w in self.weights))
-        # ``_adapted_weights``: each weight's coefficients in the adapted dual
-        # basis, pulled back once per instance so that ``r0_spectrum`` need not
-        object.__setattr__(self, "_adapted_weights", tuple(
-            pullback_one_form(w, self.adapted_change).coeffs for w in self.weights))
+        # ``_adapted_weights``: each weight's coefficients in the adapted dual basis, pulled back
+        # once per instance and weight object (k zero weights: one) so that ``r0_spectrum`` need not
+        once = {id(w): w for w in self.weights}
+        once = {i: pullback_one_form(w, self.adapted_change).coeffs for i, w in once.items()}
+        object.__setattr__(self, "_adapted_weights", tuple(once[id(w)] for w in self.weights))
 
     @property
     def dim(self) -> int:

@@ -1,5 +1,7 @@
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -93,6 +95,12 @@ def coords_to_form(n, p, coords):
     if len(coords) != len(basis):
         raise ValueError("coordinate length does not match the graded dimension")
     return ExteriorForm(n, p, dict(zip(basis, coords)))
+
+
+def mask_indices(mask):
+    """The index tuple of a monomial mask, bit i standing for index i, read
+    off its binary digits."""
+    return tuple(i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
 
 
 def diag(n):
@@ -450,6 +458,45 @@ def sweep_echelon(rows):
         echelon.append(pivot_row)
         pivots.append(c)
     return echelon, pivots
+
+
+def tuple_tables(g, omega, p=1, q=1):
+    """Reference tables for ``tuple_monomial_image`` at lam = p / q, read off the
+    public Fraction brackets: ``gens[k - 1]`` lists (i, j, -q S C_ij^k) in sorted
+    (i, j) order, ``wedge_terms`` lists (m, p S w_m), and S is the lcm of every
+    denominator of the brackets and of w."""
+    scale = lcm(*(c.denominator for _, v in g.brackets for c in v),
+                *(c.denominator for c in omega.coeffs))
+    gens = [[] for _ in range(g.dim)]
+    for (i, j), v in sorted(g.brackets):
+        for k, c in enumerate(v):
+            if c:
+                gens[k].append((i, j, int(-q * scale * c)))
+    return gens, [(m, int(p * scale * c)) for m, c in enumerate(omega.coeffs, 1) if c], q * scale
+
+
+def tuple_monomial_image(idx, gens, wedge_terms):
+    """Reference for ``exterior._monomial_image`` on index tuples, the kernel
+    the package had before it moved to masks: S * d_w e^idx as {target
+    tuple: int}. Replacing e^k at position t by e^i ^ e^j and sorting gives the
+    sign (-1)^(t + a + b), a and b the remaining indices below i and below j;
+    w_m e^m ^ e^idx gets (-1)^a for the a indices below m."""
+    out = {}
+    for t, k in enumerate(idx):
+        rest = idx[:t] + idx[t + 1:]
+        for i, j, c in gens[k - 1]:
+            if i in rest or j in rest:
+                continue
+            a, b = bisect_left(rest, i), bisect_left(rest, j)
+            new = rest[:a] + (i,) + rest[a:b] + (j,) + rest[b:]
+            out[new] = out.get(new, 0) + (-c if (t + a + b) % 2 else c)
+    for m, c in wedge_terms:
+        if m in idx:
+            continue
+        a = bisect_left(idx, m)
+        new = idx[:a] + (m,) + idx[a:]
+        out[new] = out.get(new, 0) + (-c if a % 2 else c)
+    return out
 
 
 def fraction_change_basis(g, m):

@@ -60,6 +60,7 @@ from conftest import (
     heisenberg5,
     identity,
     k2,
+    mask_indices,
     one_form,
     rational_sol3_plane,
     reference_differential,
@@ -878,16 +879,17 @@ def test_factored_betti_numbers_in_dimension_one_and_at_scale(g, omega, expected
 
 
 def test_the_empty_complex_is_the_unit_of_the_convolution():
-    assert [len(kept) - r for kept, _, r in _cleared_walk([[()]], ([], [], 1))] == [1]
+    assert [len(kept) - r for kept, _, r in _cleared_walk([[0]], ({}, [], 1))] == [1]
 
 
 def counted_image_rows(monkeypatch):
-    """Replace ``_image_rows`` by a wrapper that records each call's sources."""
+    """Replace ``_image_rows`` by a wrapper that records each call's sources,
+    as index tuples."""
     module = importlib.import_module("liecohom.cohomology")
     calls = []
 
     def counting(sources, targets, tables):
-        calls.append(list(sources))
+        calls.append([mask_indices(mask) for mask in sources])
         return real(sources, targets, tables)
 
     real = module._image_rows
@@ -1038,6 +1040,11 @@ def test_live_betti_numbers_equal_the_full_walk_and_the_closed_form(family, basi
     assert betti_numbers(h, w) == list(cohomology(h, w).betti) == closed_form(actions, targets)
 
 
+def live_tuples(lives):
+    """``_live_monomials`` with every mask as its index tuple."""
+    return [[[mask_indices(mask) for mask in degree] for degree in live] for live in lives]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 7), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
 def test_live_monomials_are_the_subsets_with_the_given_sums(k, count, gaps, seed):
@@ -1050,7 +1057,7 @@ def test_live_monomials_are_the_subsets_with_the_given_sums(k, count, gaps, seed
     targets = [[rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-9, 9), 2)]) for _ in rows]
                for _ in range(rng.randint(1, 4))]
     targets += rng.sample(targets, rng.randint(0, len(targets)))
-    assert _live_monomials(indices, rows, targets) == [[
+    assert live_tuples(_live_monomials(indices, rows, targets)) == [[
         [idx for idx in combinations(indices, p)
          if all(sum(c[position[i]] for i in idx) == x for c, x in zip(rows, t))]
         for p in range(k + 1)] for t in targets]
@@ -1058,7 +1065,7 @@ def test_live_monomials_are_the_subsets_with_the_given_sums(k, count, gaps, seed
 
 def test_live_monomials_packing_keeps_each_row_apart():
     # at base 4 the sums (-1, 2) over {2} and the target (3, 1) would pack alike: -1 + 8 = 3 + 4
-    assert _live_monomials([1, 2, 3], [[2, -1, 0], [0, 2, 1]], [[3, 1], [-1, 2]]) == [
+    assert live_tuples(_live_monomials([1, 2, 3], [[2, -1, 0], [0, 2, 1]], [[3, 1], [-1, 2]])) == [
         [[], [], [], []], [[], [(2,)], [], []]]
 
 
@@ -1143,6 +1150,23 @@ def test_betti_numbers_split_an_algebra_once(monkeypatch):
     assert betti_numbers(LieAlgebra(g.dim, g.basis_names, g.brackets), OneForm.zero(5)) \
         == [1, 4, 7, 7, 4, 1]
     assert len(calls) == 2
+
+
+def test_one_algebra_builds_its_mask_table_once(monkeypatch):
+    """The gens table is a fact of the algebra, kept by ``_memo`` at its own
+    scale: two Betti queries and a cohomology() build it once, and a form
+    with a new denominator scales it rather than building it again."""
+    module = importlib.import_module("liecohom.exterior")
+    calls = []
+    real = module._gens
+    monkeypatch.setattr(module, "_gens", lambda g: calls.append(g) or real(g))
+    g = change_basis(direct_sum(load_example("sol3", k=2).algebra, heisenberg5()),
+                     random_invertible(8, random.Random(5)))
+    zero, twisted = OneForm.zero(8), pullback_one_form(one_form(2, *[0] * 7),
+                                                       random_invertible(8, random.Random(5)))
+    assert betti_numbers(g, zero) == list(cohomology(g, zero).betti)
+    assert betti_numbers(g, twisted.scale(Fraction(1, 3))) == [0] * 9
+    assert len(calls) == 1
 
 
 def test_binomials_are_a_row_of_pascals_triangle():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -20,16 +21,19 @@ from liecohom import (
     wedge,
 )
 from liecohom.algebra import random_invertible
-from liecohom.exterior import form_basis, sort_sign
+from liecohom.exterior import _differential_tables, _gens_at, _image_rows, form_basis, sort_sign
 
 from conftest import (
     coords_to_form,
     diag,
     form_to_coords,
     heisenberg5,
+    mask_indices,
     matrix_product,
     one_form,
     reference_differential,
+    tuple_monomial_image,
+    tuple_tables,
     unchecked_algebra,
 )
 
@@ -353,3 +357,54 @@ def test_assembled_columns_match_deformed_differential(name, rebased, seed):
             assert m.column(col) == form_to_coords(image)
         if p + 1 < n:
             assert matrix_product(mats.matrix(p + 1), m).is_zero()
+
+
+# --- the mask kernel against the tuple kernel it replaced ---
+
+
+def random_table(rng, n):
+    """A random bracket table on n generators with rational constants, Jacobi
+    not asked for, that no bracket lands on the indices ``free``: every w on
+    them is closed."""
+    free = set(rng.sample(range(n), rng.randint(0, n)))
+    hit = [m for m in range(n) if m not in free]
+    brackets = {}
+    for i, j in rng.sample(list(combinations(range(1, n + 1), 2)), min(comb(n, 2), 2 * n)):
+        v = [0] * n
+        for m in rng.sample(hit, min(len(hit), rng.randint(1, 3))):
+            v[m] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        brackets[(i, j)] = v
+    g = unchecked_algebra(n, {key: v for key, v in brackets.items() if any(v)})
+    return g, OneForm([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if m in free else 0
+                       for m in range(n)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9), st.sampled_from(["table", "rebased"]), st.integers(0, 2**32 - 1))
+def test_mask_image_rows_equal_the_tuple_reference(n, kind, seed):
+    """Every image row, entries and their order, at lam = p / q: q gens and p
+    wedge terms, as a scan rescales them, on random rational tables and on
+    diag n and h_5 in a random_invertible basis scaled by 1 / d, twisted by
+    a random closed form."""
+    rng = random.Random(seed)
+    if kind == "table":
+        g, omega = random_table(rng, n)
+    else:
+        g = heisenberg5() if n == 5 else diag(n)
+        g = change_basis(g, random_invertible(g.dim, rng).scale(Fraction(1, rng.randint(1, 3))))
+        omega = sum((b.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                     for b in map(OneForm, closed_one_forms(g).basis)), OneForm.zero(g.dim))
+    p, q = rng.choice([(1, 1), (0, 1), (-2, 3), (5, 2)])
+    _, wedge_terms, scale = _differential_tables(g, omega)
+    tables = (_gens_at(g, q * scale), [(m, b, p * c) for m, b, c in wedge_terms], q * scale)
+    reference = tuple_tables(g, omega, p, q)
+    assert tables[2] == reference[2]
+    for d in range(g.dim + 1):
+        sources = form_basis(g.dim, d)
+        targets = form_basis(g.dim, d + 1)[::-1]
+        masks = [[sum(1 << i for i in idx) for idx in basis] for basis in (sources, targets)]
+        assert [mask_indices(m) for m in masks[1]] == targets
+        col_of = {idx: c for c, idx in enumerate(targets)}
+        expected = [[(col_of[t], x) for t, x in tuple_monomial_image(idx, *reference[:2]).items()
+                     if x] for idx in sources]
+        assert [list(row.items()) for row in _image_rows(*masks, tables)] == expected

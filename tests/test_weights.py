@@ -643,6 +643,26 @@ def test_stored_adapted_weights_are_the_pullbacks(make, seed):
     assert data._adapted_weights == pulled
 
 
+@pytest.mark.parametrize("g", [load_example("abelian", n=12).algebra, diag(5), sol3_plus(2, 3),
+                               change_basis(heisenberg5(), random_invertible(5, random.Random(3)))],
+                         ids=["abelian12", "diag5", "sol3_plus", "heisenberg5"])
+def test_adapted_weights_pull_back_each_weight_object_once(g, monkeypatch):
+    """``_adapted_weights`` equals the per-weight pullback, with one pullback per
+    weight object: the k zero weights of ``adapted_basis`` are one object, and
+    equal weights that are distinct objects are pulled back each."""
+    data = adapted_basis(g)
+    calls = []
+    real = weights_module.pullback_one_form
+    monkeypatch.setattr(weights_module, "pullback_one_form",
+                        lambda w, m: calls.append(w) or real(w, m))
+    for weights in (data.weights, data.weights + tuple(OneForm(w.coeffs) for w in data.weights)):
+        calls.clear()
+        copy = WeightData(data.adapted_change, weights, data.k)
+        assert copy._adapted_weights == tuple(real(w, data.adapted_change).coeffs for w in weights)
+        assert len(calls) == len({id(w) for w in weights})
+    assert len({id(w) for w in data.weights[:data.k]}) == 1
+
+
 @pytest.mark.parametrize("make,seed", [case[:2] for case in GOLDEN_ADAPTED],
                          ids=["jordan4", "borel4", "diag5", "heisenberg5", "upper3"])
 def test_replace_pulls_the_new_weights_back(make, seed):
