@@ -32,7 +32,8 @@ from .weights import adapted_basis, omega_set, weight_sum_check
 
 
 def _load_algebra(path: str) -> LieAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
+    # parse_algebra decodes the bytes, and refuses what is no UTF-8, -16 or -32
+    with open(path, "rb") as fh:
         return parse_algebra(fh.read())
 
 

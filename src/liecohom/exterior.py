@@ -15,7 +15,8 @@ plain part acts on generators by
 
 and extends by the graded Leibniz rule; it squares to zero exactly when the
 Jacobi identity holds. Closedness of w is a hard precondition because d_w
-fails to square to zero otherwise. Forms, image rows and matrices all read
+squares to dw ^ . ; each twisted query tests it once, in ``_wedge_terms``, on
+the ints that also give w's wedge terms. Forms, image rows and matrices all read
 d_w off ``_monomial_image``; ``ce_differential`` is d_w at w = 0. Every solve
 eliminates the image rows, and ``differential_matrices`` is the only
 lexicographic matrix built from them.
@@ -38,7 +39,7 @@ from math import lcm
 
 from .algebra import LieAlgebra, OneForm, _memo, _record
 from .errors import NonClosedFormError, StructureError, _require_types
-from .linalg import RationalMatrix, _exact, _integer_rows, _iterable, _nonzeros
+from .linalg import RationalMatrix, _exact, _iterable
 
 
 def sort_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
@@ -197,17 +198,12 @@ def ce_differential(g: LieAlgebra, xi: ExteriorForm) -> ExteriorForm:
 
 
 def is_closed(g: LieAlgebra, omega: OneForm) -> bool:
-    """Whether d omega = 0, i.e. omega kills every bracket.
-
-    Reads the integer table with w's denominators cleared, so each sum is
-    over ints and is a positive multiple of w([e_i, e_j]).
-    """
-    _require_types((g, LieAlgebra), (omega, OneForm))
-    if omega.dim != g.dim:
-        raise ValueError("one-form length does not match the algebra dimension")
-    w = _integer_rows([_nonzeros(omega.coeffs)])[0]
-    return not any(sum(w[m] * x for m, x in terms if m in w)
-                   for terms in g._int_table.values())
+    """Whether d omega = 0, i.e. omega kills every bracket (``_wedge_terms``)."""
+    try:
+        _wedge_terms(g, omega)
+    except NonClosedFormError:
+        return False
+    return True
 
 
 def deformed_differential(g: LieAlgebra, omega: OneForm, xi: ExteriorForm) -> ExteriorForm:
@@ -309,15 +305,17 @@ def _gens_at(g: LieAlgebra, scale: int) -> dict:
 
 def _wedge_terms(g: LieAlgebra, omega: OneForm):
     """``wedge_terms`` of the tables (``_differential_tables``) and their scale S =
-    lcm(L, denominators of w); raises NonClosedFormError unless d omega = 0."""
-    # every twisted-complex query passes here first; is_closed checks the types
-    if not is_closed(g, omega):
-        raise NonClosedFormError(
-            "twisting one-form is not closed; the deformed differential would "
-            "not square to zero")
+    lcm(L, denominators of w), from the ints S w_m; the package's one closedness test:
+    NonClosedFormError unless each bracket's sum of S w_m * L C_ij^m, S L w([e_i, e_j]), is 0."""
+    _require_types((g, LieAlgebra), (omega, OneForm))
+    if omega.dim != g.dim:
+        raise ValueError("one-form length does not match the algebra dimension")
     scale = lcm(g._scale, *(c.denominator for c in omega.coeffs))
-    return [(2 << m, (2 << m) - 1, c.numerator * (scale // c.denominator))
-            for m, c in enumerate(omega.coeffs) if c], scale
+    w = [c.numerator * (scale // c.denominator) for c in omega.coeffs]
+    if any(sum(w[m] * x for m, x in terms) for terms in g._int_table.values()):
+        raise NonClosedFormError("twisting one-form is not closed; the deformed "
+                                 "differential would not square to zero")
+    return [(2 << m, (2 << m) - 1, c) for m, c in enumerate(w) if c], scale
 
 
 def _differential_tables(g: LieAlgebra, omega: OneForm):

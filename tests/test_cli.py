@@ -150,6 +150,23 @@ def test_validate_parse_error(tmp_path, capsys):
     assert "1/0" in capsys.readouterr().err
 
 
+def test_non_utf8_document_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dim": 2, "basis": ["\xff", "b"]}')
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+def test_documents_in_every_json_encoding_parse(tmp_path, capsys, encoding):
+    path = tmp_path / "heisenberg.json"
+    path.write_bytes(json.dumps(HEISENBERG_DOC).encode(encoding))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "OK\n"
+
+
 def test_cohomology_command(sol3_file, capsys):
     assert main(["cohomology", sol3_file, "--omega", "1,0,0", "--reps"]) == 0
     out = capsys.readouterr().out

@@ -11,15 +11,22 @@ from liecohom import (
     ExteriorForm,
     NonClosedFormError,
     OneForm,
+    betti_numbers,
     ce_differential,
     change_basis,
     closed_one_forms,
+    cohomology,
     deformed_differential,
+    derived_subalgebra,
     differential_matrices,
     is_closed,
+    is_coboundary,
     load_example,
+    representatives,
+    scan_line,
     wedge,
 )
+from liecohom import exterior, reports
 from liecohom.algebra import random_invertible
 from liecohom.exterior import _differential_tables, _gens_at, _image_rows, form_basis, sort_sign
 
@@ -28,9 +35,11 @@ from conftest import (
     diag,
     form_to_coords,
     heisenberg5,
+    k2,
     mask_indices,
     matrix_product,
     one_form,
+    rational_sol3_plane,
     reference_differential,
     tuple_monomial_image,
     tuple_tables,
@@ -227,6 +236,25 @@ def test_non_closed_twist_is_rejected(heisenberg3):
         differential_matrices(heisenberg3, eta)
 
 
+def test_each_twisted_query_tests_closedness_once(monkeypatch, sol3):
+    """Every twisted query reads closedness off ``_wedge_terms``, so none calls
+    is_closed; a scan calls it once, for its own message about the direction."""
+    calls = []
+    for module in (exterior, reports):
+        monkeypatch.setattr(module, "is_closed", lambda g, w, _m=module.__name__,
+                            _f=module.is_closed: calls.append(_m) or _f(g, w))
+    omega = one_form(1, 0, 0)
+    betti_numbers(sol3, omega)
+    cohomology(sol3, omega)
+    representatives(sol3, omega, 1)
+    is_coboundary(sol3, omega, e(3, 2))
+    deformed_differential(sol3, omega, e(3, 2))
+    differential_matrices(sol3, omega)
+    assert calls == []
+    scan_line(sol3, omega)
+    assert calls == ["liecohom.reports"]
+
+
 def test_deformed_square_formula_for_non_closed(heisenberg3):
     # (d + eta^.)^2 equals wedging with d(eta); nonzero for eta = e3
     eta = e(3, 3)
@@ -357,6 +385,42 @@ def test_assembled_columns_match_deformed_differential(name, rebased, seed):
             assert m.column(col) == form_to_coords(image)
         if p + 1 < n:
             assert matrix_product(mats.matrix(p + 1), m).is_zero()
+
+
+ORACLE_ALGEBRAS = {
+    **ALGEBRAS,
+    "abelian3": lambda: load_example("abelian", n=3).algebra,
+    "k2": k2,
+    "rational": rational_sol3_plane,
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_ALGEBRAS)), st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_is_closed_agrees_with_the_derived_subalgebra(name, rebased, perturbed, seed):
+    """is_closed against an independent route through Subspace and linalg: w is
+    closed exactly when it kills a basis of [g, g]. The forms combine the closed
+    forms over denominators 7, 9, 11 and 13, which divide no L here, perturbed
+    or not; betti_numbers and the tables refuse exactly the forms is_closed calls
+    open."""
+    rng = random.Random(seed)
+    g = ORACLE_ALGEBRAS[name]()
+    if rebased:
+        g = change_basis(g, random_invertible(g.dim, rng))
+    omega = sum((b.scale(Fraction(rng.randint(-4, 4), rng.choice((1, 7, 9, 11, 13))))
+                 for b in map(OneForm, closed_one_forms(g).basis)), OneForm.zero(g.dim))
+    if perturbed:
+        omega = omega + OneForm([Fraction(rng.randint(-2, 2), rng.choice((1, 5)))
+                                 if rng.random() < 0.5 else 0 for _ in range(g.dim)])
+    closed = all(omega.evaluate(v) == 0 for v in derived_subalgebra(g).basis)
+    assert is_closed(g, omega) is closed
+    for query in (betti_numbers, _differential_tables):
+        if closed:
+            query(g, omega)
+        else:
+            with pytest.raises(NonClosedFormError):
+                query(g, omega)
 
 
 # --- the mask kernel against the tuple kernel it replaced ---
