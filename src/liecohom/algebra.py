@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -27,6 +27,7 @@ from .linalg import (
     RationalMatrix,
     Vector,
     _augment,
+    _dense,
     _echelon,
     _exact,
     _integer_rows,
@@ -129,14 +130,14 @@ class OneForm:
         return OneForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "OneForm":
-        return OneForm(tuple(-a for a in self.coeffs))
+        return OneForm(tuple(-a if a else a for a in self.coeffs))
 
     def __sub__(self, other: "OneForm") -> "OneForm":
         return self + (-other) if isinstance(other, OneForm) else NotImplemented
 
     def scale(self, c) -> "OneForm":
         c = c if type(c) is Fraction else _exact(c)
-        return OneForm(tuple(c * a for a in self.coeffs))
+        return OneForm(tuple(c * a if a else a for a in self.coeffs))
 
 
 @_record
@@ -439,41 +440,48 @@ def closed_one_forms(g: LieAlgebra) -> Subspace:
 def derived_series(g: LieAlgebra) -> list[Subspace]:
     """g, [g, g], [[g, g], [g, g]], ... up to the first term that does not shrink.
 
-    The last term is 0 exactly when g is solvable. Each term spans the int
-    brackets (``LieAlgebra._int_bracket``) of the last one's cleared basis.
+    The last term is 0 exactly when g is solvable. Each term after g is read
+    off its int rows (``_series_rows``).
     """
     # the unit vectors are their own reduced echelon basis
-    series = [Subspace(g.dim, tuple(unit_vector(g.dim, j) for j in range(g.dim)))]
-    term = derived_subalgebra(g)
-    while term.dim < series[-1].dim:
-        series.append(term)
-        # [x, x] = 0 and [y, x] = -[x, y], so each unordered pair spans enough
-        cleared = [_cleared(b)[0] for b in term.basis]
-        term = Subspace.span(g.dim, [g._int_bracket(x, y) for x, y in combinations(cleared, 2)])
-    return series
+    return [Subspace(g.dim, tuple(unit_vector(g.dim, j) for j in range(g.dim)))] + [
+        Subspace(g.dim, tuple(_dense({j: Fraction(x, r[min(r)]) for j, x in r.items()}, g.dim)
+                              for r in rows)) for rows in _series_rows(g)]
+
+
+def _series_rows(g: LieAlgebra, lower: bool = False) -> list[list[dict[int, int]]]:
+    """The terms after g of the derived series, or with ``lower`` of the lower central
+    series, up to the first that does not shrink, each as the int rows of its reduced
+    echelon basis (row i is the i-th basis vector times an int). The first spans the
+    int table; each next one, the int brackets (``LieAlgebra._int_bracket``) of the
+    last one's rows with each other, or with the unit vectors."""
+    n, series, rows = g.dim, [], [dict(terms) for terms in g._int_table.values()]
+    units = [[int(i == j) for i in range(n)] for j in range(n)] if lower else []
+    while True:
+        echelon, pivots = _echelon(rows)
+        if len(pivots) == (len(series[-1]) if series else n):
+            return series
+        _reduce(echelon, pivots)
+        series.append(echelon)
+        # derived: [x, x] = 0 and [y, x] = -[x, y], so each unordered pair spans enough
+        dense = [[r.get(j, 0) for j in range(n)] for r in echelon]
+        rows = [{m: c for m, c in enumerate(g._int_bracket(x, y)) if c}
+                for x, y in (product(units, dense) if lower else combinations(dense, 2))]
 
 
 def classify(g: LieAlgebra) -> AlgebraClass:
     """Most specific of abelian / nilpotent / solvable / non_solvable.
 
     Nilpotency is decided by the lower central series, solvability by the
-    derived series; abelian algebras are exactly those with an empty bracket
-    table.
+    derived series (``_series_rows``): each ends at 0 exactly then. Abelian
+    algebras are exactly those with an empty bracket table.
     """
     _require_types((g, LieAlgebra))
     if not g.brackets:
         return AlgebraClass.ABELIAN
-    units = [unit_vector(g.dim, j) for j in range(g.dim)]
-    term = derived_subalgebra(g)
-    while True:
-        nxt = Subspace.span(g.dim, [g.bracket(x, y) for x in units for y in term.basis])
-        if nxt.dim == term.dim:
-            break
-        term = nxt
-    if term.dim == 0:
-        return AlgebraClass.NILPOTENT
-    if derived_series(g)[-1].dim == 0:
-        return AlgebraClass.SOLVABLE
+    for lower, kind in ((True, AlgebraClass.NILPOTENT), (False, AlgebraClass.SOLVABLE)):
+        if (series := _series_rows(g, lower)) and not series[-1]:
+            return kind
     return AlgebraClass.NON_SOLVABLE
 
 

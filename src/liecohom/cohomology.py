@@ -134,8 +134,8 @@ def _cleared_walk(monomials: list, tables, relations: bool = False):
         sources, cleared = targets, {targets[c] for c in pivots[:r]}
 
 
-def _live_monomials(indices, rows: list, targets: list) -> list:
-    """For each target t of ``targets``: per degree p = 0 .. k, in lexicographic
+def _live_monomials(indices, rows: list, targets: list, top: int | None = None) -> list:
+    """For each target t of ``targets``: per degree p = 0 .. top (default k), in lexicographic
     order, the p-subsets I of the k ascending ``indices`` with sum_(i in I) c_i = t_s
     for the s-th row c of ``rows`` (c_j the coefficient of the j-th index) and
     every s; all of them if there is no row. Equal targets share one list.
@@ -144,18 +144,20 @@ def _live_monomials(indices, rows: list, targets: list) -> list:
     the sum of those differences times B^s is zero only when each difference is.
     One depth-first walk serves every target: it adds indices in ascending order,
     so each degree comes out in lexicographic order, and it leaves a branch as soon
-    as the sums still reachable from the indices left miss the packed targets' range.
+    as the sums still reachable from the indices left miss the packed targets' range,
+    or at degree ``top``.
     """
     k = len(indices)
+    top = k if top is None else min(top, k)
     if not rows:
-        return [[_masks(indices, p) for p in range(k + 1)]] * len(targets)
+        return [[_masks(indices, p) for p in range(top + 1)]] * len(targets)
     span, divisors = [sum(map(abs, c)) for c in rows], [gcd(*c) or 1 for c in rows]
     base = 4 * max(span) + 1
     # a sum over I is an int multiple of gcd(c) of size at most sum |c|: no I meets a t off those
     keys = [None if any(abs(x) > m or x % d for x, m, d in zip(t, span, divisors))
             else sum(int(x) * base ** s for s, x in enumerate(t)) for t in targets]
-    empty = [[] for _ in range(k + 1)]
-    out = {key: [[] for _ in range(k + 1)] for key in keys if key is not None}
+    empty = [[] for _ in range(top + 1)]
+    out = {key: [[] for _ in range(top + 1)] for key in keys if key is not None}
     if not out:
         return [empty] * len(targets)
     coeffs = [sum(c[i] * base ** s for s, c in enumerate(rows)) for i in range(k)]
@@ -168,16 +170,16 @@ def _live_monomials(indices, rows: list, targets: list) -> list:
     floor.reverse()
     ceil.reverse()
 
-    def walk(start: int, chosen: int, acc: int) -> None:
+    def walk(start: int, chosen: int, acc: int, p: int) -> None:
         if (found := out.get(acc)) is not None:
-            found[chosen.bit_count()].append(chosen)
-        for i in range(start, k):
+            found[p].append(chosen)
+        for i in range(start, k if p < top else start):
             now = acc + coeffs[i]
             if floor[i + 1] <= now <= ceil[i + 1]:
-                walk(i + 1, chosen | 1 << indices[i], now)
+                walk(i + 1, chosen | 1 << indices[i], now, p + 1)
 
     if floor[0] <= 0 <= ceil[0]:
-        walk(0, 0, 0)
+        walk(0, 0, 0, 0)
     return [out.get(key, empty) for key in keys]
 
 
@@ -213,18 +215,19 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _live(g: LieAlgebra, twist, indices, lams: list) -> list:
-    """Per multiplier lam of ``lams``, the live monomials I at lam * w of the factor
-    on the ascending ``indices``, subsets of them: sum_(i in I) (S / L) * L * a_i(x) =
-    lam * S * w(x) at the scale S of ``twist`` (``_wedge_terms`` of w) for each acting x and
-    each twisted central x (a = 0: no subset meets it); an x is the factor's by its
-    first entry, as it lies in one (``_inner_diagonal``). One search serves every lam."""
+def _live(g: LieAlgebra, twist, indices, lams: list, top: int | None = None) -> list:
+    """Per multiplier lam of ``lams``, the live monomials I at lam * w of the factor on
+    the ascending ``indices``, subsets of them of at most ``top`` (default all) elements:
+    sum_(i in I) (S / L) * L * a_i(x) = lam * S * w(x) at the scale S of ``twist``
+    (``_wedge_terms`` of w) for each acting x and each twisted central x (a = 0: no subset
+    meets it); an x is the factor's by its first entry, as it lies in one
+    (``_inner_diagonal``). One search serves every lam."""
     up = twist[1] // g._scale
     # (a, S * w(x)) for the x of this factor
     pairs = [(a, t) for a, x in _inner_diagonal(g) if next(iter(x)) + 1 in indices
              if (t := sum(c * x.get(m.bit_length() - 2, 0) for m, _, c in twist[0])) or a]
     return _live_monomials(indices, [[up * a.get(i - 1, 0) for i in indices] for a, _ in pairs],
-                           [[lam * t for _, t in pairs] for lam in lams])
+                           [[lam * t for _, t in pairs] for lam in lams], top)
 
 
 def _betti_along(g: LieAlgebra, omega: OneForm, lams: list) -> list[list[int]]:
@@ -286,9 +289,9 @@ def representatives(g: LieAlgebra, omega: OneForm, p: int) -> list[ExteriorForm]
     # the types first: a degree is only checked against an algebra
     tables = _differential_tables(g, omega)
     _check_degree(p, g.dim)
-    walk = _cleared_walk(_live(g, tables[1:], range(1, g.dim + 1), [1])[0], tables, True)
-    # the walk is lazy: stopping at degree p assembles no monomial above it
-    kept, relations, _ = next(islice(walk, p, None))
+    # the walk up to degree p reads degrees 0 .. p + 1 alone: none above is searched
+    live = _live(g, tables[1:], range(1, g.dim + 1), [1], p + 1)[0]
+    kept, relations, _ = next(islice(_cleared_walk(live, tables, True), p, None))
     return _representatives_from(g.dim, p, kept, relations)
 
 

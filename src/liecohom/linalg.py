@@ -17,9 +17,9 @@ untouched, and every updated row is divided by its content. Each row then
 stays the primitive multiple of the row Bareiss elimination would hold, so
 intermediate entries are bounded by minors of the input instead of letting
 numerators explode. ``solve`` is the one Fraction solve: a single preimage
-(``in_image``), an inverse (``invert``) and the weights of the adapted basis
-call it, and it coerces the targets once; a change of basis builds its int
-rows itself and calls ``_echelon`` and ``_reduce``.
+(``in_image``) and an inverse (``invert``) call it, and it coerces the targets
+once; a change of basis and the adapted basis build their int rows themselves
+and call ``_echelon``, ``_reduce`` and ``_kernel``.
 
 The public functions clear each rational row's denominators first
 (``_integer_rows``). The cohomology path does not need to: the exterior

@@ -118,12 +118,12 @@ def novikov_report(g: LieAlgebra, omega: OneForm, lam,
             f"need {g.dim + 1} Morse counts (degrees 0..{g.dim}), got {len(counts)}")
     if any(m < 0 for m in counts):
         raise StructureError("Morse counts must be nonnegative")
-    betti = tuple(betti_numbers(g, omega.scale(lam)))
+    scaled = omega.scale(lam)
+    betti = tuple(betti_numbers(g, scaled))
     holds = tuple(m >= b for m, b in zip(counts, betti))
     critical: bool | None
     try:
-        critical = vanishing_predicate(adapted_basis(g), omega.scale(lam)) \
-            is Vanishing.POSSIBLY_NONTRIVIAL
+        critical = vanishing_predicate(adapted_basis(g), scaled) is Vanishing.POSSIBLY_NONTRIVIAL
     except ComputationDomainError:
         critical = None
     return NovikovReport(omega=omega, lam=lam, betti=betti,

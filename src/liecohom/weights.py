@@ -36,8 +36,11 @@ The recorded weight alpha_i is the coefficient form of the dual relation
 i.e. the negative of the adjoint eigenvalue functional of the i-th flag
 line. With this orientation the finite set of all subset sums of weights
 controls vanishing: if -w lies outside it, the whole twisted cohomology is
-zero. Everything stays rational; an irrational or complex eigenvalue is
-reported as NotTriangularizableError instead of being approximated.
+zero. That set is summed as int tuples, every weight times one lcm of their
+denominators, and a OneForm is built only for each distinct sum. The flag, the
+complement of [g, g] and the weights are read off int rows as well. Everything
+stays rational; an irrational or complex eigenvalue is reported as
+NotTriangularizableError instead of being approximated.
 """
 
 from __future__ import annotations
@@ -47,29 +50,17 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import gcd, lcm
-from operator import mul
+from operator import add
 
-from .algebra import (LieAlgebra, OneForm, _cleared, _memo, _record, derived_series,
-                      pullback_one_form)
+from .algebra import LieAlgebra, OneForm, _memo, _record, _series_rows, pullback_one_form
 from .errors import (NonClosedFormError, NotSolvableError, NotTriangularizableError,
                      _require_types)
 from .exterior import _check_degree
-from .linalg import (
-    RationalMatrix,
-    Vector,
-    _echelon,
-    _nonzeros,
-    extend_independent,
-    kernel_basis,
-    rank,
-    solve,
-    span_basis,
-    unit_vector,
-)
+from .linalg import RationalMatrix, Vector, _echelon, _integer_rows, _kernel, _reduce
 
 # unused here, kept importable because perfbench/tracer.py wraps these names
 from .algebra import classify, derived_subalgebra  # noqa: F401
-from .linalg import in_image  # noqa: F401
+from .linalg import extend_independent, in_image, kernel_basis, rank, span_basis  # noqa: F401
 
 
 @_record
@@ -236,22 +227,26 @@ def adapted_basis(g: LieAlgebra) -> WeightData:
 
 
 def _flag(g: LieAlgebra) -> WeightData:
-    series = derived_series(g)
-    if series[-1].dim != 0:
+    series = _series_rows(g)
+    if not series or series[-1]:
         raise NotSolvableError("adapted basis requires a solvable Lie algebra")
-    n = g.dim
-    der = series[1]
-    k = n - der.dim
-    complement = extend_independent(der.basis, [unit_vector(n, j) for j in range(n)], n)
-    acting = complement + list(der.basis)
-    # ad(x) on [g, g] in der.basis coordinates as int rows, for every acting x:
-    # row r reads the brackets at pivot r of the reduced echelon der.basis, at
-    # scale L * D * (x's lcm), D = lcm of der.basis; no actions when [g, g] = 0
-    d = lcm(*(c.denominator for b in der.basis for c in b))
-    cleared = [[c.numerator * (d // c.denominator) for c in b] for b in der.basis]
-    pivots = [next(j for j, c in enumerate(b) if c) for b in cleared]
+    n, der = g.dim, series[0]
+    k = n - len(der)
+    # a greedy pick of unit vectors modulo [g, g] keeps e_j unless some vector of [g, g]
+    # ends at j: a pivot of der's echelon with the columns reversed, ``tails`` reduced
+    tails, ends = _echelon([{n - 1 - j: x for j, x in r.items()} for r in der])
+    _reduce(tails, ends)
+    tails, ends = [{n - 1 - j: x for j, x in r.items()} for r in tails], [n - 1 - c for c in ends]
+    complement = sorted(set(range(n)).difference(ends))
+    # ad(x) on [g, g] in der.basis coordinates as int rows, for every acting x (the
+    # complement, then der.basis): row r reads the brackets at pivot r of the reduced echelon
+    # der.basis, cleared at one lcm D, at scale L * D * (x's scale); none when [g, g] = 0
+    pivots = [min(r) for r in der]
+    d = lcm(*(abs(r[p]) // gcd(*r.values()) for r, p in zip(der, pivots)))
+    cleared = [[r.get(j, 0) * d // r[p] for j in range(n)] for r, p in zip(der, pivots)]
     actions = []
-    for x, dx in map(_cleared, acting if der.dim else ()):
+    for x, dx in ([([int(i == j) for i in range(n)], 1) for j in complement]
+                  + [(b, d) for b in cleared]) if der else ():
         images = [g._int_bracket(x, b) for b in cleared]
         actions.append([_primitive({c: y[p] for c, y in enumerate(images) if y[p]},
                                    g._scale * d * dx) for p in pivots])
@@ -263,8 +258,7 @@ def _flag(g: LieAlgebra) -> WeightData:
     # the der.basis vectors, cleared, whose images are the basis of the
     # quotient of [g, g] by the flag that ``actions`` act on
     quot = list(cleared)
-    flag: list[Vector] = []
-    adjoint_funcs: list[list[Fraction]] = []
+    e, flag, weights = lcm(*(r[t] for r, t in zip(tails, ends))), [], []
 
     while quot:
         q_dim = len(quot)
@@ -289,32 +283,41 @@ def _flag(g: LieAlgebra) -> WeightData:
                     "adjoint action has no rational eigenvalue on the current "
                     "invariant subspace; the algebra is not rationally "
                     "triangularizable")
-        vq = span_basis(kernel_basis(RationalMatrix._adopt(len(cut), q_dim, cut)), q_dim)[0]
-        v, dv = _cleared(vq)  # (R_i / s_i - p / q) v = 0 for each action's lam = p / q
+        # v: the joint kernel's first reduced echelon vector, primitive, with a positive lead
+        basis, leads = _echelon(_integer_rows(_kernel(cut, q_dim)))
+        _reduce(basis, leads)
+        content = gcd(*basis[0].values()) * (1 if basis[0][leads[0]] > 0 else -1)
+        v = [basis[0].get(j, 0) // content for j in range(q_dim)]
+        # (R_i / s_i - p / q) v = 0 for each action's lam = p / q
         if any(lam.denominator * sum(x * v[j] for j, x in r.items()) != lam.numerator * s_i * v[i]
                for a, lam in zip(actions, lams) for i, (r, s_i) in enumerate(a)):
             raise AssertionError("flag vector is not a joint eigenvector")
-        adjoint_funcs.append(lams)
+        # dual-basis orientation: weight w is the negated adjoint eigenvalue functional f,
+        # so w_j = -f(e_j) on the complement, and w kills [g, g]: a tail row r ending at t
+        # gives w_t = -sum_(j != t) r_j w_j / r_t; in ints at scale E * lcm(denominators of f)
+        scale = e * lcm(*(lam.denominator for lam in lams[:k]))
+        w = {j: -lam.numerator * (scale // lam.denominator) for j, lam in zip(complement, lams)}
+        w |= {t: -sum(x * w[j] for j, x in r.items() if j != t) // r[t]
+              for r, t in zip(tails, ends)}
+        if any(sum(x * w[j] for j, x in r.items()) for r in der):
+            raise AssertionError("weights must vanish on the derived subalgebra")
+        weights.append(OneForm([Fraction(w[j], scale) for j in range(n)]))
         column = (sum(c * b[j] for c, b in zip(v, quot) if c) for j in range(n))
-        flag.append(tuple(Fraction(x, d * dv) for x in column))
+        flag.append(({j: x for j, x in enumerate(column) if x}, d * v[leads[0]]))
         # a greedy pick of unit vectors modulo the enlarged flag keeps every
-        # quotient coordinate but the last one vq uses (module docstring)
+        # quotient coordinate but the last one v uses (module docstring)
         s = max(c for c, x in enumerate(v) if x)
         actions = [_deflate(a, v, s) for a in actions]
         del quot[s]
 
-    columns = complement + flag[::-1]
-    change = RationalMatrix._adopt(n, n, list(map(_nonzeros, columns))).transpose()
-    if rank(change) != n:
+    # the columns of ``change``, each an int column at a scale; their rank on the ints
+    columns = [({j: 1}, 1) for j in complement] + flag[::-1]
+    if len(_echelon([col for col, _ in columns])[1]) != n:
         raise AssertionError("adapted basis vectors are not independent")
-    # dual-basis orientation: weight w is the negated adjoint eigenvalue
-    # functional f, so <w, x> = -f(x) for every x in ``acting``: one solve
-    carried = solve(RationalMatrix._adopt(n, n, list(map(_nonzeros, acting))),
-                    [[-c for c in func] for func in reversed(adjoint_funcs)])
-    if any(sum(map(mul, _cleared(w)[0], b)) for w in carried for b in cleared):
-        raise AssertionError("weights must vanish on the derived subalgebra")
-    weights = [OneForm.zero(n)] * k + [OneForm(w) for w in carried]
-    return WeightData(adapted_change=change, weights=tuple(weights), k=k)
+    change = RationalMatrix._adopt(n, n, [{j: Fraction(x, q) for j, x in col.items()}
+                                          for col, q in columns]).transpose()
+    return WeightData(adapted_change=change, weights=(OneForm.zero(n),) * k + tuple(weights[::-1]),
+                      k=k)
 
 
 def omega_set(data: WeightData) -> OmegaSet:
@@ -322,25 +325,32 @@ def omega_set(data: WeightData) -> OmegaSet:
 
     The zero form belongs to the set whenever some weight is zero, which for
     a solvable algebra is always the case (the closed block is nonempty).
-    The set is computed once per WeightData object (``_memo``).
+    The sums are taken as int tuples at one denominator (``_subset_sums``), and
+    a OneForm is built only for each distinct one. The set is computed once per
+    WeightData object (``_memo``).
     """
     _require_types((data, WeightData))
     return _memo(data, "_omega_set", _subset_sums)
 
 
 def _subset_sums(data: WeightData) -> OmegaSet:
-    # each weight w with its multiplicity m; a run of one object (the k zero
-    # weights of ``adapted_basis``) is counted before any hashing
-    groups: Counter[OneForm] = Counter()
-    for w, run in groupby(data.weights):
-        groups[w] += len(list(run))
-    sums: set[OneForm] = set()
-    # after each w, sums holds the nonempty subset sums of the weights so far: a
-    # choice of j of the m copies adds jw, and every jw of a zero w is w
-    for w, m in groups.items():
-        multiples = [w.scale(j) for j in range(1, m + 1)] if any(w.coeffs) else [w]
-        sums |= {s + x for s in sums for x in multiples} | set(multiples)
-    return OmegaSet(frozenset(sums))
+    """The subset sums as int tuples at one denominator D, then one OneForm per distinct sum."""
+    # each weight x as ints, times the lcm D of all denominators, with its multiplicity m;
+    # a run of one object (the k zero weights of ``adapted_basis``) is counted before hashing
+    runs = [(w, len(list(run))) for w, run in groupby(data.weights)]
+    d = lcm(*(c.denominator for w, _ in runs for c in w.coeffs))
+    groups: Counter[tuple[int, ...]] = Counter()
+    for w, m in runs:
+        groups[tuple(c.numerator * (d // c.denominator) for c in w.coeffs)] += m
+    sums: set[tuple[int, ...]] = set()
+    # after each x, sums holds the nonempty subset sums of the weights so far: a
+    # choice of j of the m copies adds jx, and every jx of a zero x is x
+    for x, m in groups.items():
+        multiples = [tuple(j * c for c in x) for j in range(1, m + 1)] if any(x) else [x]
+        sums |= {tuple(map(add, s, y)) for s in sums for y in multiples} | set(multiples)
+    # one OneForm per distinct sum, its entries one shared Fraction per distinct int
+    shared = {x: Fraction(x, d) for x in set().union(*sums)}
+    return OmegaSet(frozenset(OneForm(tuple(map(shared.__getitem__, s))) for s in sums))
 
 
 def _require_closed_weightwise(data: WeightData, omega: OneForm) -> Vector:

@@ -159,6 +159,38 @@ def sequential_subset_sums(data):
     return OmegaSet(frozenset(sums))
 
 
+def oneform_subset_sums(data):
+    """Reference for ``omega_set``, the grouped OneForm sums the package summed
+    before it moved to int tuples: each distinct weight w with its multiplicity m
+    adds its multiples w, 2w, .., mw (a zero w only itself) to every sum so far."""
+    from collections import Counter
+    from itertools import groupby
+
+    from liecohom import OmegaSet
+
+    groups = Counter()
+    for w, run in groupby(data.weights):
+        groups[w] += len(list(run))
+    sums = set()
+    for w, m in groups.items():
+        multiples = [w.scale(j) for j in range(1, m + 1)] if any(w.coeffs) else [w]
+        sums |= {s + x for s in sums for x in multiples} | set(multiples)
+    return OmegaSet(frozenset(sums))
+
+
+def multipliers_in(elements, direction):
+    """Reference for ``reports._critical_multipliers``: zero and every lam with
+    -lam * direction among the given one-forms."""
+    d = direction.coeffs
+    p = next(i for i, c in enumerate(d) if c)
+    found = {Fraction(0)}
+    for sigma in elements:
+        lam = -sigma.coeffs[p] / d[p]
+        if sigma == direction.scale(-lam):
+            found.add(lam)
+    return sorted(found)
+
+
 def k2():
     # [e1, e3] = e3, [e1, e4] = 2 e4, [e2, e4] = -e4: a complement of dimension 2
     return LieAlgebra.from_brackets(4, {(1, 3): (0, 0, 1, 0), (1, 4): (0, 0, 0, 2),

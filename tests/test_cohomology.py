@@ -905,12 +905,42 @@ def counted_image_rows(monkeypatch):
 def test_representatives_stop_the_walk_at_their_degree(g, omega, monkeypatch):
     expected = cohomology(g, omega).representatives
     calls = counted_image_rows(monkeypatch)
+    masks = counted_live_masks(monkeypatch)
     for p in range(g.dim + 1):
         calls.clear()
+        masks.clear()
         assert term_lists([representatives(g, omega, p)]) == term_lists([expected[p]])
         # one assembly per degree 0 .. p, none of a monomial above degree p
         assert len(calls) == p + 1
         assert all(len(idx) <= p for sources in calls for idx in sources)
+        # the live search makes no monomial above degree p + 1
+        assert masks and max(m.bit_count() for m in masks) <= p + 1
+
+
+def counted_live_masks(monkeypatch):
+    """Replace ``_live_monomials`` by a wrapper that records every mask it returns."""
+    module = importlib.import_module("liecohom.cohomology")
+    masks = []
+
+    def counting(*args):
+        found = real(*args)
+        masks.extend(m for live in found for degree in live for m in degree)
+        return found
+
+    real = module._live_monomials
+    monkeypatch.setattr(module, "_live_monomials", counting)
+    return masks
+
+
+def test_representatives_of_h19_in_degree_1_search_two_degrees(monkeypatch):
+    # h_19 has no diagonal x, so every monomial is live: degrees 0, 1 and 2 alone are made
+    m, n = 9, 19
+    g = LieAlgebra.from_brackets(n, {(i, m + i): tuple(int(k == n - 1) for k in range(n))
+                                     for i in range(1, m + 1)})
+    masks = counted_live_masks(monkeypatch)
+    reps = representatives(g, OneForm([0] * n), 1)
+    assert len(reps) == 18
+    assert len(masks) == sum(comb(n, p) for p in range(3))
 
 
 def test_abelian_40_is_answered_without_a_walk(monkeypatch):

@@ -135,8 +135,8 @@ def test_novikov_works_without_weight_data(euclid3):
 
 def test_weight_queries_on_one_algebra_build_the_flag_once(monkeypatch):
     builds = []
-    real = weights.derived_series
-    monkeypatch.setattr(weights, "derived_series", lambda g: builds.append(g) or real(g))
+    real = weights._series_rows
+    monkeypatch.setattr(weights, "_series_rows", lambda g: builds.append(g) or real(g))
     g = diag(5)
     direction = one_form(1, 0, 0, 0, 0)
     table = scan_line(g, direction)

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -34,6 +35,7 @@ from liecohom import (
 from liecohom import weights as weights_module
 from liecohom.algebra import derived_series, random_invertible
 from liecohom.linalg import RationalMatrix, invert, rank
+from liecohom.reports import _critical_multipliers
 from liecohom.weights import WeightData, _eigenvalues
 
 from conftest import (
@@ -45,7 +47,10 @@ from conftest import (
     heisenberg5,
     k2,
     matrix_product,
+    multipliers_in,
     one_form,
+    oneform_subset_sums,
+    pow2,
     restricted_adapted_basis,
     sequential_subset_sums,
     sol3_plus,
@@ -562,6 +567,74 @@ def test_grouped_subset_sums_on_repeated_weights_of_algebras():
         assert omega_set(data) == sequential_subset_sums(data)
 
 
+OMEGA_FAMILIES = {
+    "diag": lambda rng: diag(rng.randint(2, 9)),
+    "pow2": lambda rng: pow2(rng.randint(2, 9)),
+    "k2": lambda rng: k2(),
+    "sol3a": lambda rng: sol3_plus(Fraction(rng.choice([-1, 1]) * rng.randint(1, 12),
+                                            rng.randint(1, 3)), rng.randint(0, 3)),
+    "abelian": lambda rng: load_example("abelian", n=rng.randint(1, 5)).algebra,
+    "heisenberg3": lambda rng: load_example("heisenberg3").algebra,
+    "sol3": lambda rng: load_example("sol3", k=rng.randint(1, 5)).algebra,
+}
+
+
+@settings(max_examples=70, deadline=None)
+@given(st.sampled_from(sorted(OMEGA_FAMILIES)), st.booleans(), st.integers(0, 2**32 - 1))
+def test_int_subset_sums_match_the_oneform_reference(family, rotate, seed):
+    """Ω as int tuples against the OneForm sums, in the given basis and after a
+    random change of basis, and the scan multipliers read off either set along
+    random closed directions and along multiples of elements of Ω."""
+    rng = random.Random(seed)
+    g = OMEGA_FAMILIES[family](rng)
+    if rotate:
+        g = change_basis(g, random_invertible(g.dim, rng))
+    data = adapted_basis(g)
+    omegas, reference = omega_set(data), oneform_subset_sums(data)
+    assert omegas.elements == reference.elements
+    assert len(omegas) == len(reference)
+    assert omegas.sorted_elements() == reference.sorted_elements()
+    closed = [OneForm(v) for v in closed_one_forms(g).basis]
+    directions = [sum((f.scale(rng.randint(-3, 3)) for f in closed), OneForm.zero(g.dim))
+                  for _ in range(3)]
+    directions += [rng.choice(reference.sorted_elements()).scale(Fraction(rng.choice([-2, 1, 3]),
+                                                                          rng.randint(1, 3)))
+                   for _ in range(3)]
+    for direction in directions:
+        if not direction.is_zero():
+            assert (_critical_multipliers(data, direction)
+                    == multipliers_in(reference.elements, direction))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_int_subset_sums_of_repeated_zero_and_rational_weights(n, seed):
+    rng = random.Random(seed)
+    pool = [OneForm.zero(n)] + [OneForm([Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                                         for _ in range(n)]) for _ in range(rng.randint(1, 3))]
+    weights = [rng.choice(pool) for _ in range(n)]
+    weights = [w if rng.random() < 0.5 else OneForm(w.coeffs) for w in weights]
+    identity = RationalMatrix(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
+    data = WeightData(adapted_change=identity, weights=tuple(weights), k=rng.randint(0, n))
+    omegas, reference = omega_set(data), oneform_subset_sums(data)
+    assert omegas.elements == reference.elements
+    assert omegas.sorted_elements() == reference.sorted_elements()
+    assert len(omegas) == len(reference) == len(sequential_subset_sums(data))
+
+
+def test_abelian_1000_takes_its_complement_from_sparse_unit_rows():
+    g = load_example("abelian", n=1000).algebra
+    start = time.perf_counter()
+    data = adapted_basis(g)
+    assert time.perf_counter() - start < 0.1
+    assert data.k == 1000
+    change = data.adapted_change
+    assert (change.rows, change.cols) == (1000, 1000)
+    assert change._rows == [{i: 1} for i in range(1000)]
+    assert len(data.weights) == 1000 and all(w.is_zero() for w in data.weights)
+    assert omega_set(data).elements == {OneForm.zero(1000)}
+
+
 def test_omega_set_matches_subset_enumeration(sol3):
     rng = random.Random(107)
     for g in (jordan4(), borel4(), diag(6), change_basis(sol3, random_invertible(3, rng))):
@@ -739,8 +812,8 @@ def test_threads_racing_on_one_algebra_share_one_weight_data():
 
 def test_adapted_basis_failures_are_raised_on_every_call(euclid3, sl2, monkeypatch):
     builds = []
-    real = weights_module.derived_series
-    monkeypatch.setattr(weights_module, "derived_series", lambda g: builds.append(g) or real(g))
+    real = weights_module._series_rows
+    monkeypatch.setattr(weights_module, "_series_rows", lambda g: builds.append(g) or real(g))
     for call in (1, 2):
         with pytest.raises(NotTriangularizableError):
             adapted_basis(euclid3)
