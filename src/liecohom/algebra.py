@@ -1,14 +1,12 @@
 """Lie algebras given by rational structure constants.
 
-An algebra is stored as its dimension, basis names and the bracket table
-``{(i, j): coefficient vector}`` for 1 <= i < j <= n; antisymmetry is
-implicit and the Jacobi identity is checked at construction time. All
-indices facing the user are 1-based (matching the e_1 ... e_n notation),
-coordinates are plain tuples of Fractions. Each algebra's one private copy
-of its table is an integer image: the lcm ``L`` of all coefficient denominators
-and, per stored pair, the nonzero ``(m, L * C_ij^m)`` as ints. Brackets, the
-Jacobi check (on packed ints), closedness, ``d_w`` and a change of basis (one
-int elimination) sum over it.
+An algebra is stored as its dimension, basis names and one integer image of
+its bracket table: the lcm ``L`` of all coefficient denominators and, per nonzero
+[e_i, e_j] with i < j in sorted order, its nonzero ``(m, L * C_ij^m)`` over 0-based
+m. Every way to make an algebra hands a sparse ``{(i, j): {m: C_ij^m}}`` map to
+one step that makes the record and checks the Jacobi identity once (on packed
+ints). Indices facing the user are 1-based (e_1 ... e_n), coordinates are tuples
+of Fractions, and the dense Fraction table ``brackets`` is built only on request.
 
 Every value is immutable after construction and every operation is a pure
 function; the one exception is ``_memo``, which caches a fact of an object on it.
@@ -200,8 +198,8 @@ def _dimension(dim) -> int:
     return dim
 
 
-def _normalize_brackets(dim: int, brackets: Mapping) -> dict[tuple[int, int], Vector]:
-    """Shape-check a raw bracket table and coerce coefficients to Fractions.
+def _normalize_brackets(dim: int, brackets: Mapping) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """Shape-check a raw bracket table and coerce it to ``{(i, j): {m: C_ij^m}}``.
 
     Raises StructureError for anything malformed; this is deliberately
     separate from the Jacobi check so callers can tell the two apart.
@@ -209,7 +207,7 @@ def _normalize_brackets(dim: int, brackets: Mapping) -> dict[tuple[int, int], Ve
     _dimension(dim)
     if not isinstance(brackets, Mapping):
         raise StructureError(f"brackets must be a mapping, got a {type(brackets).__name__}")
-    table: dict[tuple[int, int], Vector] = {}
+    table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for key, coeffs in brackets.items():
         try:
             i, j = key
@@ -227,9 +225,31 @@ def _normalize_brackets(dim: int, brackets: Mapping) -> dict[tuple[int, int], Ve
         if len(v) != dim:
             raise StructureError(
                 f"bracket ({i},{j}) has {len(v)} coefficients, expected {dim}")
-        if any(v):
-            table[(i, j)] = v
+        table[(i, j)] = {m: c for m, c in enumerate(v) if c}
     return table
+
+
+def _built(dim: int, table: Mapping[tuple[int, int], Mapping[int, Fraction]],
+           names: Sequence[str] | None = None) -> "LieAlgebra":
+    """The algebra of a ``{(i, j): {m: C_ij^m}}`` map (i < j, 0-based m, Fractions,
+    zeros allowed) and ``names`` (default e1..en), the one step from a bracket map
+    to the record. StructureError for bad names, JacobiError if the Jacobi identity
+    fails."""
+    if names is None:
+        names = tuple(f"e{i}" for i in range(1, dim + 1))
+    else:
+        names = tuple(_iterable(names, "basis names"))
+        if not all(isinstance(s, str) for s in names):
+            raise StructureError(f"basis names must be strings, got {names!r}")
+        if len(names) != dim:
+            raise StructureError(f"expected {dim} basis names, got {len(names)}")
+    scale = lcm(*(c.denominator for v in table.values() for c in v.values()))
+    g = LieAlgebra(dim, names, scale, tuple(
+        (key, tuple((m, c.numerator * (scale // c.denominator)) for m, c in sorted(v.items()) if c))
+        for key, v in sorted(table.items()) if any(v.values())))
+    if not (report := _jacobi_report(g)).ok:
+        raise JacobiError(report)
+    return g
 
 
 class AlgebraClass(enum.Enum):
@@ -241,23 +261,14 @@ class AlgebraClass(enum.Enum):
 
 @_record
 class LieAlgebra:
-    """Validated Lie algebra; construct through :meth:`from_brackets`."""
+    """Validated Lie algebra; construct through :meth:`from_brackets`. The constructor
+    takes L (``_scale``) and the int table as sorted ``((i, j), ((m, L * C_ij^m), ...))``
+    pairs (``_int_table``) unchecked."""
 
     dim: int
     basis_names: tuple[str, ...]
-    brackets: tuple[tuple[tuple[int, int], Vector], ...]
-
-    def __post_init__(self):
-        # built per instance, never passed in, so a copy through the constructor
-        # builds its own: ``_scale``, the lcm L of all coefficient denominators,
-        # and ``_int_table``, each stored bracket as ((m, L * C_ij^m), ...) over
-        # its nonzero 0-based m
-        scale = lcm(*(c.denominator for _, v in self.brackets for c in v if c))
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_int_table", {
-            key: tuple((m, c.numerator * (scale // c.denominator))
-                       for m, c in enumerate(v) if c)
-            for key, v in self.brackets})
+    _scale: int
+    _int_table: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: Mapping,
@@ -267,20 +278,15 @@ class LieAlgebra:
         Raises StructureError for a malformed table and JacobiError, with
         the full report, when the table fails the Jacobi identity.
         """
-        table = _normalize_brackets(dim, brackets)
-        if names is None:
-            names = tuple(f"e{i}" for i in range(1, dim + 1))
-        else:
-            names = tuple(_iterable(names, "basis names"))
-            if not all(isinstance(s, str) for s in names):
-                raise StructureError(f"basis names must be strings, got {names!r}")
-            if len(names) != dim:
-                raise StructureError(f"expected {dim} basis names, got {len(names)}")
-        g = cls(dim, names, tuple(sorted(table.items())))
-        report = _jacobi_report(g)
-        if not report.ok:
-            raise JacobiError(report)
-        return g
+        return _built(dim, _normalize_brackets(dim, brackets), names)
+
+    @property
+    def brackets(self) -> tuple[tuple[tuple[int, int], Vector], ...]:
+        """The nonzero [e_i, e_j], i < j, as sorted ``((i, j), dense Fraction tuple)``
+        pairs; read-only, built on the first call (``_memo``)."""
+        return _memo(self, "_brackets", lambda g: tuple(
+            (key, _dense({m: Fraction(c, g._scale) for m, c in terms}, g.dim))
+            for key, terms in g._int_table))
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         """[e_i, e_j] for 1-based indices in any order."""
@@ -301,7 +307,7 @@ class LieAlgebra:
     def _int_bracket(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
         """L [x, y] for integer coordinate lists, summed over the table at scale L."""
         out = [0] * self.dim
-        for (i, j), terms in self._int_table.items():
+        for (i, j), terms in self._int_table:
             xi, xj = x[i - 1], x[j - 1]
             if not (xi or xj):
                 continue
@@ -336,7 +342,7 @@ def _diagonal_elements(g: LieAlgebra) -> list:
     # off[i, m]: the coefficients of the x_j in [x, e_i]_m; diag[i]: in L a_i(x)
     off: dict[tuple[int, int], dict[int, int]] = {}
     diag: dict[int, dict[int, int]] = {}
-    for (i, j), terms in g._int_table.items():
+    for (i, j), terms in g._int_table:
         for m, c in terms:
             # [e_i, e_j] = sum (c / L) e_m: x_i feeds [x, e_j], and -x_j feeds [x, e_i]
             for src, dst, v in ((i - 1, j - 1, c), (j - 1, i - 1, -c)):
@@ -370,24 +376,24 @@ def _jacobi_report(g: LieAlgebra) -> ValidationReport:
     # [e_a, e_b] for a != b in either order, as (0-based m, L * C_ab^m), and the
     # indices that share a stored bracket with each index
     signed, partners = {}, {}
-    for (i, j), terms in table.items():
+    for (i, j), terms in table:
         signed[i, j], signed[j, i] = terms, tuple((m, -x) for m, x in terms)
         partners.setdefault(i, []).append(j)
         partners.setdefault(j, []).append(i)
     triples = set()
-    for (a, b), terms in table.items():
+    for (a, b), terms in table:
         for c in set().union(*(partners.get(m + 1, ()) for m, _ in terms)) - {a, b}:
             triples.add((c, a, b) if c < a else (a, c, b) if c < b else (a, b, c))
     if not triples:
         return ValidationReport(ok=True)
-    heads = {m + 1 for terms in table.values() for m, _ in terms}
-    top = max(abs(x) for terms in table.values() for _, x in terms)
-    s = (3 * max(map(len, table.values())) * top * top).bit_length()
+    heads = {m + 1 for _, terms in table for m, _ in terms}
+    top = max(abs(x) for _, terms in table for _, x in terms)
+    s = (3 * max(len(terms) for _, terms in table) * top * top).bit_length()
     packed = {}  # packed[c][m - 1]: [e_m, e_c] as one int, for the e_m a bracket holds
-    for (i, j), terms in table.items():
+    for (i, j), terms in table:
         if i in heads or j in heads:
             p = sum([y << out * s for out, y in terms])
-            packed.setdefault(j, [0] * n)[i - 1], packed.setdefault(i, [0] * n)[j - 1] = p, -p
+            packed.setdefault(j, {})[i - 1], packed.setdefault(i, {})[j - 1] = p, -p
     defects = []
     for i, j, k in sorted(triples):
         # [[e_a, e_b], e_c] summed over the three cyclic orders
@@ -395,7 +401,7 @@ def _jacobi_report(g: LieAlgebra) -> ValidationReport:
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             if col := packed.get(c):
                 for m, x in signed.get((a, b), ()):
-                    total += x * col[m]
+                    total += x * col.get(m, 0)
         if total:
             acc: dict[int, int] = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
@@ -424,7 +430,7 @@ def validate_lie_algebra(dim: int, brackets: Mapping) -> ValidationReport:
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
     """Span of all bracket values [g, g]."""
     _require_types((g, LieAlgebra))
-    return Subspace.span(g.dim, [v for _, v in g.brackets])
+    return Subspace.span(g.dim, [_dense(dict(terms), g.dim) for _, terms in g._int_table])
 
 
 def closed_one_forms(g: LieAlgebra) -> Subspace:
@@ -454,9 +460,10 @@ def _series_rows(g: LieAlgebra, lower: bool = False) -> list[list[dict[int, int]
     series, up to the first that does not shrink, each as the int rows of its reduced
     echelon basis (row i is the i-th basis vector times an int). The first spans the
     int table; each next one, the int brackets (``LieAlgebra._int_bracket``) of the
-    last one's rows with each other, or with the unit vectors."""
-    n, series, rows = g.dim, [], [dict(terms) for terms in g._int_table.values()]
-    units = [[int(i == j) for i in range(n)] for j in range(n)] if lower else []
+    last one's rows with each other, or with each e_j, j in a stored bracket (others give 0)."""
+    n, series, rows = g.dim, [], [dict(terms) for _, terms in g._int_table]
+    ends = sorted({i for pair, _ in g._int_table for i in pair}) if lower else []
+    units = [[int(i == j - 1) for i in range(n)] for j in ends]
     while True:
         echelon, pivots = _echelon(rows)
         if len(pivots) == (len(series[-1]) if series else n):
@@ -477,7 +484,7 @@ def classify(g: LieAlgebra) -> AlgebraClass:
     algebras are exactly those with an empty bracket table.
     """
     _require_types((g, LieAlgebra))
-    if not g.brackets:
+    if not g._int_table:
         return AlgebraClass.ABELIAN
     for lower, kind in ((True, AlgebraClass.NILPOTENT), (False, AlgebraClass.SOLVABLE)):
         if (series := _series_rows(g, lower)) and not series[-1]:
@@ -494,7 +501,7 @@ def is_unimodular(g: LieAlgebra) -> bool:
     """
     _require_types((g, LieAlgebra))
     trace = [0] * g.dim
-    for (i, j), terms in g._int_table.items():
+    for (i, j), terms in g._int_table:
         for m, c in terms:
             if m == j - 1:
                 trace[i - 1] += c
@@ -525,9 +532,9 @@ def change_basis(g: LieAlgebra, m: RationalMatrix) -> LieAlgebra:
         raise ValueError("singular matrix")
     _reduce(echelon, pivots)
     scales = [row[i] * g._scale * d for i, row in enumerate(echelon)]
-    return LieAlgebra.from_brackets(n, {
-        (a + 1, b + 1): [Fraction(row.get(k, 0), q) for row, q in zip(echelon, scales)]
-        for k, (a, b) in enumerate(pairs, n)}, names=g.basis_names)
+    return _built(n, {(a + 1, b + 1): {i: Fraction(row[k], q) for i, (row, q)
+                                       in enumerate(zip(echelon, scales)) if k in row}
+                      for k, (a, b) in enumerate(pairs, n)}, g.basis_names)
 
 
 def pullback_one_form(omega: OneForm, m: RationalMatrix) -> OneForm:

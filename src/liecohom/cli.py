@@ -68,13 +68,10 @@ def _cmd_cohomology(args) -> int:
             ]
         _emit_json(doc)
     else:
-        print(f"omega = ({args.omega})")
-        print("betti = [" + ", ".join(str(b) for b in betti) + "]")
-        for p, degree_reps in enumerate(reps):
-            if not degree_reps:
-                continue
-            rendered = ", ".join(format_form(r) for r in degree_reps)
-            print(f"H^{p} representatives: {rendered}")
+        lines = [f"omega = ({args.omega})", "betti = [" + ", ".join(str(b) for b in betti) + "]"]
+        lines += [f"H^{p} representatives: " + ", ".join(format_form(r) for r in degree_reps)
+                  for p, degree_reps in enumerate(reps) if degree_reps]
+        print("\n".join(lines))
     return 0
 
 
@@ -177,19 +174,12 @@ def _cmd_example(args) -> int:
     else:
         lines = [f"{entry.name} (dim {entry.algebra.dim}, "
                  f"{classify(entry.algebra).value})", entry.provenance]
-        try:
-            for (i, j), coeffs in entry.algebra.brackets:
-                terms = " + ".join(f"{format_rational(c)}*e{m + 1}"
-                                   for m, c in enumerate(coeffs) if c != 0)
-                lines.append(f"[e{i},e{j}] = {terms}")
-            for omega, betti in entry.expected:
-                lines.append(f"expected betti at ({','.join(one_form_to_list(omega))}): "
-                             + str(list(betti)))
-        except ValueError:
-            # str() refuses an int longer than sys.get_int_max_str_digits()
-            raise StructureError(
-                f"{entry.name} has a value too long to print as a decimal; "
-                "write the algebra with --emit instead") from None
+        for item in doc["brackets"]:
+            terms = " + ".join(f"{c}*e{m}" for m, c in item["coeffs"].items())
+            lines.append(f"[e{item['i']},e{item['j']}] = {terms}")
+        for omega, betti in entry.expected:
+            lines.append(f"expected betti at ({','.join(one_form_to_list(omega))}): "
+                         + str(list(betti)))
         print("\n".join(lines))
     return 0
 
@@ -289,6 +279,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # str() of an int past sys.get_int_max_str_digits(); any other is a fault
+        if "int_max_str_digits" not in str(exc):
+            raise
+        hint = "; write the algebra with --emit instead" if args.command == "example" else ""
+        print(f"error: {args.command}: the output has a value too long to print as a "
+              f"decimal{hint}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

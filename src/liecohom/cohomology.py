@@ -193,7 +193,7 @@ def _components(g: LieAlgebra) -> list[list[int]]:
             parent[i] = i = parent[parent[i]]
         return i
 
-    for (i, j), terms in g._int_table.items():
+    for (i, j), terms in g._int_table:
         for m in (j, *(m + 1 for m, _ in terms)):
             parent[root(m)] = root(i)
     groups: dict[int, list[int]] = {}

@@ -291,7 +291,7 @@ def _gens(g: LieAlgebra) -> dict[int, list]:
     """The ``gens`` table at the algebra's scale L; each sign mask holds the
     indices below k and those strictly between i and j."""
     gens = {1 << k: [] for k in range(1, g.dim + 1)}
-    for (i, j), terms in sorted(g._int_table.items()):
+    for (i, j), terms in g._int_table:
         for m, x in terms:
             gens[2 << m].append((1 << i | 1 << j, (2 << m) - 1 ^ (1 << j) - (2 << i), -x))
     return gens
@@ -312,7 +312,7 @@ def _wedge_terms(g: LieAlgebra, omega: OneForm):
         raise ValueError("one-form length does not match the algebra dimension")
     scale = lcm(g._scale, *(c.denominator for c in omega.coeffs))
     w = [c.numerator * (scale // c.denominator) for c in omega.coeffs]
-    if any(sum(w[m] * x for m, x in terms) for terms in g._int_table.values()):
+    if any(sum(w[m] * x for m, x in terms) for _, terms in g._int_table):
         raise NonClosedFormError("twisting one-form is not closed; the deformed "
                                  "differential would not square to zero")
     return [(2 << m, (2 << m) - 1, c) for m, c in enumerate(w) if c], scale

@@ -21,7 +21,7 @@ import json
 from fractions import Fraction
 from typing import Mapping
 
-from .algebra import LieAlgebra, OneForm, _dimension
+from .algebra import LieAlgebra, OneForm, _built, _dimension
 from .errors import StructureError
 from .exterior import ExteriorForm
 from .linalg import _exact, _int
@@ -65,28 +65,23 @@ def algebra_from_dict(doc: Mapping) -> LieAlgebra:
         coeffs = item["coeffs"]
         if not isinstance(coeffs, Mapping):
             raise StructureError(f"bracket ({i},{j}) \"coeffs\" must be an object")
-        vec = [Fraction(0)] * dim
-        seen = set()
+        column = brackets[(i, j)] = {}
         for key, value in coeffs.items():
             k = parse_decimal(key, f"bracket ({i},{j}) has a non-integer target index")
             if not 1 <= k <= dim:
                 raise StructureError(
                     f"bracket ({i},{j}) target index {k} out of range 1..{dim}")
-            if k in seen:
+            if k - 1 in column:
                 raise StructureError(
                     f"bracket ({i},{j}) names target index {k} twice")
-            seen.add(k)
-            vec[k - 1] = _exact(value)
-        brackets[(i, j)] = vec
-    return LieAlgebra.from_brackets(dim, brackets, names=doc.get("basis"))
+            column[k - 1] = _exact(value)
+    return _built(dim, brackets, doc.get("basis"))
 
 
 def algebra_to_dict(g: LieAlgebra) -> dict:
-    items = []
-    for (i, j), coeffs in g.brackets:
-        entry = {str(k + 1): format_rational(c)
-                 for k, c in enumerate(coeffs) if c != 0}
-        items.append({"i": i, "j": j, "coeffs": entry})
+    items = [{"i": i, "j": j, "coeffs": {str(m + 1): format_rational(Fraction(c, g._scale))
+                                         for m, c in terms}}
+             for (i, j), terms in g._int_table]
     return {"dim": g.dim, "basis": list(g.basis_names), "brackets": items}
 
 

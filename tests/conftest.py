@@ -112,9 +112,12 @@ def diag(n):
 
 def unchecked_algebra(dim, brackets):
     """Algebra built by the plain ``LieAlgebra`` constructor, which skips the
-    Jacobi check; only for tests that need a deliberately broken table."""
-    return LieAlgebra(dim, tuple(f"e{i}" for i in range(1, dim + 1)),
-                      tuple((key, vector(v)) for key, v in sorted(brackets.items())))
+    Jacobi check; only for tests that need a deliberately broken table. The
+    dense ``brackets`` are turned into the constructor's scale L and int table."""
+    dense = {key: vector(v) for key, v in sorted(brackets.items()) if any(vector(v))}
+    scale = lcm(*(c.denominator for v in dense.values() for c in v))
+    return LieAlgebra(dim, tuple(f"e{i}" for i in range(1, dim + 1)), scale, tuple(
+        (key, tuple((m, int(c * scale)) for m, c in enumerate(v) if c)) for key, v in dense.items()))
 
 
 def heisenberg5():
@@ -551,7 +554,7 @@ def entry_jacobi_report(g):
     """Reference for ``algebra._jacobi_report``: every triple that contains a
     stored pair, its cyclic sum added entry by entry over the int table."""
     signed = {}
-    for (i, j), terms in g._int_table.items():
+    for (i, j), terms in g._int_table:
         signed[i, j] = terms
         signed[j, i] = tuple((m, -x) for m, x in terms)
     defects = []

@@ -1,5 +1,9 @@
+import hashlib
 import importlib
+import json
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,11 +32,13 @@ from liecohom.algebra import (
     MAX_DIM,
     Subspace,
     _inner_diagonal,
+    _jacobi_report,
     _record,
     derived_series,
     random_invertible,
 )
 from liecohom.linalg import RationalMatrix, kernel_basis
+from liecohom.serialization import algebra_to_dict, parse_algebra
 
 from conftest import (
     diag,
@@ -40,7 +46,9 @@ from conftest import (
     fraction_change_basis,
     heisenberg5,
     identity,
+    k2,
     one_form,
+    rational_sol3_plane,
     unchecked_algebra,
 )
 
@@ -213,6 +221,17 @@ def test_classify(heisenberg3, sol3, euclid3, abelian2, sl2):
     assert classify(sl2) is AlgebraClass.NON_SOLVABLE
 
 
+def test_classify_brackets_only_the_indices_in_a_bracket():
+    # [e1, e2] = e3, [e1, e3] = e4, [e1, e4] = e5 in dimension 2000: the lower
+    # central series brackets with e1 .. e4 alone, not with all 2000 unit vectors
+    n = 2000
+    g = LieAlgebra.from_brackets(n, {(1, k): tuple(int(m == k) for m in range(n))
+                                     for k in (2, 3, 4)})
+    start = time.perf_counter()
+    assert classify(g) is AlgebraClass.NILPOTENT
+    assert time.perf_counter() - start < 0.05
+
+
 def test_derived_series_ends_at_zero_exactly_when_solvable(
         heisenberg3, sol3, euclid3, abelian2, sl2, affine2):
     rng = random.Random(19)
@@ -360,6 +379,10 @@ def test_change_basis_matches_inverse_then_apply(g, data):
         x, y = (data.draw(st.lists(_RATIONALS, min_size=n, max_size=n)) for _ in range(2))
         assert k.bracket(x, y) == _oracle_bracket(n, k.brackets, x, y)
         assert all(type(c) is Fraction for c in k.bracket(x, y))
+        # the document and the dense brackets each build the same algebra again
+        again = parse_algebra(json.dumps(algebra_to_dict(k)))
+        assert again == k and hash(again) == hash(k)
+        assert LieAlgebra.from_brackets(n, dict(k.brackets), k.basis_names) == k
 
 
 def test_change_basis_preserves_jacobi(heisenberg3, sol3, euclid3, sl2):
@@ -498,6 +521,40 @@ def test_dimension_limit():
             LieAlgebra.from_brackets(dim, {})
 
 
+def _large_document(n):
+    # [e1, e2] = e2, [e1, e3] = e3, [e1, e4] = 2 e4, [e2, e3] = e4 and [e1, ej] = ej
+    # for the last 16 j: one triple, (1, 2, 3), with a nonzero term
+    items = [{"i": 1, "j": j, "coeffs": {str(j): "2" if j == 4 else "1"}}
+             for j in (2, 3, 4, *range(n - 15, n + 1))]
+    items.append({"i": 2, "j": 3, "coeffs": {"4": "1"}})
+    return json.dumps({"dim": n, "brackets": items}, separators=(",", ":"))
+
+
+def test_a_large_sparse_document_costs_what_it_holds():
+    """A document of 20 brackets in dimension MAX_DIM is read, checked and
+    written without a dense vector: the default names are most of its memory."""
+    text = _large_document(MAX_DIM)
+    parse_s = min(_seconds(lambda: parse_algebra(text)) for _ in range(3))
+    g = parse_algebra(text)
+    write_s = min(_seconds(lambda: algebra_to_dict(g)) for _ in range(3))
+    assert parse_s < 0.1 and write_s < 0.01
+    assert parse_algebra(json.dumps(algebra_to_dict(g))) == g
+    for build, bound in ((lambda: parse_algebra(text), 10), (lambda: _jacobi_report(g), 4)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2 ** 20
+
+
+def _seconds(fn):
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
 def test_bracket_antisymmetry_and_linearity(sol3):
     assert sol3.bracket_basis(2, 1) == (0, -1, 0)
     x, y = (1, 2, 0), (0, 1, 1)
@@ -523,12 +580,12 @@ def test_bracket_antisymmetry_and_linearity(sol3):
 
 
 def test_replace_builds_its_own_table_and_weight_memo():
-    # the integer table and the weight memo are built per instance, so a copy
-    # through the constructor with the brackets replaced shares neither with
-    # the algebra it copies
+    # the weight memo is built per instance, so a copy through the constructor
+    # with the int table replaced shares no table and no memo with the algebra
+    # it copies
     g = LieAlgebra.from_brackets(3, {(1, 2): (0, 1, 0), (1, 3): (0, 0, 2)})
     weights_of_g = adapted_basis(g)
-    h = LieAlgebra(g.dim, g.basis_names, (((2, 3), (1, 0, 0)),))
+    h = LieAlgebra(g.dim, g.basis_names, 1, (((2, 3), ((0, 1),)),))
     assert h._int_table is not g._int_table
     assert "_weight_data" in vars(g) and "_weight_data" not in vars(h)
     assert g.bracket_basis(2, 3) == (0, 0, 0)
@@ -624,3 +681,42 @@ def test_pullback_is_the_transpose_applied(rows, cols, data):
         st.lists(_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
     omega = OneForm(data.draw(st.lists(_entries, min_size=rows, max_size=rows)))
     assert pullback_one_form(omega, m) == OneForm(m.transpose().apply(omega.coeffs))
+
+
+def _pinned_algebras():
+    """Every catalog entry, two with parameters, and three test algebras in their
+    given basis and after ``random_invertible(n, Random(1))``."""
+    out = {name: load_example(name).algebra for name in ("abelian", "heisenberg3", "sol3",
+                                                         "euclid3")}
+    out["abelian 5"] = load_example("abelian", n=5).algebra
+    out["sol3 -7/3"] = load_example("sol3", k=Fraction(-7, 3)).algebra
+    for name, g in (("k2", k2()), ("rational_sol3_plane", rational_sol3_plane()),
+                    ("heisenberg5", heisenberg5())):
+        out[name] = g
+        out[name + " rand"] = change_basis(g, random_invertible(g.dim, random.Random(1)))
+    return out
+
+
+# sha256 of the algebra_to_dict JSON (sorted keys), a newline and repr(g.brackets),
+# as the package gave them when ``brackets`` was the stored field
+ALGEBRA_DIGESTS = {
+    'abelian': "c8a081cf2fc6d86ea76c0217fa3cf3f1982f1d7ee3a645047ad19772ed7223e3",
+    'abelian 5': "0aa96bdc2adf96905b650c976a8968bcefc2c2e7c2c56639f43b700422f05125",
+    'euclid3': "999521264fe922d32fb26b54e860970cf09596669fd1c57d3e63757bc075b1a4",
+    'heisenberg3': "47326e9d1bf26b90d918fa1bbf6d24752ee6d570fe9c8773e56adcb72cb9c0ef",
+    'heisenberg5': "61bcb43d6b5cb1421b6d0f47985ffc0a721f0ac4906c003fb837770cdda3281d",
+    'heisenberg5 rand': "37b8b7b777387fcab1bbef7cbe345cecf09ab029ced3283e5c303fd994acc138",
+    'k2': "fbab32d2e2c3e79ff9f645368ee649ef7db2309412f080b1862931912f7133ca",
+    'k2 rand': "c5aded50d7872a36d29d90ad8821000d882ee0a92ff221fd7fdc3220e3624e48",
+    'rational_sol3_plane': "862d98a3091cb0ba30f1a6463d4d2e1047fbc4136e4b7c9de29dd8b4669a520b",
+    'rational_sol3_plane rand': "65376665c769e65bd7ddfb2ca0969cfddcd981f348fc61c46f9e9b34ccea57de",
+    'sol3': "ea56f3bd9f4ca269422557dd2df7a0099420ed63c88ac3aafd0b56d76f5642b2",
+    'sol3 -7/3': "2abd301bb567c469509eee728c8168848f974d24b2a636f20f7af3d0ce443e57",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRA_DIGESTS))
+def test_algebra_documents_and_brackets_pinned(name):
+    g = _pinned_algebras()[name]
+    text = json.dumps(algebra_to_dict(g), sort_keys=True) + "\n" + repr(g.brackets)
+    assert hashlib.sha256(text.encode()).hexdigest() == ALGEBRA_DIGESTS[name]

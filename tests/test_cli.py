@@ -337,6 +337,18 @@ def test_example_value_over_the_digit_limit_exits_1(capsys):
     assert "--emit" in captured.err
 
 
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="no limit on integer string conversion")
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_answer_over_the_digit_limit_exits_1(tmp_path, capsys, mode):
+    # b_7500 of the abelian algebra of dimension 15000 is C(15000, 7500), 4514 digits
+    path = tmp_path / "ab15000.json"
+    path.write_text('{"dim": 15000, "brackets": []}')
+    assert main(["cohomology", str(path), "--omega=" + ",".join(["0"] * 15000), *mode]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text", [
     '{"dim": 1000000000000000000000000000000, "brackets": []}',
     '{"dim": 9223372036854775808}',

@@ -1177,7 +1177,7 @@ def test_betti_numbers_split_an_algebra_once(monkeypatch):
     assert betti_numbers(g, OneForm.zero(5)) == [1, 4, 7, 7, 4, 1]
     assert betti_numbers(g, one_form(0, 0, 0, 1, 0)) == [0] * 6
     assert len(calls) == 1
-    assert betti_numbers(LieAlgebra(g.dim, g.basis_names, g.brackets), OneForm.zero(5)) \
+    assert betti_numbers(LieAlgebra(g.dim, g.basis_names, g._scale, g._int_table), OneForm.zero(5)) \
         == [1, 4, 7, 7, 4, 1]
     assert len(calls) == 2
 
