@@ -297,31 +297,22 @@ class LieAlgebra:
         return self.bracket(unit_vector(self.dim, i - 1), unit_vector(self.dim, j - 1))
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
-        """[x, y] for coordinate vectors, by bilinearity, summed in ints."""
+        """[x, y] for coordinate vectors, by bilinearity over the int table."""
         x, y = vector(x), vector(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise StructureError(f"bracket needs two vectors of length {self.dim}")
-        (x, dx), (y, dy) = _cleared(x), _cleared(y)
-        return tuple(Fraction(v, self._scale * dx * dy) for v in self._int_bracket(x, y))
+        out = self._int_bracket(dict(enumerate(x)), dict(enumerate(y)))
+        return tuple(Fraction(out.get(m, 0)) / self._scale for m in range(self.dim))
 
-    def _int_bracket(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
-        """L [x, y] for integer coordinate lists, summed over the table at scale L."""
-        out = [0] * self.dim
+    def _int_bracket(self, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+        """L [x, y] for sparse rows ``{0-based index: int}``, summed over the table at scale L,
+        with no zero stored; bilinear, so Fraction rows give it in Fractions."""
+        out: dict[int, int] = {}
         for (i, j), terms in self._int_table:
-            xi, xj = x[i - 1], x[j - 1]
-            if not (xi or xj):
-                continue
-            c = xi * y[j - 1] - xj * y[i - 1]
-            if c:
+            if c := x.get(i - 1, 0) * y.get(j - 1, 0) - x.get(j - 1, 0) * y.get(i - 1, 0):
                 for m, a in terms:
-                    out[m] += c * a
-        return out
-
-
-def _cleared(v: Vector) -> tuple[list[int], int]:
-    """``(D v, D)`` for the lcm D of the denominators of ``v``."""
-    d = lcm(*(q.denominator for q in v))
-    return [q.numerator * (d // q.denominator) for q in v], d
+                    out[m] = out.get(m, 0) + c * a
+        return {m: v for m, v in out.items() if v}
 
 
 def _inner_diagonal(g: LieAlgebra) -> list:
@@ -462,8 +453,7 @@ def _series_rows(g: LieAlgebra, lower: bool = False) -> list[list[dict[int, int]
     int table; each next one, the int brackets (``LieAlgebra._int_bracket``) of the
     last one's rows with each other, or with each e_j, j in a stored bracket (others give 0)."""
     n, series, rows = g.dim, [], [dict(terms) for _, terms in g._int_table]
-    ends = sorted({i for pair, _ in g._int_table for i in pair}) if lower else []
-    units = [[int(i == j - 1) for i in range(n)] for j in ends]
+    units = [{i - 1: 1} for i in sorted({i for p, _ in g._int_table for i in p})] if lower else []
     while True:
         echelon, pivots = _echelon(rows)
         if len(pivots) == (len(series[-1]) if series else n):
@@ -471,9 +461,8 @@ def _series_rows(g: LieAlgebra, lower: bool = False) -> list[list[dict[int, int]
         _reduce(echelon, pivots)
         series.append(echelon)
         # derived: [x, x] = 0 and [y, x] = -[x, y], so each unordered pair spans enough
-        dense = [[r.get(j, 0) for j in range(n)] for r in echelon]
-        rows = [{m: c for m, c in enumerate(g._int_bracket(x, y)) if c}
-                for x, y in (product(units, dense) if lower else combinations(dense, 2))]
+        rows = [g._int_bracket(x, y)
+                for x, y in (product(units, echelon) if lower else combinations(echelon, 2))]
 
 
 def classify(g: LieAlgebra) -> AlgebraClass:
@@ -525,9 +514,10 @@ def change_basis(g: LieAlgebra, m: RationalMatrix) -> LieAlgebra:
         raise ValueError(f"change of basis must be {n}x{n}")
     d = lcm(*(q.denominator for r in m._rows for q in r.values()))
     dm = [{j: q.numerator * (d // q.denominator) for j, q in r.items()} for r in m._rows]
-    cols, pairs = [[r.get(j, 0) for r in dm] for j in range(n)], list(combinations(range(n), 2))
+    cols = [{i: r[j] for i, r in enumerate(dm) if j in r} for j in range(n)]
+    pairs = list(combinations(range(n), 2))
     echelon, pivots = _echelon(_augment(RationalMatrix._adopt(n, n, dm), (
-        {i: x for i, x in enumerate(g._int_bracket(cols[a], cols[b])) if x} for a, b in pairs)))
+        g._int_bracket(cols[a], cols[b]) for a, b in pairs)))
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
     _reduce(echelon, pivots)

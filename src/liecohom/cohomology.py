@@ -71,6 +71,15 @@ d_w is block diagonal over the weight blocks (one per value of the a_I),
 hence rows of one block, and an acyclic block B keeps |B_p| - rk d_(p-1)|B
 rows of rank rk d_p|B in degree p, which leave no relation.
 
+A factor no such x acts on may still be acyclic. For any x in it, with r_1 .. r_k the
+eigenvalues of ad x on the factor with multiplicity, L_x + w(x) = d_w i_x + i_x d_w has the
+generalized eigenvalues w(x) - (r_i1 + .. + r_ip), i1 < .. < ip, on Lambda^p of the factor.
+A chain map homotopic to 0 with none of them 0 is invertible, with an inverse that is a chain
+map too, so the identity of the cohomology is 0: the factor is acyclic, and by Kunneth so is
+g. ``_witnesses`` fixes one int x per such factor and keeps the eigenvalues of L ad x if all
+are integers; lam w has a witness unless L lam w(x) is a sum of some of them. A nilpotent
+factor's r_i are all 0, so each x with w(x) != 0 is a witness (Dixmier 1955).
+
 A scan asks for many lam * w at once. An x with w(x) != 0 makes a_I(x) = lam w(x)
 hold for lam = a_I(x) / w(x) alone, and one with w(x) = 0 asks a_I(x) = 0 at every
 lam: a monomial of a factor that some x sees is live for at most one lam, and one
@@ -100,6 +109,7 @@ from .exterior import (
     deformed_differential,
 )
 from .linalg import _echelon, _reduce
+from .weights import _char_poly, _integer_roots
 
 # unused here, kept importable because perfbench/tracer.py wraps these names
 from .exterior import differential_matrices  # noqa: F401
@@ -230,10 +240,48 @@ def _live(g: LieAlgebra, twist, indices, lams: list, top: int | None = None) -> 
                            [[lam * t for _, t in pairs] for lam in lams], top)
 
 
+def _witnesses(g: LieAlgebra) -> list:
+    """``(x, roots)`` per factor of ``_components``, singletons and those an ``_inner_diagonal``
+    x acts on aside, for which L ad x, x a fixed int vector on its indices (0-based keys), has
+    only integer eigenvalues: ``roots``, sorted, with multiplicity (module docstring)."""
+    out = []
+    for indices in _memo(g, "_components", _components):
+        if len(indices) > 1 and not any(a and next(iter(x)) + 1 in indices
+                                        for a, x in _inner_diagonal(g)):
+            # spread over -48 .. 48: a nilpotent factor misses a twisted w only where w(x) = 0
+            x = {i - 1: (p * p * 31 + p * 7 + 3) % 97 - 48 for p, i in enumerate(indices)}
+            pos = {i: p for p, i in enumerate(x)}
+            b = [{pos[m]: v for m, v in g._int_bracket(x, {i: 1}).items()} for i in x]
+            if roots := _root_multiplicities(_char_poly(b)):
+                out.append((x, sorted(roots.items())))
+    return out
+
+
+def _root_multiplicities(p: list[int]) -> dict[int, int] | None:
+    """``{root: multiplicity}`` of the integer roots of p, leading coefficient first, by
+    exact synthetic division; None if a factor of positive degree is left (a root off Z)."""
+    out: dict[int, int] = {}
+    for r in _integer_roots(p):
+        while len(p) > 1 and not (q := list(accumulate(p, lambda v, c: v * r + c)))[-1]:
+            p, out[r] = q[:-1], out.get(r, 0) + 1
+    return out if len(p) == 1 else None
+
+
+def _root_sum(t: Fraction, roots: list) -> bool:
+    """Whether t is a sum of at most m copies of each r of the pairs (r, m) of ``roots``, by a
+    depth-first search that stops at the first sum and leaves a branch once t is no multiple
+    of the gcd of the roots left or lies outside the range of their sums."""
+    if t.denominator != 1 or not roots:
+        return t == 0
+    return (sum(min(r * m, 0) for r, m in roots) <= t <= sum(max(r * m, 0) for r, m in roots)
+            and not t % (gcd(*(r for r, _ in roots)) or 1) and any(
+                _root_sum(t - c * roots[0][0], roots[1:]) for c in range(roots[0][1] + 1)))
+
+
 def _betti_along(g: LieAlgebra, omega: OneForm, lams: list) -> list[list[int]]:
     """Exact dimensions of the twisted cohomology of each lam * w in degrees 0..n, in one
     pass: the convolution of the factors' Betti lists, each walked on its bucket (module
-    docstring). A twisted singleton, or a twisted center in a factor, gives zeros unwalked."""
+    docstring). A twisted singleton, a twisted center or a witness gives zeros unwalked."""
     # the gens table only for a multiplier that is walked
     twist = _wedge_terms(g, omega)
     zero = [0] * (g.dim + 1)
@@ -242,21 +290,27 @@ def _betti_along(g: LieAlgebra, omega: OneForm, lams: list) -> list[list[int]]:
     s = sum(len(c) == 1 for c in components)
     twisted = {m.bit_length() - 1 for m, _, _ in twist[0]} & {c[0] for c in components[:s]}
     factors = components[s:]
-    # twisted singletons leave only lam = 0: no search unless it is asked for
-    lives = [_live(g, twist, indices, lams) for indices in factors if not twisted or 0 in lams]
+    # twisted singletons leave only lam = 0, and the live search serves only what is left
+    walked = [k for k, lam in enumerate(lams) if not (lam and twisted)]
+    for x, roots in _memo(g, "_witnesses", _witnesses) if walked else ():
+        # u = L w(x): the witness's factor is acyclic at lam unless lam u is a root sum
+        u = Fraction(g._scale * sum(c * x.get(m.bit_length() - 2, 0) for m, _, c in twist[0]),
+                     twist[1])
+        walked = [k for k in walked if _root_sum(lams[k] * u, roots)]
+    lives = [_live(g, twist, f, [lams[k] for k in walked]) for f in factors] if walked else []
     rows = [zero] * len(lams)
-    for k, lam in enumerate(lams):
+    for j, k in enumerate(walked):
         # a factor with no live monomial is acyclic: zeros before any walk
-        if lam and twisted or not all(any(live[k]) for live in lives):
+        if not all(any(live[j]) for live in lives):
             continue
-        p, q = lam.numerator, lam.denominator
+        p, q = lams[k].numerator, lams[k].denominator
         gens = _gens_at(g, q * twist[1])
         betti = _binomials(s)
         for f, indices in enumerate(factors):
             # lam w ^ . on the factor: its own wedge terms
             wedge = [(m, b, p * c) for m, b, c in twist[0] if p and m.bit_length() - 1 in indices]
             # its nonempty degrees lo .. hi - 1 alone: an empty degree clears nothing above it
-            live = lives[f][k]
+            live = lives[f][j]
             lo = next(d for d, m in enumerate(live) if m)
             hi = len(live) - next(d for d, m in enumerate(reversed(live)) if m)
             walk = _cleared_walk(live[lo:hi], (gens, wedge, q * twist[1]))

@@ -117,17 +117,21 @@ def _eigenvalues(a: list[tuple[dict, int]]) -> list[Fraction]:
 
     Row i is R_i / s_i for a sparse int row R_i and an int s_i > 0. A
     triangular action (row i's keys all >= i for every i, or all <= i) yields
-    its diagonal. Otherwise B = D a is an int matrix, D = lcm(s_i). The trace
-    recursion M_k = B M_(k-1) + c_(m-k+1) I, c_(m-k) = -tr(B M_k) / k gives
-    its characteristic polynomial x^m + c_(m-1) x^(m-1) + ... + c_0 over
-    sparse int rows; it is monic over Z, so each division by k is exact and
-    every rational eigenvalue of ``a`` is an integer root of it divided by D.
+    its diagonal; any other, the integer roots of ``_char_poly`` of the int
+    matrix D a, D = lcm(s_i), divided by D.
     """
     if (all(min(r, default=i) >= i for i, (r, _) in enumerate(a))
             or all(max(r, default=i) <= i for i, (r, _) in enumerate(a))):
         return sorted({Fraction(r.get(i, 0), s) for i, (r, s) in enumerate(a)})
     scale = lcm(*(s for _, s in a))
-    b = [{j: x * (scale // s) for j, x in r.items()} for r, s in a]
+    poly = _char_poly([{j: x * (scale // s) for j, x in r.items()} for r, s in a])
+    return sorted(Fraction(y, scale) for y in _integer_roots(poly))
+
+
+def _char_poly(b: list[dict[int, int]]) -> list[int]:
+    """x^m + c_(m-1) x^(m-1) + ... + c_0, leading coefficient first, the characteristic polynomial
+    of the int matrix B with the sparse rows ``b``: M_k = B M_(k-1) + c_(m-k+1) I, c_(m-k) =
+    -tr(B M_k) / k, over sparse int rows; it is monic over Z, so each division is exact."""
     poly, prod = [1], [{} for _ in b]
     for k in range(1, len(b) + 1):
         mk, prod = [r | {i: r.get(i, 0) + poly[-1]} for i, r in enumerate(prod)], []
@@ -139,7 +143,7 @@ def _eigenvalues(a: list[tuple[dict, int]]) -> list[Fraction]:
                     acc[j] = acc.get(j, 0) + x * y
             prod.append({j: v for j, v in acc.items() if v})
         poly.append(-sum(r.get(i, 0) for i, r in enumerate(prod)) // k)
-    return sorted(Fraction(y, scale) for y in _integer_roots(poly))
+    return poly
 
 
 def _evaluate(p: list[int], x: int) -> int:
@@ -243,12 +247,11 @@ def _flag(g: LieAlgebra) -> WeightData:
     # der.basis, cleared at one lcm D, at scale L * D * (x's scale); none when [g, g] = 0
     pivots = [min(r) for r in der]
     d = lcm(*(abs(r[p]) // gcd(*r.values()) for r, p in zip(der, pivots)))
-    cleared = [[r.get(j, 0) * d // r[p] for j in range(n)] for r, p in zip(der, pivots)]
+    cleared = [{j: x * d // r[p] for j, x in r.items()} for r, p in zip(der, pivots)]
     actions = []
-    for x, dx in ([([int(i == j) for i in range(n)], 1) for j in complement]
-                  + [(b, d) for b in cleared]) if der else ():
+    for x, dx in ([({j: 1}, 1) for j in complement] + [(b, d) for b in cleared]) if der else ():
         images = [g._int_bracket(x, b) for b in cleared]
-        actions.append([_primitive({c: y[p] for c, y in enumerate(images) if y[p]},
+        actions.append([_primitive({c: y[p] for c, y in enumerate(images) if p in y},
                                    g._scale * d * dx) for p in pivots])
     # a zero der.basis action stays zero under ``_deflate``, adds no row to
     # ``cut`` and meets its eigenvalue 0 in the joint-eigenvector check
@@ -302,7 +305,7 @@ def _flag(g: LieAlgebra) -> WeightData:
         if any(sum(x * w[j] for j, x in r.items()) for r in der):
             raise AssertionError("weights must vanish on the derived subalgebra")
         weights.append(OneForm([Fraction(w[j], scale) for j in range(n)]))
-        column = (sum(c * b[j] for c, b in zip(v, quot) if c) for j in range(n))
+        column = (sum(c * b.get(j, 0) for c, b in zip(v, quot) if c) for j in range(n))
         flag.append(({j: x for j, x in enumerate(column) if x}, d * v[leads[0]]))
         # a greedy pick of unit vectors modulo the enlarged flag keeps every
         # quotient coordinate but the last one v uses (module docstring)

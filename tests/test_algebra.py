@@ -549,6 +549,17 @@ def test_a_large_sparse_document_costs_what_it_holds():
         assert peak < bound * 2 ** 20
 
 
+def test_classify_of_a_large_sparse_document_costs_what_its_table_costs():
+    """``dim`` 100,000 with [e1, ej] = ej for the last 20 j: the series are built on
+    sparse rows and sparse brackets, with no vector of length n."""
+    n = MAX_DIM
+    text = json.dumps({"dim": n, "brackets": [{"i": 1, "j": j, "coeffs": {str(j): "1"}}
+                                              for j in range(n - 19, n + 1)]})
+    g = parse_algebra(text)
+    assert min(_seconds(lambda: classify(g)) for _ in range(3)) < 0.1
+    assert classify(g) is AlgebraClass.SOLVABLE
+
+
 def _seconds(fn):
     start = time.perf_counter()
     fn()

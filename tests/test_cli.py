@@ -475,13 +475,37 @@ def test_usage_errors_exit_1_and_help_exits_0(sol3_file, capsys, argv, code):
         assert captured.out
 
 
-def test_cli_import_leaves_dataclasses_and_inspect_out():
-    # each CLI query is a new process, so every module the import pulls in
-    # is paid per query
+def test_cli_import_leaves_dataclasses_inspect_and_random_out():
+    # each CLI query is a new process, so every module the import pulls in is paid per
+    # query; -S keeps a site .pth that imports one of them from masking the package's import
     import liecohom
     src = os.path.dirname(os.path.dirname(liecohom.__file__))
     env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
-    code = "import sys, liecohom.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    code = ("import sys, liecohom.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'random'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cohomology_of_a_random_basis_h11_prints_zeros_by_a_witness(tmp_path, capsys):
+    """h_11 after ``random_invertible(11, Random(1))`` at the pulled-back e^1: every
+    Betti number is 0, answered by the acyclicity witness and not by a walk of 2^11
+    monomials."""
+    from random import Random
+
+    from liecohom import LieAlgebra, OneForm, change_basis, pullback_one_form
+    from liecohom.algebra import random_invertible
+    from liecohom.serialization import algebra_to_dict, format_rational
+
+    top = tuple(int(k == 10) for k in range(11))
+    g = LieAlgebra.from_brackets(11, {(i, i + 1): top for i in range(1, 10, 2)})
+    m = random_invertible(11, Random(1))
+    omega = pullback_one_form(OneForm([1] + [0] * 10), m)
+    path = tmp_path / "h11.json"
+    path.write_text(json.dumps(algebra_to_dict(change_basis(g, m))))
+    text = ",".join(format_rational(c) for c in omega.coeffs)
+    start = time.perf_counter()
+    assert main(["cohomology", str(path), "--omega", text]) == 0
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().out == f"omega = ({text})\nbetti = [{', '.join(['0'] * 12)}]\n"

@@ -45,7 +45,8 @@ from liecohom import (
     weight_sum_check,
 )
 from liecohom.algebra import _inner_diagonal, random_invertible
-from liecohom.cohomology import _binomials, _cleared_walk, _components, _live_monomials
+from liecohom.cohomology import (_binomials, _cleared_walk, _components, _live_monomials,
+                                 _root_multiplicities)
 from liecohom.exterior import _differential_tables, form_basis
 from liecohom.linalg import (RationalMatrix, extend_independent, in_image, invert, kernel_basis,
                              rank, solve, span_basis, unit_vector)
@@ -62,9 +63,11 @@ from conftest import (
     k2,
     mask_indices,
     one_form,
+    pow2,
     rational_sol3_plane,
     reference_differential,
     sequential_extend,
+    sol3_plus,
     trace_form,
     two_elimination_representatives,
     unchecked_algebra,
@@ -1202,3 +1205,119 @@ def test_one_algebra_builds_its_mask_table_once(monkeypatch):
 def test_binomials_are_a_row_of_pascals_triangle():
     for n in range(61):
         assert _binomials(n) == [comb(n, p) for p in range(n + 1)]
+
+
+# --- acyclicity witnesses: one generic ad x per factor ---
+
+def heisenberg(n):
+    # [e_(2i-1), e_(2i)] = e_n for i = 1 .. (n - 1) / 2
+    top = tuple(int(k == n - 1) for k in range(n))
+    return LieAlgebra.from_brackets(n, {(i, i + 1): top for i in range(1, n - 1, 2)})
+
+
+def reference_betti(g, omega):
+    """Betti numbers from the ranks of the matrices whose columns are
+    ``reference_differential`` of each monomial, degree by degree."""
+    n = g.dim
+    ranks = [rank(RationalMatrix.from_columns(
+        [form_to_coords(reference_differential(g, omega, e(n, *idx))) for idx in form_basis(n, p)]))
+        for p in range(n)] + [0]
+    return [comb(n, p) - ranks[p] - (ranks[p - 1] if p else 0) for p in range(n + 1)]
+
+
+WITNESS_ALGEBRAS = {
+    "h5": lambda rng: heisenberg5(),
+    "h7": lambda rng: heisenberg7(),
+    "diag5": lambda rng: diag(5),
+    "diag6": lambda rng: diag(6),
+    "pow2_5": lambda rng: pow2(5),
+    "sol3a": lambda rng: sol3_plus(rng.choice([1, 2, 3, -5]), rng.randint(1, 2)),
+    "k2": lambda rng: k2(),
+    "h3+sol3": lambda rng: direct_sum(load_example("heisenberg3").algebra,
+                                      load_example("sol3", k=rng.randint(1, 4)).algebra),
+    # one weight three times: -2 or -3 times it is critical, a sum of repeated roots
+    "scalar4": lambda rng: semidirect([1, 1, 1]),
+}
+
+
+def witness_cases(name, rng):
+    """A random basis of the named algebra and, on it, the zero form, a random closed
+    form and -c times a sum of weights, c in 1..3 (nonzero only on solvable ones)."""
+    g = WITNESS_ALGEBRAS[name](rng)
+    m = random_invertible(g.dim, rng)
+    h = change_basis(g, m)
+    closed = [(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), b)
+              for b in closed_one_forms(h).basis]
+    weights = [w for w in adapted_basis(g).weights if rng.random() < 0.5]
+    scaled = (-sum(weights, OneForm.zero(g.dim))).scale(rng.randint(1, 3))
+    return h, [OneForm.zero(g.dim), OneForm([sum((c * b[i] for c, b in closed), Fraction(0))
+                                             for i in range(g.dim)]),
+               pullback_one_form(scaled, m)]
+
+
+def test_a_witness_implies_acyclicity(monkeypatch):
+    """Whenever ``betti_numbers`` answers with no live search, a witness settled it, and
+    the Betti numbers from the reference differential are all 0; every answer equals
+    them. In a random basis no index is isolated, so no twisted singleton ends a query."""
+    module = importlib.import_module("liecohom.cohomology")
+    searches, fired = [], []
+    real = module._live
+    monkeypatch.setattr(module, "_live", lambda *args: searches.append(args) or real(*args))
+
+    @settings(max_examples=50, deadline=None)
+    @example("scalar4", 1)
+    @given(st.sampled_from(sorted(WITNESS_ALGEBRAS)), st.integers(0, 2**32 - 1))
+    def check(name, seed):
+        h, forms = witness_cases(name, random.Random(seed))
+        assume(all(len(c) > 1 for c in _components(h)))
+        for omega in forms:
+            searches.clear()
+            betti, reference = betti_numbers(h, omega), reference_betti(h, omega)
+            assert betti == reference
+            if not searches:
+                fired.append((name, omega))
+                assert reference == [0] * (h.dim + 1)
+
+    check()
+    assert fired
+
+
+def test_root_multiplicities_split_by_synthetic_division():
+    # t^3 (t - 2)^2 (t + 5), expanded
+    assert _root_multiplicities([1, 1, -16, 20, 0, 0, 0]) == {0: 3, 2: 2, -5: 1}
+    assert _root_multiplicities([1, -4, 4]) == {2: 2}
+    # t^2 - 2 and t (t^2 - 2): a root off the integers leaves no witness
+    assert _root_multiplicities([1, 0, -2]) is None
+    assert _root_multiplicities([1, 0, -2, 0]) is None
+
+
+def test_a_witness_builds_one_characteristic_polynomial_per_algebra(monkeypatch):
+    module = importlib.import_module("liecohom.cohomology")
+    calls = []
+    real = module._char_poly
+    monkeypatch.setattr(module, "_char_poly", lambda b: calls.append(b) or real(b))
+    h7 = heisenberg7()
+    assert betti_numbers(h7, one_form(1, 0, 0, 0, 0, 0, 0)) == [0] * 8
+    assert betti_numbers(h7, one_form(0, 2, -1, 0, 0, 0, 0)) == [0] * 8
+    assert len(calls) == 1
+    # an x acting diagonally in the standard basis: the live search serves them, no polynomial
+    for g, omega in ((diag(6), one_form(Fraction(1, 2), 0, 0, 0, 0, 0)), (diag(6), OneForm.zero(6)),
+                     (sol3_plus(3, 2), one_form(3, 0, 0, 0, 0)),
+                     (sol3_plus(3, 2), one_form(1, 0, 0, 2, 0))):
+        assert betti_numbers(g, omega) == list(cohomology(g, omega).betti)
+    assert len(calls) == 1
+
+
+def pulled_back(g, *coeffs):
+    """g after ``random_invertible(n, Random(1))`` and the form, pulled back along it."""
+    m = random_invertible(g.dim, random.Random(1))
+    return change_basis(g, m), pullback_one_form(one_form(*coeffs, *[0] * (g.dim - len(coeffs))), m)
+
+
+@pytest.mark.parametrize("g,first", [(heisenberg(11), 1), (diag(12), Fraction(1, 2))],
+                         ids=["h11 at e^1", "diag 12 at e^1/2"])
+def test_random_bases_answer_zero_by_a_witness(g, first):
+    h, omega = pulled_back(g, first)
+    start = time.perf_counter()
+    assert betti_numbers(h, omega) == [0] * (g.dim + 1)
+    assert time.perf_counter() - start < 0.5
