@@ -357,11 +357,12 @@ def _jacobi_report(g: LieAlgebra) -> ValidationReport:
 
     Visits, in sorted order, the triples with a term [[e_a, e_b], e_c] whose [e_a, e_b]
     holds an e_m with a stored [e_m, e_c]. Sums run over the int table at scale L^2 on
-    packed ints, [e_m, e_c] as sum_out L C_mc^out 2^(out s), s the bit length of 3 W M^2
-    (W the most terms of a bracket, M the largest |L C|). Each entry of a triple's sum
-    adds at most 3 W products of size <= M^2, so it is below 2^s in size: the lowest
-    nonzero entry would leave a nonzero remainder mod 2^s, and the packed sum is zero
-    exactly when every entry is. A nonzero triple is summed again entry by entry.
+    packed ints, [e_m, e_c] as sum_out L C_mc^out 2^(r s), r the position of out among the
+    sorted indices the brackets hold, s the bit length of 3 W M^2 (W the most terms of a bracket, M
+    the largest |L C|). Each entry of a triple's sum adds at most 3 W products of size <= M^2,
+    so it is below 2^s in size: the lowest nonzero entry would leave a nonzero remainder mod
+    2^s, and the packed sum is zero exactly when every entry is. A nonzero triple is summed
+    again entry by entry.
     """
     table, n = g._int_table, g.dim
     # [e_a, e_b] for a != b in either order, as (0-based m, L * C_ab^m), and the
@@ -377,13 +378,13 @@ def _jacobi_report(g: LieAlgebra) -> ValidationReport:
             triples.add((c, a, b) if c < a else (a, c, b) if c < b else (a, b, c))
     if not triples:
         return ValidationReport(ok=True)
-    heads = {m + 1 for _, terms in table for m, _ in terms}
+    position = {m: r for r, m in enumerate(sorted({m for _, terms in table for m, _ in terms}))}
     top = max(abs(x) for _, terms in table for _, x in terms)
     s = (3 * max(len(terms) for _, terms in table) * top * top).bit_length()
     packed = {}  # packed[c][m - 1]: [e_m, e_c] as one int, for the e_m a bracket holds
     for (i, j), terms in table:
-        if i in heads or j in heads:
-            p = sum([y << out * s for out, y in terms])
+        if i - 1 in position or j - 1 in position:
+            p = sum([y << position[out] * s for out, y in terms])
             packed.setdefault(j, {})[i - 1], packed.setdefault(i, {})[j - 1] = p, -p
     defects = []
     for i, j, k in sorted(triples):

@@ -148,7 +148,7 @@ def _live_monomials(indices, rows: list, targets: list, top: int | None = None) 
     """For each target t of ``targets``: per degree p = 0 .. top (default k), in lexicographic
     order, the p-subsets I of the k ascending ``indices`` with sum_(i in I) c_i = t_s
     for the s-th row c of ``rows`` (c_j the coefficient of the j-th index) and
-    every s; all of them if there is no row. Equal targets share one list.
+    every s; all if there is no row, none if t is None. Equal targets share one list.
 
     The rows are packed into one: with B above twice every |sum_(i in I) c_i - t_s|,
     the sum of those differences times B^s is zero only when each difference is.
@@ -164,7 +164,7 @@ def _live_monomials(indices, rows: list, targets: list, top: int | None = None) 
     span, divisors = [sum(map(abs, c)) for c in rows], [gcd(*c) or 1 for c in rows]
     base = 4 * max(span) + 1
     # a sum over I is an int multiple of gcd(c) of size at most sum |c|: no I meets a t off those
-    keys = [None if any(abs(x) > m or x % d for x, m, d in zip(t, span, divisors))
+    keys = [None if t is None or any(abs(x) > m or x % d for x, m, d in zip(t, span, divisors))
             else sum(int(x) * base ** s for s, x in enumerate(t)) for t in targets]
     empty = [[] for _ in range(top + 1)]
     out = {key: [[] for _ in range(top + 1)] for key in keys if key is not None}
@@ -236,8 +236,11 @@ def _live(g: LieAlgebra, twist, indices, lams: list, top: int | None = None) -> 
     # (a, S * w(x)) for the x of this factor
     pairs = [(a, t) for a, x in _inner_diagonal(g) if next(iter(x)) + 1 in indices
              if (t := sum(c * x.get(m.bit_length() - 2, 0) for m, _, c in twist[0])) or a]
+    # lam = p / q: the targets p t / q as ints, or None (no subset meets them) unless q | t
+    targets = [None if any(t % lam.denominator for _, t in pairs)
+               else [lam.numerator * t // lam.denominator for _, t in pairs] for lam in lams]
     return _live_monomials(indices, [[up * a.get(i - 1, 0) for i in indices] for a, _ in pairs],
-                           [[lam * t for _, t in pairs] for lam in lams], top)
+                           targets, top)
 
 
 def _witnesses(g: LieAlgebra) -> list:

@@ -6,7 +6,8 @@ finite exceptional set, every critical row is evaluated exactly, and one
 provably generic multiplier is evaluated as a control row.
 
 The Morse-count report compares user-supplied counts of index-p zeros
-against the twisted Betti numbers degree by degree. The underlying
+against the twisted Betti numbers degree by degree; off the critical set
+they are all zero, so only a critical multiple is walked. The underlying
 inequality m_p >= b_p is only promised for sufficiently large multipliers,
 so the report flags multipliers that collide with the critical set rather
 than pretending the bound applies.
@@ -15,13 +16,14 @@ than pretending the bound applies.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import LieAlgebra, OneForm, _record
 from .cohomology import _betti_along, betti_numbers
 from .errors import ComputationDomainError, NonClosedFormError, StructureError, _require_types
-from .exterior import is_closed
+from .exterior import _wedge_terms, is_closed
 from .linalg import _exact, vector
-from .weights import Vanishing, WeightData, adapted_basis, omega_set, vanishing_predicate
+from .weights import WeightData, _pack, adapted_basis, omega_set
 
 
 @_record
@@ -46,16 +48,22 @@ class ScanTable:
 
 
 def _critical_multipliers(data: WeightData, direction: OneForm) -> list[Fraction]:
-    """Solutions of -lambda * direction in the exceptional set, plus zero."""
-    d = direction.coeffs
-    p, *support = (i for i, c in enumerate(d) if c)
-    off = [i for i, c in enumerate(d) if not c]
-    found = {Fraction(0)}
-    for s in (sigma.coeffs for sigma in omega_set(data).elements):
-        # a term off the direction's support rules sigma out before any division
-        if not any(s[i] for i in off) and all(s[i] == s[p] / d[p] * d[i] for i in support):
-            found.add(-s[p] / d[p])
-    return sorted(found)
+    """Solutions of -lambda * direction in the exceptional set, plus zero. With the direction
+    cleared to g D at scale S, D primitive, an element s / T (packed as P(s), ``OmegaSet``) is
+    -lambda times it exactly when s = c D for an int c, that is when P(s) = c P(D) and every
+    |c D_i| is inside the fields; then lambda = -c S / (g T). The c are sorted before any
+    Fraction is built."""
+    omegas, scale = omega_set(data), lcm(*(c.denominator for c in direction.coeffs))
+    d = [c.numerator * (scale // c.denominator) for c in direction.coeffs]
+    g = gcd(*d)
+    d, half, found = [x // g for x in d], 1 << (omegas._width - 1), {0}
+    top, unit = max(map(abs, d)), _pack(d, omegas._width)
+    # a D outside the fields has no nonzero multiple inside them
+    for s in omegas._sums if top < half else ():
+        c, r = divmod(s, unit)
+        if not r and abs(c) * top < half:
+            found.add(c)
+    return [Fraction(-c * scale, g * omegas._scale) for c in sorted(found, reverse=True)]
 
 
 def scan_line(g: LieAlgebra, direction: OneForm) -> ScanTable:
@@ -106,7 +114,8 @@ class NovikovReport:
 
 def novikov_report(g: LieAlgebra, omega: OneForm, lam,
                    morse_counts) -> NovikovReport:
-    """Compare Morse counts against the Betti numbers of lambda * omega."""
+    """Compare Morse counts against the Betti numbers of lambda * omega: all 0, unwalked,
+    where -lambda * omega lies outside the exceptional set (``vanishing_predicate``)."""
     _require_types((g, LieAlgebra), (omega, OneForm))
     lam = _exact(lam)
     counts = vector(morse_counts)
@@ -119,13 +128,14 @@ def novikov_report(g: LieAlgebra, omega: OneForm, lam,
     if any(m < 0 for m in counts):
         raise StructureError("Morse counts must be nonnegative")
     scaled = omega.scale(lam)
-    betti = tuple(betti_numbers(g, scaled))
-    holds = tuple(m >= b for m, b in zip(counts, betti))
+    _wedge_terms(g, scaled)  # the length and closedness checks of ``betti_numbers``, first
     critical: bool | None
     try:
-        critical = vanishing_predicate(adapted_basis(g), scaled) is Vanishing.POSSIBLY_NONTRIVIAL
+        critical = omega_set(adapted_basis(g))._has(scaled.coeffs, -1)
     except ComputationDomainError:
         critical = None
+    betti = (0,) * (g.dim + 1) if critical is False else tuple(betti_numbers(g, scaled))
+    holds = tuple(m >= b for m, b in zip(counts, betti))
     return NovikovReport(omega=omega, lam=lam, betti=betti,
                          morse_counts=counts, holds=holds,
                          lambda_critical=critical)

@@ -36,9 +36,9 @@ The recorded weight alpha_i is the coefficient form of the dual relation
 i.e. the negative of the adjoint eigenvalue functional of the i-th flag
 line. With this orientation the finite set of all subset sums of weights
 controls vanishing: if -w lies outside it, the whole twisted cohomology is
-zero. That set is summed as int tuples, every weight times one lcm of their
-denominators, and a OneForm is built only for each distinct sum. The flag, the
-complement of [g, g] and the weights are read off int rows as well. Everything
+zero. That set is summed on packed ints, every weight times one lcm of their
+denominators, and its OneForms are built only when read. The flag, the complement
+of [g, g], the weights and the r0 spectrum are on int rows as well. Everything
 stays rational; an irrational or complex eigenvalue is reported as
 NotTriangularizableError instead of being approximated.
 """
@@ -48,9 +48,9 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, groupby
 from math import gcd, lcm
-from operator import add
 
 from .algebra import LieAlgebra, OneForm, _memo, _record, _series_rows, pullback_one_form
 from .errors import (NonClosedFormError, NotSolvableError, NotTriangularizableError,
@@ -81,10 +81,19 @@ class WeightData:
         _require_types((self.adapted_change, RationalMatrix), (self.weights, tuple), (self.k, int))
         _require_types(*((w, OneForm) for w in self.weights))
         # ``_adapted_weights``: each weight's coefficients in the adapted dual basis, pulled back
-        # once per instance and weight object (k zero weights: one) so that ``r0_spectrum`` need not
-        once = {id(w): w for w in self.weights}
-        once = {i: pullback_one_form(w, self.adapted_change).coeffs for i, w in once.items()}
+        # once per instance and weight object (k zero weights: one); ``_ints``: the change's rows
+        # times the lcm E of their denominators, and the adapted weights times the lcm D of
+        # theirs on the columns a closed form uses (the first k) or a weight uses
+        m, once = self.adapted_change, {id(w): w for w in self.weights}
+        once = {i: pullback_one_form(w, m).coeffs for i, w in once.items()}
         object.__setattr__(self, "_adapted_weights", tuple(once[id(w)] for w in self.weights))
+        e = lcm(*(q.denominator for r in m._rows for q in r.values()))
+        d = lcm(*(c.denominator for v in once.values() for c in v))
+        cols = [j for j in range(m.cols) if j < self.k or any(v[j] for v in once.values())]
+        once = {i: [v[j].numerator * (d // v[j].denominator) for j in cols]
+                for i, v in once.items()}
+        rows = [{j: q.numerator * (e // q.denominator) for j, q in r.items()} for r in m._rows]
+        object.__setattr__(self, "_ints", (e, rows, d, cols, [once[id(w)] for w in self.weights]))
 
     @property
     def dim(self) -> int:
@@ -93,18 +102,58 @@ class WeightData:
 
 @_record
 class OmegaSet:
-    """Finite set of one-forms: all nonempty subset sums of the weights."""
+    """Finite set of one-forms: all nonempty subset sums of the weights, packed: v / T, T
+    (``_scale``) the lcm of all denominators, is P(v) = sum v_i 2^((n-i) W), W (``_width``)
+    one more than the bit length of the largest |v_i|, so P is one to one and additive, and
+    sorts as the tuples do. ``elements`` and ``sorted_elements`` build OneForms on first read
+    (``_memo``); ``OmegaSet(elements)`` packs them."""
 
-    elements: frozenset[OneForm]
+    _dim: int
+    _scale: int
+    _width: int
+    _sums: frozenset[int]
 
-    def __contains__(self, omega: OneForm) -> bool:
-        return omega in self.elements
+    def __init__(self, elements: frozenset[OneForm]):
+        t = lcm(*(c.denominator for f in elements for c in f.coeffs))
+        rows = [[c.numerator * (t // c.denominator) for c in f.coeffs] for f in elements]
+        w = max((abs(x) for v in rows for x in v), default=0).bit_length() + 1
+        self.__dict__.update(_dim=len(rows[0]) if rows else 0, _scale=t, _width=w,
+                             _sums=frozenset(_pack(v, w) for v in rows),
+                             _elements=frozenset(elements))
 
-    def __len__(self) -> int:
-        return len(self.elements)
+    @property
+    def elements(self) -> frozenset[OneForm]:
+        return _memo(self, "_elements", lambda o: frozenset(o.sorted_elements()))
 
     def sorted_elements(self) -> list[OneForm]:
-        return sorted(self.elements, key=lambda f: f.coeffs)
+        return list(_memo(self, "_sorted", _forms))
+
+    def _has(self, coeffs: Vector, sign: int = 1) -> bool:
+        """Whether sign * coeffs is an element: cleared at T once, inside the fields, packed."""
+        t, half = self._scale, 1 << (self._width - 1)
+        v = [sign * c.numerator * (t // c.denominator) for c in coeffs if not t % c.denominator]
+        return (len(v) == len(coeffs) == self._dim and all(-half < x < half for x in v)
+                and _pack(v, self._width) in self._sums)
+
+    def __contains__(self, omega: OneForm) -> bool:
+        return isinstance(omega, OneForm) and self._has(omega.coeffs)
+
+    def __len__(self) -> int:
+        return len(self._sums)
+
+
+def _pack(v, width: int) -> int:
+    return reduce(lambda acc, x: (acc << width) + x, v, 0)
+
+
+def _forms(omegas: OmegaSet) -> tuple[OneForm, ...]:
+    """The elements, ascending: each field read off P(v) + P(2^(W-1), .., 2^(W-1)), and each
+    distinct entry one shared Fraction."""
+    n, w, half = omegas._dim, omegas._width, 1 << (omegas._width - 1)
+    up, shifts = _pack([half] * n, w), range((n - 1) * w, -1, -w)
+    rows = [[((x + up) >> s & (2 * half - 1)) - half for s in shifts] for x in sorted(omegas._sums)]
+    shared = {x: Fraction(x, omegas._scale) for x in set().union(*rows)}
+    return tuple(OneForm(tuple(map(shared.__getitem__, v))) for v in rows)
 
 
 class Vanishing(enum.Enum):
@@ -249,7 +298,9 @@ def _flag(g: LieAlgebra) -> WeightData:
     d = lcm(*(abs(r[p]) // gcd(*r.values()) for r, p in zip(der, pivots)))
     cleared = [{j: x * d // r[p] for j, x in r.items()} for r, p in zip(der, pivots)]
     actions = []
-    for x, dx in ([({j: 1}, 1) for j in complement] + [(b, d) for b in cleared]) if der else ():
+    # (der.basis only if [g, g] is not abelian, ``series[1]`` != 0: else each acts by 0)
+    for x, dx in ([({j: 1}, 1) for j in complement]
+                  + [(b, d) for b in cleared if series[1]]) if der else ():
         images = [g._int_bracket(x, b) for b in cleared]
         actions.append([_primitive({c: y[p] for c, y in enumerate(images) if p in y},
                                    g._scale * d * dx) for p in pivots])
@@ -328,16 +379,16 @@ def omega_set(data: WeightData) -> OmegaSet:
 
     The zero form belongs to the set whenever some weight is zero, which for
     a solvable algebra is always the case (the closed block is nonempty).
-    The sums are taken as int tuples at one denominator (``_subset_sums``), and
-    a OneForm is built only for each distinct one. The set is computed once per
-    WeightData object (``_memo``).
+    The sums are taken as packed ints at one denominator (``_subset_sums``), and
+    OneForms are built only when the elements are read. The set is computed once
+    per WeightData object (``_memo``).
     """
     _require_types((data, WeightData))
     return _memo(data, "_omega_set", _subset_sums)
 
 
 def _subset_sums(data: WeightData) -> OmegaSet:
-    """The subset sums as int tuples at one denominator D, then one OneForm per distinct sum."""
+    """The subset sums as packed ints (``OmegaSet``) at one denominator D."""
     # each weight x as ints, times the lcm D of all denominators, with its multiplicity m;
     # a run of one object (the k zero weights of ``adapted_basis``) is counted before hashing
     runs = [(w, len(list(run))) for w, run in groupby(data.weights)]
@@ -345,24 +396,37 @@ def _subset_sums(data: WeightData) -> OmegaSet:
     groups: Counter[tuple[int, ...]] = Counter()
     for w, m in runs:
         groups[tuple(c.numerator * (d // c.denominator) for c in w.coeffs)] += m
-    sums: set[tuple[int, ...]] = set()
+    # the largest |v_i| of a sum: in its column, all positive or all negative multiples
+    cols = list(zip(*(tuple(m * c for c in x) for x, m in groups.items())))
+    width = max(max(sum(c for c in col if c > 0), -sum(c for c in col if c < 0))
+                for col in cols).bit_length() + 1
+    sums: set[int] = set()
     # after each x, sums holds the nonempty subset sums of the weights so far: a
     # choice of j of the m copies adds jx, and every jx of a zero x is x
     for x, m in groups.items():
-        multiples = [tuple(j * c for c in x) for j in range(1, m + 1)] if any(x) else [x]
-        sums |= {tuple(map(add, s, y)) for s in sums for y in multiples} | set(multiples)
-    # one OneForm per distinct sum, its entries one shared Fraction per distinct int
-    shared = {x: Fraction(x, d) for x in set().union(*sums)}
-    return OmegaSet(frozenset(OneForm(tuple(map(shared.__getitem__, s))) for s in sums))
+        p = _pack(x, width)
+        multiples = [j * p for j in range(1, m + 1)] if p else [p]
+        sums |= {s + y for s in sums for y in multiples} | set(multiples)
+    omegas = object.__new__(OmegaSet)
+    omegas.__dict__.update(_dim=len(cols), _scale=d, _width=width, _sums=frozenset(sums))
+    return omegas
 
 
-def _require_closed_weightwise(data: WeightData, omega: OneForm) -> Vector:
-    # omega in the adapted dual basis; positions k+1..n of the adapted basis
-    # span [g, g], so a closed form is exactly one with no coefficients there
-    coords = pullback_one_form(omega, data.adapted_change).coeffs
-    if any(c != 0 for c in coords[data.k:]):
+def _require_closed_weightwise(data: WeightData, omega: OneForm) -> tuple[list[int], int]:
+    # omega in the adapted dual basis on ints (``WeightData._ints``); positions k+1..n of the
+    # adapted basis span [g, g], so a closed form is exactly one with no coefficients there
+    if omega.dim != data.adapted_change.rows:
+        pullback_one_form(omega, data.adapted_change)  # its ValueError for the length
+    e, rows, *_ = data._ints
+    s, coords = lcm(*(c.denominator for c in omega.coeffs)), [0] * data.adapted_change.cols
+    for c, row in zip(omega.coeffs, rows):
+        if c:
+            w = c.numerator * (s // c.denominator)
+            for j, x in row.items():
+                coords[j] += w * x
+    if any(coords[data.k:]):
         raise NonClosedFormError("one-form is not closed (does not kill [g, g])")
-    return coords
+    return coords, s * e
 
 
 def vanishing_predicate(data: WeightData, omega: OneForm) -> Vanishing:
@@ -372,9 +436,8 @@ def vanishing_predicate(data: WeightData, omega: OneForm) -> Vanishing:
     """
     _require_types((data, WeightData), (omega, OneForm))
     _require_closed_weightwise(data, omega)
-    if -omega in omega_set(data):
-        return Vanishing.POSSIBLY_NONTRIVIAL
-    return Vanishing.GUARANTEED_TRIVIAL
+    return (Vanishing.POSSIBLY_NONTRIVIAL if omega_set(data)._has(omega.coeffs, -1)
+            else Vanishing.GUARANTEED_TRIVIAL)
 
 
 def r0_spectrum(data: WeightData, omega: OneForm, p: int) -> list[Fraction]:
@@ -387,12 +450,13 @@ def r0_spectrum(data: WeightData, omega: OneForm, p: int) -> list[Fraction]:
     """
     _require_types((data, WeightData), (omega, OneForm))
     _check_degree(p, data.dim)
-    vectors = (_require_closed_weightwise(data, omega), *data._adapted_weights)
-    # on ints: every vector times one lcm D of their denominators, each value times D^2
-    d = lcm(*(c.denominator for v in vectors for c in v))
-    base, *weights = ([c.numerator * (d // c.denominator) for c in v] for v in vectors)
-    return [Fraction(v, d * d) for v in sorted(sum(sum(col) ** 2 for col in zip(base, *subset))
-                                               for subset in combinations(weights, p))]
+    coords, u = _require_closed_weightwise(data, omega)
+    # on ints: omega and the weights at the lcm of their scales u and D, each value times its square
+    *_, d, cols, weights = data._ints
+    base, f = [coords[j] * (d // gcd(u, d)) for j in cols], u // gcd(u, d)
+    weights = [[x * f for x in w] for w in weights] if f > 1 else weights
+    return [Fraction(v, (f * d) ** 2) for v in sorted(
+        sum(sum(col) ** 2 for col in zip(base, *subset)) for subset in combinations(weights, p))]
 
 
 def weight_sum_check(data: WeightData) -> bool:

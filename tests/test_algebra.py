@@ -30,7 +30,9 @@ from liecohom import (
 from liecohom import algebra as algebra_module
 from liecohom.algebra import (
     MAX_DIM,
+    JacobiDefect,
     Subspace,
+    ValidationReport,
     _inner_diagonal,
     _jacobi_report,
     _record,
@@ -547,6 +549,37 @@ def test_a_large_sparse_document_costs_what_it_holds():
         finally:
             tracemalloc.stop()
         assert peak < bound * 2 ** 20
+
+
+def _brackets_near_the_end(k, c4=2):
+    # [e1, e2] = e2, [e1, e3] = e3, [e1, e4] = c4 e4, [e2, e3] = e4 and [e1, ej] = ej for the
+    # last k j: the triple (1, 2, 3) has a nonzero term, and its cyclic sum is (2 - c4) e4
+    n = MAX_DIM
+    items = [{"i": 1, "j": j, "coeffs": {str(j): str(c4) if j == 4 else "1"}}
+             for j in (2, 3, 4, *range(n - k + 1, n + 1))]
+    items.append({"i": 2, "j": 3, "coeffs": {"4": "1"}})
+    return json.dumps({"dim": n, "brackets": items})
+
+
+def test_the_jacobi_check_of_many_brackets_near_e_n_stays_in_the_tables_size():
+    """1,000 one-term brackets near e_100000: each packed [e_m, e_c] places an output at
+    its position among the outputs the table holds, not at its index, so the 48 KB document
+    parses in a few MiB (109 MiB with a field per index), and a failing copy reports the
+    same one defect as the per-entry sum."""
+    text = _brackets_near_the_end(1000)
+    assert 45_000 < len(text) < 50_000
+    tracemalloc.start()
+    try:
+        g = parse_algebra(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20 and len(g._int_table) == 1004
+    with pytest.raises(JacobiError) as exc:
+        parse_algebra(_brackets_near_the_end(1000, c4=3))
+    defect = (Fraction(0),) * 3 + (Fraction(-1),) + (Fraction(0),) * (MAX_DIM - 4)
+    assert exc.value.report == ValidationReport(False, (JacobiDefect((1, 2, 3), defect),))
+    assert str(exc.value) == "jacobi defect on (1, 2, 3): -1*e4"
 
 
 def test_classify_of_a_large_sparse_document_costs_what_its_table_costs():

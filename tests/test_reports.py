@@ -2,12 +2,14 @@ import importlib
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecohom import (
+    ExteriorForm,
     LieAlgebra,
     ComputationDomainError,
     NonClosedFormError,
@@ -27,9 +29,12 @@ from liecohom import (
 )
 from liecohom import weights
 from liecohom.algebra import random_invertible
+from liecohom.exterior import form_basis
+from liecohom.linalg import RationalMatrix, rank
 from liecohom.weights import Vanishing
 
-from conftest import closed_grid, diag, k2, mask_indices, one_form, pow2, sol3_plus
+from conftest import (closed_grid, diag, form_to_coords, k2, mask_indices, one_form, pow2,
+                      reference_differential, sequential_subset_sums, sol3_plus)
 
 # the module, not the function of the same name the package exports
 cohomology_module = importlib.import_module("liecohom.cohomology")
@@ -270,3 +275,73 @@ def test_one_scan_builds_the_tables_once_and_searches_each_factor_once(monkeypat
     assert len(table.rows) > 1
     # one table for the direction, one search per factor of two or more indices
     assert sorted(calls) == ["_live_monomials", "_live_monomials", "_wedge_terms"]
+
+
+# the module, not the function of the same name the package exports
+reports_module = importlib.import_module("liecohom.reports")
+
+
+def test_novikov_report_errors_are_pinned(sol3, sl2, euclid3):
+    """The form is checked as ``betti_numbers`` checks it, before the weight data reads it."""
+    with pytest.raises(ValueError) as exc:
+        novikov_report(sol3, one_form(1, 0), 1, [0, 0, 0, 0])
+    assert str(exc.value) == "one-form length does not match the algebra dimension"
+    with pytest.raises(NonClosedFormError) as exc:
+        novikov_report(sol3, one_form(0, 1, 0), 1, [0, 0, 0, 0])
+    assert str(exc.value) == ("twisting one-form is not closed; the deformed differential "
+                              "would not square to zero")
+    # no weight data: the verdict is unknown and the Betti numbers are walked
+    for g, omega in ((sl2, OneForm.zero(3)), (euclid3, one_form(1, 0, 0))):
+        report = novikov_report(g, omega, 3, [1, 0, 0, 1])
+        assert report.lambda_critical is None
+        assert report.betti == tuple(betti_numbers(g, omega.scale(3)))
+
+
+def test_a_novikov_report_off_the_exceptional_set_walks_nothing(monkeypatch):
+    # diag 5: Ω = {0, -1, .., -10} e^1, so lam e^1 is critical exactly at lam = 0, 1, .., 10
+    walks = []
+    real = reports_module.betti_numbers
+    monkeypatch.setattr(reports_module, "betti_numbers", lambda *a: walks.append(a) or real(*a))
+    g, omega = diag(5), one_form(1, 0, 0, 0, 0)
+    for lam in (Fraction(1, 3), -1, 11):
+        report = novikov_report(g, omega, lam, [0] * 6)
+        assert report.lambda_critical is False and report.betti == (0,) * 6
+    assert walks == []
+    report = novikov_report(g, omega, 3, [0] * 6)
+    assert report.lambda_critical is True and len(walks) == 1
+    assert report.betti == tuple(real(g, omega.scale(3))) != (0,) * 6
+
+
+def _reference_betti(g, omega):
+    """Betti numbers from the ranks of the matrices whose columns are
+    ``reference_differential`` of each monomial, degree by degree."""
+    n = g.dim
+    ranks = [rank(RationalMatrix.from_columns(
+        [form_to_coords(reference_differential(g, omega, ExteriorForm(n, p, {idx: 1})))
+         for idx in form_basis(n, p)])) for p in range(n)] + [0]
+    return [comb(n, p) - ranks[p] - (ranks[p - 1] if p else 0) for p in range(n + 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(SCAN_FAMILIES)), st.booleans(), st.integers(0, 2**32 - 1))
+def test_the_exceptional_set_settles_novikov_reports_as_the_walk_does(name, rebased, seed):
+    """``novikov_report`` walks only where -lam omega lies in Ω. At minus every weight
+    subset sum (summed one weight at a time) and at random closed forms, each at several
+    lam, its Betti numbers are those of ``betti_numbers``, and wherever it reads
+    lambda_critical False the ranks of the reference differential give all zeros."""
+    rng = random.Random(seed)
+    g = SCAN_FAMILIES[name]()
+    if rebased:
+        g = change_basis(g, random_invertible(g.dim, rng))
+    basis = closed_one_forms(g).basis
+    forms = [-s for s in sequential_subset_sums(adapted_basis(g)).sorted_elements()]
+    forms += [OneForm([sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(g.dim)])
+              for coeffs in ([rng.randint(-3, 3) for _ in basis] for _ in range(2))]
+    zero = (0,) * (g.dim + 1)
+    for omega in forms:
+        for lam in (1, -1, 2, Fraction(1, rng.choice([2, 3]))):
+            report = novikov_report(g, omega, lam, [0] * (g.dim + 1))
+            assert report.betti == tuple(betti_numbers(g, omega.scale(lam)))
+            if report.lambda_critical is False:
+                assert report.betti == zero
+                assert _reference_betti(g, omega.scale(lam)) == list(zero)

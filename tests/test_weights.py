@@ -635,6 +635,48 @@ def test_abelian_1000_takes_its_complement_from_sparse_unit_rows():
     assert omega_set(data).elements == {OneForm.zero(1000)}
 
 
+def test_pow2_exceptional_sets_are_summed_on_packed_ints():
+    """pow2 14 and 16 have 8192 and 32768 distinct subset sums: on packed ints, pow2 14
+    goes from an algebra to its Ω in < 20 ms, and pow2 16's vanishing verdict at e^1, Ω
+    included, takes < 0.1 s (about 0.2 s and 0.6 s with one hashed OneForm per sum)."""
+    times = []
+    for g in [pow2(14) for _ in range(3)]:
+        start = time.perf_counter()
+        omegas = omega_set(adapted_basis(g))
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.02 and len(omegas) == 2 ** 13
+    times, e1 = [], one_form(1, *[0] * 15)
+    for data in [adapted_basis(pow2(16)) for _ in range(3)]:
+        start = time.perf_counter()
+        verdict = vanishing_predicate(data, e1)
+        times.append(time.perf_counter() - start)
+        assert verdict is Vanishing.POSSIBLY_NONTRIVIAL and len(omega_set(data)) == 2 ** 15
+    assert min(times) < 0.1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_r0_spectrum_on_ints_matches_the_fraction_sums(n, seed):
+    """Weights of any rationals, closed or not, along a random invertible change: each
+    r0 value is the squared norm of the shifted subset sum of the pulled-back weights."""
+    rng = random.Random(seed)
+    m = random_invertible(n, rng).scale(Fraction(1, rng.randint(1, 3)))
+    k = rng.randint(0, n)
+    zero = OneForm.zero(n)
+    weights = tuple(zero if i < k or rng.random() < 0.3 else OneForm(
+        [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]) for i in range(n))
+    data = WeightData(adapted_change=m, weights=weights, k=k)
+    # a form closed in the sense of the adapted basis: no coordinate past k
+    coords = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if j < k else 0 for j in range(n)]
+    omega = OneForm(invert(m).transpose().apply(coords))
+    assert pullback_one_form(omega, m).coeffs == tuple(map(Fraction, coords))
+    pulled = [pullback_one_form(w, m).coeffs for w in weights]
+    for p in range(n + 1):
+        expected = sorted(sum((c + sum(col)) ** 2 for c, *col in zip(coords, *subset))
+                          for subset in combinations(pulled, p))
+        assert r0_spectrum(data, omega, p) == expected
+
+
 def test_omega_set_matches_subset_enumeration(sol3):
     rng = random.Random(107)
     for g in (jordan4(), borel4(), diag(6), change_basis(sol3, random_invertible(3, rng))):
@@ -761,6 +803,22 @@ def test_replace_pulls_the_new_weights_back(make, seed):
             == tuple(pullback_one_form(w, change).coeffs for w in fields["weights"])
         assert [r0_spectrum(replaced, omega, p) for p in range(g.dim + 1)] \
             == [r0_spectrum(fresh, omega, p) for p in range(g.dim + 1)]
+
+
+def test_an_abelian_derived_algebra_brackets_only_the_complement(monkeypatch):
+    """diag 6 has the abelian [g, g] = span(e2 .. e6), on which its five der.basis vectors
+    act by 0: the flag brackets only its one complement vector with them, 5 brackets, not
+    30. borel4's [g, g] is not abelian, so its three der.basis actions are still read.
+    Both flags are the reference's."""
+    for g, count in ((diag(6), 5), (borel4(), 12)):
+        series, real = weights_module._series_rows(g), LieAlgebra._int_bracket
+        calls = []
+        monkeypatch.setattr(weights_module, "_series_rows", lambda h: series)
+        monkeypatch.setattr(LieAlgebra, "_int_bracket",
+                            lambda self, x, y: calls.append(x) or real(self, x, y))
+        data = weights_module._flag(g)
+        monkeypatch.undo()
+        assert len(calls) == count and data == restricted_adapted_basis(g)
 
 
 def test_adapted_basis_errors_are_pinned(euclid3, sl2):
